@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, List, Tuple
 
 import networkx as nx
@@ -34,11 +35,13 @@ class Cycle:
             if b != c:
                 raise ValueError(f"cycle c{self.id}: arcs do not chain at v{b}")
 
-    @property
+    # Cached per instance: a Cycle is immutable, and routing reads these
+    # on every conjugate-link lookup.
+    @cached_property
     def vertices(self) -> Tuple[int, ...]:
         return tuple(a for a, _ in self.arcs)
 
-    @property
+    @cached_property
     def segments(self) -> FrozenSet[Segment]:
         return frozenset(seg(a, b) for a, b in self.arcs)
 

@@ -115,10 +115,6 @@ def strip_imaginary_region(
         if fid != drawing.rim_id and not drawing.has_imaginary(fid)
     }
     avoid = set(chord) if chord else set()
-    by_seg: Dict[Segment, List[int]] = {}
-    for fid in sorted(cands):
-        for s in drawing.faces[fid].segments:
-            by_seg.setdefault(s, []).append(fid)
     parent = {fid: fid for fid in cands}
 
     def find(x: int) -> int:
@@ -127,7 +123,8 @@ def strip_imaginary_region(
             x = parent[x]
         return x
 
-    for s, who in by_seg.items():
+    for s, fids in drawing.segment_faces.items():
+        who = [fid for fid in fids if fid in cands]
         if len(who) == 2 and not (s[0] in avoid or s[1] in avoid):
             a, b = find(who[0]), find(who[1])
             if a != b:

@@ -5,13 +5,18 @@ Hamiltonian ring of the planar subgraph).  A chord projects onto the
 shorter of the two rim arcs between its endpoints; two chords cross
 exactly when their projections intersect properly (non-empty, neither
 contains the other).
+
+`select_noncrossing` projects each candidate once, builds the crossing
+neighbour sets once, and on each removal updates only the victim's
+neighbours; the ring positions of a basis are computed once per basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .graphs import Graph, edge_between
 
@@ -25,7 +30,7 @@ class Basis:
     ring: Tuple[int, ...]
     labels: Tuple[int, ...]  # label of ring edge i = (ring[i], ring[i+1])
 
-    @property
+    @cached_property
     def pos(self) -> Dict[int, int]:
         return {v: i for i, v in enumerate(self.ring)}
 
@@ -73,8 +78,10 @@ def chords_cross(
     basis: Basis, c1: Tuple[int, int], c2: Tuple[int, int]
 ) -> bool:
     """Proper intersection of the two projections."""
-    p1 = project_chord(basis, c1)
-    p2 = project_chord(basis, c2)
+    return _proper(project_chord(basis, c1), project_chord(basis, c2))
+
+
+def _proper(p1: FrozenSet[int], p2: FrozenSet[int]) -> bool:
     inter = p1 & p2
     return bool(inter) and inter != p1 and inter != p2
 
@@ -99,20 +106,27 @@ def select_noncrossing(
     Ties: larger crossing count, then larger projection, then smaller
     edge id.  Returns (kept ids sorted, removal order).
     """
-    alive = dict(chords)
+    if len(chords) < 2:  # a lone chord crosses nothing and is not projected
+        return sorted(chords), []
+    proj = {cid: project_chord(basis, uv) for cid, uv in chords.items()}
+    crosses: Dict[int, Set[int]] = {cid: set() for cid in chords}
+    for a, b in combinations(sorted(chords), 2):
+        if _proper(proj[a], proj[b]):
+            crosses[a].add(b)
+            crosses[b].add(a)
     removed: List[int] = []
     while True:
-        counts = crossing_counts(basis, alive)
-        worst = max(counts.values(), default=0)
+        worst = max(len(others) for others in crosses.values())
         if worst == 0:
             break
         victim = min(
-            (cid for cid in alive if counts[cid] == worst),
-            key=lambda cid: (-len(project_chord(basis, alive[cid])), cid),
+            (cid for cid, others in crosses.items() if len(others) == worst),
+            key=lambda cid: (-len(proj[cid]), cid),
         )
         removed.append(victim)
-        del alive[victim]
-    return sorted(alive), removed
+        for other in crosses.pop(victim):
+            crosses[other].discard(victim)
+    return sorted(crosses), removed
 
 
 def brute_force_max_noncrossing(

@@ -5,6 +5,12 @@ conjugate faces; every conjugate edge crossed receives a fresh imaginary
 vertex that subdivides it, and every face along the route splits in two.
 The drawing is kept as a sphere: the faces of the current system plus the
 rim face, each a simple oriented cycle, every edge on exactly two faces.
+
+A Drawing indexes its faces by segment and by vertex, and
+`insert_connection` keeps both indexes in step as faces split.  A route
+query reads conjugate links from that index as its search reaches each
+face, and stops once the search has reached the nearest face holding the
+source vertex, so it never builds the whole mixed cycle graph.
 """
 
 from __future__ import annotations
@@ -36,6 +42,35 @@ class Drawing:
     next_vertex_id: int = 0
     routed: List[Tuple[int, int]] = field(default_factory=list)
     imaginary: Dict[int, dict] = field(default_factory=dict)
+    # Face ids on each segment and at each vertex.  Built from `faces`
+    # here; insert_connection, the only code that changes faces, keeps
+    # them in step through _add_face and _remove_face.
+    segment_faces: Dict[Segment, Set[int]] = field(init=False, repr=False, compare=False)
+    vertex_faces: Dict[int, Set[int]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.segment_faces = {}
+        self.vertex_faces = {}
+        for fid, c in self.faces.items():
+            self._index(fid, c)
+
+    def _index(self, fid: int, c: Cycle) -> None:
+        for s in c.segments:
+            self.segment_faces.setdefault(s, set()).add(fid)
+        for v in c.vertices:
+            self.vertex_faces.setdefault(v, set()).add(fid)
+
+    def _add_face(self, c: Cycle) -> None:
+        self.faces[c.id] = c
+        self._index(c.id, c)
+
+    def _remove_face(self, fid: int) -> None:
+        c = self.faces.pop(fid)
+        for index, keys in ((self.segment_faces, c.segments), (self.vertex_faces, c.vertices)):
+            for key in keys:
+                index[key].discard(fid)
+                if not index[key]:
+                    del index[key]
 
     @classmethod
     def from_system(cls, g: Graph, sys_: CycleSystem) -> "Drawing":
@@ -69,16 +104,6 @@ class Drawing:
     def snapshot(self) -> CycleSystem:
         return self.to_system()
 
-    def faces_with(self, v: int, among: Optional[Set[int]] = None) -> List[int]:
-        return sorted(
-            fid
-            for fid, c in self.faces.items()
-            if v in c.vertices and (among is None or fid in among)
-        )
-
-    def is_imaginary(self, v: int) -> bool:
-        return v > self.g.n
-
     def has_imaginary(self, fid: int) -> bool:
         return any(v > self.g.n for v in self.faces[fid].vertices)
 
@@ -101,37 +126,54 @@ class MixedCycleGraph:
     vertex_faces: Dict[int, List[int]]
 
 
+def _conjugate_links(
+    drawing: Drawing,
+    fid: int,
+    face_ids: Optional[Set[int]],
+    banned: Set[Segment],
+    avoid: Sequence[int],
+) -> List[Tuple[int, Segment]]:
+    """Sorted (face, shared edge) for each face conjugate to face fid.
+
+    Only faces in face_ids count (every face when None).  An edge counts
+    when exactly two counted faces hold it, it is not banned, it touches
+    no vertex in `avoid`, and it is the only edge the two faces share.
+    """
+    face = drawing.faces[fid]
+    links = []
+    for s in face.segments:
+        if s in banned or s[0] in avoid or s[1] in avoid:
+            continue
+        who = [x for x in drawing.segment_faces[s] if face_ids is None or x in face_ids]
+        if len(who) != 2:
+            continue
+        nb = who[0] if who[1] == fid else who[1]
+        if len(face.segments & drawing.faces[nb].segments) == 1:
+            links.append((nb, s))
+    links.sort()
+    return links
+
+
 def build_mixed_cycle_graph(
     drawing: Drawing,
     face_ids: Optional[Set[int]] = None,
     banned: Optional[Set[Segment]] = None,
     avoid_vertices: Sequence[int] = (),
 ) -> MixedCycleGraph:
-    if face_ids is None:
-        face_ids = set(drawing.faces)
+    """The whole mixed cycle graph over face_ids (every face when None).
+
+    `shortest_route` reads the same links face by face instead.
+    """
+    ids = set(drawing.faces) if face_ids is None else set(face_ids)
     if banned is None:
         banned = drawing.banned
     avoid = set(avoid_vertices)
-    by_seg: Dict[Segment, List[int]] = {}
-    for fid in sorted(face_ids):
-        for s in drawing.faces[fid].segments:
-            by_seg.setdefault(s, []).append(fid)
-    links: Dict[int, List[Tuple[int, Segment]]] = {fid: [] for fid in face_ids}
-    for s, who in by_seg.items():
-        if len(who) != 2 or s in banned or s[0] in avoid or s[1] in avoid:
-            continue
-        a, b = who
-        # conjugate means sharing exactly this one edge
-        if len(drawing.faces[a].segments & drawing.faces[b].segments) != 1:
-            continue
-        links[a].append((b, s))
-        links[b].append((a, s))
-    for fid in links:
-        links[fid].sort()
+    links = {fid: _conjugate_links(drawing, fid, ids, banned, avoid) for fid in ids}
     vertex_faces: Dict[int, List[int]] = {}
-    for fid in sorted(face_ids):
-        for v in drawing.faces[fid].vertices:
-            vertex_faces.setdefault(v, []).append(fid)
+    for v, fids in drawing.vertex_faces.items():
+        here = sorted(f for f in fids if f in ids)
+        if here:
+            vertex_faces[v] = here
     return MixedCycleGraph(links=links, vertex_faces=vertex_faces)
 
 
@@ -151,28 +193,40 @@ def shortest_route(
         raise RoutingError("degenerate chord")
     if seg(s, t) in drawing.carrier:
         raise RoutingError(f"({s},{t}) is already an edge of the drawing")
-    mcg = build_mixed_cycle_graph(drawing, face_ids, avoid_vertices=(s, t))
-    sources = mcg.vertex_faces.get(s, [])
-    targets = set(mcg.vertex_faces.get(t, []))
+    ids = None if face_ids is None else set(face_ids)
+    sources = {f for f in drawing.vertex_faces.get(s, ()) if ids is None or f in ids}
+    targets = {f for f in drawing.vertex_faces.get(t, ()) if ids is None or f in ids}
     if not sources or not targets:
         return None
-    # backward BFS from the target faces, then greedy lex-smallest forward walk
+    links: Dict[int, List[Tuple[int, Segment]]] = {}
+
+    def links_of(fid: int) -> List[Tuple[int, Segment]]:
+        if fid not in links:
+            links[fid] = _conjugate_links(drawing, fid, ids, drawing.banned, (s, t))
+        return links[fid]
+
+    # Backward BFS from the target faces, then a greedy lex-smallest
+    # forward walk.  The walk reads distances up to that of the nearest
+    # source face only, so the search stops once that level is complete.
+    level = 0 if sources & targets else None
     dist = {fid: 0 for fid in targets}
     q = deque(sorted(targets))
     while q:
         fid = q.popleft()
-        for nb, _ in mcg.links[fid]:
+        if level is not None and dist[fid] >= level:
+            break
+        for nb, _ in links_of(fid):
             if nb not in dist:
                 dist[nb] = dist[fid] + 1
                 q.append(nb)
-    reachable = [fid for fid in sources if fid in dist]
-    if not reachable:
+                if level is None and nb in sources:
+                    level = dist[nb]
+    if level is None:
         return None
-    best = min(dist[fid] for fid in reachable)
-    cur = min(fid for fid in reachable if dist[fid] == best)
+    cur = min(fid for fid in sources if dist.get(fid) == level)
     route = [cur]
     while dist[cur] > 0:
-        cur = min(nb for nb, _ in mcg.links[cur] if dist.get(nb) == dist[cur] - 1)
+        cur = min(nb for nb, _ in links_of(cur) if dist.get(nb) == dist[cur] - 1)
         route.append(cur)
     return route
 
@@ -182,24 +236,18 @@ def route_from_conjugates(
 ) -> List[int]:
     """Reconstruct a face route from its conjugate-edge chain (fixture pins)."""
     if not conjugates:
-        both = [
-            fid
-            for fid, c in drawing.faces.items()
-            if s in c.vertices and t in c.vertices
-        ]
+        both = sorted(
+            drawing.vertex_faces.get(s, set()) & drawing.vertex_faces.get(t, set())
+        )
         if len(both) != 1:
             raise RoutingError(
-                f"pinned zero-crossing route for ({s},{t}) is ambiguous: {sorted(both)}"
+                f"pinned zero-crossing route for ({s},{t}) is ambiguous: {both}"
             )
         return both
-    cov: Dict[Segment, List[int]] = {}
-    for fid, c in drawing.faces.items():
-        for sg in c.segments:
-            cov.setdefault(sg, []).append(fid)
     route: List[int] = []
     for a, b in conjugates:
         sg = seg(a, b)
-        who = cov.get(sg, [])
+        who = sorted(drawing.segment_faces.get(sg, ()))
         if len(who) != 2:
             raise RoutingError(f"pinned conjugate ({a},{b}) lies on {len(who)} faces")
         if not route:
@@ -225,8 +273,6 @@ class InsertionRecord:
     chord: Tuple[int, int]
     route: List[int]
     imaginary_ids: List[int]
-    new_faces: List[int]
-    replaced: List[int]
 
 
 def insert_connection(drawing: Drawing, s: int, t: int, route: Sequence[int]) -> InsertionRecord:
@@ -285,9 +331,6 @@ def insert_connection(drawing: Drawing, s: int, t: int, route: Sequence[int]) ->
         drawing.carrier[seg(w, cs[1])] = ck
         drawing.banned.discard(cs)
 
-    record = InsertionRecord(
-        chord=(s, t), route=route, imaginary_ids=ws, new_faces=[], replaced=list(route)
-    )
     for k, fid in enumerate(route):
         entry = s if k == 0 else ws[k - 1]
         exit_ = ws[k] if k < len(ws) else t
@@ -301,21 +344,20 @@ def insert_connection(drawing: Drawing, s: int, t: int, route: Sequence[int]) ->
         a_id = drawing.next_cycle_id
         b_id = drawing.next_cycle_id + 1
         drawing.next_cycle_id += 2
-        drawing.faces[a_id] = Cycle(a_id, tuple(path1) + ((exit_, entry),))
-        drawing.faces[b_id] = Cycle(b_id, ((entry, exit_),) + tuple(path2))
+        drawing._add_face(Cycle(a_id, tuple(path1) + ((exit_, entry),)))
+        drawing._add_face(Cycle(b_id, ((entry, exit_),) + tuple(path2)))
         tag = drawing.side.get(fid)
         if tag is not None:
             drawing.side[a_id] = tag
             drawing.side[b_id] = tag
-        del drawing.faces[fid]
+        drawing._remove_face(fid)
         drawing.side.pop(fid, None)
         if drawing.rim_id == fid:
             drawing.rim_id = None
         drawing.carrier[seg(entry, exit_)] = ("conn", chord_key)
         drawing.banned.add(seg(entry, exit_))
-        record.new_faces.extend([a_id, b_id])
     drawing.routed.append((s, t))
-    return record
+    return InsertionRecord(chord=(s, t), route=route, imaginary_ids=ws)
 
 
 def connection_path(drawing: Drawing, chord: Tuple[int, int]) -> List[int]:

@@ -1,0 +1,109 @@
+"""Loop versions of chord selection and routing, kept as test references.
+
+These recompute everything on every query: `select_noncrossing_ref`
+recounts all pairwise crossings after each removal, and
+`shortest_route_ref` builds the whole mixed cycle graph from the face
+dictionary and runs a full breadth-first search.  The package versions
+must return exactly what these return.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+from typing import Dict, List, Optional, Sequence, Set, Tuple
+
+from topolayers.cycles import Segment, seg
+from topolayers.projection import crossing_counts, project_chord
+from topolayers.routing import RoutingError
+
+
+def select_noncrossing_ref(basis, chords: Dict[int, Tuple[int, int]]) -> Tuple[List[int], List[int]]:
+    alive = dict(chords)
+    removed: List[int] = []
+    while True:
+        counts = crossing_counts(basis, alive)
+        worst = max(counts.values(), default=0)
+        if worst == 0:
+            break
+        victim = min(
+            (cid for cid in alive if counts[cid] == worst),
+            key=lambda cid: (-len(project_chord(basis, alive[cid])), cid),
+        )
+        removed.append(victim)
+        del alive[victim]
+    return sorted(alive), removed
+
+
+def mixed_cycle_graph_ref(
+    drawing,
+    face_ids: Optional[Set[int]] = None,
+    banned: Optional[Set[Segment]] = None,
+    avoid_vertices: Sequence[int] = (),
+):
+    """(links, vertex_faces) built from the face dictionary alone."""
+    if face_ids is None:
+        face_ids = set(drawing.faces)
+    if banned is None:
+        banned = drawing.banned
+    avoid = set(avoid_vertices)
+    by_seg: Dict[Segment, List[int]] = {}
+    for fid in sorted(face_ids):
+        for s in drawing.faces[fid].segments:
+            by_seg.setdefault(s, []).append(fid)
+    links: Dict[int, List[Tuple[int, Segment]]] = {fid: [] for fid in face_ids}
+    for s, who in by_seg.items():
+        if len(who) != 2 or s in banned or s[0] in avoid or s[1] in avoid:
+            continue
+        a, b = who
+        if len(drawing.faces[a].segments & drawing.faces[b].segments) != 1:
+            continue
+        links[a].append((b, s))
+        links[b].append((a, s))
+    for fid in links:
+        links[fid].sort()
+    vertex_faces: Dict[int, List[int]] = {}
+    for fid in sorted(face_ids):
+        for v in drawing.faces[fid].vertices:
+            vertex_faces.setdefault(v, []).append(fid)
+    return links, vertex_faces
+
+
+def shortest_route_ref(drawing, s: int, t: int, face_ids: Optional[Set[int]] = None) -> Optional[List[int]]:
+    if s == t:
+        raise RoutingError("degenerate chord")
+    if seg(s, t) in drawing.carrier:
+        raise RoutingError(f"({s},{t}) is already an edge of the drawing")
+    links, vertex_faces = mixed_cycle_graph_ref(drawing, face_ids, avoid_vertices=(s, t))
+    sources = vertex_faces.get(s, [])
+    targets = set(vertex_faces.get(t, []))
+    if not sources or not targets:
+        return None
+    dist = {fid: 0 for fid in targets}
+    q = deque(sorted(targets))
+    while q:
+        fid = q.popleft()
+        for nb, _ in links[fid]:
+            if nb not in dist:
+                dist[nb] = dist[fid] + 1
+                q.append(nb)
+    reachable = [fid for fid in sources if fid in dist]
+    if not reachable:
+        return None
+    best = min(dist[fid] for fid in reachable)
+    cur = min(fid for fid in reachable if dist[fid] == best)
+    route = [cur]
+    while dist[cur] > 0:
+        cur = min(nb for nb, _ in links[cur] if dist.get(nb) == dist[cur] - 1)
+        route.append(cur)
+    return route
+
+
+def face_indexes(drawing) -> Tuple[Dict[Segment, Set[int]], Dict[int, Set[int]]]:
+    """Segment -> faces and vertex -> faces, rebuilt from drawing.faces."""
+    by_seg: Dict[Segment, Set[int]] = {}
+    by_vertex: Dict[int, Set[int]] = {}
+    for fid, c in drawing.faces.items():
+        for a, b in c.arcs:
+            by_seg.setdefault(seg(a, b), set()).add(fid)
+            by_vertex.setdefault(a, set()).add(fid)
+    return by_seg, by_vertex
