@@ -8,7 +8,8 @@ from __future__ import annotations
 import json
 import os
 import sys
-from typing import Optional
+from contextlib import contextmanager
+from typing import Iterator, Optional
 
 import click
 
@@ -38,6 +39,16 @@ _INPUT_ERRORS = (
     RenderError,
     OSError,
 )
+
+
+@contextmanager
+def _input_errors() -> Iterator[None]:
+    """Report an input or validation error raised in the block; exit 2."""
+    try:
+        yield
+    except _INPUT_ERRORS as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(2)
 
 
 def _read_graph(path: str):
@@ -76,12 +87,9 @@ def main() -> None:
 @click.argument("input_path", metavar="IN")
 def cycles(input_path: str) -> None:
     """List the isometric cycles of the graph in IN, one per line."""
-    try:
+    with _input_errors():
         g = _read_graph(input_path)
         pool = enumerate_isometric_cycles(g)
-    except _INPUT_ERRORS as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
     for c in pool:
         click.echo(f"c{c.id}: " + " ".join(f"v{v}" for v in c.vertices))
     click.echo(f"total: {len(pool)}")
@@ -92,14 +100,11 @@ def cycles(input_path: str) -> None:
 @click.option("--pin", "pin_spec", default=None, help="fixture file or packaged name")
 def planarize(input_path: str, pin_spec: Optional[str]) -> None:
     """Print the maximal planar cycle system selected for IN."""
-    try:
+    with _input_errors():
         g = _read_graph(input_path)
         pin = _read_pin(pin_spec)
         pool = enumerate_isometric_cycles(g)
         sys_ = select_planar_cycle_system(g, pool, (pin or {}).get("system"))
-    except _INPUT_ERRORS as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
     for cid in sorted(sys_.cycles):
         arcs = " ".join(f"({a},{b})" for a, b in sys_.cycles[cid].arcs)
         click.echo(f"c{cid}: {arcs}")
@@ -122,16 +127,13 @@ def planarize(input_path: str, pin_spec: Optional[str]) -> None:
 @click.option("-o", "out_path", required=True, help="output document path")
 def decompose_cmd(input_path: str, strategy: str, pin_spec: Optional[str], out_path: str) -> None:
     """Decompose IN into planar layers and write a JSON document."""
-    try:
+    with _input_errors():
         g = _read_graph(input_path)
         pin = _read_pin(pin_spec)
         d = decompose(g, strategy=strategy, pin=pin)
         doc = decomposition_to_document(d)
         with open(out_path, "w") as fh:
             fh.write(serialize_document(doc))
-    except _INPUT_ERRORS as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
     click.echo(f"{len(d.layers)} layers -> {out_path}")
 
 
@@ -139,12 +141,9 @@ def decompose_cmd(input_path: str, strategy: str, pin_spec: Optional[str], out_p
 @click.argument("doc_path", metavar="DOC")
 def verify(doc_path: str) -> None:
     """Re-check every invariant of a decomposition document."""
-    try:
+    with _input_errors():
         with open(doc_path) as fh:
             doc = parse_document(fh.read())
-    except _INPUT_ERRORS as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
     report = verify_document(doc)
     for line in report.lines():
         click.echo(line)
@@ -158,15 +157,12 @@ def verify(doc_path: str) -> None:
 @click.option("-o", "out_path", required=True, help="output SVG path")
 def render(doc_path: str, layer_index: int, out_path: str) -> None:
     """Render one layer of a decomposition document as SVG."""
-    try:
+    with _input_errors():
         with open(doc_path) as fh:
             doc = parse_document(fh.read())
         svg = render_svg(doc, layer_index)
         with open(out_path, "w") as fh:
             fh.write(svg)
-    except _INPUT_ERRORS as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
     click.echo(f"layer {layer_index} -> {out_path}")
 
 

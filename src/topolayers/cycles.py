@@ -1,9 +1,13 @@
-"""Oriented cycles and isometric-cycle enumeration.
+"""Oriented cycles, segment walks and isometric-cycle enumeration.
 
 A Cycle is a closed directed walk given by its arcs.  The candidate pool
 for planarization consists of the isometric cycles of the input graph:
 cycles on which the cycle metric agrees with the graph metric for every
 vertex pair.  In a complete graph these are exactly the triangles.
+
+`walk` turns a set of drawing segments back into an ordered vertex list:
+a subdivided ring edge, a routed chord or, through `ring_from_segments`,
+a region boundary.  It is the one place the package follows segments.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, List, Tuple
+from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 import networkx as nx
 
@@ -82,6 +86,37 @@ def normalize_ring(vs: List[int]) -> Tuple[int, ...]:
     return tuple(canonical_ring(list(vs)))
 
 
+def walk(segs: Iterable[Segment], start: int, stop: int) -> Optional[List[int]]:
+    """The simple path from start to stop along segs, or None.
+
+    None when some vertex before stop has no onward segment, or more than
+    one: the segments break or branch.
+    """
+    adj: Dict[int, List[int]] = {}
+    for a, b in segs:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    path, prev = [start], None
+    while path[-1] != stop:
+        step = [w for w in adj.get(path[-1], ()) if w != prev]
+        if len(step) != 1:
+            return None
+        prev = path[-1]
+        path.append(step[0])
+    return path
+
+
+def ring_from_segments(segs: AbstractSet[Segment]) -> Optional[List[int]]:
+    """Canonical vertex ring if segs form one simple closed curve, else None."""
+    if not segs:
+        return None
+    a, b = min(segs)
+    path = walk((s for s in segs if s != (a, b)), a, b)
+    if path is None or len(path) != len(segs):
+        return None
+    return canonical_ring(path)
+
+
 def _distances(g: Graph) -> Dict[int, Dict[int, int]]:
     adj: Dict[int, List[int]] = {v: [] for v in g.vertices}
     for u, v in g.edges.values():
@@ -149,5 +184,7 @@ __all__ = [
     "ring_cycle",
     "canonical_ring",
     "normalize_ring",
+    "walk",
+    "ring_from_segments",
     "enumerate_isometric_cycles",
 ]

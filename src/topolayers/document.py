@@ -97,7 +97,7 @@ def parse_document(text: str) -> dict:
         raise DocumentError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         raise DocumentError(f"not a {FORMAT} document")
-    for key in ("graph", "layers", "chords", "sequences", "imaginary"):
+    for key in ("graph", "layers", "chords", "sequences", "imaginary", "carrier"):
         if key not in doc:
             raise DocumentError(f"document is missing {key!r}")
     return doc

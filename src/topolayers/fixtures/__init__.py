@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 from importlib import resources
-from typing import Optional
 
 
 def load_fixture(name: str) -> dict:
@@ -15,12 +14,4 @@ def load_fixture(name: str) -> dict:
     return json.loads(ref.read_text())
 
 
-def fixture_names() -> list:
-    return sorted(
-        p.name[:-5]
-        for p in resources.files(__package__).iterdir()
-        if p.name.endswith(".json")
-    )
-
-
-__all__ = ["load_fixture", "fixture_names"]
+__all__ = ["load_fixture"]

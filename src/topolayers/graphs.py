@@ -31,15 +31,6 @@ class Graph:
     def vertices(self) -> List[int]:
         return list(range(1, self.n + 1))
 
-    def neighbors(self, v: int) -> List[int]:
-        out = []
-        for u, w in self.edges.values():
-            if u == v:
-                out.append(w)
-            elif w == v:
-                out.append(u)
-        return sorted(out)
-
     def degree(self, v: int) -> int:
         return sum(1 for u, w in self.edges.values() if v in (u, w))
 

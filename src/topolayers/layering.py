@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .cycles import Cycle, Segment, canonical_ring, ring_cycle, seg
+from .cycles import Cycle, Segment, ring_cycle, ring_from_segments, seg
 from .graphs import Graph, edge_between, validate_nonseparable
 from .planar import (
     CycleSystem,
@@ -22,7 +22,7 @@ from .planar import (
 from .projection import basis_from_ring, select_noncrossing
 from .routing import (
     Drawing,
-    RoutingError,
+    carrier_path,
     imaginary_sequence,
     insert_connection,
     route_from_conjugates,
@@ -60,26 +60,7 @@ def _boundary_ring(faces: Sequence[Cycle]) -> Optional[List[int]]:
     acc: Set[Segment] = set()
     for c in faces:
         acc.symmetric_difference_update(c.segments)
-    if not acc:
-        return None
-    adj: Dict[int, List[int]] = {}
-    for a, b in acc:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    if any(len(ns) != 2 for ns in adj.values()):
-        return None
-    start = min(adj)
-    ring, prev, cur = [start], None, start
-    while True:
-        nxt = [w for w in adj[cur] if w != prev]
-        step = nxt[0] if nxt else prev
-        if step == start:
-            break
-        ring.append(step)
-        prev, cur = cur, step
-        if len(ring) > len(acc):
-            return None
-    return canonical_ring(ring) if len(ring) == len(acc) else None
+    return ring_from_segments(acc)
 
 
 def region_system(drawing: Drawing, face_ids: Sequence[int]) -> CycleSystem:
@@ -179,18 +160,9 @@ def expanded_ring(drawing: Drawing, ring: Sequence[int]) -> List[int]:
     for i in range(len(ring)):
         a, b = ring[i], ring[(i + 1) % len(ring)]
         eid = edge_between(drawing.g, a, b)
-        segs = [s for s, ck in drawing.carrier.items() if ck == ("edge", eid)]
-        adj: Dict[int, List[int]] = {}
-        for x, y in segs:
-            adj.setdefault(x, []).append(y)
-            adj.setdefault(y, []).append(x)
-        path, prev = [a], None
-        while path[-1] != b:
-            step = [w for w in adj[path[-1]] if w != prev]
-            if len(step) != 1:
-                raise DecompositionError(f"ring edge e{eid} is not a path")
-            prev = path[-1]
-            path.append(step[0])
+        path = carrier_path(drawing, ("edge", eid), (a, b))
+        if path is None:
+            raise DecompositionError(f"ring edge e{eid} is not a path")
         out.extend(path[:-1])
     return out
 
@@ -200,16 +172,17 @@ def _side_faces(drawing: Drawing, side: str) -> Set[int]:
 
 
 def _route_greedy(
-    drawing: Drawing,
-    pool: Dict[int, Tuple[int, int]],
-    face_ids: Optional[Set[int]],
-    recompute_faces=None,
+    drawing: Drawing, pool: Dict[int, Tuple[int, int]], side: Optional[str]
 ) -> List[int]:
-    """Route chords shortest-first until none fits; returns routed edge ids."""
+    """Route chords shortest-first until none fits; returns routed edge ids.
+
+    Each pass routes in the faces tagged `side` as they are at that pass,
+    or in every face when side is None.
+    """
     done: List[int] = []
     while True:
         best = None
-        faces = recompute_faces() if recompute_faces else face_ids
+        faces = None if side is None else _side_faces(drawing, side)
         for eid in sorted(set(pool) - set(done)):
             u, v = pool[eid]
             r = shortest_route(drawing, u, v, faces)
@@ -320,21 +293,13 @@ def decompose(
                     break
                 kept, _ = select_noncrossing(basis, cand)
                 pool_k = {eid: cand[eid] for eid in kept}
-                done = _route_greedy(
-                    drawing,
-                    pool_k,
-                    None,
-                    recompute_faces=lambda side=side: _side_faces(drawing, side),
-                )
+                done = _route_greedy(drawing, pool_k, side)
                 for eid in done:
                     del remaining[eid]
                 routed.extend(done)
             if strategy == "thickness":
                 done = _route_greedy(
-                    drawing,
-                    {eid: remaining[eid] for eid in sorted(remaining)},
-                    None,
-                    recompute_faces=lambda: None,
+                    drawing, {eid: remaining[eid] for eid in sorted(remaining)}, None
                 )
                 for eid in done:
                     del remaining[eid]

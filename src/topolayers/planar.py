@@ -186,33 +186,6 @@ def select_planar_cycle_system(
     return sys_
 
 
-def _ring_from_segments(segs: Set[Segment]) -> Optional[List[int]]:
-    """Ordered vertex ring if segs form one simple closed curve, else None."""
-    if not segs:
-        return None
-    adj: Dict[int, List[int]] = {}
-    for a, b in segs:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    if any(len(ns) != 2 for ns in adj.values()):
-        return None
-    start = min(adj)
-    ring = [start]
-    prev, cur = None, start
-    while True:
-        nxt = [w for w in adj[cur] if w != prev]
-        nxt = nxt[0] if nxt else prev
-        if nxt == start:
-            break
-        ring.append(nxt)
-        prev, cur = cur, nxt
-        if len(ring) > len(segs):
-            return None
-    if len(ring) != len(segs):
-        return None
-    return canonical_ring(ring)
-
-
 def hamiltonian_rim(
     sys_: CycleSystem,
     g: Graph,

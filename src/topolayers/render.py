@@ -12,6 +12,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .cycles import walk
+
 SIZE = 600.0
 MARGIN = 60.0
 
@@ -85,16 +87,10 @@ def _carrier_paths(doc: dict) -> Dict[tuple, List[int]]:
     for key, segs in groups.items():
         kind, ref = key
         u, v = edges[ref] if kind == "edge" else ref
-        adj: Dict[int, List[int]] = {}
-        for a, b in segs:
-            adj.setdefault(a, []).append(b)
-            adj.setdefault(b, []).append(a)
-        path = [min(u, v)]
-        prev = None
-        while path[-1] != max(u, v):
-            nxt = [w for w in adj[path[-1]] if w != prev]
-            prev = path[-1]
-            path.append(nxt[0])
+        path = walk(segs, min(u, v), max(u, v))
+        if path is None:
+            name = f"edge {ref}" if kind == "edge" else f"connection ({u},{v})"
+            raise RenderError(f"carrier {name} is not a path")
         paths[key] = path
     return paths
 

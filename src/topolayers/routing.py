@@ -11,6 +11,10 @@ A Drawing indexes its faces by segment and by vertex, and
 query reads conjugate links from that index as its search reaches each
 face, and stops once the search has reached the nearest face holding the
 source vertex, so it never builds the whole mixed cycle graph.
+
+Each subdivided graph edge and each realized chord is recovered from the
+segments that carry it by `carrier_path`, which walks them with
+`cycles.walk`.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .cycles import Cycle, Segment, seg
+from .cycles import Cycle, Segment, seg, walk
 from .graphs import Graph, edge_between
 from .planar import CycleSystem
 
@@ -96,13 +100,10 @@ class Drawing:
             next_vertex_id=g.n + 1,
         )
 
-    def to_system(self) -> CycleSystem:
+    def snapshot(self) -> CycleSystem:
         faces = dict(self.faces)
         rim = faces.pop(self.rim_id) if self.rim_id is not None else None
         return CycleSystem(n=self.g.n, cycles=faces, rim=rim)
-
-    def snapshot(self) -> CycleSystem:
-        return self.to_system()
 
     def has_imaginary(self, fid: int) -> bool:
         return any(v > self.g.n for v in self.faces[fid].vertices)
@@ -360,6 +361,16 @@ def insert_connection(drawing: Drawing, s: int, t: int, route: Sequence[int]) ->
     return InsertionRecord(chord=(s, t), route=route, imaginary_ids=ws)
 
 
+def carrier_path(
+    drawing: Drawing, key: Carrier, ends: Tuple[int, int]
+) -> Optional[List[int]]:
+    """Vertices along the segments carried by key, from ends[0] to ends[1].
+
+    None when those segments do not form that one path.
+    """
+    return walk((s for s, ck in drawing.carrier.items() if ck == key), *ends)
+
+
 def connection_path(drawing: Drawing, chord: Tuple[int, int]) -> List[int]:
     """Vertices along the realized chord from its smaller endpoint.
 
@@ -367,21 +378,9 @@ def connection_path(drawing: Drawing, chord: Tuple[int, int]) -> List[int]:
     connection arcs inherit the chord as their carrier.
     """
     key = seg(*chord)
-    adj: Dict[int, List[int]] = {}
-    for (a, b), ck in drawing.carrier.items():
-        if ck == ("conn", key):
-            adj.setdefault(a, []).append(b)
-            adj.setdefault(b, []).append(a)
-    if not adj:
-        raise RoutingError(f"chord ({key[0]},{key[1]}) has no realized connection")
-    path = [key[0]]
-    prev = None
-    while path[-1] != key[1]:
-        step = [w for w in adj[path[-1]] if w != prev]
-        if len(step) != 1:
-            raise RoutingError(f"connection of ({key[0]},{key[1]}) is not a path")
-        prev = path[-1]
-        path.append(step[0])
+    path = carrier_path(drawing, ("conn", key), key)
+    if path is None:
+        raise RoutingError(f"connection of ({key[0]},{key[1]}) is not a path")
     return path
 
 
@@ -400,6 +399,7 @@ __all__ = [
     "shortest_route",
     "route_from_conjugates",
     "insert_connection",
+    "carrier_path",
     "connection_path",
     "imaginary_sequence",
 ]

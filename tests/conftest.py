@@ -60,3 +60,8 @@ def k10_decomposition(k10):
 @pytest.fixture(scope="session")
 def k7_document(k7_decomposition):
     return decomposition_to_document(k7_decomposition)
+
+
+@pytest.fixture(scope="session")
+def k12_unpinned_decomposition():
+    return decompose(complete_graph(12))

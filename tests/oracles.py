@@ -1,10 +1,13 @@
-"""Loop versions of chord selection and routing, kept as test references.
+"""Loop versions of chord selection, routing and segment walks, kept as
+test references.
 
 These recompute everything on every query: `select_noncrossing_ref`
 recounts all pairwise crossings after each removal, and
 `shortest_route_ref` builds the whole mixed cycle graph from the face
-dictionary and runs a full breadth-first search.  The package versions
-must return exactly what these return.
+dictionary and runs a full breadth-first search.  `boundary_ring_ref`
+and `connection_path_ref` are the region-boundary and chord walks that
+`cycles.ring_from_segments` and `cycles.walk` replaced.  The package
+versions must return exactly what these return.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from topolayers.cycles import Segment, seg
+from topolayers.cycles import Segment, canonical_ring, seg
 from topolayers.projection import crossing_counts, project_chord
 from topolayers.routing import RoutingError
 
@@ -107,3 +110,49 @@ def face_indexes(drawing) -> Tuple[Dict[Segment, Set[int]], Dict[int, Set[int]]]
             by_seg.setdefault(seg(a, b), set()).add(fid)
             by_vertex.setdefault(a, set()).add(fid)
     return by_seg, by_vertex
+
+
+def boundary_ring_ref(acc: Set[Segment]) -> Optional[List[int]]:
+    """Canonical ring of a segment set (a region's symmetric difference)."""
+    if not acc:
+        return None
+    adj: Dict[int, List[int]] = {}
+    for a, b in acc:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    if any(len(ns) != 2 for ns in adj.values()):
+        return None
+    start = min(adj)
+    ring, prev, cur = [start], None, start
+    while True:
+        nxt = [w for w in adj[cur] if w != prev]
+        step = nxt[0] if nxt else prev
+        if step == start:
+            break
+        ring.append(step)
+        prev, cur = cur, step
+        if len(ring) > len(acc):
+            return None
+    return canonical_ring(ring) if len(ring) == len(acc) else None
+
+
+def connection_path_ref(
+    segs: Sequence[Segment], start: int, stop: int
+) -> Optional[List[int]]:
+    """Path from start to stop along segs; None wherever the chord walk
+    raised (a KeyError when start held no segment, a RoutingError else)."""
+    adj: Dict[int, List[int]] = {}
+    for a, b in segs:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    if not adj:
+        return None
+    path = [start]
+    prev = None
+    while path[-1] != stop:
+        step = [w for w in adj.get(path[-1], ()) if w != prev]
+        if len(step) != 1:
+            return None
+        prev = path[-1]
+        path.append(step[0])
+    return path

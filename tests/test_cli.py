@@ -121,6 +121,33 @@ def test_render_missing_layer_exits_2(runner, k7_doc_file, tmp_path):
     assert res.exit_code == 2
 
 
+def _drop_carrier_segment_at_imaginary(doc):
+    w = doc["imaginary"][0]["id"]
+    del doc["carrier"][next(i for i, c in enumerate(doc["carrier"]) if w in c[:2])]
+
+
+def _drop_carrier_key(doc):
+    del doc["carrier"]
+
+
+@pytest.mark.parametrize(
+    "corrupt,message",
+    [
+        (_drop_carrier_segment_at_imaginary, "is not a path"),
+        (_drop_carrier_key, "document is missing 'carrier'"),
+    ],
+    ids=["broken-path", "missing-key"],
+)
+def test_render_bad_carrier_exits_2(runner, k7_doc_file, tmp_path, corrupt, message):
+    doc = json.loads(open(k7_doc_file).read())
+    corrupt(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    res = runner.invoke(main, ["render", str(bad), "--layer", "2", "-o", str(tmp_path / "x.svg")])
+    assert res.exit_code == 2, res.output
+    assert res.output.startswith("error: ") and message in res.output
+
+
 def test_pin_from_file(runner, k7_file, tmp_path):
     from topolayers.fixtures import load_fixture
 

@@ -4,6 +4,8 @@ from itertools import combinations
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topolayers.cycles import (
     Cycle,
@@ -11,8 +13,13 @@ from topolayers.cycles import (
     enumerate_isometric_cycles,
     normalize_ring,
     ring_cycle,
+    ring_from_segments,
+    seg,
+    walk,
 )
 from topolayers.graphs import complete_graph, parse_graph
+
+from oracles import boundary_ring_ref, connection_path_ref
 
 
 def _isometric_oracle(g):
@@ -81,3 +88,54 @@ def test_isometric_oracle_k33():
     pool = enumerate_isometric_cycles(g)
     got = {normalize_ring(list(c.vertices)) for c in pool}
     assert got == _isometric_oracle(g)
+
+
+def _ring_segs(vs):
+    return [seg(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))]
+
+
+def _path_segs(vs):
+    return [seg(a, b) for a, b in zip(vs, vs[1:])]
+
+
+@st.composite
+def segment_shapes(draw):
+    """(kind, segments, natural ends) for the shapes walks meet."""
+    kind = draw(st.sampled_from(["ring", "path", "two_rings", "pendant", "broken_path"]))
+    vs = draw(st.lists(st.integers(1, 99), min_size=16, max_size=16, unique=True))
+    k = draw(st.integers(3, 7))
+    if kind == "ring":
+        segs = _ring_segs(vs[:k])
+        ends = (vs[0], vs[1])
+    elif kind == "path":
+        segs = _path_segs(vs[: k - 1])
+        ends = (vs[0], vs[k - 2])
+    elif kind == "two_rings":
+        segs = _ring_segs(vs[:k]) + _ring_segs(vs[k : 2 * k])
+        ends = (vs[0], vs[k])
+    elif kind == "pendant":
+        at = draw(st.integers(0, k - 1))
+        branch = [vs[at]] + vs[k : k + draw(st.integers(1, 3))]
+        segs = _ring_segs(vs[:k]) + _path_segs(branch)
+        ends = (vs[0], branch[-1])
+    else:
+        segs = _path_segs(vs[:k])
+        del segs[draw(st.integers(0, len(segs) - 1))]
+        ends = (vs[0], vs[k - 1])
+    return kind, draw(st.permutations(segs)), ends
+
+
+@settings(max_examples=400, deadline=None)
+@given(segment_shapes(), st.data())
+def test_walkers_match_seed_loops(shape, data):
+    kind, segs, ends = shape
+    ring = ring_from_segments(set(segs))
+    assert ring == boundary_ring_ref(set(segs))
+    assert (ring is not None) == (kind == "ring")
+    path = walk(segs, *ends)
+    assert path == connection_path_ref(segs, *ends)
+    if kind in ("path", "broken_path"):
+        assert (path is not None) == (kind == "path")
+    verts = sorted({v for s in segs for v in s} | set(ends))
+    start, stop = data.draw(st.permutations(verts))[:2]
+    assert walk(segs, start, stop) == connection_path_ref(segs, start, stop)

@@ -1,9 +1,12 @@
-"""Document digests pinned before the incremental selection and routing.
+"""Document and SVG digests pinned before refactors of the drawing code.
 
 Speed work on projection and routing must not change any drawing.  The
 sha256 of each serialized document below was recorded with the loop
 versions of `select_noncrossing` and `shortest_route`; a mismatch means a
-change moved a chord, a route or a tie-break.
+change moved a chord, a route or a tie-break.  The SVG digests of every
+layer were recorded with the renderer's own carrier-path walk, before
+path and ring walking moved into `cycles.walk`; a mismatch there means a
+crossing marker or a polyline moved.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import pytest
 
 from topolayers import complete_graph, decompose
 from topolayers.document import decomposition_to_document, serialize_document
+from topolayers.render import render_svg
 
 PINNED = {
     "k7": "7bd840f3737be921a286dc710677a5522af4e10068a9d9ad737a94a8751778ac",
@@ -24,6 +28,20 @@ UNPINNED = {
     12: "5d5eaeffde3e2a9c2064559d5d23cbbd765999064371f66a3f4be22096c26191",
     14: "a9a86907049ee077bb73a0d405c791e8f49b393cef7ca1189113beee5b9c14dc",
     16: "6af1ff136de6f894528e09e5c93734398c9ba04d5dfaf5489d7dabb6613542bf",
+}
+
+SVG = {
+    ("k7", 1): "b2ae7e2bd21201c20c3f88477cc386002666868d8b7769c4dc24865f5cca766a",
+    ("k7", 2): "7a08966f54cb3a6f29e80f69683dbc3eda6e958a29f6f4660276e2ba332dcb9d",
+    ("k8", 1): "09f0510097135179d09639ddab869cc5c83edef4f86e761f75019c7bfb87177a",
+    ("k8", 2): "f24fe8a716caf95657688d148ca0175f0fb609c34b8226e6bc4c27b35231dc85",
+    ("k10", 1): "7a0f4d1f3c6750a6bcaf8702db7d150ae6e07fd490d027c1e4c199809702af62",
+    ("k10", 2): "5ef4c4e03a8031996cae7ac1cec07b55159fd71ad87f7bdab53ee4420e79abc6",
+    ("k10", 3): "9961c6f7178b2fa41fc8d2ec86db8a218cc106a31efaca23388afa06c411a96b",
+    ("k12_unpinned", 1): "8c7f9c15359f0f6d5894cc2151fa1751d0cc89fe5cd625f2e3384be9ebf11392",
+    ("k12_unpinned", 2): "04a9d2f5286acad622db3e7dc6cafd9471211e9edc15469856898cf685ffe37e",
+    ("k12_unpinned", 3): "59b2bc7f31742309e2ba40673d0d98d78038806209e6474ae79e0262db212bf2",
+    ("k12_unpinned", 4): "7982d20cc19650428f6271f9a2f995751f8ad3526d3282ee0600028cdaf2c556",
 }
 
 
@@ -40,3 +58,10 @@ def test_pinned_document_digest(which, request):
 @pytest.mark.parametrize("n", sorted(UNPINNED))
 def test_unpinned_complete_document_digest(n):
     assert _digest(decompose(complete_graph(n))) == UNPINNED[n]
+
+
+@pytest.mark.parametrize("which,layer", sorted(SVG))
+def test_layer_svg_digest(which, layer, request):
+    d = request.getfixturevalue(f"{which}_decomposition")
+    svg = render_svg(decomposition_to_document(d), layer)
+    assert hashlib.sha256(svg.encode()).hexdigest() == SVG[(which, layer)]
