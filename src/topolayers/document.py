@@ -10,6 +10,7 @@ byte-identical.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
 from .graphs import Graph
@@ -90,6 +91,98 @@ def serialize_document(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
 
 
+def _all(x: object, kind: type) -> bool:
+    """x is a list whose items are all of exactly this type."""
+    return type(x) is list and set(map(type, x)) <= {kind}
+
+
+def _rows(x: object, size: Optional[int] = None) -> bool:
+    """x is a list of lists of ints, each of the given length when given."""
+    return (
+        _all(x, list)
+        and (size is None or set(map(len, x)) <= {size})
+        and set(map(type, chain.from_iterable(x))) <= {int}
+    )
+
+
+def _carriers(pairs: List[object]) -> bool:
+    """Each pair is ["edge", edge id] or ["conn", [u, v]]."""
+    if not (_all(pairs, list) and set(map(len, pairs)) <= {2}):
+        return False
+    edge = [ref for kind, ref in pairs if kind == "edge"]
+    conn = [ref for kind, ref in pairs if kind == "conn"]
+    return len(edge) + len(conn) == len(pairs) and _all(edge, int) and _rows(conn, 2)
+
+
+def _check_schema(doc: dict) -> None:
+    """Raise DocumentError unless every part the readers index has its shape.
+
+    One pass, with each long list checked by C-level maps, since every
+    document `verify` and `render` read comes through here; the values
+    themselves are the verifier's business.
+    """
+
+    def need(ok: bool, what: str) -> None:
+        if not ok:
+            raise DocumentError(f"malformed {what}")
+
+    graph = doc["graph"]
+    need(type(graph) is dict and type(graph.get("n")) is int, "graph")
+    need(_rows(graph.get("edges"), 3), "graph edges")
+    layers = doc["layers"]
+    need(_all(layers, dict) and len(layers) > 0, "layers: expected a non-empty list")
+    for k, layer in enumerate(layers, start=1):
+        ring = layer.get("ring")
+        need(
+            type(layer.get("index")) is int
+            and _all(layer.get("realized"), int)
+            and (ring is None or _all(ring, int)),
+            f"layer {k}",
+        )
+        sj = layer.get("system")
+        need(
+            type(sj) is dict
+            and type(sj.get("n")) is int
+            and _all(sj.get("cycles"), dict)
+            and "rim" in sj,
+            f"system of layer {k}",
+        )
+        members = sj["cycles"] + ([] if sj["rim"] is None else [sj["rim"]])
+        arcs = [c.get("arcs") for c in members]
+        need(
+            _all(members, dict)
+            and _all([c.get("id") for c in members], int)
+            and _all(arcs, list)
+            and _rows(list(chain.from_iterable(arcs)), 2),
+            f"cycle of layer {k}",
+        )
+    need(_rows(doc["chords"], 3), "chords")
+    seqs = doc["sequences"]
+    need(
+        type(seqs) is dict
+        and all(key.isascii() and key.isdigit() for key in seqs)
+        and _rows(list(seqs.values())),
+        "sequences",
+    )
+    imaginary = doc["imaginary"]
+    need(
+        _all(imaginary, dict)
+        and _all([w.get("id") for w in imaginary], int)
+        and _rows([w.get("host") for w in imaginary], 2)
+        and _rows([w.get("chord") for w in imaginary], 2)
+        and _carriers([w.get("carrier") for w in imaginary]),
+        "imaginary entries",
+    )
+    carrier = doc["carrier"]
+    need(
+        _all(carrier, list)
+        and set(map(len, carrier)) <= {4}
+        and _rows([row[:2] for row in carrier], 2)
+        and _carriers([row[2:] for row in carrier]),
+        "carrier rows",
+    )
+
+
 def parse_document(text: str) -> dict:
     try:
         doc = json.loads(text)
@@ -100,6 +193,7 @@ def parse_document(text: str) -> dict:
     for key in ("graph", "layers", "chords", "sequences", "imaginary", "carrier"):
         if key not in doc:
             raise DocumentError(f"document is missing {key!r}")
+    _check_schema(doc)
     return doc
 
 

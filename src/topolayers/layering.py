@@ -177,22 +177,35 @@ def _route_greedy(
     """Route chords shortest-first until none fits; returns routed edge ids.
 
     Each pass routes in the faces tagged `side` as they are at that pass,
-    or in every face when side is None.
+    or in every face when side is None.  A chord's route is kept across
+    passes until an insertion touches a face its query saw: a route face,
+    or a face sharing a segment with one.  Faces elsewhere keep their
+    segments, neighbours and tag, and newly banned segments lie only on
+    new faces, so a kept route is what a fresh query would return.
     """
     done: List[int] = []
+    routes: Dict[int, Tuple[Optional[List[int]], Set[int]]] = {}
     while True:
         best = None
         faces = None if side is None else _side_faces(drawing, side)
         for eid in sorted(set(pool) - set(done)):
-            u, v = pool[eid]
-            r = shortest_route(drawing, u, v, faces)
-            if r is not None and (best is None or len(r) < len(best[2])):
-                best = (eid, (u, v), r)
+            if eid not in routes:
+                seen: Set[int] = set()
+                u, v = pool[eid]
+                routes[eid] = (shortest_route(drawing, u, v, faces, seen), seen)
+            r = routes[eid][0]
+            if r is not None and (best is None or len(r) < len(best[1])):
+                best = (eid, r)
         if best is None:
             return done
-        eid, (u, v), r = best
-        insert_connection(drawing, u, v, r)
+        eid, r = best
+        dirty = set(r)
+        for fid in r:
+            for s in drawing.faces[fid].segments:
+                dirty |= drawing.segment_faces[s]
+        insert_connection(drawing, *pool[eid], r)
         done.append(eid)
+        routes = {k: q for k, q in routes.items() if k != eid and q[1].isdisjoint(dirty)}
 
 
 def _run_plan_layer(
@@ -254,11 +267,13 @@ def decompose(
         raise DecompositionError(
             "input is not nonseparable: " + "; ".join(report.problems())
         )
-    if pool is None:
+    pin = pin or {}
+    # Only a pinned system is read from the isometric cycles; the greedy
+    # planar subgraph comes from planarity testing alone.
+    if pool is None and pin.get("system") is not None:
         from .cycles import enumerate_isometric_cycles
 
         pool = enumerate_isometric_cycles(g)
-    pin = pin or {}
     sys_ = select_planar_cycle_system(g, pool, pin.get("system"))
     ring, inside, _ = hamiltonian_rim(sys_, g, pin.get("hamiltonian"))
     drawing = Drawing.from_system(g, sys_)

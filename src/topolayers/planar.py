@@ -129,16 +129,19 @@ def _pool_lookup(pool: Sequence[Cycle]) -> Dict[Tuple[int, ...], Cycle]:
 
 
 def select_planar_cycle_system(
-    g: Graph, pool: Sequence[Cycle], pin: Optional[dict] = None
+    g: Graph, pool: Optional[Sequence[Cycle]], pin: Optional[dict] = None
 ) -> CycleSystem:
     """Pick facial cycles of a maximal planar subgraph.
 
     With a pin (fixture mapping), the listed rings are taken verbatim from
-    the pool and oriented.  Without one, a greedy edge-insertion search
-    with incremental planarity testing finds a maximal planar subgraph and
-    its embedding supplies the faces.
+    the pool of isometric cycles and oriented.  Without one, a greedy
+    edge-insertion search with incremental planarity testing finds a
+    maximal planar subgraph and its embedding supplies the faces; the
+    pool is not read and may be None.
     """
     if pin is not None:
+        if pool is None:
+            raise PlanarizationError("a pinned system needs the isometric cycle pool")
         lookup = _pool_lookup(pool)
         rings: Dict[int, Sequence[int]] = {}
         ids = []

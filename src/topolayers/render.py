@@ -76,16 +76,26 @@ def _base_positions(doc: dict) -> Dict[int, Tuple[float, float]]:
     return pos
 
 
+def _carrier_key(kind: object, ref: object) -> tuple:
+    """("edge", edge id) or ("conn", (u, v)) from a document carrier."""
+    if kind == "edge" and type(ref) is int:
+        return (kind, ref)
+    if kind == "conn" and isinstance(ref, list) and len(ref) == 2 and all(type(x) is int for x in ref):
+        return (kind, tuple(ref))
+    raise RenderError(f"malformed carrier {[kind, ref]}")
+
+
 def _carrier_paths(doc: dict) -> Dict[tuple, List[int]]:
     """Walk the final drawing segments of each carrier back into a path."""
     edges = {eid: (u, v) for eid, u, v in doc["graph"]["edges"]}
     groups: Dict[tuple, List[Tuple[int, int]]] = {}
     for a, b, kind, ref in doc["carrier"]:
-        key = (kind, ref if kind == "edge" else tuple(ref))
-        groups.setdefault(key, []).append((a, b))
+        groups.setdefault(_carrier_key(kind, ref), []).append((a, b))
     paths: Dict[tuple, List[int]] = {}
     for key, segs in groups.items():
         kind, ref = key
+        if kind == "edge" and ref not in edges:
+            raise RenderError(f"carrier edge {ref} is not a graph edge")
         u, v = edges[ref] if kind == "edge" else ref
         path = walk(segs, min(u, v), max(u, v))
         if path is None:
@@ -103,30 +113,28 @@ def _imaginary_positions(
     neighbours so every marker sits on both polylines through it."""
     paths = _carrier_paths(doc)
     out: Dict[int, Tuple[float, float]] = {}
-    pending: List[Tuple[int, tuple]] = []
+    pending: List[Tuple[int, int, int]] = []  # (vertex, path neighbours)
     for entry in doc["imaginary"]:
+        w = entry["id"]
         kind, ref = entry["carrier"]
-        key = (kind, ref if kind == "edge" else tuple(ref))
-        path = paths[key]
+        key = _carrier_key(kind, ref)
+        path = paths.get(key)
+        if path is None:
+            raise RenderError(f"imaginary vertex {w} has a carrier with no path")
+        if w not in path[1:-1]:
+            raise RenderError(f"imaginary vertex {w} is not inside its carrier's path")
+        i = path.index(w)
         if kind == "edge":
-            t = path.index(entry["id"]) / (len(path) - 1)
+            t = i / (len(path) - 1)
             p, q = pos[path[0]], pos[path[-1]]
-            out[entry["id"]] = (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
+            out[w] = (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
         else:
             u, v = key[1]
-            out[entry["id"]] = (
-                (pos[u][0] + pos[v][0]) / 2,
-                (pos[u][1] + pos[v][1]) / 2,
-            )
-            pending.append((entry["id"], key))
+            out[w] = ((pos[u][0] + pos[v][0]) / 2, (pos[u][1] + pos[v][1]) / 2)
+            pending.append((w, path[i - 1], path[i + 1]))
     for _ in range(64):
-        for w, key in pending:
-            path = paths[key]
-            i = path.index(w)
-            ps = [
-                out[x] if x in out else pos[x]
-                for x in (path[i - 1], path[i + 1])
-            ]
+        for w, a, b in pending:
+            ps = [out[x] if x in out else pos[x] for x in (a, b)]
             out[w] = ((ps[0][0] + ps[1][0]) / 2, (ps[0][1] + ps[1][1]) / 2)
     return out
 

@@ -7,10 +7,19 @@ The drawing is kept as a sphere: the faces of the current system plus the
 rim face, each a simple oriented cycle, every edge on exactly two faces.
 
 A Drawing indexes its faces by segment and by vertex, and
-`insert_connection` keeps both indexes in step as faces split.  A route
-query reads conjugate links from that index as its search reaches each
-face, and stops once the search has reached the nearest face holding the
-source vertex, so it never builds the whole mixed cycle graph.
+`insert_connection` keeps both indexes in step as faces split.  It also
+caches each face's conjugate links, sorted and unfiltered, in `links`;
+adding or removing a face drops the entries of every face that shares a
+segment with it, so an entry always equals a fresh computation.  A route
+query filters the cached links by its face set, the ban set and the
+chord's endpoints as its search reaches each face, and stops once the
+search has reached the nearest face holding the source vertex, so it
+never builds the whole mixed cycle graph.
+
+`shortest_route` can report in `seen` every face whose links it read,
+with the faces holding the chord's endpoints.  Its answer depends on
+nothing else, so a caller that routes many chords keeps a route until an
+insertion removes, or changes a neighbour of, one of those faces.
 
 Each subdivided graph edge and each realized chord is recovered from the
 segments that carry it by `carrier_path`, which walks them with
@@ -51,10 +60,16 @@ class Drawing:
     # them in step through _add_face and _remove_face.
     segment_faces: Dict[Segment, Set[int]] = field(init=False, repr=False, compare=False)
     vertex_faces: Dict[int, Set[int]] = field(init=False, repr=False, compare=False)
+    # Conjugate links of each face, sorted and unfiltered, filled on
+    # demand by _conjugate_links.  An entry depends only on the face and
+    # the faces sharing its segments, so _add_face and _remove_face drop
+    # the entries of those faces.
+    links: Dict[int, List[Tuple[int, Segment]]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.segment_faces = {}
         self.vertex_faces = {}
+        self.links = {}
         for fid, c in self.faces.items():
             self._index(fid, c)
 
@@ -64,12 +79,20 @@ class Drawing:
         for v in c.vertices:
             self.vertex_faces.setdefault(v, set()).add(fid)
 
+    def _forget_links(self, c: Cycle) -> None:
+        """Drop the cached links of c and of every face sharing a segment with it."""
+        for s in c.segments:
+            for fid in self.segment_faces[s]:
+                self.links.pop(fid, None)
+
     def _add_face(self, c: Cycle) -> None:
         self.faces[c.id] = c
         self._index(c.id, c)
+        self._forget_links(c)
 
     def _remove_face(self, fid: int) -> None:
         c = self.faces.pop(fid)
+        self._forget_links(c)
         for index, keys in ((self.segment_faces, c.segments), (self.vertex_faces, c.vertices)):
             for key in keys:
                 index[key].discard(fid)
@@ -137,22 +160,33 @@ def _conjugate_links(
     """Sorted (face, shared edge) for each face conjugate to face fid.
 
     Only faces in face_ids count (every face when None).  An edge counts
-    when exactly two counted faces hold it, it is not banned, it touches
-    no vertex in `avoid`, and it is the only edge the two faces share.
+    when exactly two faces hold it, it is not banned, it touches no vertex
+    in `avoid`, and it is the only edge the two faces share.  fid must be
+    in face_ids: every drawing edge lies on exactly two faces, so the
+    cached links need only the other face filtered.
     """
-    face = drawing.faces[fid]
-    links = []
-    for s in face.segments:
-        if s in banned or s[0] in avoid or s[1] in avoid:
-            continue
-        who = [x for x in drawing.segment_faces[s] if face_ids is None or x in face_ids]
-        if len(who) != 2:
-            continue
-        nb = who[0] if who[1] == fid else who[1]
-        if len(face.segments & drawing.faces[nb].segments) == 1:
-            links.append((nb, s))
-    links.sort()
-    return links
+    links = drawing.links.get(fid)
+    if links is None:
+        face = drawing.faces[fid]
+        links = []
+        for s in face.segments:
+            who = drawing.segment_faces[s]
+            if len(who) != 2:
+                continue
+            a, b = who
+            nb = a if b == fid else b
+            if len(face.segments & drawing.faces[nb].segments) == 1:
+                links.append((nb, s))
+        links.sort()
+        drawing.links[fid] = links
+    return [
+        (nb, s)
+        for nb, s in links
+        if (face_ids is None or nb in face_ids)
+        and s not in banned
+        and s[0] not in avoid
+        and s[1] not in avoid
+    ]
 
 
 def build_mixed_cycle_graph(
@@ -183,12 +217,16 @@ def shortest_route(
     s: int,
     t: int,
     face_ids: Optional[Set[int]] = None,
+    seen: Optional[Set[int]] = None,
 ) -> Optional[List[int]]:
     """Fewest faces from a face holding s to a face holding t.
 
     Conjugate links over banned edges or edges touching s/t are unusable.
     Ties resolve to the lexicographically smallest face-id sequence.
     Returns None when the chord cannot be routed in the given face set.
+    When given, `seen` receives the counted faces holding s or t and
+    every face whose links the search read: the answer depends on these
+    alone.
     """
     if s == t:
         raise RoutingError("degenerate chord")
@@ -197,6 +235,10 @@ def shortest_route(
     ids = None if face_ids is None else set(face_ids)
     sources = {f for f in drawing.vertex_faces.get(s, ()) if ids is None or f in ids}
     targets = {f for f in drawing.vertex_faces.get(t, ()) if ids is None or f in ids}
+    if seen is None:
+        seen = set()
+    seen |= sources
+    seen |= targets
     if not sources or not targets:
         return None
     links: Dict[int, List[Tuple[int, Segment]]] = {}
@@ -204,6 +246,7 @@ def shortest_route(
     def links_of(fid: int) -> List[Tuple[int, Segment]]:
         if fid not in links:
             links[fid] = _conjugate_links(drawing, fid, ids, drawing.banned, (s, t))
+            seen.add(fid)
         return links[fid]
 
     # Backward BFS from the target faces, then a greedy lex-smallest

@@ -6,8 +6,9 @@ recounts all pairwise crossings after each removal, and
 `shortest_route_ref` builds the whole mixed cycle graph from the face
 dictionary and runs a full breadth-first search.  `boundary_ring_ref`
 and `connection_path_ref` are the region-boundary and chord walks that
-`cycles.ring_from_segments` and `cycles.walk` replaced.  The package
-versions must return exactly what these return.
+`cycles.ring_from_segments` and `cycles.walk` replaced.
+`route_greedy_ref` re-queries every pending chord after each insertion.
+The package versions must return exactly what these return.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from topolayers.cycles import Segment, canonical_ring, seg
 from topolayers.projection import crossing_counts, project_chord
-from topolayers.routing import RoutingError
+from topolayers.routing import RoutingError, insert_connection
 
 
 def select_noncrossing_ref(basis, chords: Dict[int, Tuple[int, int]]) -> Tuple[List[int], List[int]]:
@@ -99,6 +100,25 @@ def shortest_route_ref(drawing, s: int, t: int, face_ids: Optional[Set[int]] = N
         cur = min(nb for nb, _ in links[cur] if dist.get(nb) == dist[cur] - 1)
         route.append(cur)
     return route
+
+
+def route_greedy_ref(drawing, pool: Dict[int, Tuple[int, int]], side: Optional[str]) -> List[int]:
+    """Shortest-first routing that re-queries every pending chord per pass,
+    each query on the whole mixed cycle graph."""
+    done: List[int] = []
+    while True:
+        best = None
+        faces = None if side is None else {f for f, t in drawing.side.items() if t == side}
+        for eid in sorted(set(pool) - set(done)):
+            u, v = pool[eid]
+            r = shortest_route_ref(drawing, u, v, faces)
+            if r is not None and (best is None or len(r) < len(best[2])):
+                best = (eid, (u, v), r)
+        if best is None:
+            return done
+        eid, (u, v), r = best
+        insert_connection(drawing, u, v, r)
+        done.append(eid)
 
 
 def face_indexes(drawing) -> Tuple[Dict[Segment, Set[int]], Dict[int, Set[int]]]:

@@ -6,7 +6,9 @@ import pytest
 from click.testing import CliRunner
 
 from topolayers.cli import main
+from topolayers.document import DocumentError, parse_document
 from topolayers.graphs import complete_graph, format_graph
+from topolayers.render import RenderError, render_svg
 
 
 @pytest.fixture()
@@ -146,6 +148,70 @@ def test_render_bad_carrier_exits_2(runner, k7_doc_file, tmp_path, corrupt, mess
     res = runner.invoke(main, ["render", str(bad), "--layer", "2", "-o", str(tmp_path / "x.svg")])
     assert res.exit_code == 2, res.output
     assert res.output.startswith("error: ") and message in res.output
+
+
+def _imaginary_off_its_path(doc):
+    doc["imaginary"][0]["id"] = 999
+
+
+def _imaginary_list_edge_ref(doc):
+    entry = next(e for e in doc["imaginary"] if e["carrier"][0] == "edge")
+    entry["carrier"][1] = [entry["carrier"][1]]
+
+
+def _imaginary_carrier_without_path(doc):
+    entry = next(e for e in doc["imaginary"] if e["carrier"][0] == "edge")
+    entry["carrier"][1] = doc["chords"][0][0]
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_imaginary_off_its_path, _imaginary_list_edge_ref, _imaginary_carrier_without_path],
+    ids=["off-path-id", "list-edge-ref", "no-path"],
+)
+def test_render_bad_imaginary_exits_2(runner, k7_doc_file, tmp_path, corrupt):
+    doc = json.loads(open(k7_doc_file).read())
+    corrupt(doc)
+    with pytest.raises(RenderError):
+        render_svg(doc, 2)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    res = runner.invoke(main, ["render", str(bad), "--layer", "2", "-o", str(tmp_path / "x.svg")])
+    assert res.exit_code == 2, res.output
+    assert res.output.startswith("error: ")
+
+
+def _layer_without_system(doc):
+    del doc["layers"][1]["system"]
+
+
+def _string_arcs(doc):
+    doc["layers"][0]["system"]["cycles"][0]["arcs"] = "1 3 2"
+
+
+def _empty_layers(doc):
+    doc["layers"] = []
+
+
+def _letter_sequence_key(doc):
+    doc["sequences"]["zz"] = []
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_layer_without_system, _string_arcs, _empty_layers, _letter_sequence_key],
+    ids=["no-system", "string-arcs", "empty-layers", "letter-sequence-key"],
+)
+def test_verify_malformed_document_exits_2(runner, k7_doc_file, tmp_path, corrupt):
+    doc = json.loads(open(k7_doc_file).read())
+    corrupt(doc)
+    with pytest.raises(DocumentError, match="malformed"):
+        parse_document(json.dumps(doc))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    res = runner.invoke(main, ["verify", str(bad)])
+    assert res.exit_code == 2, res.output
+    assert res.output.startswith("error: malformed")
 
 
 def test_pin_from_file(runner, k7_file, tmp_path):

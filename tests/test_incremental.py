@@ -2,14 +2,17 @@
 
 `select_noncrossing` and `shortest_route` reuse work across queries: each
 projection is computed once per selection, and routes read conjugate
-links from the drawing's face index.  These tests require the same kept
-ids, removal order and routes as the loop versions in `oracles`, check
-the face index after every insertion, and check that the reuse really
-happens.
+links from the drawing's face index and link cache.  `_route_greedy`
+keeps each chord's route until an insertion touches a face its query
+saw.  These tests require the same kept ids, removal order, routes and
+greedy insertions as the loop versions in `oracles`, check the face
+index and link cache after every insertion, and check that the reuse
+really happens.
 """
 
 from __future__ import annotations
 
+import copy
 import random
 
 import pytest
@@ -19,7 +22,9 @@ from hypothesis import strategies as st
 import topolayers.layering as layering
 import topolayers.projection as projection
 import topolayers.routing as routing
+import topolayers.cycles as cycles
 from topolayers.cycles import enumerate_isometric_cycles, seg
+from topolayers.fixtures import load_fixture
 from topolayers.graphs import complete_graph
 from topolayers.layering import decompose, split_regions
 from topolayers.planar import hamiltonian_rim, select_planar_cycle_system
@@ -34,6 +39,7 @@ from topolayers.routing import (
 from oracles import (
     face_indexes,
     mixed_cycle_graph_ref,
+    route_greedy_ref,
     select_noncrossing_ref,
     shortest_route_ref,
 )
@@ -182,3 +188,108 @@ def test_routing_never_builds_the_mixed_cycle_graph(monkeypatch):
     monkeypatch.setattr(routing, "build_mixed_cycle_graph", forbidden)
     d = decompose(complete_graph(10))
     assert d.drawing.routed
+
+
+def _drawn(drawing):
+    """Everything a greedy routing pass changes in a drawing."""
+    faces = {fid: c.arcs for fid, c in drawing.faces.items()}
+    return faces, drawing.carrier, drawing.side, drawing.banned, drawing.routed
+
+
+@pytest.mark.parametrize("n", [7, 8, 9, 10, 11, 12])
+def test_route_greedy_matches_reference(n, monkeypatch):
+    """Every greedy pass of an unpinned K_n run, against re-querying all."""
+    real = layering._route_greedy
+    sides = set()
+
+    def checked(drawing, pool, side):
+        twin = copy.deepcopy(drawing)
+        want = route_greedy_ref(twin, pool, side)
+        got = real(drawing, pool, side)
+        assert got == want, side
+        assert _drawn(drawing) == _drawn(twin), side
+        sides.add(side)
+        return got
+
+    monkeypatch.setattr(layering, "_route_greedy", checked)
+    d = decompose(complete_graph(n))
+    assert sides == {"inner", "outer", None}
+    assert len(d.drawing.routed) == len(d.chords)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(6, 10),
+    st.sampled_from(["inner", "outer", None]),
+    st.randoms(use_true_random=False),
+)
+def test_route_greedy_matches_reference_on_shuffled_pools(n, side, rnd):
+    g = complete_graph(n)
+    d = Drawing.from_system(g, select_planar_cycle_system(g, None))
+    ring, inside, _ = hamiltonian_rim(d.snapshot(), g)
+    split_regions(d, ring, inside)
+    chords = _pending(d, g)
+    rnd.shuffle(chords)
+    for s, t in chords[: rnd.randrange(4)]:
+        route = shortest_route(d, s, t)
+        if route is not None:
+            insert_connection(d, s, t, route)
+    rest = [uv for uv in chords if seg(*uv) not in {seg(*r) for r in d.routed}]
+    rest = rest[: rnd.randrange(len(rest) + 1)]
+    pool = dict(zip(rnd.sample(range(1, 1000), len(rest)), rest))
+    twin = copy.deepcopy(d)
+    assert layering._route_greedy(d, pool, side) == route_greedy_ref(twin, pool, side)
+    assert _drawn(d) == _drawn(twin)
+
+
+def _assert_links_fresh(drawing):
+    """Every cached link list equals one computed from the faces alone."""
+    assert set(drawing.links) <= set(drawing.faces)
+    fresh, _ = mixed_cycle_graph_ref(drawing, banned=set())
+    for fid, links in drawing.links.items():
+        assert links == fresh[fid], fid
+
+
+def test_link_cache_tracks_every_insertion(monkeypatch):
+    g = complete_graph(10)
+    cached = []
+
+    def checked_insert(drawing, s, t, route):
+        record = insert_connection(drawing, s, t, route)
+        _assert_links_fresh(drawing)
+        cached.append(len(drawing.links))
+        return record
+
+    monkeypatch.setattr(layering, "insert_connection", checked_insert)
+    d = decompose(g)
+    assert len(cached) == len(d.chords) and sum(cached) > 0
+
+
+def test_link_cache_tracks_each_face_change():
+    """_remove_face and _add_face each keep the cache exact on their own;
+    insert_connection always pairs them, which would hide a lapse in one."""
+    g = complete_graph(8)
+    d = Drawing.from_system(g, select_planar_cycle_system(g, None))
+    for fid in sorted(d.faces):
+        face = d.faces[fid]
+        build_mixed_cycle_graph(d)
+        d._remove_face(fid)
+        _assert_links_fresh(d)
+        build_mixed_cycle_graph(d)
+        d._add_face(face)
+        _assert_links_fresh(d)
+
+
+def test_pool_is_enumerated_only_for_pins(monkeypatch, k7):
+    calls = []
+    real = cycles.enumerate_isometric_cycles
+
+    def counted(g):
+        calls.append(g.n)
+        return real(g)
+
+    monkeypatch.setattr(cycles, "enumerate_isometric_cycles", counted)
+    decompose(complete_graph(10))
+    assert calls == []
+    decompose(k7, pin=load_fixture("k7"))
+    assert calls == [7]

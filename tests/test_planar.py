@@ -82,3 +82,9 @@ def test_unpinned_planarization_is_maximal_planar(n):
 
 def test_gf2_sum_equals_rim(k7_system):
     assert k7_system.gf2_cycle_sum() == k7_system.rim.segments
+
+
+def test_pinned_system_needs_the_pool(k7):
+    with pytest.raises(PlanarizationError, match="pool"):
+        select_planar_cycle_system(k7, None, load_fixture("k7")["system"])
+    assert len(select_planar_cycle_system(k7, None).segments()) == 15
