@@ -1,4 +1,8 @@
-"""Pinned fixtures: cycle systems and routing plans for the worked examples."""
+"""Pinned fixtures: cycle systems and routing plans for the worked examples.
+
+A plan is the route log of the pinned drawing (see `layering._replay_layer`).
+K10 has no plan.
+"""
 
 from __future__ import annotations
 

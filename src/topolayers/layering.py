@@ -80,22 +80,22 @@ def region_system(drawing: Drawing, face_ids: Sequence[int]) -> CycleSystem:
 
 
 def strip_imaginary_region(
-    drawing: Drawing, chord: Optional[Tuple[int, int]] = None
+    drawing: Drawing, chord: Tuple[int, int]
 ) -> Tuple[List[int], List[int]]:
-    """Faces free of imaginary vertices that can host further routing.
+    """Faces free of imaginary vertices that can host the chord.
 
     The rim face is excluded; links whose shared edge touches a chord
-    endpoint are cut, since a route cannot cross there anyway.  With a
-    chord, the component holding both endpoints is returned; without one,
-    the component with the lexicographically smallest boundary.  Returns
-    (face ids, boundary ring).
+    endpoint are cut, since a route cannot cross there anyway.  Of the
+    components whose boundary ring holds both endpoints, the one with the
+    lexicographically smallest boundary is returned as (face ids,
+    boundary ring).
     """
     cands = {
         fid
         for fid in drawing.faces
         if fid != drawing.rim_id and not drawing.has_imaginary(fid)
     }
-    avoid = set(chord) if chord else set()
+    u, v = chord
     parent = {fid: fid for fid in cands}
 
     def find(x: int) -> int:
@@ -106,39 +106,21 @@ def strip_imaginary_region(
 
     for s, fids in drawing.segment_faces.items():
         who = [fid for fid in fids if fid in cands]
-        if len(who) == 2 and not (s[0] in avoid or s[1] in avoid):
+        if len(who) == 2 and u not in s and v not in s:
             a, b = find(who[0]), find(who[1])
             if a != b:
                 parent[max(a, b)] = min(a, b)
     comps: Dict[int, List[int]] = {}
     for fid in cands:
         comps.setdefault(find(fid), []).append(fid)
-    scored = []
+    hits = []
     for members in comps.values():
         ring = _boundary_ring([drawing.faces[fid] for fid in members])
-        if ring is None:
-            continue
-        scored.append((sorted(members), ring))
-    if chord is not None:
-        u, v = chord
-        hits = [
-            (m, r)
-            for m, r in scored
-            if any(u in drawing.faces[f].vertices for f in m)
-            and any(v in drawing.faces[f].vertices for f in m)
-            and u in r
-            and v in r
-        ]
-        if not hits:
-            raise DecompositionError(
-                f"no residual region can host chord ({u},{v})"
-            )
-        hits.sort(key=lambda t: sorted(seg(a, b) for a, b in zip(t[1], t[1][1:] + t[1][:1])))
-        return hits[0]
-    if not scored:
-        raise DecompositionError("no residual region with a closed boundary")
-    scored.sort(key=lambda t: sorted(seg(a, b) for a, b in zip(t[1], t[1][1:] + t[1][:1])))
-    return scored[0]
+        if ring is not None and u in ring and v in ring:
+            hits.append((sorted(members), ring))
+    if not hits:
+        raise DecompositionError(f"no residual region can host chord ({u},{v})")
+    return min(hits, key=lambda t: sorted(seg(a, b) for a, b in zip(t[1], t[1][1:] + t[1][:1])))
 
 
 def split_regions(
@@ -208,48 +190,48 @@ def _route_greedy(
         routes = {k: q for k, q in routes.items() if k != eid and q[1].isdisjoint(dirty)}
 
 
-def _run_plan_layer(
-    drawing: Drawing, layer_plan: dict, remaining: Dict[int, Tuple[int, int]]
+def _replay_layer(
+    drawing: Drawing, entries: object, remaining: Dict[int, Tuple[int, int]]
 ) -> List[int]:
+    """Insert one layer of a pinned route log, in its order; returns edge ids.
+
+    An entry is {"chord": [s, t], "crossings": [[w, a, b], ...]}: the
+    chord's own rows of the document's imaginary table, imaginary vertex w
+    on conjugate edge (a, b), in route order from s.
+    """
+    if type(entries) is not list:
+        raise DecompositionError(f"malformed plan layer {entries!r}: expected a list")
+    by_pair = {seg(*uv): eid for eid, uv in remaining.items()}
     routed: List[int] = []
-    by_pair = {tuple(sorted(uv)): eid for eid, uv in remaining.items()}
-    if "imaginary_base" in layer_plan:
-        drawing.next_vertex_id = max(drawing.next_vertex_id, layer_plan["imaginary_base"])
-    for step in layer_plan.get("steps", []):
-        if "imaginary_base" in step:
-            drawing.next_vertex_id = max(drawing.next_vertex_id, step["imaginary_base"])
-        region = step.get("region", {"kind": "all"})
-        chords = [tuple(c["chord"]) for c in step["chords"]]
-        face_ids: Optional[Set[int]] = None
-        if region["kind"] == "side":
-            face_ids = _side_faces(drawing, region["side"])
-        elif region["kind"] == "strip":
-            members, _ = strip_imaginary_region(drawing, tuple(sorted(chords[0])))
-            face_ids = set(members)
-        elif region["kind"] != "all":
-            raise DecompositionError(f"unknown region kind {region['kind']!r}")
-        for entry in step["chords"]:
-            s, t = entry["chord"]
-            eid = by_pair.get(tuple(sorted((s, t))))
-            if eid is None or eid not in remaining:
-                raise DecompositionError(f"planned chord ({s},{t}) is not pending")
-            if "conjugates" in entry:
-                route = route_from_conjugates(drawing, s, t, entry["conjugates"])
-            else:
-                faces = (
-                    _side_faces(drawing, region["side"])
-                    if region["kind"] == "side"
-                    else face_ids
+    for entry in entries:
+        fields = entry if type(entry) is dict else {}
+        chord, rows = fields.get("chord"), fields.get("crossings")
+        if not (_ints(chord, 2) and type(rows) is list and all(_ints(r, 3) for r in rows)):
+            raise DecompositionError(
+                f"malformed plan entry {entry!r}: expected a chord [s, t] "
+                "and crossings [[w, a, b], ...]"
+            )
+        s, t = chord
+        eid = by_pair.pop(seg(s, t), None)
+        if eid is None:
+            raise DecompositionError(f"planned chord ({s},{t}) is not pending")
+        ids = [w for w, _, _ in rows]
+        if ids:
+            if ids[0] < drawing.next_vertex_id or ids != list(range(ids[0], ids[-1] + 1)):
+                raise DecompositionError(
+                    f"planned chord ({s},{t}): crossing ids {ids} are not consecutive "
+                    f"unused ids (the next free id is {drawing.next_vertex_id})"
                 )
-                route = shortest_route(drawing, s, t, faces)
-                if route is None:
-                    raise DecompositionError(
-                        f"planned chord ({s},{t}) has no route in its region"
-                    )
-            insert_connection(drawing, s, t, route)
-            del remaining[eid]
-            routed.append(eid)
+            drawing.next_vertex_id = ids[0]
+        route = route_from_conjugates(drawing, s, t, [r[1:] for r in rows])
+        insert_connection(drawing, s, t, route)
+        del remaining[eid]
+        routed.append(eid)
     return routed
+
+
+def _ints(x: object, size: int) -> bool:
+    return type(x) is list and len(x) == size and all(type(v) is int for v in x)
 
 
 def decompose(
@@ -259,7 +241,11 @@ def decompose(
     pool: Optional[Sequence[Cycle]] = None,
     max_layers: int = 16,
 ) -> Decomposition:
-    """Full layered drawing of a nonseparable graph."""
+    """Full layered drawing of a nonseparable graph.
+
+    A pin may fix the planar `system`, the `hamiltonian` ring and a `plan`,
+    a route log replayed for the layers it lists (see _replay_layer).
+    """
     if strategy not in ("thickness", "inner-only"):
         raise DecompositionError(f"unknown strategy {strategy!r}")
     report = validate_nonseparable(g)
@@ -286,9 +272,13 @@ def decompose(
     layers = [Layer(1, realized=region_eids, system=sys_)]
     remaining = dict(chords)
 
-    # pinned routing plans describe thickness-style schedules; the
-    # inner-only strategy always schedules generically
-    planned = (pin.get("plan") or {}).get("layers", []) if strategy == "thickness" else []
+    # pinned route logs record thickness-style schedules; the inner-only
+    # strategy always schedules generically.  The log is copied, so the
+    # caller's pin is left as it was.
+    plan = pin.get("plan") or {}
+    if type(plan) is not dict or type(plan.get("layers", [])) is not list:
+        raise DecompositionError('malformed plan: expected {"layers": [[entry, ...], ...]}')
+    planned = list(plan.get("layers", [])) if strategy == "thickness" else []
     layer_index = 1
     while remaining:
         layer_index += 1
@@ -296,7 +286,7 @@ def decompose(
             raise DecompositionError("layer budget exhausted")
         drawing.banned.clear()
         if planned:
-            routed = _run_plan_layer(drawing, planned.pop(0), remaining)
+            routed = _replay_layer(drawing, planned.pop(0), remaining)
         else:
             routed = []
             ring_now = expanded_ring(drawing, ring)

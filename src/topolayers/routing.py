@@ -278,7 +278,11 @@ def shortest_route(
 def route_from_conjugates(
     drawing: Drawing, s: int, t: int, conjugates: Sequence[Tuple[int, int]]
 ) -> List[int]:
-    """Reconstruct a face route from its conjugate-edge chain (fixture pins)."""
+    """The face route from s to t across the given conjugate edges, in order.
+
+    A pinned route log stores each chord's route as this chain.  With no
+    conjugate edge, the route is the one face holding both ends.
+    """
     if not conjugates:
         both = sorted(
             drawing.vertex_faces.get(s, set()) & drawing.vertex_faces.get(t, set())

@@ -226,3 +226,89 @@ def test_pin_from_file(runner, k7_file, tmp_path):
 def test_unknown_pin_exits_2(runner, k7_file):
     res = runner.invoke(main, ["planarize", k7_file, "--pin", "nope"])
     assert res.exit_code == 2
+
+
+def _layers_not_a_list(plan):
+    plan["layers"] = "x"
+
+
+def _layer_not_a_list(plan):
+    plan["layers"][0] = "x"
+
+
+def _entry_not_an_object(plan):
+    plan["layers"][0][0] = [2, 4]
+
+
+def _short_chord(plan):
+    plan["layers"][0][0]["chord"] = [2]
+
+
+def _no_chord(plan):
+    del plan["layers"][0][0]["chord"]
+
+
+def _no_crossings(plan):
+    del plan["layers"][0][1]["crossings"]
+
+
+def _short_crossing_row(plan):
+    plan["layers"][0][1]["crossings"][0] = [9, 7]
+
+
+def _string_crossing_id(plan):
+    plan["layers"][0][1]["crossings"][0][0] = "9"
+
+
+def _gap_in_ids(plan):
+    plan["layers"][0][1]["crossings"][1][0] = 11
+
+
+def _reused_id(plan):
+    for row in plan["layers"][0][1]["crossings"]:
+        row[0] -= 1  # 8 and 9: consecutive, but 8 already crosses (2,4)
+
+
+def _chord_twice(plan):
+    plan["layers"][0][1] = dict(plan["layers"][0][0])
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _layers_not_a_list,
+        _layer_not_a_list,
+        _entry_not_an_object,
+        _short_chord,
+        _no_chord,
+        _no_crossings,
+        _short_crossing_row,
+        _string_crossing_id,
+        _gap_in_ids,
+        _reused_id,
+        _chord_twice,
+    ],
+    ids=[
+        "layers-not-a-list",
+        "layer-not-a-list",
+        "entry-not-an-object",
+        "short-chord",
+        "no-chord",
+        "no-crossings",
+        "short-crossing-row",
+        "string-crossing-id",
+        "gap-in-ids",
+        "reused-id",
+        "chord-twice",
+    ],
+)
+def test_decompose_malformed_plan_exits_2(runner, k7_file, tmp_path, corrupt):
+    from topolayers.fixtures import load_fixture
+
+    pin = load_fixture("k7")
+    corrupt(pin["plan"])
+    path = tmp_path / "pin.json"
+    path.write_text(json.dumps(pin))
+    res = runner.invoke(main, ["decompose", k7_file, "--pin", str(path), "-o", str(tmp_path / "out.json")])
+    assert res.exit_code == 2, res.output
+    assert res.output.startswith(("error: malformed plan", "error: planned chord")), res.output

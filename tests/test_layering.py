@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import copy
+import hashlib
+
+import networkx as nx
 import pytest
 
-from topolayers.cycles import normalize_ring
+from topolayers.cycles import normalize_ring, seg
+from topolayers.document import decomposition_to_document, serialize_document
 from topolayers.fixtures import load_fixture
 from topolayers.graphs import complete_graph, edge_between, parse_graph
 from topolayers.layering import (
@@ -144,3 +149,54 @@ def test_decompose_deterministic(k7, k7_pool, k7_decomposition):
     assert [sorted(l.realized) for l in d2.layers] == [
         sorted(l.realized) for l in k7_decomposition.layers
     ]
+
+
+def _route_log(d):
+    """The plan that replays d: for each layer from 2, every chord in
+    insertion order with its own rows of the imaginary table."""
+    layer_of = {seg(*d.chords[eid]): layer.index for layer in d.layers[1:] for eid in layer.realized}
+    rows = {}
+    for w, info in sorted(d.drawing.imaginary.items()):
+        rows.setdefault(info["chord"], []).append([w, *info["host"]])
+    log = [[] for _ in d.layers[1:]]
+    for s, t in d.drawing.routed:
+        log[layer_of[seg(s, t)] - 2].append({"chord": [s, t], "crossings": rows.get(seg(s, t), [])})
+    return log
+
+
+def _text(d):
+    return serialize_document(decomposition_to_document(d))
+
+
+def _hypercube(dim):
+    G = nx.convert_node_labels_to_integers(nx.hypercube_graph(dim), first_label=1)
+    return parse_graph("".join(f"{u} {v}\n" for u, v in sorted(G.edges)), name=f"Q{dim}")
+
+
+@pytest.mark.parametrize(
+    "g",
+    [complete_graph(n, name=f"K{n}") for n in range(7, 13)] + [_hypercube(4)],
+    ids=lambda g: g.name,
+)
+def test_route_log_replays_unpinned_drawing(g):
+    d = decompose(g)
+    assert len(d.layers) >= 2
+    replayed = decompose(g, pin={"plan": {"layers": _route_log(d)}})
+    assert _text(replayed) == _text(d)
+
+
+@pytest.mark.parametrize("which", ["k7", "k8"])
+def test_pinned_fixture_is_its_own_route_log(which, request):
+    d = request.getfixturevalue(f"{which}_decomposition")
+    assert _route_log(d) == load_fixture(which)["plan"]["layers"]
+
+
+def test_decompose_leaves_the_pin_alone(k7):
+    from test_digests import PINNED
+
+    pin = load_fixture("k7")
+    before = copy.deepcopy(pin)
+    texts = [_text(decompose(k7, pin=pin)) for _ in range(2)]
+    assert pin == before
+    assert texts[0] == texts[1]
+    assert hashlib.sha256(texts[0].encode()).hexdigest() == PINNED["k7"]
