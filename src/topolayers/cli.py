@@ -64,18 +64,38 @@ def _read_graph(path: str):
     return g
 
 
+# The pin's outer shape; a key that is absent or null leaves its stage unpinned.
+_PIN_FIELDS = {"system": dict, "hamiltonian": list, "plan": dict}
+
+
 def _read_pin(ref: Optional[str]) -> Optional[dict]:
     if ref is None:
         return None
     if os.path.exists(ref):
         with open(ref) as fh:
-            return json.load(fh)
-    try:
-        return load_fixture(ref)
-    except FileNotFoundError:
+            try:
+                pin = json.load(fh)
+            except ValueError as exc:
+                raise GraphInputError(f"pin {ref!r} is not JSON: {exc}") from None
+    else:
+        try:
+            pin = load_fixture(ref)
+        except FileNotFoundError:
+            raise GraphInputError(
+                f"pin {ref!r} is neither a file nor a packaged fixture"
+            ) from None
+    if type(pin) is not dict:
         raise GraphInputError(
-            f"pin {ref!r} is neither a file nor a packaged fixture"
-        ) from None
+            f"malformed pin {ref!r}: expected an object, got {type(pin).__name__}"
+        )
+    for key, kind in _PIN_FIELDS.items():
+        if pin.get(key) is not None and type(pin[key]) is not kind:
+            raise GraphInputError(
+                f"malformed pin {ref!r}: {key!r} must be "
+                f"{'an object' if kind is dict else 'a list'}, "
+                f"got {type(pin[key]).__name__}"
+            )
+    return pin
 
 
 @click.group()

@@ -134,10 +134,12 @@ def select_planar_cycle_system(
     """Pick facial cycles of a maximal planar subgraph.
 
     With a pin (fixture mapping), the listed rings are taken verbatim from
-    the pool of isometric cycles and oriented.  Without one, a greedy
-    edge-insertion search with incremental planarity testing finds a
-    maximal planar subgraph and its embedding supplies the faces; the
-    pool is not read and may be None.
+    the pool of isometric cycles and oriented.  Without one, edges are
+    tried in edge-id order: an edge whose ends share a face of the kept
+    graph's current embedding (or that has an isolated end) is kept
+    without a test, any other edge runs a full planarity test.  The
+    embedding of the resulting maximal planar subgraph supplies the
+    faces; the pool is not read and may be None.
     """
     if pin is not None:
         if pool is None:
@@ -157,13 +159,7 @@ def select_planar_cycle_system(
         cycles, rim = orient_cycles(rings, rim_id)
         sys_ = CycleSystem(n=g.n, cycles=cycles, rim=rim)
     else:
-        kept = nx.Graph()
-        kept.add_nodes_from(g.vertices)
-        for eid, (u, v) in sorted(g.edges.items()):
-            kept.add_edge(u, v)
-            ok, _ = nx.check_planarity(kept)
-            if not ok:
-                kept.remove_edge(u, v)
+        kept = _greedy_planar_subgraph(g)
         _, emb = nx.check_planarity(kept)
         faces = []
         seen_darts = set()
@@ -189,6 +185,62 @@ def select_planar_cycle_system(
     return sys_
 
 
+def _greedy_planar_subgraph(g: Graph) -> nx.Graph:
+    """Maximal planar subgraph kept by trying the edges in edge-id order.
+
+    `rot` is a planar rotation system of the kept graph: each vertex's
+    neighbours in cyclic order.  An edge with an isolated end, or whose
+    ends share a face of `rot`, is drawn into that face and kept without
+    a test; it cannot break planarity.  Any other edge runs the full
+    test, and an accepted one resets `rot` from the test's embedding.
+    Kept edges enter `kept` in edge-id order either way and a refused one
+    is removed again, so the adjacency order of `kept`, which the final
+    embedding follows, is what testing every edge gives.
+    """
+    kept = nx.Graph()
+    kept.add_nodes_from(g.vertices)
+    rot: Dict[int, List[int]] = {v: [] for v in g.vertices}
+    for _, (u, v) in sorted(g.edges.items()):
+        kept.add_edge(u, v)
+        if _insert_in_shared_face(rot, u, v):
+            continue
+        ok, emb = nx.check_planarity(kept)
+        if ok:
+            rot = {w: list(emb.neighbors_cw_order(w)) for w in rot}
+        else:
+            kept.remove_edge(u, v)
+    return kept
+
+
+def _insert_in_shared_face(rot: Dict[int, List[int]], u: int, v: int) -> bool:
+    """Draw the new edge (u, v) into `rot` if that keeps it planar.
+
+    That holds when u or v is isolated, or when some face holds both.  A
+    face is an orbit of the dart step (a, b) -> (b, c), c following a in
+    the rotation of b.  The face entered at u through the angle before
+    neighbour x receives v before x at u, and u after a at v, where (a, v)
+    is its first dart into v; it splits in two.  Returns False, leaving
+    `rot` as it was, when no face holds both ends.
+    """
+    ru, rv = rot[u], rot[v]
+    if not ru or not rv:
+        ru.append(v)
+        rv.append(u)
+        return True
+    for x in ru:
+        a, b = u, x
+        while b != v:
+            nb = rot[b]
+            a, b = b, nb[(nb.index(a) + 1) % len(nb)]
+            if a == u and b == x:
+                break
+        else:
+            ru.insert(ru.index(x), v)
+            rv.insert(rv.index(a) + 1, u)
+            return True
+    return False
+
+
 def hamiltonian_rim(
     sys_: CycleSystem,
     g: Graph,
@@ -200,6 +252,14 @@ def hamiltonian_rim(
     Returns (ordered ring, inside cycle ids, outside cycle ids).  The
     inside cycles are exactly the summands; the rim face always counts as
     outside.
+
+    Without a pin, a depth-first search from vertex 1 tries neighbours in
+    ascending order and, for each second vertex, tests only the first
+    Hamiltonian cycle it reaches.  It skips any step that leaves a vertex
+    off the path with fewer than two neighbours outside the path's
+    interior: such a vertex cannot lie on a closing cycle.  `budget`
+    bounds the search steps taken, so it counts steps of this pruned
+    search; past it the search raises.
     """
     ids = sorted(sys_.cycles)
     if pin_ring is not None:
@@ -222,24 +282,47 @@ def hamiltonian_rim(
         adj[b].append(a)
     for v in adj:
         adj[v].sort()
+    # free[v]: neighbours of v not interior to the path.  A vertex off the
+    # path needs two of them to lie on the closing cycle.
+    free = {v: len(ns) for v, ns in adj.items()}
+    path: List[int] = [1]
+    used: Set[int] = {1}
     tried = 0
 
-    def extend(path: List[int], used: Set[int]) -> Optional[List[int]]:
+    def extend() -> Optional[List[int]]:
         nonlocal tried
         tried += 1
         if tried > budget:
             raise PlanarizationError("Hamiltonian ring search budget exhausted")
+        end = path[-1]
         if len(path) == g.n:
-            return path if path[0] in adj[path[-1]] else None
-        for w in adj[path[-1]]:
+            return list(path) if path[0] in adj[end] else None
+        # every step from here makes `end` interior
+        for x in adj[end]:
+            free[x] -= 1
+        short = [x for x in adj[end] if x not in used and free[x] < 2]
+        # a short vertex can only be the next end, so two end the branch
+        steps = (short or adj[end]) if len(short) < 2 else []
+        found = None
+        for w in steps:
             if w not in used:
-                got = extend(path + [w], used | {w})
-                if got is not None:
-                    return got
-        return None
+                path.append(w)
+                used.add(w)
+                found = extend()
+                path.pop()
+                used.discard(w)
+                if found is not None:
+                    break
+        for x in adj[end]:
+            free[x] += 1
+        return found
 
     for second in adj[1]:
-        found = extend([1, second], {1, second})
+        path.append(second)
+        used.add(second)
+        found = extend()
+        path.pop()
+        used.discard(second)
         if found is None:
             continue
         target = {

@@ -8,7 +8,11 @@ dictionary and runs a full breadth-first search.  `boundary_ring_ref`
 and `connection_path_ref` are the region-boundary and chord walks that
 `cycles.ring_from_segments` and `cycles.walk` replaced.
 `route_greedy_ref` re-queries every pending chord after each insertion.
-The package versions must return exactly what these return.
+`greedy_planar_subgraph_ref` runs a full planarity test for every edge,
+and `hamiltonian_rim_ref` is the unpruned depth-first search that copies
+its path at every step.  The package versions must return exactly what
+these return.  `graph_from_networkx` builds test inputs the way the
+benchmark corpus does.
 """
 
 from __future__ import annotations
@@ -16,7 +20,11 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+import networkx as nx
+
 from topolayers.cycles import Segment, canonical_ring, seg
+from topolayers.graphs import Graph, parse_graph
+from topolayers.planar import PlanarizationError, _solve_gf2_subset
 from topolayers.projection import crossing_counts, project_chord
 from topolayers.routing import RoutingError, insert_connection
 
@@ -176,3 +184,74 @@ def connection_path_ref(
         prev = path[-1]
         path.append(step[0])
     return path
+
+
+def greedy_planar_subgraph_ref(g) -> nx.Graph:
+    """Maximal planar subgraph: each edge in edge-id order is added and
+    kept only if a full planarity test still passes."""
+    kept = nx.Graph()
+    kept.add_nodes_from(g.vertices)
+    for _, (u, v) in sorted(g.edges.items()):
+        kept.add_edge(u, v)
+        ok, _ = nx.check_planarity(kept)
+        if not ok:
+            kept.remove_edge(u, v)
+    return kept
+
+
+def embedding_faces_ref(kept: nx.Graph) -> List[List[int]]:
+    """Faces of the planarity test's embedding of kept, in the order
+    `select_planar_cycle_system` numbers them (shortest first)."""
+    _, emb = nx.check_planarity(kept)
+    faces = []
+    seen_darts: Set[Tuple[int, int]] = set()
+    for u, v in emb.edges:
+        if (u, v) not in seen_darts:
+            faces.append(emb.traverse_face(u, v, mark_half_edges=seen_darts))
+    faces.sort(key=lambda r: (len(r), tuple(canonical_ring(list(r)))))
+    return faces
+
+
+def hamiltonian_rim_ref(sys_, g, budget: int = 200_000):
+    """Unpinned Hamiltonian ring search: depth-first from vertex 1 over
+    ascending neighbours, testing the first Hamiltonian cycle found for
+    each second vertex against the GF(2) span of the system cycles."""
+    ids = sorted(sys_.cycles)
+    adj: Dict[int, List[int]] = {v: [] for v in range(1, g.n + 1)}
+    for a, b in sys_.segments():
+        adj[a].append(b)
+        adj[b].append(a)
+    for v in adj:
+        adj[v].sort()
+    tried = 0
+
+    def extend(path: List[int], used: Set[int]) -> Optional[List[int]]:
+        nonlocal tried
+        tried += 1
+        if tried > budget:
+            raise PlanarizationError("Hamiltonian ring search budget exhausted")
+        if len(path) == g.n:
+            return path if path[0] in adj[path[-1]] else None
+        for w in adj[path[-1]]:
+            if w not in used:
+                got = extend(path + [w], used | {w})
+                if got is not None:
+                    return got
+        return None
+
+    for second in adj[1]:
+        found = extend([1, second], {1, second})
+        if found is None:
+            continue
+        target = {seg(found[i], found[(i + 1) % len(found)]) for i in range(len(found))}
+        inside = _solve_gf2_subset(sys_, target)
+        if inside is not None:
+            return canonical_ring(found), sorted(inside), [i for i in ids if i not in inside]
+    raise PlanarizationError("no Hamiltonian ring found in the planar subgraph")
+
+
+def graph_from_networkx(G: nx.Graph, name: str = "") -> Graph:
+    """G relabelled 1..n in sorted node order; edge ids follow sorted pairs."""
+    label = {v: i for i, v in enumerate(sorted(G.nodes()), start=1)}
+    pairs = sorted(tuple(sorted((label[a], label[b]))) for a, b in G.edges())
+    return parse_graph("".join(f"{u} {v}\n" for u, v in pairs), name=name)

@@ -228,6 +228,29 @@ def test_unknown_pin_exits_2(runner, k7_file):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("command", ["decompose", "planarize"])
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("[1, 2]", "expected an object, got list"),
+        ('{"system": "x"}', "'system' must be an object, got str"),
+        ('{"hamiltonian": {"ring": [1, 2, 3]}}', "'hamiltonian' must be a list, got dict"),
+        ('{"plan": [[]]}', "'plan' must be an object, got list"),
+        ("not json", "is not JSON"),
+    ],
+    ids=["list", "system-string", "hamiltonian-object", "plan-list", "not-json"],
+)
+def test_malformed_pin_exits_2(runner, k7_file, tmp_path, command, text, message):
+    pin = tmp_path / "pin.json"
+    pin.write_text(text)
+    args = [command, k7_file, "--pin", str(pin)]
+    if command == "decompose":
+        args += ["-o", str(tmp_path / "out.json")]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert res.output.startswith("error: ") and message in res.output, res.output
+
+
 def _layers_not_a_list(plan):
     plan["layers"] = "x"
 

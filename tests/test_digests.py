@@ -6,17 +6,23 @@ versions of `select_noncrossing` and `shortest_route`; a mismatch means a
 change moved a chord, a route or a tie-break.  The SVG digests of every
 layer were recorded with the renderer's own carrier-path walk, before
 path and ring walking moved into `cycles.walk`; a mismatch there means a
-crossing marker or a polyline moved.
+crossing marker or a polyline moved.  The hypercube digests and the
+refusals of non-Hamiltonian inputs were recorded with a full planarity
+test per edge and the unpruned Hamiltonian search, before the planar
+stage's shortcuts.
 """
 
 from __future__ import annotations
 
 import hashlib
 
+import networkx as nx
 import pytest
 
+from oracles import graph_from_networkx
 from topolayers import complete_graph, decompose
 from topolayers.document import decomposition_to_document, serialize_document
+from topolayers.planar import PlanarizationError
 from topolayers.render import render_svg
 
 PINNED = {
@@ -28,6 +34,16 @@ UNPINNED = {
     12: "5d5eaeffde3e2a9c2064559d5d23cbbd765999064371f66a3f4be22096c26191",
     14: "a9a86907049ee077bb73a0d405c791e8f49b393cef7ca1189113beee5b9c14dc",
     16: "6af1ff136de6f894528e09e5c93734398c9ba04d5dfaf5489d7dabb6613542bf",
+}
+HYPERCUBE = {
+    4: "caf9dab3de46ab623dc1c842b89503ca9a60f0633f925797c39e1a3555e4ab39",
+    5: "36b2af271bf5a3309d38885a0d0ed855a800e31ae1c80ddf6518e22f300e741d",
+}
+NO_RING = "no Hamiltonian ring found in the planar subgraph"
+REFUSED = {
+    "petersen": (nx.petersen_graph, NO_RING),
+    "K5,5": (lambda: nx.complete_bipartite_graph(5, 5), NO_RING),
+    "K6,6": (lambda: nx.complete_bipartite_graph(6, 6), NO_RING),
 }
 
 SVG = {
@@ -58,6 +74,20 @@ def test_pinned_document_digest(which, request):
 @pytest.mark.parametrize("n", sorted(UNPINNED))
 def test_unpinned_complete_document_digest(n):
     assert _digest(decompose(complete_graph(n))) == UNPINNED[n]
+
+
+@pytest.mark.parametrize("dim", sorted(HYPERCUBE))
+def test_unpinned_hypercube_document_digest(dim):
+    g = graph_from_networkx(nx.hypercube_graph(dim), name=f"Q{dim}")
+    assert _digest(decompose(g)) == HYPERCUBE[dim]
+
+
+@pytest.mark.parametrize("which", sorted(REFUSED))
+def test_unpinned_refusal_message(which):
+    make, message = REFUSED[which]
+    with pytest.raises(PlanarizationError) as exc:
+        decompose(graph_from_networkx(make(), name=which))
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("which,layer", sorted(SVG))
