@@ -23,7 +23,7 @@ from .document import (
 )
 from .fixtures import load_fixture
 from .graphs import GraphInputError, parse_graph, validate_nonseparable
-from .layering import DecompositionError, decompose
+from .layering import DecompositionError, _check_pin, decompose
 from .planar import PlanarizationError, select_planar_cycle_system
 from .projection import ProjectionError
 from .render import RenderError, render_svg
@@ -64,10 +64,6 @@ def _read_graph(path: str):
     return g
 
 
-# The pin's outer shape; a key that is absent or null leaves its stage unpinned.
-_PIN_FIELDS = {"system": dict, "hamiltonian": list, "plan": dict}
-
-
 def _read_pin(ref: Optional[str]) -> Optional[dict]:
     if ref is None:
         return None
@@ -84,17 +80,7 @@ def _read_pin(ref: Optional[str]) -> Optional[dict]:
             raise GraphInputError(
                 f"pin {ref!r} is neither a file nor a packaged fixture"
             ) from None
-    if type(pin) is not dict:
-        raise GraphInputError(
-            f"malformed pin {ref!r}: expected an object, got {type(pin).__name__}"
-        )
-    for key, kind in _PIN_FIELDS.items():
-        if pin.get(key) is not None and type(pin[key]) is not kind:
-            raise GraphInputError(
-                f"malformed pin {ref!r}: {key!r} must be "
-                f"{'an object' if kind is dict else 'a list'}, "
-                f"got {type(pin[key]).__name__}"
-            )
+    _check_pin(pin)
     return pin
 
 

@@ -230,8 +230,39 @@ def _replay_layer(
     return routed
 
 
-def _ints(x: object, size: int) -> bool:
-    return type(x) is list and len(x) == size and all(type(v) is int for v in x)
+def _ints(x: object, size: Optional[int] = None) -> bool:
+    """x is a list of ints, of the given length when given."""
+    return type(x) is list and size in (None, len(x)) and all(type(v) is int for v in x)
+
+
+# The pin's outer shape; a key that is absent or null leaves its stage unpinned.
+_PIN_FIELDS = {"system": dict, "hamiltonian": list, "plan": dict}
+
+
+def _check_pin(pin: object) -> None:
+    """Raise DecompositionError unless the pin has the shape its stages read.
+
+    The plan's entries are checked as they are replayed (_replay_layer).
+    """
+    if type(pin) is not dict:
+        raise DecompositionError(f"malformed pin: expected an object, got {type(pin).__name__}")
+    for key, kind in _PIN_FIELDS.items():
+        if pin.get(key) is not None and type(pin[key]) is not kind:
+            raise DecompositionError(
+                f"malformed pin: {key!r} must be "
+                f"{'an object' if kind is dict else 'a list'}, got {type(pin[key]).__name__}"
+            )
+    system = pin.get("system")
+    if system is not None:
+        cycles = system.get("cycles")
+        if not (type(cycles) is list and all(map(_ints, cycles))):
+            raise DecompositionError(
+                "malformed pin: 'system.cycles' must be a list of integer lists"
+            )
+        if not _ints(system.get("rim")):
+            raise DecompositionError("malformed pin: 'system.rim' must be a list of integers")
+    if not _ints(pin.get("hamiltonian") or []):
+        raise DecompositionError("malformed pin: 'hamiltonian' must hold integers only")
 
 
 def decompose(
@@ -253,6 +284,8 @@ def decompose(
         raise DecompositionError(
             "input is not nonseparable: " + "; ".join(report.problems())
         )
+    if pin is not None:
+        _check_pin(pin)
     pin = pin or {}
     # Only a pinned system is read from the isometric cycles; the greedy
     # planar subgraph comes from planarity testing alone.
@@ -276,7 +309,7 @@ def decompose(
     # strategy always schedules generically.  The log is copied, so the
     # caller's pin is left as it was.
     plan = pin.get("plan") or {}
-    if type(plan) is not dict or type(plan.get("layers", [])) is not list:
+    if type(plan.get("layers", [])) is not list:
         raise DecompositionError('malformed plan: expected {"layers": [[entry, ...], ...]}')
     planned = list(plan.get("layers", [])) if strategy == "thickness" else []
     layer_index = 1

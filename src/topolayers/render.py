@@ -8,7 +8,7 @@ segment with its own chord.  No randomness, no timestamps.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -39,6 +39,12 @@ def _base_positions(doc: dict) -> Dict[int, Tuple[float, float]]:
             raise RenderError("document has neither a ring nor a rim to anchor")
         ring = [a for a, _ in rim["arcs"]]
     n = doc["graph"]["n"]
+    system = layers[0]["system"]
+    members = system["cycles"] + ([system["rim"]] if system["rim"] else [])
+    arcs = [arc for c in members for arc in c["arcs"]]
+    for a, b in arcs:
+        if not (1 <= a <= n and 1 <= b <= n):
+            raise RenderError(f"layer 1 arc ({a},{b}) names a vertex outside 1..{n}")
     r = SIZE / 2 - MARGIN
     pos: Dict[int, Tuple[float, float]] = {}
     for i, v in enumerate(ring):
@@ -48,14 +54,14 @@ def _base_positions(doc: dict) -> Dict[int, Tuple[float, float]]:
     if interior:
         # Tutte: each interior vertex at the average of its layer-1 neighbours
         nbrs: Dict[int, List[int]] = {v: [] for v in interior}
-        for c in layers[0]["system"]["cycles"] + (
-            [layers[0]["system"]["rim"]] if layers[0]["system"]["rim"] else []
-        ):
-            for a, b in c["arcs"]:
-                if a in nbrs:
-                    nbrs[a].append(b)
-                if b in nbrs:
-                    nbrs[b].append(a)
+        for a, b in arcs:
+            if a in nbrs:
+                nbrs[a].append(b)
+            if b in nbrs:
+                nbrs[b].append(a)
+        for v in interior:
+            if not nbrs[v]:
+                raise RenderError(f"vertex {v} is neither on the ring nor on a layer-1 arc")
         ix = {v: i for i, v in enumerate(interior)}
         A = np.zeros((len(interior), len(interior)))
         bx = np.zeros(len(interior))
@@ -106,11 +112,18 @@ def _carrier_paths(doc: dict) -> Dict[tuple, List[int]]:
 
 
 def _imaginary_positions(
-    doc: dict, pos: Dict[int, Tuple[float, float]]
+    doc: dict, pos: Dict[int, Tuple[float, float]], drawn: Set[int]
 ) -> Dict[int, Tuple[float, float]]:
-    """Crossing markers: spaced along the host edge by subdivision order;
-    markers on connection hosts relax to the midpoint of their path
-    neighbours so every marker sits on both polylines through it."""
+    """Positions of the `drawn` crossing markers.
+
+    Markers are spaced along an edge host by subdivision order; a marker
+    on a connection host relaxes to the midpoint of its path neighbours,
+    in 64 sweeps over the steps in document order, so it sits on both
+    polylines through it.  Every entry is checked, but only the drawn
+    markers and the markers they read, transitively, are relaxed: no
+    other marker is ever read by these, so each goes through the same
+    float operations, in the same order, as in a sweep over all of them.
+    """
     paths = _carrier_paths(doc)
     out: Dict[int, Tuple[float, float]] = {}
     pending: List[Tuple[int, int, int]] = []  # (vertex, path neighbours)
@@ -132,11 +145,31 @@ def _imaginary_positions(
             u, v = key[1]
             out[w] = ((pos[u][0] + pos[v][0]) / 2, (pos[u][1] + pos[v][1]) / 2)
             pending.append((w, path[i - 1], path[i + 1]))
+    reads: Dict[int, List[int]] = {}
+    for w, a, b in pending:
+        for x in (a, b):
+            if x not in out and x not in pos:
+                raise RenderError(f"imaginary vertex {w} has path neighbour {x}, not a vertex")
+        reads.setdefault(w, []).extend((a, b))
+    for w in drawn:
+        if w not in out:
+            raise RenderError(f"drawn sequence vertex {w} has no imaginary entry")
+    needed, stack = set(drawn), list(drawn)
+    while stack:
+        for x in reads.get(stack.pop(), ()):
+            if x not in needed:
+                needed.add(x)
+                stack.append(x)
+    index = {v: k for k, v in enumerate(needed)}
+    start = [out[v] if v in out else pos[v] for v in needed]
+    xs = [p[0] for p in start]
+    ys = [p[1] for p in start]
+    steps = [(index[w], index[a], index[b]) for w, a, b in pending if w in needed]
     for _ in range(64):
-        for w, a, b in pending:
-            ps = [out[x] if x in out else pos[x] for x in (a, b)]
-            out[w] = ((ps[0][0] + ps[1][0]) / 2, (ps[0][1] + ps[1][1]) / 2)
-    return out
+        for k, i, j in steps:
+            xs[k] = (xs[i] + xs[j]) / 2
+            ys[k] = (ys[i] + ys[j]) / 2
+    return {w: (xs[index[w]], ys[index[w]]) for w in drawn}
 
 
 def render_svg(doc: dict, layer_index: int) -> str:
@@ -145,12 +178,16 @@ def render_svg(doc: dict, layer_index: int) -> str:
         raise RenderError(f"document has no layer {layer_index}")
     layer = layers[layer_index]
     pos = _base_positions(doc)
-    ipos = _imaginary_positions(doc, pos)
     edges = {eid: (u, v) for eid, u, v in doc["graph"]["edges"]}
     sequences = {int(k): v for k, v in doc["sequences"].items()}
+    realized = [] if layer_index == 1 else layer["realized"]
+    for eid in realized:
+        if eid not in edges:
+            raise RenderError(f"layer {layer_index} realizes {eid}, which is not a graph edge")
+    drawn = {w for eid in realized for w in sequences.get(eid, [])}
+    ipos = _imaginary_positions(doc, pos, drawn)
     lines: List[Tuple[Tuple[float, float], Tuple[float, float]]] = []
     polylines: List[List[Tuple[float, float]]] = []
-    used_imaginary = set()
     if layer_index == 1:
         segs = sorted(
             {
@@ -167,12 +204,10 @@ def render_svg(doc: dict, layer_index: int) -> str:
         for i in range(len(ring)):
             a, b = ring[i], ring[(i + 1) % len(ring)]
             lines.append((pos[a], pos[b]))
-        for eid in layer["realized"]:
+        for eid in realized:
             u, v = edges[eid]
             pts = [pos[min(u, v)]]
-            for w in sequences.get(eid, []):
-                pts.append(ipos[w])
-                used_imaginary.add(w)
+            pts.extend(ipos[w] for w in sequences.get(eid, []))
             pts.append(pos[max(u, v)])
             polylines.append(pts)
     body: List[str] = []
@@ -192,7 +227,7 @@ def render_svg(doc: dict, layer_index: int) -> str:
         body.append(
             f'<text x="{_fmt(x + 6)}" y="{_fmt(y - 6)}" font-size="11">v{v}</text>'
         )
-    for w in sorted(used_imaginary):
+    for w in sorted(drawn):
         x, y = ipos[w]
         body.append(
             f'<circle class="imaginary" cx="{_fmt(x)}" cy="{_fmt(y)}" r="2.5" fill="crimson"/>'

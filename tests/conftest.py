@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import networkx as nx
 import pytest
 
 from topolayers import (
@@ -10,6 +11,8 @@ from topolayers import (
     select_planar_cycle_system,
 )
 from topolayers.fixtures import load_fixture
+
+from oracles import graph_from_networkx
 
 
 @pytest.fixture(scope="session")
@@ -65,3 +68,23 @@ def k7_document(k7_decomposition):
 @pytest.fixture(scope="session")
 def k12_unpinned_decomposition():
     return decompose(complete_graph(12))
+
+
+@pytest.fixture(scope="session")
+def k14_unpinned_decomposition():
+    return decompose(complete_graph(14))
+
+
+@pytest.fixture(scope="session")
+def k16_unpinned_decomposition():
+    return decompose(complete_graph(16))
+
+
+@pytest.fixture(scope="session")
+def q4_decomposition():
+    return decompose(graph_from_networkx(nx.hypercube_graph(4), name="Q4"))
+
+
+@pytest.fixture(scope="session")
+def q5_decomposition():
+    return decompose(graph_from_networkx(nx.hypercube_graph(5), name="Q5"))

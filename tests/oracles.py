@@ -10,8 +10,9 @@ and `connection_path_ref` are the region-boundary and chord walks that
 `route_greedy_ref` re-queries every pending chord after each insertion.
 `greedy_planar_subgraph_ref` runs a full planarity test for every edge,
 and `hamiltonian_rim_ref` is the unpruned depth-first search that copies
-its path at every step.  The package versions must return exactly what
-these return.  `graph_from_networkx` builds test inputs the way the
+its path at every step.  `imaginary_positions_ref` relaxes every
+connection-hosted crossing marker of the document, whichever layer is
+drawn.  The package versions must return exactly what these return.  `graph_from_networkx` builds test inputs the way the
 benchmark corpus does.
 """
 
@@ -26,6 +27,7 @@ from topolayers.cycles import Segment, canonical_ring, seg
 from topolayers.graphs import Graph, parse_graph
 from topolayers.planar import PlanarizationError, _solve_gf2_subset
 from topolayers.projection import crossing_counts, project_chord
+from topolayers.render import RenderError, _carrier_key, _carrier_paths
 from topolayers.routing import RoutingError, insert_connection
 
 
@@ -248,6 +250,37 @@ def hamiltonian_rim_ref(sys_, g, budget: int = 200_000):
         if inside is not None:
             return canonical_ring(found), sorted(inside), [i for i in ids if i not in inside]
     raise PlanarizationError("no Hamiltonian ring found in the planar subgraph")
+
+
+def imaginary_positions_ref(
+    doc: dict, pos: Dict[int, Tuple[float, float]]
+) -> Dict[int, Tuple[float, float]]:
+    paths = _carrier_paths(doc)
+    out: Dict[int, Tuple[float, float]] = {}
+    pending: List[Tuple[int, int, int]] = []  # (vertex, path neighbours)
+    for entry in doc["imaginary"]:
+        w = entry["id"]
+        kind, ref = entry["carrier"]
+        key = _carrier_key(kind, ref)
+        path = paths.get(key)
+        if path is None:
+            raise RenderError(f"imaginary vertex {w} has a carrier with no path")
+        if w not in path[1:-1]:
+            raise RenderError(f"imaginary vertex {w} is not inside its carrier's path")
+        i = path.index(w)
+        if kind == "edge":
+            t = i / (len(path) - 1)
+            p, q = pos[path[0]], pos[path[-1]]
+            out[w] = (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
+        else:
+            u, v = key[1]
+            out[w] = ((pos[u][0] + pos[v][0]) / 2, (pos[u][1] + pos[v][1]) / 2)
+            pending.append((w, path[i - 1], path[i + 1]))
+    for _ in range(64):
+        for w, a, b in pending:
+            ps = [out[x] if x in out else pos[x] for x in (a, b)]
+            out[w] = ((ps[0][0] + ps[1][0]) / 2, (ps[0][1] + ps[1][1]) / 2)
+    return out
 
 
 def graph_from_networkx(G: nx.Graph, name: str = "") -> Graph:

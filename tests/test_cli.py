@@ -1,12 +1,18 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 from click.testing import CliRunner
 
 from topolayers.cli import main
-from topolayers.document import DocumentError, parse_document
+from topolayers.document import (
+    DocumentError,
+    decomposition_to_document,
+    parse_document,
+    serialize_document,
+)
 from topolayers.graphs import complete_graph, format_graph
 from topolayers.render import RenderError, render_svg
 
@@ -181,6 +187,66 @@ def test_render_bad_imaginary_exits_2(runner, k7_doc_file, tmp_path, corrupt):
     assert res.output.startswith("error: ")
 
 
+def _realizes_unknown_edge(doc):
+    doc["layers"][1]["realized"].append(9999)
+
+
+def _sequence_vertex_without_entry(doc):
+    eid = next(e for e in doc["layers"][1]["realized"] if doc["sequences"].get(str(e)))
+    doc["sequences"][str(eid)].append(999)
+
+
+def _layer1_arc_off_the_graph(doc):
+    doc["layers"][0]["system"]["cycles"][0]["arcs"].append([1, 500])
+
+
+def _vertices_without_edges(doc):
+    doc["graph"]["n"] = 20
+
+
+def _path_neighbour_not_a_vertex(doc):
+    # Imaginary vertex 13 lies on the path of 56's carrier but has another
+    # host; renamed in that carrier's rows only, the path stays whole.
+    key = next(e["carrier"] for e in doc["imaginary"] if e["id"] == 56)
+    for row in doc["carrier"]:
+        if row[2:] == key:
+            row[:2] = [777 if x == 13 else x for x in row[:2]]
+
+
+@pytest.mark.parametrize(
+    "corrupt,layer,message",
+    [
+        (_realizes_unknown_edge, 2, "realizes 9999, which is not a graph edge"),
+        (_sequence_vertex_without_entry, 2, "vertex 999 has no imaginary entry"),
+        (_layer1_arc_off_the_graph, 1, "arc (1,500) names a vertex outside 1..10"),
+        (_vertices_without_edges, 1, "vertex 11 is neither on the ring nor on a layer-1 arc"),
+        (_vertices_without_edges, 2, "vertex 11 is neither on the ring nor on a layer-1 arc"),
+        (_path_neighbour_not_a_vertex, 1, "vertex 56 has path neighbour 777, not a vertex"),
+    ],
+    ids=[
+        "unknown-edge",
+        "no-imaginary-entry",
+        "arc-off-graph",
+        "n-20-layer-1",
+        "n-20-layer-2",
+        "neighbour-not-a-vertex",
+    ],
+)
+def test_render_malformed_document_exits_2(
+    runner, k10_decomposition, tmp_path, corrupt, layer, message
+):
+    doc = json.loads(serialize_document(decomposition_to_document(k10_decomposition)))
+    corrupt(doc)
+    with pytest.raises(RenderError, match=re.escape(message)):
+        render_svg(doc, layer)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out = str(tmp_path / "x.svg")
+    res = runner.invoke(main, ["render", str(bad), "--layer", str(layer), "-o", out])
+    assert res.exit_code == 2, res.output
+    assert res.output.startswith("error: ") and message in res.output, res.output
+
+
 def _layer_without_system(doc):
     del doc["layers"][1]["system"]
 
@@ -237,8 +303,22 @@ def test_unknown_pin_exits_2(runner, k7_file):
         ('{"hamiltonian": {"ring": [1, 2, 3]}}', "'hamiltonian' must be a list, got dict"),
         ('{"plan": [[]]}', "'plan' must be an object, got list"),
         ("not json", "is not JSON"),
+        ('{"system": {}}', "'system.cycles' must be a list of integer lists"),
+        ('{"system": {"cycles": "x", "rim": [1, 2, 3]}}', "'system.cycles' must be a list"),
+        ('{"system": {"cycles": [[1, 2, 3]], "rim": "x"}}', "'system.rim' must be a list"),
+        ('{"hamiltonian": ["a", 2]}', "'hamiltonian' must hold integers only"),
     ],
-    ids=["list", "system-string", "hamiltonian-object", "plan-list", "not-json"],
+    ids=[
+        "list",
+        "system-string",
+        "hamiltonian-object",
+        "plan-list",
+        "not-json",
+        "system-empty",
+        "cycles-string",
+        "rim-string",
+        "hamiltonian-strings",
+    ],
 )
 def test_malformed_pin_exits_2(runner, k7_file, tmp_path, command, text, message):
     pin = tmp_path / "pin.json"

@@ -9,7 +9,9 @@ path and ring walking moved into `cycles.walk`; a mismatch there means a
 crossing marker or a polyline moved.  The hypercube digests and the
 refusals of non-Hamiltonian inputs were recorded with a full planarity
 test per edge and the unpruned Hamiltonian search, before the planar
-stage's shortcuts.
+stage's shortcuts.  The SVG digests of unpinned K14 and K16 and of the
+hypercubes were recorded while every layer still relaxed all of the
+document's crossing markers; K16 has 541 on connection hosts.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import networkx as nx
 import pytest
 
 from oracles import graph_from_networkx
-from topolayers import complete_graph, decompose
+from topolayers import decompose
 from topolayers.document import decomposition_to_document, serialize_document
 from topolayers.planar import PlanarizationError
 from topolayers.render import render_svg
@@ -58,6 +60,19 @@ SVG = {
     ("k12_unpinned", 2): "04a9d2f5286acad622db3e7dc6cafd9471211e9edc15469856898cf685ffe37e",
     ("k12_unpinned", 3): "59b2bc7f31742309e2ba40673d0d98d78038806209e6474ae79e0262db212bf2",
     ("k12_unpinned", 4): "7982d20cc19650428f6271f9a2f995751f8ad3526d3282ee0600028cdaf2c556",
+    ("k14_unpinned", 1): "ed07b5a1daa71d5688d8a48aaa6cce22a24523a95eafa5a36637dbfbc9dab952",
+    ("k14_unpinned", 2): "f26a30c01fb355650d8735b9492884d682f758206845828161033bdaf9c855dc",
+    ("k14_unpinned", 3): "d817c729fc64fa4b83ca46ebb6b5fed60d615c3ffda618b13a1569d0acdc7c25",
+    ("k14_unpinned", 4): "589f3f9eb778d70f77e44762ec5189837e90bcd470b3ed751f5e072f5fe7e631",
+    ("k16_unpinned", 1): "43e3266809bcafd822cff02083617d2d8b7e709d47d9f35a31441ee6866af57f",
+    ("k16_unpinned", 2): "3c4d5959f9acde400b72ffce15689e765b508d1ec1ac1bc7eafac11c2b87cdfe",
+    ("k16_unpinned", 3): "78c4f2630d59e1390cfe0698f7d4183ed59c65b8ac08464e67bd8c19bfae30dd",
+    ("k16_unpinned", 4): "780c64c8ab45f2bce4b9120b5328ffa482dff522c7cea80a4ae00701db2d290d",
+    ("k16_unpinned", 5): "b42230cbc603d28447b38563ab05ed134103f23ad32f1fc8f168b9f1ccfe207c",
+    ("q4", 1): "bc4131bc8133a538e251210eaca38d4b8f6bc5d1324a51df706427e6dc8e8c3a",
+    ("q4", 2): "049ff1f80ea6de114742fdd98ec56b7e87a8f1c59caa42be8b12f49db5a8dc7e",
+    ("q5", 1): "cec4e731ddfaeb954d15f6ea39d3211c349d365ac71117332e5d11c72e1793aa",
+    ("q5", 2): "d2bfbe126dcd3b5cac15182df47b451d98eb61f9d2dd245f0a1666086f5a3343",
 }
 
 
@@ -72,14 +87,13 @@ def test_pinned_document_digest(which, request):
 
 
 @pytest.mark.parametrize("n", sorted(UNPINNED))
-def test_unpinned_complete_document_digest(n):
-    assert _digest(decompose(complete_graph(n))) == UNPINNED[n]
+def test_unpinned_complete_document_digest(n, request):
+    assert _digest(request.getfixturevalue(f"k{n}_unpinned_decomposition")) == UNPINNED[n]
 
 
 @pytest.mark.parametrize("dim", sorted(HYPERCUBE))
-def test_unpinned_hypercube_document_digest(dim):
-    g = graph_from_networkx(nx.hypercube_graph(dim), name=f"Q{dim}")
-    assert _digest(decompose(g)) == HYPERCUBE[dim]
+def test_unpinned_hypercube_document_digest(dim, request):
+    assert _digest(request.getfixturevalue(f"q{dim}_decomposition")) == HYPERCUBE[dim]
 
 
 @pytest.mark.parametrize("which", sorted(REFUSED))

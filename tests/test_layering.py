@@ -143,6 +143,16 @@ def test_decompose_rejects_unknown_strategy(k7):
         decompose(k7, strategy="magic")
 
 
+@pytest.mark.parametrize(
+    "pin",
+    [[1, 2], {"system": {}}, {"system": {"cycles": "x", "rim": [1, 2, 3]}}, {"hamiltonian": ["a", 2]}],
+    ids=["list", "system-empty", "cycles-string", "hamiltonian-strings"],
+)
+def test_decompose_rejects_malformed_pin(k7, pin):
+    with pytest.raises(DecompositionError, match="malformed pin"):
+        decompose(k7, pin=pin)
+
+
 def test_decompose_deterministic(k7, k7_pool, k7_decomposition):
     d2 = decompose(k7, strategy="thickness", pin=load_fixture("k7"), pool=k7_pool)
     assert d2.sequences == k7_decomposition.sequences

@@ -4,10 +4,11 @@ import re
 
 import pytest
 
+from oracles import imaginary_positions_ref
 from topolayers.document import decomposition_to_document
 from topolayers.graphs import complete_graph
 from topolayers.layering import decompose
-from topolayers.render import RenderError, render_svg
+from topolayers.render import RenderError, _base_positions, _imaginary_positions, render_svg
 
 
 def _lines(svg):
@@ -100,3 +101,30 @@ def test_interior_vertices_via_tutte():
     d = decompose(complete_graph(4))
     svg = render_svg(decomposition_to_document(d), 1)
     assert svg.count("<line") == 6 and svg.count('class="vertex"') == 4
+
+
+def _assert_markers_match_full_relaxation(doc):
+    """Each layer's drawn markers sit exactly where relaxing every marker
+    of the document puts them."""
+    pos = _base_positions(doc)
+    ref = imaginary_positions_ref(doc, pos)
+    sequences = {int(k): v for k, v in doc["sequences"].items()}
+    for layer in doc["layers"]:
+        realized = [] if layer["index"] == 1 else layer["realized"]
+        drawn = {w for eid in realized for w in sequences.get(eid, [])}
+        assert _imaginary_positions(doc, pos, drawn) == {w: ref[w] for w in drawn}
+
+
+@pytest.mark.parametrize("n", range(7, 17))
+def test_unpinned_markers_match_full_relaxation(n, request):
+    if n in (12, 14, 16):  # decomposed once per session in conftest
+        d = request.getfixturevalue(f"k{n}_unpinned_decomposition")
+    else:
+        d = decompose(complete_graph(n))
+    _assert_markers_match_full_relaxation(decomposition_to_document(d))
+
+
+@pytest.mark.parametrize("which", ["k7", "k8", "k10", "q4", "q5"])
+def test_markers_match_full_relaxation(which, request):
+    d = request.getfixturevalue(f"{which}_decomposition")
+    _assert_markers_match_full_relaxation(decomposition_to_document(d))
