@@ -2,9 +2,13 @@
 
 The document is lossless for everything the checkers and the renderer
 need: graph, per-layer systems, realized chords, imaginary vertices with
-their hosts, and the final segment carriers.  Serialization is canonical
-(sorted keys, fixed separators), so serialize -> parse -> serialize is
-byte-identical.
+their hosts, and the final segment carriers.  Serialization is canonical:
+the text is defined as json.dumps(doc, sort_keys=True, separators=(",",
+": "), indent=1) plus a newline, so serialize -> parse -> serialize is
+byte-identical.  With an indent json always runs its pure-Python
+encoder, so `serialize_document` writes the same text with `_emit`, a
+small recursive emitter that joins each list of ints, or of equal-length
+int rows, in one go.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ from .verify import (
     VerificationReport,
     check_connection_realization,
     check_edge_partition,
+    check_graph_edges,
+    check_layer_rings,
     verify_raw,
 )
 
@@ -87,8 +93,57 @@ def decomposition_to_document(d: Decomposition) -> dict:
     }
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _emit(x: object, indent: str) -> str:
+    """x as json.dumps(x, sort_keys=True, separators=(",", ": "), indent=1)
+    writes it at nesting `indent`, except that a dict key that is not a
+    str raises TypeError.
+
+    A list of ints (or of ints and strings, like a carrier row) is one
+    join, and a list of equal-length int rows (the arcs, edges and chords
+    that make up most of a document) is one %-template filled once.
+    """
+    if type(x) is int:
+        return int.__repr__(x)
+    if type(x) is str:
+        return _encode_str(x)
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        inner = indent + " "
+        sep = ",\n" + inner
+        kinds = set(map(type, x))
+        sizes = set(map(len, x)) if kinds == {list} else ()
+        flat = list(chain.from_iterable(x)) if len(sizes) == 1 and 0 not in sizes else ()
+        if kinds == {int}:
+            body = sep.join(map(int.__repr__, x))
+        elif kinds == {int, str}:
+            body = sep.join([_encode_str(v) if type(v) is str else int.__repr__(v) for v in x])
+        elif flat and set(map(type, flat)) == {int}:
+            deep = sep + " "
+            row = "[\n" + inner + " " + deep.join(["%d"] * len(x[0])) + "\n" + inner + "]"
+            body = sep.join([row] * len(x)) % tuple(flat)
+        else:
+            body = sep.join([_emit(v, inner) for v in x])
+        return "[\n" + inner + body + "\n" + indent + "]"
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        if set(map(type, x)) != {str}:
+            raise TypeError(f"document keys must be str, got {sorted(map(repr, x))}")
+        inner = indent + " "
+        items = [_encode_str(k) + ": " + _emit(x[k], inner) for k in sorted(x)]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    return json.dumps(x)
+
+
 def serialize_document(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+    """The canonical text: by definition json.dumps(doc, sort_keys=True,
+    separators=(",", ": "), indent=1) plus a newline, written by `_emit`,
+    since json writes indented text with its pure-Python encoder."""
+    return _emit(doc, "") + "\n"
 
 
 def _all(x: object, kind: type) -> bool:
@@ -214,9 +269,17 @@ def verify_document(doc: dict) -> VerificationReport:
         sub = verify_raw(ln, cycles, rim)
         for name, res in sub.checks.items():
             checks[f"layer-{layer['index']}/{name}"] = res
-    edge_ids = [eid for eid, _, _ in doc["graph"]["edges"]]
+    edges = doc["graph"]["edges"]
+    checks["graph-edges"] = check_graph_edges(n, edges, doc["chords"])
+    edge_ids = [eid for eid, _, _ in edges]
     checks["edge-partition"] = check_edge_partition(
         edge_ids, [layer["realized"] for layer in doc["layers"]]
+    )
+    checks["layer-rings"] = check_layer_rings(
+        n,
+        {eid: (u, v) for eid, u, v in edges},
+        [(layer["index"], layer.get("ring")) for layer in doc["layers"]],
+        doc["layers"][0]["realized"],
     )
     chords = {eid: (u, v) for eid, u, v in doc["chords"]}
     sequences = {int(k): list(v) for k, v in doc["sequences"].items()}

@@ -26,19 +26,31 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
+def _ring(layer: dict, n: int) -> List[int]:
+    """The layer's ring, [] when it has none; its entries must be distinct
+    vertices 1..n."""
+    ring = layer.get("ring") or []
+    for v in ring:
+        if not 1 <= v <= n:
+            raise RenderError(f"layer {layer['index']} ring names v{v}, outside 1..{n}")
+    if len(set(ring)) != len(ring):
+        raise RenderError(f"layer {layer['index']} ring repeats a vertex")
+    return ring
+
+
 def _base_positions(doc: dict) -> Dict[int, Tuple[float, float]]:
     layers = doc["layers"]
+    n = doc["graph"]["n"]
     ring: Optional[List[int]] = None
     for layer in layers:
         if layer.get("ring"):
-            ring = layer["ring"]
+            ring = _ring(layer, n)
             break
     if ring is None:
         rim = layers[0]["system"].get("rim")
         if rim is None:
             raise RenderError("document has neither a ring nor a rim to anchor")
         ring = [a for a, _ in rim["arcs"]]
-    n = doc["graph"]["n"]
     system = layers[0]["system"]
     members = system["cycles"] + ([system["rim"]] if system["rim"] else [])
     arcs = [arc for c in members for arc in c["arcs"]]
@@ -200,7 +212,7 @@ def render_svg(doc: dict, layer_index: int) -> str:
         for a, b in segs:
             lines.append((pos[a], pos[b]))
     else:
-        ring = layer.get("ring") or []
+        ring = _ring(layer, doc["graph"]["n"])
         for i in range(len(ring)):
             a, b = ring[i], ring[(i + 1) % len(ring)]
             lines.append((pos[a], pos[b]))

@@ -11,9 +11,10 @@ A Drawing indexes its faces by segment and by vertex, and
 caches each face's conjugate links, sorted and unfiltered, in `links`;
 adding or removing a face drops the entries of every face that shares a
 segment with it, so an entry always equals a fresh computation.  A route
-query filters the cached links by its face set, the ban set and the
-chord's endpoints as its search reaches each face, and stops once the
-search has reached the nearest face holding the source vertex, so it
+query reads the cached lists in place and applies the filter during the
+search: it tests each link against its face set, the ban set and the
+chord's endpoints as it reaches that link, copies no list, and stops once
+the search has reached the nearest face holding the source vertex, so it
 never builds the whole mixed cycle graph.
 
 `shortest_route` can report in `seen` every face whose links it read,
@@ -23,7 +24,8 @@ insertion removes, or changes a neighbour of, one of those faces.
 
 Each subdivided graph edge and each realized chord is recovered from the
 segments that carry it by `carrier_path`, which walks them with
-`cycles.walk`.
+`cycles.walk`.  The drawing keeps those segments grouped by carrier in
+`carried`, so a walk never scans the whole carrier table.
 """
 
 from __future__ import annotations
@@ -61,17 +63,23 @@ class Drawing:
     segment_faces: Dict[Segment, Set[int]] = field(init=False, repr=False, compare=False)
     vertex_faces: Dict[int, Set[int]] = field(init=False, repr=False, compare=False)
     # Conjugate links of each face, sorted and unfiltered, filled on
-    # demand by _conjugate_links.  An entry depends only on the face and
+    # demand by _cached_links.  An entry depends only on the face and
     # the faces sharing its segments, so _add_face and _remove_face drop
     # the entries of those faces.
     links: Dict[int, List[Tuple[int, Segment]]] = field(init=False, repr=False, compare=False)
+    # The segments each carrier key holds: `carrier` inverted, kept in
+    # step by _carry and _uncarry.
+    carried: Dict[Carrier, Set[Segment]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.segment_faces = {}
         self.vertex_faces = {}
         self.links = {}
+        self.carried = {}
         for fid, c in self.faces.items():
             self._index(fid, c)
+        for s, key in self.carrier.items():
+            self.carried.setdefault(key, set()).add(s)
 
     def _index(self, fid: int, c: Cycle) -> None:
         for s in c.segments:
@@ -98,6 +106,15 @@ class Drawing:
                 index[key].discard(fid)
                 if not index[key]:
                     del index[key]
+
+    def _carry(self, s: Segment, key: Carrier) -> None:
+        self.carrier[s] = key
+        self.carried.setdefault(key, set()).add(s)
+
+    def _uncarry(self, s: Segment) -> Carrier:
+        key = self.carrier.pop(s)
+        self.carried[key].discard(s)
+        return key
 
     @classmethod
     def from_system(cls, g: Graph, sys_: CycleSystem) -> "Drawing":
@@ -150,20 +167,12 @@ class MixedCycleGraph:
     vertex_faces: Dict[int, List[int]]
 
 
-def _conjugate_links(
-    drawing: Drawing,
-    fid: int,
-    face_ids: Optional[Set[int]],
-    banned: Set[Segment],
-    avoid: Sequence[int],
-) -> List[Tuple[int, Segment]]:
+def _cached_links(drawing: Drawing, fid: int) -> List[Tuple[int, Segment]]:
     """Sorted (face, shared edge) for each face conjugate to face fid.
 
-    Only faces in face_ids count (every face when None).  An edge counts
-    when exactly two faces hold it, it is not banned, it touches no vertex
-    in `avoid`, and it is the only edge the two faces share.  fid must be
-    in face_ids: every drawing edge lies on exactly two faces, so the
-    cached links need only the other face filtered.
+    An edge counts when exactly two faces hold it and it is the only edge
+    the two faces share.  The list is the drawing's cached one, unfiltered:
+    callers test each link with `_usable` and must not change it.
     """
     links = drawing.links.get(fid)
     if links is None:
@@ -179,14 +188,29 @@ def _conjugate_links(
                 links.append((nb, s))
         links.sort()
         drawing.links[fid] = links
-    return [
-        (nb, s)
-        for nb, s in links
-        if (face_ids is None or nb in face_ids)
+    return links
+
+
+def _usable(
+    nb: int,
+    s: Segment,
+    face_ids: Optional[Set[int]],
+    banned: Set[Segment],
+    avoid: Tuple[int, ...],
+) -> bool:
+    """A cached link to face nb over edge s may be crossed.
+
+    Only faces in face_ids count (every face when None), and the edge must
+    be unbanned and touch no vertex in `avoid`.  The face the link leaves
+    is in face_ids already: every drawing edge lies on exactly two faces,
+    so only the other face needs the test.
+    """
+    return (
+        (face_ids is None or nb in face_ids)
         and s not in banned
         and s[0] not in avoid
         and s[1] not in avoid
-    ]
+    )
 
 
 def build_mixed_cycle_graph(
@@ -202,8 +226,11 @@ def build_mixed_cycle_graph(
     ids = set(drawing.faces) if face_ids is None else set(face_ids)
     if banned is None:
         banned = drawing.banned
-    avoid = set(avoid_vertices)
-    links = {fid: _conjugate_links(drawing, fid, ids, banned, avoid) for fid in ids}
+    avoid = tuple(avoid_vertices)
+    links = {
+        fid: [(nb, s) for nb, s in _cached_links(drawing, fid) if _usable(nb, s, ids, banned, avoid)]
+        for fid in ids
+    }
     vertex_faces: Dict[int, List[int]] = {}
     for v, fids in drawing.vertex_faces.items():
         here = sorted(f for f in fids if f in ids)
@@ -224,15 +251,15 @@ def shortest_route(
     Conjugate links over banned edges or edges touching s/t are unusable.
     Ties resolve to the lexicographically smallest face-id sequence.
     Returns None when the chord cannot be routed in the given face set.
-    When given, `seen` receives the counted faces holding s or t and
-    every face whose links the search read: the answer depends on these
-    alone.
+    face_ids is only read.  When given, `seen` receives the counted faces
+    holding s or t and every face whose links the search read: the answer
+    depends on these alone.
     """
     if s == t:
         raise RoutingError("degenerate chord")
     if seg(s, t) in drawing.carrier:
         raise RoutingError(f"({s},{t}) is already an edge of the drawing")
-    ids = None if face_ids is None else set(face_ids)
+    ids = face_ids if face_ids is None or isinstance(face_ids, set) else set(face_ids)
     sources = {f for f in drawing.vertex_faces.get(s, ()) if ids is None or f in ids}
     targets = {f for f in drawing.vertex_faces.get(t, ()) if ids is None or f in ids}
     if seen is None:
@@ -241,13 +268,8 @@ def shortest_route(
     seen |= targets
     if not sources or not targets:
         return None
-    links: Dict[int, List[Tuple[int, Segment]]] = {}
-
-    def links_of(fid: int) -> List[Tuple[int, Segment]]:
-        if fid not in links:
-            links[fid] = _conjugate_links(drawing, fid, ids, drawing.banned, (s, t))
-            seen.add(fid)
-        return links[fid]
+    banned = drawing.banned
+    avoid = (s, t)
 
     # Backward BFS from the target faces, then a greedy lex-smallest
     # forward walk.  The walk reads distances up to that of the nearest
@@ -257,20 +279,28 @@ def shortest_route(
     q = deque(sorted(targets))
     while q:
         fid = q.popleft()
-        if level is not None and dist[fid] >= level:
+        d = dist[fid]
+        if level is not None and d >= level:
             break
-        for nb, _ in links_of(fid):
-            if nb not in dist:
-                dist[nb] = dist[fid] + 1
+        seen.add(fid)
+        for nb, sg in _cached_links(drawing, fid):
+            if nb not in dist and _usable(nb, sg, ids, banned, avoid):
+                dist[nb] = d + 1
                 q.append(nb)
                 if level is None and nb in sources:
-                    level = dist[nb]
+                    level = d + 1
     if level is None:
         return None
     cur = min(fid for fid in sources if dist.get(fid) == level)
     route = [cur]
     while dist[cur] > 0:
-        cur = min(nb for nb, _ in links_of(cur) if dist.get(nb) == dist[cur] - 1)
+        d = dist[cur] - 1
+        seen.add(cur)
+        cur = min(
+            nb
+            for nb, sg in _cached_links(drawing, cur)
+            if dist.get(nb) == d and _usable(nb, sg, ids, banned, avoid)
+        )
         route.append(cur)
     return route
 
@@ -374,9 +404,9 @@ def insert_connection(drawing: Drawing, s: int, t: int, route: Sequence[int]) ->
                     break
             else:
                 raise RoutingError("conjugate edge missing from route face")
-        ck = drawing.carrier.pop(cs)
-        drawing.carrier[seg(cs[0], w)] = ck
-        drawing.carrier[seg(w, cs[1])] = ck
+        ck = drawing._uncarry(cs)
+        drawing._carry(seg(cs[0], w), ck)
+        drawing._carry(seg(w, cs[1]), ck)
         drawing.banned.discard(cs)
 
     for k, fid in enumerate(route):
@@ -402,7 +432,7 @@ def insert_connection(drawing: Drawing, s: int, t: int, route: Sequence[int]) ->
         drawing.side.pop(fid, None)
         if drawing.rim_id == fid:
             drawing.rim_id = None
-        drawing.carrier[seg(entry, exit_)] = ("conn", chord_key)
+        drawing._carry(seg(entry, exit_), ("conn", chord_key))
         drawing.banned.add(seg(entry, exit_))
     drawing.routed.append((s, t))
     return InsertionRecord(chord=(s, t), route=route, imaginary_ids=ws)
@@ -415,7 +445,7 @@ def carrier_path(
 
     None when those segments do not form that one path.
     """
-    return walk((s for s, ck in drawing.carrier.items() if ck == key), *ends)
+    return walk(drawing.carried.get(key, ()), *ends)
 
 
 def connection_path(drawing: Drawing, chord: Tuple[int, int]) -> List[int]:

@@ -265,6 +265,60 @@ def check_edge_partition(
     return CheckResult(not bad, bad)
 
 
+def check_graph_edges(
+    n: int,
+    edges: Sequence[Sequence[int]],
+    chords: Sequence[Sequence[int]],
+) -> CheckResult:
+    """Graph edges are [id, u, v] rows with u != v in 1..n, unique ids and
+    unique endpoint pairs; each chord row repeats the graph edge of its id."""
+    by_id: Dict[int, Tuple[int, int]] = {}
+    pairs: Dict[Tuple[int, int], int] = {}
+    bad = []
+    for eid, u, v in edges:
+        if not (1 <= u <= n and 1 <= v <= n):
+            bad.append(f"e{eid}: ({u},{v}) names a vertex outside 1..{n}")
+        elif u == v:
+            bad.append(f"e{eid}: self-loop at v{u}")
+        if eid in by_id:
+            bad.append(f"e{eid}: id used twice")
+        if _seg(u, v) in pairs:
+            bad.append(f"e{eid}: same ends as e{pairs[_seg(u, v)]}")
+        by_id[eid] = (u, v)
+        pairs[_seg(u, v)] = eid
+    for eid, u, v in chords:
+        if by_id.get(eid) != (u, v):
+            bad.append(f"chord e{eid}: ({u},{v}) is not graph edge e{eid}")
+    return CheckResult(not bad, bad)
+
+
+def check_layer_rings(
+    n: int,
+    edges: Dict[int, Tuple[int, int]],
+    rings: Sequence[Tuple[int, Optional[Sequence[int]]]],
+    first_realized: Sequence[int],
+) -> CheckResult:
+    """The first layer has no ring; every other (index, ring) with a ring
+    lists 1..n once each, and each cyclic pair of it is an edge realized
+    in the first layer."""
+    base = {_seg(*edges[eid]) for eid in first_realized if eid in edges}
+    bad = []
+    for pos, (k, ring) in enumerate(rings):
+        if ring is None:
+            continue
+        if pos == 0:
+            bad.append(f"layer {k}: the first layer has a ring")
+        elif sorted(ring) != list(range(1, n + 1)):
+            bad.append(f"layer {k}: ring does not list 1..{n} once each")
+        else:
+            bad.extend(
+                f"layer {k}: ring pair ({a},{b}) is not an edge of the first layer"
+                for a, b in zip(ring, ring[1:] + ring[:1])
+                if _seg(a, b) not in base
+            )
+    return CheckResult(not bad, bad)
+
+
 def check_connection_realization(
     n: int,
     chords: Dict[int, Tuple[int, int]],
@@ -308,6 +362,8 @@ __all__ = [
     "check_imaginary_degree",
     "check_face_trace",
     "check_edge_partition",
+    "check_graph_edges",
+    "check_layer_rings",
     "check_connection_realization",
     "trace_faces",
     "verify_raw",

@@ -12,12 +12,17 @@ and `connection_path_ref` are the region-boundary and chord walks that
 and `hamiltonian_rim_ref` is the unpruned depth-first search that copies
 its path at every step.  `imaginary_positions_ref` relaxes every
 connection-hosted crossing marker of the document, whichever layer is
-drawn.  The package versions must return exactly what these return.  `graph_from_networkx` builds test inputs the way the
+drawn.  `shortest_route_copying_ref` copies a filtered list of each
+face's links through `conjugate_links_ref` instead of testing the cached
+links in place, and `serialize_ref` is the canonical document text as
+`json.dumps` writes it.  The package versions must return exactly what
+these return.  `graph_from_networkx` builds test inputs the way the
 benchmark corpus does.
 """
 
 from __future__ import annotations
 
+import json
 from collections import deque
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -108,6 +113,90 @@ def shortest_route_ref(drawing, s: int, t: int, face_ids: Optional[Set[int]] = N
     route = [cur]
     while dist[cur] > 0:
         cur = min(nb for nb, _ in links[cur] if dist.get(nb) == dist[cur] - 1)
+        route.append(cur)
+    return route
+
+
+def conjugate_links_ref(
+    drawing,
+    fid: int,
+    face_ids: Optional[Set[int]],
+    banned: Set[Segment],
+    avoid: Sequence[int],
+) -> List[Tuple[int, Segment]]:
+    """A fresh filtered list of face fid's sorted conjugate links, as
+    routing built one for every face a query read before it filtered the
+    cached lists in place.  It leaves the drawing's link cache alone."""
+    face = drawing.faces[fid]
+    links = []
+    for s in face.segments:
+        who = drawing.segment_faces[s]
+        if len(who) != 2:
+            continue
+        a, b = who
+        nb = a if b == fid else b
+        if len(face.segments & drawing.faces[nb].segments) == 1:
+            links.append((nb, s))
+    links.sort()
+    return [
+        (nb, s)
+        for nb, s in links
+        if (face_ids is None or nb in face_ids)
+        and s not in banned
+        and s[0] not in avoid
+        and s[1] not in avoid
+    ]
+
+
+def shortest_route_copying_ref(
+    drawing,
+    s: int,
+    t: int,
+    face_ids: Optional[Set[int]] = None,
+    seen: Optional[Set[int]] = None,
+) -> Optional[List[int]]:
+    """`shortest_route` as it was when each face's links were copied
+    through `conjugate_links_ref`, with the same early stop and `seen`."""
+    if s == t:
+        raise RoutingError("degenerate chord")
+    if seg(s, t) in drawing.carrier:
+        raise RoutingError(f"({s},{t}) is already an edge of the drawing")
+    ids = None if face_ids is None else set(face_ids)
+    sources = {f for f in drawing.vertex_faces.get(s, ()) if ids is None or f in ids}
+    targets = {f for f in drawing.vertex_faces.get(t, ()) if ids is None or f in ids}
+    if seen is None:
+        seen = set()
+    seen |= sources
+    seen |= targets
+    if not sources or not targets:
+        return None
+    links: Dict[int, List[Tuple[int, Segment]]] = {}
+
+    def links_of(fid: int) -> List[Tuple[int, Segment]]:
+        if fid not in links:
+            links[fid] = conjugate_links_ref(drawing, fid, ids, drawing.banned, (s, t))
+            seen.add(fid)
+        return links[fid]
+
+    level = 0 if sources & targets else None
+    dist = {fid: 0 for fid in targets}
+    q = deque(sorted(targets))
+    while q:
+        fid = q.popleft()
+        if level is not None and dist[fid] >= level:
+            break
+        for nb, _ in links_of(fid):
+            if nb not in dist:
+                dist[nb] = dist[fid] + 1
+                q.append(nb)
+                if level is None and nb in sources:
+                    level = dist[nb]
+    if level is None:
+        return None
+    cur = min(fid for fid in sources if dist.get(fid) == level)
+    route = [cur]
+    while dist[cur] > 0:
+        cur = min(nb for nb, _ in links_of(cur) if dist.get(nb) == dist[cur] - 1)
         route.append(cur)
     return route
 
@@ -281,6 +370,11 @@ def imaginary_positions_ref(
             ps = [out[x] if x in out else pos[x] for x in (a, b)]
             out[w] = ((ps[0][0] + ps[1][0]) / 2, (ps[0][1] + ps[1][1]) / 2)
     return out
+
+
+def serialize_ref(doc: object) -> str:
+    """The canonical document text, by definition."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
 
 
 def graph_from_networkx(G: nx.Graph, name: str = "") -> Graph:

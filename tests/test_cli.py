@@ -103,6 +103,29 @@ def test_verify_corrupted_exits_1(runner, k7_doc_file, tmp_path):
     assert "FAIL" in res.output
 
 
+def _edge_off_the_graph(doc):
+    doc["graph"]["edges"][0] = [1, 1, 50]
+
+
+def _ring_off_the_graph(doc):
+    doc["layers"][1]["ring"][3] = 500
+
+
+@pytest.mark.parametrize(
+    "corrupt,check",
+    [(_edge_off_the_graph, "graph-edges"), (_ring_off_the_graph, "layer-rings")],
+    ids=["edge-off-graph", "ring-off-graph"],
+)
+def test_verify_bad_edge_or_ring_exits_1(runner, k7_doc_file, tmp_path, corrupt, check):
+    doc = json.loads(open(k7_doc_file).read())
+    corrupt(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    res = runner.invoke(main, ["verify", str(bad)])
+    assert res.exit_code == 1, res.output
+    assert f"{check}: FAIL" in res.output
+
+
 def test_verify_missing_file_exits_2(runner):
     res = runner.invoke(main, ["verify", "no-such-file.json"])
     assert res.exit_code == 2
@@ -200,6 +223,10 @@ def _layer1_arc_off_the_graph(doc):
     doc["layers"][0]["system"]["cycles"][0]["arcs"].append([1, 500])
 
 
+def _ring_repeats_a_vertex(doc):
+    doc["layers"][2]["ring"][0] = doc["layers"][2]["ring"][1]
+
+
 def _vertices_without_edges(doc):
     doc["graph"]["n"] = 20
 
@@ -222,6 +249,9 @@ def _path_neighbour_not_a_vertex(doc):
         (_vertices_without_edges, 1, "vertex 11 is neither on the ring nor on a layer-1 arc"),
         (_vertices_without_edges, 2, "vertex 11 is neither on the ring nor on a layer-1 arc"),
         (_path_neighbour_not_a_vertex, 1, "vertex 56 has path neighbour 777, not a vertex"),
+        (_ring_off_the_graph, 2, "layer 2 ring names v500, outside 1..10"),
+        (_ring_off_the_graph, 1, "layer 2 ring names v500, outside 1..10"),
+        (_ring_repeats_a_vertex, 3, "layer 3 ring repeats a vertex"),
     ],
     ids=[
         "unknown-edge",
@@ -230,6 +260,9 @@ def _path_neighbour_not_a_vertex(doc):
         "n-20-layer-1",
         "n-20-layer-2",
         "neighbour-not-a-vertex",
+        "ring-off-graph-layer-2",
+        "ring-off-graph-layer-1",
+        "ring-repeats-layer-3",
     ],
 )
 def test_render_malformed_document_exits_2(

@@ -3,7 +3,10 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import serialize_ref
 from topolayers.document import (
     DocumentError,
     decomposition_to_document,
@@ -52,3 +55,126 @@ def test_document_lists_all_imaginary(k7_document, k7_decomposition):
     assert ids == set(k7_decomposition.drawing.imaginary)
     total = sum(len(s) for s in k7_document["sequences"].values())
     assert total == len(ids)
+
+
+DIGESTED = [
+    "k7_decomposition",
+    "k8_decomposition",
+    "k10_decomposition",
+    "k12_unpinned_decomposition",
+    "k14_unpinned_decomposition",
+    "k16_unpinned_decomposition",
+    "q4_decomposition",
+    "q5_decomposition",
+]
+
+
+@pytest.mark.parametrize("fixture", DIGESTED)
+def test_serialize_matches_json_on_digested_documents(fixture, request):
+    doc = decomposition_to_document(request.getfixturevalue(fixture))
+    assert serialize_document(doc) == serialize_ref(doc)
+    assert verify_document(doc).ok
+
+
+_text = st.text(alphabet=st.sampled_from('a"\\[]{},: \n\té \U0001f600'), max_size=6)
+_scalars = st.one_of(
+    st.integers(-(2**70), 2**70), st.booleans(), st.none(), st.floats(), _text
+)
+# Row cells: mostly ints, with the bools and floats a %d template would
+# write as ints.
+_cells = st.one_of(st.integers(), st.integers(), st.booleans(), st.floats(-3, 3))
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.lists(st.lists(_cells, min_size=2, max_size=2), max_size=4),
+        st.lists(st.lists(_cells, min_size=3, max_size=3), max_size=4),
+        st.lists(st.one_of(_cells, _text), max_size=4),
+        st.dictionaries(_text, inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_values)
+def test_serialize_matches_json_on_drawn_values(value):
+    assert serialize_document(value) == serialize_ref(value)
+
+
+def test_serialize_refuses_non_str_keys():
+    with pytest.raises(TypeError):
+        serialize_document({"layers": [{1: 2}]})
+
+
+def _edge_off_the_graph(doc):
+    doc["graph"]["edges"][0] = [1, 1, 50]
+
+
+def _self_loop(doc):
+    doc["graph"]["edges"][0] = [1, 2, 2]
+
+
+def _repeated_edge_id(doc):
+    doc["graph"]["edges"][1][0] = doc["graph"]["edges"][0][0]
+
+
+def _repeated_edge_ends(doc):
+    eid, u, v = doc["graph"]["edges"][0]
+    doc["graph"]["edges"][1][1:] = [v, u]
+
+
+def _chord_not_its_edge(doc):
+    doc["chords"][0][1:] = doc["chords"][0][:0:-1]
+
+
+def _ring_off_the_graph(doc):
+    doc["layers"][1]["ring"][3] = 500
+
+
+def _ring_repeats_a_vertex(doc):
+    doc["layers"][1]["ring"][3] = doc["layers"][1]["ring"][4]
+
+
+def _ring_pair_not_in_layer_1(doc):
+    ring = doc["layers"][2]["ring"]
+    ring[0], ring[2] = ring[2], ring[0]
+
+
+def _ring_on_layer_1(doc):
+    doc["layers"][0]["ring"] = list(doc["layers"][1]["ring"])
+
+
+@pytest.mark.parametrize(
+    "corrupt,check,detail",
+    [
+        (_edge_off_the_graph, "graph-edges", "e1: (1,50) names a vertex outside 1..10"),
+        (_self_loop, "graph-edges", "e1: self-loop at v2"),
+        (_repeated_edge_id, "graph-edges", "e1: id used twice"),
+        (_repeated_edge_ends, "graph-edges", "e2: same ends as e1"),
+        (_chord_not_its_edge, "graph-edges", "is not graph edge"),
+        (_ring_off_the_graph, "layer-rings", "layer 2: ring does not list 1..10 once each"),
+        (_ring_repeats_a_vertex, "layer-rings", "layer 2: ring does not list 1..10 once each"),
+        (_ring_pair_not_in_layer_1, "layer-rings", "is not an edge of the first layer"),
+        (_ring_on_layer_1, "layer-rings", "layer 1: the first layer has a ring"),
+    ],
+    ids=[
+        "edge-off-graph",
+        "self-loop",
+        "repeated-id",
+        "repeated-ends",
+        "chord-not-its-edge",
+        "ring-off-graph",
+        "ring-repeats",
+        "ring-pair-off-layer-1",
+        "ring-on-layer-1",
+    ],
+)
+def test_verifier_names_bad_edges_and_rings(k10_decomposition, corrupt, check, detail):
+    doc = parse_document(serialize_document(decomposition_to_document(k10_decomposition)))
+    assert verify_document(doc).checks[check].ok
+    corrupt(doc)
+    rep = verify_document(doc)
+    assert not rep.ok and not rep.checks[check].ok
+    assert any(detail in d for d in rep.checks[check].details), rep.checks[check].details

@@ -2,12 +2,12 @@
 
 `select_noncrossing` and `shortest_route` reuse work across queries: each
 projection is computed once per selection, and routes read conjugate
-links from the drawing's face index and link cache.  `_route_greedy`
-keeps each chord's route until an insertion touches a face its query
-saw.  These tests require the same kept ids, removal order, routes and
-greedy insertions as the loop versions in `oracles`, check the face
-index and link cache after every insertion, and check that the reuse
-really happens.
+links from the drawing's face index and link cache, testing each link in
+place.  `_route_greedy` keeps each chord's route until an insertion
+touches a face its query saw.  These tests require the same kept ids,
+removal order, routes, `seen` sets and greedy insertions as the loop
+versions in `oracles`, check the face and carrier indexes and the link
+cache after every insertion, and check that the reuse really happens.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from oracles import (
     mixed_cycle_graph_ref,
     route_greedy_ref,
     select_noncrossing_ref,
+    shortest_route_copying_ref,
     shortest_route_ref,
 )
 
@@ -83,14 +84,21 @@ def _face_sets(drawing):
 
 
 def _assert_routes_match(drawing, g):
+    """Same graph and routes as the references, the same `seen` as the
+    copying search, and face_ids left as it was."""
     for name, faces in _face_sets(drawing).items():
+        before = None if faces is None else set(faces)
         mcg = build_mixed_cycle_graph(drawing, faces)
         links, vertex_faces = mixed_cycle_graph_ref(drawing, faces)
         assert mcg.links == links, name
         assert mcg.vertex_faces == vertex_faces, name
         for s, t in _pending(drawing, g):
+            seen, seen_ref = set(), set()
             want = shortest_route_ref(drawing, s, t, faces)
-            assert shortest_route(drawing, s, t, faces) == want, (name, s, t)
+            assert shortest_route_copying_ref(drawing, s, t, faces, seen_ref) == want
+            assert shortest_route(drawing, s, t, faces, seen) == want, (name, s, t)
+            assert seen == seen_ref, (name, s, t)
+            assert faces == before, name
 
 
 @settings(max_examples=25, deadline=None)
@@ -139,7 +147,8 @@ def test_decompose_queries_match_reference(n, monkeypatch):
 
 
 def test_face_index_tracks_every_insertion(monkeypatch):
-    """The incremental indexes equal ones rebuilt from the faces, always."""
+    """The incremental indexes equal ones rebuilt from the faces and the
+    carrier table, always."""
     g = complete_graph(10)
     inserts = []
 
@@ -148,6 +157,10 @@ def test_face_index_tracks_every_insertion(monkeypatch):
         by_seg, by_vertex = face_indexes(drawing)
         assert drawing.segment_faces == by_seg
         assert drawing.vertex_faces == by_vertex
+        by_key = {}
+        for sg, key in drawing.carrier.items():
+            by_key.setdefault(key, set()).add(sg)
+        assert drawing.carried == by_key
         inserts.append(record)
         return record
 

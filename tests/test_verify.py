@@ -6,6 +6,8 @@ from topolayers.verify import (
     check_euler,
     check_face_trace,
     check_gf2_sum,
+    check_graph_edges,
+    check_layer_rings,
     check_maclane,
     check_orientation,
     check_walks,
@@ -98,3 +100,26 @@ def test_connection_realization_unrouted_chord_fails(k7_decomposition):
     some = next(iter(broken))
     del broken[some]
     assert not check_connection_realization(7, d.chords, broken, final).ok
+
+
+def test_graph_edges_checker():
+    edges = [[1, 1, 2], [2, 2, 3], [3, 1, 3]]
+    assert check_graph_edges(3, edges, [[3, 1, 3]]).ok
+    assert not check_graph_edges(3, edges + [[4, 3, 4]], []).ok
+    assert not check_graph_edges(3, edges + [[4, 3, 3]], []).ok
+    assert not check_graph_edges(3, edges + [[3, 2, 1]], []).ok
+    assert not check_graph_edges(3, edges + [[4, 2, 1]], []).ok
+    assert not check_graph_edges(3, edges, [[3, 3, 1]]).ok
+    assert not check_graph_edges(3, edges, [[9, 1, 3]]).ok
+
+
+def test_layer_rings_checker():
+    # K4: layer 1 is the 4-cycle 1-2-3-4 plus (1,3); layer 2 holds (2,4).
+    edges = {1: (1, 2), 2: (2, 3), 3: (3, 4), 4: (1, 4), 5: (1, 3), 6: (2, 4)}
+    first = [1, 2, 3, 4, 5]
+    assert check_layer_rings(4, edges, [(1, None), (2, [1, 2, 3, 4])], first).ok
+    assert check_layer_rings(4, edges, [(1, None), (2, None)], first).ok
+    assert not check_layer_rings(4, edges, [(1, [1, 2, 3, 4]), (2, None)], first).ok
+    assert not check_layer_rings(4, edges, [(1, None), (2, [1, 2, 3])], first).ok
+    assert not check_layer_rings(4, edges, [(1, None), (2, [1, 2, 3, 3])], first).ok
+    assert not check_layer_rings(4, edges, [(1, None), (2, [1, 2, 4, 3])], first).ok
