@@ -264,11 +264,18 @@ def verify_document(doc: dict) -> VerificationReport:
     """Full re-check of a parsed document, layer by layer."""
     checks: Dict[str, CheckResult] = {}
     n = doc["graph"]["n"]
-    for layer in doc["layers"]:
+    # layers are named by position; layer k must also carry index k
+    for k, layer in enumerate(doc["layers"], start=1):
         ln, cycles, rim = _raw_system(layer["system"])
         sub = verify_raw(ln, cycles, rim)
         for name, res in sub.checks.items():
-            checks[f"layer-{layer['index']}/{name}"] = res
+            checks[f"layer-{k}/{name}"] = res
+    bad = [
+        f"layer {k} has index {layer['index']}"
+        for k, layer in enumerate(doc["layers"], start=1)
+        if layer["index"] != k
+    ]
+    checks["layer-indexes"] = CheckResult(not bad, bad)
     edges = doc["graph"]["edges"]
     checks["graph-edges"] = check_graph_edges(n, edges, doc["chords"])
     edge_ids = [eid for eid, _, _ in edges]
@@ -278,7 +285,7 @@ def verify_document(doc: dict) -> VerificationReport:
     checks["layer-rings"] = check_layer_rings(
         n,
         {eid: (u, v) for eid, u, v in edges},
-        [(layer["index"], layer.get("ring")) for layer in doc["layers"]],
+        [(k, layer.get("ring")) for k, layer in enumerate(doc["layers"], start=1)],
         doc["layers"][0]["realized"],
     )
     chords = {eid: (u, v) for eid, u, v in doc["chords"]}

@@ -1,18 +1,20 @@
 """Layer construction: regions, stripping, and the decomposition loop.
 
-Layer 1 is the maximal planar subgraph.  Each further layer re-projects
-the remaining chords on the Hamiltonian ring, routes what it can inside,
-then outside, then through any channel of conjugate faces that avoids the
-connections already drawn in the same layer; what is left opens the next
-layer with a fresh ban set.
+Layer 1 is the maximal planar subgraph.  Its Hamiltonian ring splits the
+faces in two: one flood fill from the rim face, stopped at ring segments,
+finds the outer side, and every other face is inner (split_regions).
+Each further layer re-projects the remaining chords on the ring, routes
+what it can inside, then outside, then through any channel of conjugate
+faces that avoids the connections already drawn in the same layer; what
+is left opens the next layer with a fresh ban set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Container, Dict, List, Optional, Sequence, Set, Tuple
 
-from .cycles import Cycle, Segment, ring_cycle, ring_from_segments, seg
+from .cycles import Cycle, Segment, canonical_ring, ring_from_segments, seg
 from .graphs import Graph, edge_between, validate_nonseparable
 from .planar import (
     CycleSystem,
@@ -63,20 +65,20 @@ def _boundary_ring(faces: Sequence[Cycle]) -> Optional[List[int]]:
     return ring_from_segments(acc)
 
 
-def region_system(drawing: Drawing, face_ids: Sequence[int]) -> CycleSystem:
-    """The faces as a CycleSystem with the region boundary as rim (id 0)."""
-    faces = [drawing.faces[fid] for fid in sorted(face_ids)]
-    ring = _boundary_ring(faces)
-    if ring is None:
-        raise DecompositionError("region boundary is not a single closed walk")
-    rim = ring_cycle(0, ring)
-    # rim must oppose the interior traversal of its edges
-    probe = rim.arcs[0]
-    for c in faces:
-        if probe in c.arcs:
-            rim = rim.reversed()
-            break
-    return CycleSystem(n=drawing.g.n, cycles={c.id: c for c in faces}, rim=rim)
+def _flood(
+    drawing: Drawing, start: int, faces: Container[int], cut: Set[Segment]
+) -> Set[int]:
+    """The faces of `faces` reachable from face `start`, stepping between
+    faces that share a segment not in `cut`."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for s in drawing.faces[stack.pop()].segments - cut:
+            for fid in drawing.segment_faces[s]:
+                if fid not in seen and fid in faces:
+                    seen.add(fid)
+                    stack.append(fid)
+    return seen
 
 
 def strip_imaginary_region(
@@ -96,26 +98,15 @@ def strip_imaginary_region(
         if fid != drawing.rim_id and not drawing.has_imaginary(fid)
     }
     u, v = chord
-    parent = {fid: fid for fid in cands}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for s, fids in drawing.segment_faces.items():
-        who = [fid for fid in fids if fid in cands]
-        if len(who) == 2 and u not in s and v not in s:
-            a, b = find(who[0]), find(who[1])
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-    comps: Dict[int, List[int]] = {}
-    for fid in cands:
-        comps.setdefault(find(fid), []).append(fid)
+    cut = {s for s in drawing.segment_faces if u in s or v in s}
     hits = []
-    for members in comps.values():
-        ring = _boundary_ring([drawing.faces[fid] for fid in members])
+    seen: Set[int] = set()
+    for fid in sorted(cands):
+        if fid in seen:
+            continue
+        members = _flood(drawing, fid, cands, cut)
+        seen |= members
+        ring = _boundary_ring([drawing.faces[f] for f in members])
         if ring is not None and u in ring and v in ring:
             hits.append((sorted(members), ring))
     if not hits:
@@ -123,17 +114,22 @@ def strip_imaginary_region(
     return min(hits, key=lambda t: sorted(seg(a, b) for a, b in zip(t[1], t[1][1:] + t[1][:1])))
 
 
-def split_regions(
-    drawing: Drawing, ring: Sequence[int], inside: Sequence[int]
-) -> Tuple[Set[int], Set[int]]:
-    """Tag faces inner/outer of the Hamiltonian ring; tags survive splits."""
-    inner = set(inside)
+def split_regions(drawing: Drawing, ring: Sequence[int]) -> Tuple[Set[int], Set[int]]:
+    """Tag faces inner/outer of the Hamiltonian ring; tags survive splits.
+
+    The ring is a closed curve on the sphere, so the outer faces are those
+    reached from the rim face without crossing a ring segment, and the
+    rest are inner.  Returns (inner, outer) face ids.
+    """
+    cut = {seg(a, b) for a, b in zip(ring, [*ring[1:], ring[0]])}
+    outer = _flood(drawing, drawing.rim_id, drawing.faces, cut)
+    inner = set(drawing.faces) - outer
+    boundary = _boundary_ring([drawing.faces[fid] for fid in inner])
+    if boundary is None or canonical_ring(boundary) != canonical_ring(list(ring)):
+        raise DecompositionError("the faces inside the Hamiltonian ring do not sum to it")
     for fid in drawing.faces:
         drawing.side[fid] = "inner" if fid in inner else "outer"
-    return (
-        {f for f, s in drawing.side.items() if s == "inner"},
-        {f for f, s in drawing.side.items() if s == "outer"},
-    )
+    return inner, outer
 
 
 def expanded_ring(drawing: Drawing, ring: Sequence[int]) -> List[int]:
@@ -294,9 +290,9 @@ def decompose(
 
         pool = enumerate_isometric_cycles(g)
     sys_ = select_planar_cycle_system(g, pool, pin.get("system"))
-    ring, inside, _ = hamiltonian_rim(sys_, g, pin.get("hamiltonian"))
+    ring = hamiltonian_rim(sys_, g, pin.get("hamiltonian"))
     drawing = Drawing.from_system(g, sys_)
-    split_regions(drawing, ring, inside)
+    split_regions(drawing, ring)
 
     region_eids = sorted(edge_between(g, *s) for s in sys_.segments())
     chords = {
@@ -375,6 +371,5 @@ __all__ = [
     "layer_edge_partition",
     "split_regions",
     "strip_imaginary_region",
-    "region_system",
     "expanded_ring",
 ]

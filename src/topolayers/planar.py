@@ -246,36 +246,32 @@ def hamiltonian_rim(
     g: Graph,
     pin_ring: Optional[Sequence[int]] = None,
     budget: int = 200_000,
-) -> Tuple[List[int], List[int], List[int]]:
-    """Find a Hamiltonian ring that is a GF(2) sum of system cycles.
+) -> List[int]:
+    """A Hamiltonian ring of the system's edges, in canonical order.
 
-    Returns (ordered ring, inside cycle ids, outside cycle ids).  The
-    inside cycles are exactly the summands; the rim face always counts as
-    outside.
+    A pinned ring must list 1..n once each, every cyclic pair an edge of
+    the system; it is returned in canonical order.  Its two sides are read
+    off the drawing afterwards (layering.split_regions): on the sphere,
+    any cycle of the system bounds the faces on either side of it.
 
     Without a pin, a depth-first search from vertex 1 tries neighbours in
-    ascending order and, for each second vertex, tests only the first
-    Hamiltonian cycle it reaches.  It skips any step that leaves a vertex
-    off the path with fewer than two neighbours outside the path's
-    interior: such a vertex cannot lie on a closing cycle.  `budget`
-    bounds the search steps taken, so it counts steps of this pruned
-    search; past it the search raises.
+    ascending order and returns the first Hamiltonian cycle it reaches.
+    It skips any step that leaves a vertex off the path with fewer than
+    two neighbours outside the path's interior: such a vertex cannot lie
+    on a closing cycle.  `budget` bounds the search steps taken, so it
+    counts steps of this pruned search; past it the search raises.
     """
-    ids = sorted(sys_.cycles)
-    if pin_ring is not None:
-        target = {
-            seg(pin_ring[i], pin_ring[(i + 1) % len(pin_ring)])
-            for i in range(len(pin_ring))
-        }
-        inside = _solve_gf2_subset(sys_, target)
-        if inside is None:
-            raise PlanarizationError("pinned ring is not a sum of system cycles")
-        ring = canonical_ring(list(pin_ring))
-        outside = [i for i in ids if i not in inside]
-        return ring, sorted(inside), outside
-    # enumerate candidate Hamiltonian cycles of the covered subgraph and
-    # keep the first that is a subset sum
     segs = sys_.segments()
+    if pin_ring is not None:
+        ring = list(pin_ring)
+        if sorted(ring) != list(range(1, g.n + 1)):
+            raise PlanarizationError(f"pinned ring does not list 1..{g.n} once each")
+        for a, b in zip(ring, ring[1:] + ring[:1]):
+            if seg(a, b) not in segs:
+                raise PlanarizationError(
+                    f"pinned ring pair ({a},{b}) is not an edge of the planar subgraph"
+                )
+        return canonical_ring(ring)
     adj: Dict[int, List[int]] = {v: [] for v in range(1, g.n + 1)}
     for a, b in segs:
         adj[a].append(b)
@@ -317,63 +313,17 @@ def hamiltonian_rim(
             free[x] += 1
         return found
 
+    # vertex 1 is an end of the path, never interior, so the search
+    # starts from each second vertex in turn
     for second in adj[1]:
         path.append(second)
         used.add(second)
         found = extend()
         path.pop()
         used.discard(second)
-        if found is None:
-            continue
-        target = {
-            seg(found[i], found[(i + 1) % len(found)]) for i in range(len(found))
-        }
-        inside = _solve_gf2_subset(sys_, target)
-        if inside is not None:
-            ring = canonical_ring(found)
-            outside = [i for i in ids if i not in inside]
-            return ring, sorted(inside), outside
+        if found is not None:
+            return canonical_ring(found)
     raise PlanarizationError("no Hamiltonian ring found in the planar subgraph")
-
-
-def _solve_gf2_subset(
-    sys_: CycleSystem, target: Set[Segment]
-) -> Optional[List[int]]:
-    """Cycle ids whose GF(2) edge-set sum equals target, if any."""
-    cols = sorted(sys_.segments())
-    col_ix = {s: i for i, s in enumerate(cols)}
-    rows: List[Tuple[int, int]] = []  # (bitset, tag-bitset over cycle index)
-    ids = sorted(sys_.cycles)
-    for k, cid in enumerate(ids):
-        bits = 0
-        for s in sys_.cycles[cid].segments:
-            bits |= 1 << col_ix[s]
-        rows.append((bits, 1 << k))
-    want = 0
-    for s in target:
-        if s not in col_ix:
-            return None
-        want |= 1 << col_ix[s]
-    tags = 0
-    work = list(rows)
-    for col in range(len(cols)):
-        pivot = None
-        for i, (bits, _) in enumerate(work):
-            if (bits >> col) & 1:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        pb, pt = work.pop(pivot)
-        if (want >> col) & 1:
-            want ^= pb
-            tags ^= pt
-        work = [
-            ((b ^ pb, t ^ pt) if (b >> col) & 1 else (b, t)) for b, t in work
-        ]
-    if want != 0:
-        return None
-    return [ids[k] for k in range(len(ids)) if (tags >> k) & 1]
 
 
 __all__ = [

@@ -8,9 +8,8 @@ segment with its own chord.  No randomness, no timestamps.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Set, Tuple
-
-import numpy as np
 
 from .cycles import walk
 
@@ -38,6 +37,27 @@ def _ring(layer: dict, n: int) -> List[int]:
     return ring
 
 
+def _solve(rows: List[List[float]]) -> List[Tuple[float, float]]:
+    """Solve the square system whose rows end in two right-hand-side
+    columns, by Gaussian elimination with partial pivoting; the rows are
+    overwritten."""
+    n = len(rows)
+    for k in range(n):
+        p = max(range(k, n), key=lambda i: abs(rows[i][k]))
+        rows[k], rows[p] = rows[p], rows[k]
+        if rows[k][k] == 0:
+            raise RenderError("layer-1 arcs leave interior vertices unconnected to the ring")
+        for i in range(k + 1, n):
+            f = rows[i][k] / rows[k][k]
+            for j in range(k, n + 2):
+                rows[i][j] -= f * rows[k][j]
+    for i in reversed(range(n)):
+        for c in (n, n + 1):
+            acc = rows[i][c] - sum(rows[i][j] * rows[j][c] for j in range(i + 1, n))
+            rows[i][c] = acc / rows[i][i]
+    return [(row[n], row[n + 1]) for row in rows]
+
+
 def _base_positions(doc: dict) -> Dict[int, Tuple[float, float]]:
     layers = doc["layers"]
     n = doc["graph"]["n"]
@@ -60,8 +80,8 @@ def _base_positions(doc: dict) -> Dict[int, Tuple[float, float]]:
     r = SIZE / 2 - MARGIN
     pos: Dict[int, Tuple[float, float]] = {}
     for i, v in enumerate(ring):
-        ang = 2 * np.pi * i / len(ring) - np.pi / 2
-        pos[v] = (SIZE / 2 + r * np.cos(ang), SIZE / 2 + r * np.sin(ang))
+        ang = 2 * math.pi * i / len(ring) - math.pi / 2
+        pos[v] = (SIZE / 2 + r * math.cos(ang), SIZE / 2 + r * math.sin(ang))
     interior = [v for v in range(1, n + 1) if v not in pos]
     if interior:
         # Tutte: each interior vertex at the average of its layer-1 neighbours
@@ -75,22 +95,19 @@ def _base_positions(doc: dict) -> Dict[int, Tuple[float, float]]:
             if not nbrs[v]:
                 raise RenderError(f"vertex {v} is neither on the ring nor on a layer-1 arc")
         ix = {v: i for i, v in enumerate(interior)}
-        A = np.zeros((len(interior), len(interior)))
-        bx = np.zeros(len(interior))
-        by = np.zeros(len(interior))
+        # one row per interior vertex: its Laplacian row, then the x and y
+        # sums of its ring neighbours
+        rows = [[0.0] * (len(interior) + 2) for _ in interior]
         for v in interior:
-            i = ix[v]
-            A[i, i] = len(set(nbrs[v]))
+            row = rows[ix[v]]
+            row[ix[v]] = len(set(nbrs[v]))
             for w in set(nbrs[v]):
                 if w in ix:
-                    A[i, ix[w]] -= 1.0
+                    row[ix[w]] -= 1.0
                 else:
-                    bx[i] += pos[w][0]
-                    by[i] += pos[w][1]
-        xs = np.linalg.solve(A, bx)
-        ys = np.linalg.solve(A, by)
-        for v in interior:
-            pos[v] = (float(xs[ix[v]]), float(ys[ix[v]]))
+                    row[-2] += pos[w][0]
+                    row[-1] += pos[w][1]
+        pos.update(zip(interior, _solve(rows)))
     return pos
 
 
@@ -185,10 +202,12 @@ def _imaginary_positions(
 
 
 def render_svg(doc: dict, layer_index: int) -> str:
-    layers = {layer["index"]: layer for layer in doc["layers"]}
-    if layer_index not in layers:
+    indexes = [layer["index"] for layer in doc["layers"]]
+    if indexes != list(range(1, len(indexes) + 1)):
+        raise RenderError(f"layer indexes {indexes} are not 1..{len(indexes)} in order")
+    if not 1 <= layer_index <= len(indexes):
         raise RenderError(f"document has no layer {layer_index}")
-    layer = layers[layer_index]
+    layer = doc["layers"][layer_index - 1]
     pos = _base_positions(doc)
     edges = {eid: (u, v) for eid, u, v in doc["graph"]["edges"]}
     sequences = {int(k): v for k, v in doc["sequences"].items()}

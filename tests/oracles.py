@@ -10,7 +10,11 @@ and `connection_path_ref` are the region-boundary and chord walks that
 `route_greedy_ref` re-queries every pending chord after each insertion.
 `greedy_planar_subgraph_ref` runs a full planarity test for every edge,
 and `hamiltonian_rim_ref` is the unpruned depth-first search that copies
-its path at every step.  `imaginary_positions_ref` relaxes every
+its path at every step; it keeps the first ring that `_solve_gf2_subset`,
+a GF(2) elimination over the system cycles, writes as a sum of them, and
+returns that ring with its summands (inside) and the other cycles
+(outside).  `strip_imaginary_region_ref` finds the residual regions by
+union-find.  `imaginary_positions_ref` relaxes every
 connection-hosted crossing marker of the document, whichever layer is
 drawn.  `shortest_route_copying_ref` copies a filtered list of each
 face's links through `conjugate_links_ref` instead of testing the cached
@@ -30,7 +34,8 @@ import networkx as nx
 
 from topolayers.cycles import Segment, canonical_ring, seg
 from topolayers.graphs import Graph, parse_graph
-from topolayers.planar import PlanarizationError, _solve_gf2_subset
+from topolayers.layering import DecompositionError, _boundary_ring
+from topolayers.planar import CycleSystem, PlanarizationError
 from topolayers.projection import crossing_counts, project_chord
 from topolayers.render import RenderError, _carrier_key, _carrier_paths
 from topolayers.routing import RoutingError, insert_connection
@@ -339,6 +344,85 @@ def hamiltonian_rim_ref(sys_, g, budget: int = 200_000):
         if inside is not None:
             return canonical_ring(found), sorted(inside), [i for i in ids if i not in inside]
     raise PlanarizationError("no Hamiltonian ring found in the planar subgraph")
+
+
+def _solve_gf2_subset(
+    sys_: CycleSystem, target: Set[Segment]
+) -> Optional[List[int]]:
+    """Cycle ids whose GF(2) edge-set sum equals target, if any."""
+    cols = sorted(sys_.segments())
+    col_ix = {s: i for i, s in enumerate(cols)}
+    rows: List[Tuple[int, int]] = []  # (bitset, tag-bitset over cycle index)
+    ids = sorted(sys_.cycles)
+    for k, cid in enumerate(ids):
+        bits = 0
+        for s in sys_.cycles[cid].segments:
+            bits |= 1 << col_ix[s]
+        rows.append((bits, 1 << k))
+    want = 0
+    for s in target:
+        if s not in col_ix:
+            return None
+        want |= 1 << col_ix[s]
+    tags = 0
+    work = list(rows)
+    for col in range(len(cols)):
+        pivot = None
+        for i, (bits, _) in enumerate(work):
+            if (bits >> col) & 1:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        pb, pt = work.pop(pivot)
+        if (want >> col) & 1:
+            want ^= pb
+            tags ^= pt
+        work = [
+            ((b ^ pb, t ^ pt) if (b >> col) & 1 else (b, t)) for b, t in work
+        ]
+    if want != 0:
+        return None
+    return [ids[k] for k in range(len(ids)) if (tags >> k) & 1]
+
+
+def strip_imaginary_region_ref(
+    drawing: Drawing, chord: Tuple[int, int]
+) -> Tuple[List[int], List[int]]:
+    """Faces free of imaginary vertices that can host the chord, with the
+    components of the candidate faces found by union-find over every
+    segment of the drawing."""
+    cands = {
+        fid
+        for fid in drawing.faces
+        if fid != drawing.rim_id and not drawing.has_imaginary(fid)
+    }
+    u, v = chord
+    parent = {fid: fid for fid in cands}
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for s, fids in drawing.segment_faces.items():
+        who = [fid for fid in fids if fid in cands]
+        if len(who) == 2 and u not in s and v not in s:
+            a, b = find(who[0]), find(who[1])
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    comps: Dict[int, List[int]] = {}
+    for fid in cands:
+        comps.setdefault(find(fid), []).append(fid)
+    hits = []
+    for members in comps.values():
+        ring = _boundary_ring([drawing.faces[fid] for fid in members])
+        if ring is not None and u in ring and v in ring:
+            hits.append((sorted(members), ring))
+    if not hits:
+        raise DecompositionError(f"no residual region can host chord ({u},{v})")
+    return min(hits, key=lambda t: sorted(seg(a, b) for a, b in zip(t[1], t[1][1:] + t[1][:1])))
 
 
 def imaginary_positions_ref(

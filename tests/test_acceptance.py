@@ -115,10 +115,10 @@ def test_criterion_4_noncrossing_selection(k7):
 def test_criterion_5_insertion_replay(k7, k7_system):
     def run():
         d = Drawing.from_system(k7, k7_system)
-        ring, inside, _ = hamiltonian_rim(
+        ring = hamiltonian_rim(
             k7_system, k7, load_fixture("k7")["hamiltonian"]
         )
-        split_regions(d, ring, inside)
+        split_regions(d, ring)
         inner = lambda: sorted(f for f, s in d.side.items() if s == "inner")
         expected = {(2, 4): 1, (2, 5): 2, (2, 6): 3}
         for step, (chord, n_imag) in enumerate(expected.items()):
@@ -148,10 +148,10 @@ def test_criterion_5_insertion_replay(k7, k7_system):
 def test_criterion_6_residual_rim(k7, k7_system):
     def run():
         d = Drawing.from_system(k7, k7_system)
-        ring, inside, _ = hamiltonian_rim(
+        ring = hamiltonian_rim(
             k7_system, k7, load_fixture("k7")["hamiltonian"]
         )
-        split_regions(d, ring, inside)
+        split_regions(d, ring)
         inner = lambda: sorted(f for f, s in d.side.items() if s == "inner")
         for chord in ((2, 4), (2, 5), (2, 6)):
             insert_connection(d, *chord, shortest_route(d, *chord, inner()))

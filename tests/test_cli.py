@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import re
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -35,6 +37,11 @@ def k7_doc_file(runner, k7_file, tmp_path):
     res = runner.invoke(main, ["decompose", k7_file, "--pin", "k7", "-o", out])
     assert res.exit_code == 0, res.output
     return out
+
+
+def test_cli_import_loads_no_numpy():
+    code = "import sys, topolayers.cli; assert 'numpy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True)
 
 
 def test_cycles_k7(runner, k7_file):
@@ -111,10 +118,18 @@ def _ring_off_the_graph(doc):
     doc["layers"][1]["ring"][3] = 500
 
 
+def _layer_index_seven(doc):
+    doc["layers"][1]["index"] = 7
+
+
 @pytest.mark.parametrize(
     "corrupt,check",
-    [(_edge_off_the_graph, "graph-edges"), (_ring_off_the_graph, "layer-rings")],
-    ids=["edge-off-graph", "ring-off-graph"],
+    [
+        (_edge_off_the_graph, "graph-edges"),
+        (_ring_off_the_graph, "layer-rings"),
+        (_layer_index_seven, "layer-indexes"),
+    ],
+    ids=["edge-off-graph", "ring-off-graph", "layer-index-seven"],
 )
 def test_verify_bad_edge_or_ring_exits_1(runner, k7_doc_file, tmp_path, corrupt, check):
     doc = json.loads(open(k7_doc_file).read())
@@ -231,6 +246,12 @@ def _vertices_without_edges(doc):
     doc["graph"]["n"] = 20
 
 
+def _interior_triangle_off_the_ring(doc):
+    doc["graph"]["n"] = 13
+    arcs = [[11, 12], [12, 13], [13, 11]]
+    doc["layers"][0]["system"]["cycles"].append({"id": 999, "arcs": arcs})
+
+
 def _path_neighbour_not_a_vertex(doc):
     # Imaginary vertex 13 lies on the path of 56's carrier but has another
     # host; renamed in that carrier's rows only, the path stays whole.
@@ -248,10 +269,13 @@ def _path_neighbour_not_a_vertex(doc):
         (_layer1_arc_off_the_graph, 1, "arc (1,500) names a vertex outside 1..10"),
         (_vertices_without_edges, 1, "vertex 11 is neither on the ring nor on a layer-1 arc"),
         (_vertices_without_edges, 2, "vertex 11 is neither on the ring nor on a layer-1 arc"),
+        (_interior_triangle_off_the_ring, 1, "arcs leave interior vertices unconnected to the ring"),
         (_path_neighbour_not_a_vertex, 1, "vertex 56 has path neighbour 777, not a vertex"),
         (_ring_off_the_graph, 2, "layer 2 ring names v500, outside 1..10"),
         (_ring_off_the_graph, 1, "layer 2 ring names v500, outside 1..10"),
         (_ring_repeats_a_vertex, 3, "layer 3 ring repeats a vertex"),
+        (_layer_index_seven, 2, "layer indexes [1, 7, 3] are not 1..3 in order"),
+        (_layer_index_seven, 1, "layer indexes [1, 7, 3] are not 1..3 in order"),
     ],
     ids=[
         "unknown-edge",
@@ -259,10 +283,13 @@ def _path_neighbour_not_a_vertex(doc):
         "arc-off-graph",
         "n-20-layer-1",
         "n-20-layer-2",
+        "interior-off-the-ring",
         "neighbour-not-a-vertex",
         "ring-off-graph-layer-2",
         "ring-off-graph-layer-1",
         "ring-repeats-layer-3",
+        "layer-index-seven-layer-2",
+        "layer-index-seven-layer-1",
     ],
 )
 def test_render_malformed_document_exits_2(
@@ -362,6 +389,19 @@ def test_malformed_pin_exits_2(runner, k7_file, tmp_path, command, text, message
     res = runner.invoke(main, args)
     assert res.exit_code == 2, res.output
     assert res.output.startswith("error: ") and message in res.output, res.output
+
+
+@pytest.mark.parametrize("ring", [[1, 2, 3], [1, 2, 3, 2, 5, 6, 7]], ids=["short", "repeated-vertex"])
+def test_decompose_bad_pinned_ring_exits_2(runner, k7_file, tmp_path, ring):
+    from topolayers.fixtures import load_fixture
+
+    pin = load_fixture("k7")
+    pin["hamiltonian"] = ring
+    path = tmp_path / "pin.json"
+    path.write_text(json.dumps(pin))
+    res = runner.invoke(main, ["decompose", k7_file, "--pin", str(path), "-o", str(tmp_path / "out.json")])
+    assert res.exit_code == 2, res.output
+    assert res.output == "error: pinned ring does not list 1..7 once each\n", res.output
 
 
 def _layers_not_a_list(plan):

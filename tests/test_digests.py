@@ -11,7 +11,10 @@ refusals of non-Hamiltonian inputs were recorded with a full planarity
 test per edge and the unpruned Hamiltonian search, before the planar
 stage's shortcuts.  The SVG digests of unpinned K14 and K16 and of the
 hypercubes were recorded while every layer still relaxed all of the
-document's crossing markers; K16 has 541 on connection hosts.
+document's crossing markers; K16 has 541 on connection hosts.  The
+layer-1 SVG digests of the planar inputs, whose documents have no ring,
+so that interior vertices take Tutte positions from a linear solve, were
+recorded while numpy's solver ran it.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import networkx as nx
 import pytest
 
 from oracles import graph_from_networkx
-from topolayers import decompose
+from topolayers import complete_graph, decompose
 from topolayers.document import decomposition_to_document, serialize_document
 from topolayers.planar import PlanarizationError
 from topolayers.render import render_svg
@@ -75,6 +78,27 @@ SVG = {
     ("q5", 2): "d2bfbe126dcd3b5cac15182df47b451d98eb61f9d2dd245f0a1666086f5a3343",
 }
 
+# Planar inputs: one ringless layer, drawn with Tutte positions.
+PLANAR = {
+    "k4": (lambda: complete_graph(4), "2d95326b78c68baf9e6be60e6ff2feaabb4293d7ddf6a13e2f82a31796cff88c"),
+    "q3": (
+        lambda: graph_from_networkx(nx.hypercube_graph(3)),
+        "03e7e994ee48a0ed687bbc9f742b739020b6f253168a5bafae3dd2905a1fd586",
+    ),
+    "octahedron": (
+        lambda: graph_from_networkx(nx.octahedral_graph()),
+        "f3e646b425b8c1c52855bf6dc970f6f2a5b86b34b01144104bb203da498cac02",
+    ),
+    "icosahedron": (
+        lambda: graph_from_networkx(nx.icosahedral_graph()),
+        "75c52018760577dac9680f2ce24f2f14cc3836fb8561e76d2b453c7de8c2aa68",
+    ),
+    "dodecahedron": (
+        lambda: graph_from_networkx(nx.dodecahedral_graph()),
+        "213552711c778441f3c8e73622c737f3a062775364b063ad4ae4be4e3d3cb1c2",
+    ),
+}
+
 
 def _digest(d) -> str:
     text = serialize_document(decomposition_to_document(d))
@@ -109,3 +133,12 @@ def test_layer_svg_digest(which, layer, request):
     d = request.getfixturevalue(f"{which}_decomposition")
     svg = render_svg(decomposition_to_document(d), layer)
     assert hashlib.sha256(svg.encode()).hexdigest() == SVG[(which, layer)]
+
+
+@pytest.mark.parametrize("which", sorted(PLANAR))
+def test_planar_layer_svg_digest(which):
+    make, want = PLANAR[which]
+    doc = decomposition_to_document(decompose(make()))
+    assert [layer.get("ring") for layer in doc["layers"]] == [None]
+    svg = render_svg(doc, 1)
+    assert hashlib.sha256(svg.encode()).hexdigest() == want

@@ -146,6 +146,10 @@ def _ring_on_layer_1(doc):
     doc["layers"][0]["ring"] = list(doc["layers"][1]["ring"])
 
 
+def _layer_index_seven(doc):
+    doc["layers"][1]["index"] = 7
+
+
 @pytest.mark.parametrize(
     "corrupt,check,detail",
     [
@@ -158,6 +162,7 @@ def _ring_on_layer_1(doc):
         (_ring_repeats_a_vertex, "layer-rings", "layer 2: ring does not list 1..10 once each"),
         (_ring_pair_not_in_layer_1, "layer-rings", "is not an edge of the first layer"),
         (_ring_on_layer_1, "layer-rings", "layer 1: the first layer has a ring"),
+        (_layer_index_seven, "layer-indexes", "layer 2 has index 7"),
     ],
     ids=[
         "edge-off-graph",
@@ -169,6 +174,7 @@ def _ring_on_layer_1(doc):
         "ring-repeats",
         "ring-pair-off-layer-1",
         "ring-on-layer-1",
+        "layer-index-seven",
     ],
 )
 def test_verifier_names_bad_edges_and_rings(k10_decomposition, corrupt, check, detail):
@@ -178,3 +184,15 @@ def test_verifier_names_bad_edges_and_rings(k10_decomposition, corrupt, check, d
     rep = verify_document(doc)
     assert not rep.ok and not rep.checks[check].ok
     assert any(detail in d for d in rep.checks[check].details), rep.checks[check].details
+
+
+def test_verifier_names_layers_by_position(k10_decomposition):
+    """A broken layer 2 stays reported when layer 3 claims index 2."""
+    doc = parse_document(serialize_document(decomposition_to_document(k10_decomposition)))
+    doc["layers"][1]["system"]["cycles"][0]["arcs"][0] = [1, 4]
+    broken = {name for name, res in verify_document(doc).checks.items() if not res.ok}
+    assert broken and all(name.startswith("layer-2/") for name in broken)
+    doc["layers"][2]["index"] = 2
+    rep = verify_document(doc)
+    assert {name for name, res in rep.checks.items() if not res.ok} == broken | {"layer-indexes"}
+    assert rep.checks["layer-indexes"].details == ["layer 3 has index 2"]

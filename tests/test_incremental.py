@@ -107,8 +107,8 @@ def test_shortest_route_matches_reference_on_random_insertions(n, rnd):
     g = complete_graph(n)
     sys_ = select_planar_cycle_system(g, enumerate_isometric_cycles(g))
     d = Drawing.from_system(g, sys_)
-    ring, inside, _ = hamiltonian_rim(sys_, g)
-    split_regions(d, ring, inside)
+    ring = hamiltonian_rim(sys_, g)
+    split_regions(d, ring)
     chords = _pending(d, g)
     rnd.shuffle(chords)
     for s, t in chords:
@@ -239,8 +239,8 @@ def test_route_greedy_matches_reference(n, monkeypatch):
 def test_route_greedy_matches_reference_on_shuffled_pools(n, side, rnd):
     g = complete_graph(n)
     d = Drawing.from_system(g, select_planar_cycle_system(g, None))
-    ring, inside, _ = hamiltonian_rim(d.snapshot(), g)
-    split_regions(d, ring, inside)
+    ring = hamiltonian_rim(d.snapshot(), g)
+    split_regions(d, ring)
     chords = _pending(d, g)
     rnd.shuffle(chords)
     for s, t in chords[: rnd.randrange(4)]:

@@ -5,6 +5,8 @@ import hashlib
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topolayers.cycles import normalize_ring, seg
 from topolayers.document import decomposition_to_document, serialize_document
@@ -14,13 +16,14 @@ from topolayers.layering import (
     DecompositionError,
     decompose,
     layer_edge_partition,
-    region_system,
     split_regions,
     strip_imaginary_region,
 )
-from topolayers.planar import hamiltonian_rim
+from topolayers.planar import hamiltonian_rim, select_planar_cycle_system
 from topolayers.routing import Drawing, insert_connection, shortest_route
 from topolayers.verify import verify_system
+
+from oracles import strip_imaginary_region_ref
 
 K7_SEQUENCES = {
     (1, 4): [23],
@@ -47,8 +50,8 @@ K7_HOSTS = {
 
 def _replayed_inner(k7, k7_system):
     d = Drawing.from_system(k7, k7_system)
-    ring, inside, _ = hamiltonian_rim(k7_system, k7, load_fixture("k7")["hamiltonian"])
-    split_regions(d, ring, inside)
+    ring = hamiltonian_rim(k7_system, k7, load_fixture("k7")["hamiltonian"])
+    split_regions(d, ring)
     inner = lambda: sorted(f for f, s in d.side.items() if s == "inner")
     for chord in ((2, 4), (2, 5), (2, 6)):
         insert_connection(d, *chord, shortest_route(d, *chord, inner()))
@@ -60,7 +63,32 @@ def test_strip_residual_rim(k7, k7_system):
     face_ids, ring = strip_imaginary_region(d, chord=(3, 6))
     assert sorted(face_ids) == [1, 5, 15]
     assert normalize_ring(ring) == normalize_ring([6, 1, 3, 2, 7])
-    assert verify_system(region_system(d, face_ids)).ok
+
+
+def _strip_outcome(strip, d, chord):
+    try:
+        return strip(d, chord)
+    except DecompositionError as exc:
+        return str(exc)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(7, 10), st.randoms(use_true_random=False))
+def test_strip_matches_union_find_after_random_insertions(n, rnd):
+    g = complete_graph(n)
+    sys_ = select_planar_cycle_system(g, None)
+    d = Drawing.from_system(g, sys_)
+    split_regions(d, hamiltonian_rim(sys_, g))
+    drawn = {seg(*s) for s in sys_.segments()}
+    chords = [uv for _, uv in sorted(g.edges.items()) if seg(*uv) not in drawn]
+    rnd.shuffle(chords)
+    for s, t in chords[: rnd.randrange(len(chords) + 1)]:
+        route = shortest_route(d, s, t)
+        if route is not None:
+            insert_connection(d, s, t, route)
+    for chord in chords:
+        got = _strip_outcome(strip_imaginary_region, d, chord)
+        assert got == _strip_outcome(strip_imaginary_region_ref, d, chord), chord
 
 
 def test_k7_thickness_two_layers(k7_decomposition):

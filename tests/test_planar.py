@@ -6,14 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    _solve_gf2_subset,
     embedding_faces_ref,
     graph_from_networkx,
     greedy_planar_subgraph_ref,
     hamiltonian_rim_ref,
 )
 from topolayers import planar
-from topolayers.cycles import enumerate_isometric_cycles, ring_cycle
+from topolayers.cycles import enumerate_isometric_cycles, ring_cycle, seg
 from topolayers.graphs import complete_graph, parse_graph
+from topolayers.layering import split_regions
 from topolayers.planar import (
     PlanarizationError,
     _greedy_planar_subgraph,
@@ -23,6 +25,7 @@ from topolayers.planar import (
     select_planar_cycle_system,
 )
 from topolayers.fixtures import load_fixture
+from topolayers.routing import Drawing
 from topolayers.verify import verify_system
 
 # The pinned K7 system, oriented: every edge appears once per direction.
@@ -69,17 +72,33 @@ def test_orient_cycles_rejects_bad_coverage():
 
 
 def test_hamiltonian_rim_pinned(k7, k7_system):
-    ring, inside, outside = hamiltonian_rim(
-        k7_system, k7, load_fixture("k7")["hamiltonian"]
-    )
+    ring = hamiltonian_rim(k7_system, k7, load_fixture("k7")["hamiltonian"])
     assert ring == [1, 6, 5, 4, 3, 2, 7]
-    assert sorted(inside) == [15, 19, 28, 33, 35]
-    assert sorted(outside) == [1, 5, 13, 26]
+    inner, outer = split_regions(Drawing.from_system(k7, k7_system), ring)
+    assert inner == {15, 19, 28, 33, 35}
+    assert outer == {1, 5, 13, 26, k7_system.rim.id}
 
 
 def test_hamiltonian_rim_search_unpinned(k7, k7_system):
-    ring, inside, outside = hamiltonian_rim(k7_system, k7)
-    assert len(ring) == 7 and sorted(inside + outside) == sorted(k7_system.cycles)
+    ring = hamiltonian_rim(k7_system, k7)
+    assert sorted(ring) == list(range(1, 8))
+    inner, outer = split_regions(Drawing.from_system(k7, k7_system), ring)
+    assert inner and inner | outer == {*k7_system.cycles, k7_system.rim.id}
+
+
+@pytest.mark.parametrize(
+    "pin_ring,message",
+    [
+        ([1, 2, 3], "pinned ring does not list 1..7 once each"),
+        ([1, 2, 3, 2, 5, 6, 7], "pinned ring does not list 1..7 once each"),
+        ([1, 2, 4, 3, 5, 6, 7], "pinned ring pair (2,4) is not an edge of the planar subgraph"),
+    ],
+    ids=["short", "repeated-vertex", "pair-off-the-system"],
+)
+def test_hamiltonian_rim_refuses_a_bad_pinned_ring(k7, k7_system, pin_ring, message):
+    with pytest.raises(PlanarizationError) as exc:
+        hamiltonian_rim(k7_system, k7, pin_ring)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
@@ -104,7 +123,8 @@ def test_pinned_system_needs_the_pool(k7):
 
 # The planar stage's shortcuts against the loops they replaced: the same
 # kept graph in the same adjacency order, the same faces, and the same
-# Hamiltonian ring or the same refusal.
+# Hamiltonian ring or the same refusal.  The ring's inner faces, found by
+# flood fill, are the cycles the GF(2) solver sums to it.
 
 
 @st.composite
@@ -144,6 +164,14 @@ def _rim_outcome(search, sys_, g):
         return str(exc)
 
 
+def _assert_sides_match_gf2(g, sys_, ring):
+    """The flood fill's inner faces are the cycles that sum to the ring."""
+    inner, outer = split_regions(Drawing.from_system(g, sys_), ring)
+    target = {seg(a, b) for a, b in zip(ring, ring[1:] + ring[:1])}
+    assert inner == set(_solve_gf2_subset(sys_, target))
+    assert sys_.rim.id in outer
+
+
 def _assert_planar_stage_matches_loops(g):
     kept = _greedy_planar_subgraph(g)
     ref = greedy_planar_subgraph_ref(g)
@@ -158,7 +186,12 @@ def _assert_planar_stage_matches_loops(g):
         return
     want = {i: ring_cycle(i, list(r)).arcs for i, r in enumerate(faces, start=1)}
     assert {c.id: c.arcs for c in sys_.members()} == want
-    assert _rim_outcome(hamiltonian_rim, sys_, g) == _rim_outcome(hamiltonian_rim_ref, sys_, g)
+    got, ref = _rim_outcome(hamiltonian_rim, sys_, g), _rim_outcome(hamiltonian_rim_ref, sys_, g)
+    if isinstance(ref, str):
+        assert got == ref
+    else:
+        assert got == ref[0]
+        _assert_sides_match_gf2(g, sys_, got)
 
 
 @settings(max_examples=80, deadline=None)
@@ -170,6 +203,14 @@ def test_planar_stage_matches_loops_on_drawn_graphs(g):
 @pytest.mark.parametrize("g", _networkx_corpus())
 def test_planar_stage_matches_loops_on_generated_graphs(g):
     _assert_planar_stage_matches_loops(g)
+
+
+@pytest.mark.parametrize("which", ["k7", "k8", "k10"])
+def test_pinned_ring_sides_match_gf2(which):
+    pin = load_fixture(which)
+    g = complete_graph(int(which[1:]))
+    sys_ = select_planar_cycle_system(g, enumerate_isometric_cycles(g), pin["system"])
+    _assert_sides_match_gf2(g, sys_, hamiltonian_rim(sys_, g, pin.get("hamiltonian")))
 
 
 def _is_plane_rotation(rot) -> bool:
@@ -252,4 +293,4 @@ def test_hamiltonian_search_budget_exhausts():
     sys_ = select_planar_cycle_system(g, None)
     with pytest.raises(PlanarizationError, match="^Hamiltonian ring search budget exhausted$"):
         hamiltonian_rim(sys_, g, budget=10)
-    assert len(hamiltonian_rim(sys_, g)[0]) == 32
+    assert len(hamiltonian_rim(sys_, g)) == 32

@@ -20,8 +20,8 @@ from topolayers.verify import verify_system
 @pytest.fixture()
 def k7_drawing(k7, k7_system):
     d = Drawing.from_system(k7, k7_system)
-    ring, inside, _ = hamiltonian_rim(k7_system, k7, load_fixture("k7")["hamiltonian"])
-    split_regions(d, ring, inside)
+    ring = hamiltonian_rim(k7_system, k7, load_fixture("k7")["hamiltonian"])
+    split_regions(d, ring)
     return d
 
 
