@@ -109,9 +109,7 @@ def planarize(input_path: str, pin_spec: Optional[str]) -> None:
     with _input_errors():
         g = _read_graph(input_path)
         pin = _read_pin(pin_spec)
-        pinned = (pin or {}).get("system")
-        pool = enumerate_isometric_cycles(g) if pinned is not None else None
-        sys_ = select_planar_cycle_system(g, pool, pinned)
+        sys_ = select_planar_cycle_system(g, (pin or {}).get("system"))
     for cid in sorted(sys_.cycles):
         arcs = " ".join(f"({a},{b})" for a, b in sys_.cycles[cid].arcs)
         click.echo(f"c{cid}: {arcs}")

@@ -12,7 +12,6 @@ a region boundary.  It is the one place the package follows segments.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Optional, Tuple
@@ -52,16 +51,6 @@ class Cycle:
     def reversed(self, new_id: int | None = None) -> "Cycle":
         rev = tuple((b, a) for a, b in reversed(self.arcs))
         return Cycle(self.id if new_id is None else new_id, rev)
-
-    def edge_ids(self, g: Graph) -> Tuple[int, ...]:
-        """Sorted original edge ids; only valid while all arcs are graph edges."""
-        ids = []
-        for a, b in self.arcs:
-            eid = edge_between(g, a, b)
-            if eid is None:
-                raise ValueError(f"cycle c{self.id}: ({a},{b}) is not a graph edge")
-            ids.append(eid)
-        return tuple(sorted(ids))
 
 
 def ring_cycle(cid: int, ring: List[int]) -> Cycle:
@@ -117,25 +106,6 @@ def ring_from_segments(segs: AbstractSet[Segment]) -> Optional[List[int]]:
     return canonical_ring(path)
 
 
-def _distances(g: Graph) -> Dict[int, Dict[int, int]]:
-    adj: Dict[int, List[int]] = {v: [] for v in g.vertices}
-    for u, v in g.edges.values():
-        adj[u].append(v)
-        adj[v].append(u)
-    dist: Dict[int, Dict[int, int]] = {}
-    for s in g.vertices:
-        d = {s: 0}
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for w in adj[u]:
-                if w not in d:
-                    d[w] = d[u] + 1
-                    q.append(w)
-        dist[s] = d
-    return dist
-
-
 def _is_isometric(ring: List[int], dist: Dict[int, Dict[int, int]]) -> bool:
     k = len(ring)
     for i in range(k):
@@ -152,11 +122,11 @@ def enumerate_isometric_cycles(g: Graph) -> List[Cycle]:
     An isometric cycle is never longer than 2*diam(G)+1, which bounds the
     simple-cycle enumeration.
     """
-    dist = _distances(g)
-    diam = max(max(d.values()) for d in dist.values())
     G = nx.Graph()
     G.add_nodes_from(g.vertices)
     G.add_edges_from(g.edges.values())
+    dist = dict(nx.all_pairs_shortest_path_length(G))
+    diam = max(max(d.values()) for d in dist.values())
     found = []
     for ring in nx.simple_cycles(G, length_bound=2 * diam + 1):
         if len(ring) < 3:

@@ -14,11 +14,11 @@ int rows, in one go.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from itertools import chain
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from .graphs import Graph
-from .layering import Decomposition, Layer
+from .layering import Decomposition
 from .planar import CycleSystem
 from .verify import (
     CheckResult,
@@ -252,6 +252,14 @@ def parse_document(text: str) -> dict:
     return doc
 
 
+def _check_cycle_ids(sj: dict) -> CheckResult:
+    """No two members of a system, rim included, share an id; _raw_system
+    keys the members by id and would silently keep only the last."""
+    ids = Counter(c["id"] for c in sj["cycles"] + ([] if sj["rim"] is None else [sj["rim"]]))
+    bad = [f"c{cid}: id used {k} times" for cid, k in sorted(ids.items()) if k > 1]
+    return CheckResult(not bad, bad)
+
+
 def _raw_system(sj: dict):
     cycles = {c["id"]: tuple(tuple(a) for a in c["arcs"]) for c in sj["cycles"]}
     rim = None
@@ -270,6 +278,7 @@ def verify_document(doc: dict) -> VerificationReport:
         sub = verify_raw(ln, cycles, rim)
         for name, res in sub.checks.items():
             checks[f"layer-{k}/{name}"] = res
+        checks[f"layer-{k}/cycle-ids"] = _check_cycle_ids(layer["system"])
     bad = [
         f"layer {k} has index {layer['index']}"
         for k, layer in enumerate(doc["layers"], start=1)

@@ -2,14 +2,17 @@
 
 Vertices are positive integers 1..n; edges get 1-based ids in input order.
 Imaginary vertices introduced later by routing always receive ids above n,
-so "is this vertex original" is just an id comparison.
+so "is this vertex original" is just an id comparison.  The gate
+(connected, minimum degree 3, no cut vertex, no bridge) is read off
+networkx's connectivity and biconnected-component routines.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
+
+import networkx as nx
 
 
 class GraphInputError(ValueError):
@@ -130,70 +133,25 @@ class NonseparabilityReport:
         return out
 
 
-def _adjacency(g: Graph) -> Dict[int, List[Tuple[int, int]]]:
-    adj: Dict[int, List[Tuple[int, int]]] = {v: [] for v in g.vertices}
-    for eid, (u, v) in sorted(g.edges.items()):
-        adj[u].append((v, eid))
-        adj[v].append((u, eid))
-    return adj
-
-
 def validate_nonseparable(g: Graph) -> NonseparabilityReport:
     """Check connectivity, min degree 3, and absence of cut vertices/bridges.
 
-    Violations are reported, not raised; pipeline entry points decide.
+    networkx decides each part on the graph of vertices 1..n; a bridge is
+    an edge that forms a biconnected component on its own.  Violations
+    are reported, not raised; pipeline entry points decide.
     """
-    adj = _adjacency(g)
-    # connectivity
-    seen = {1}
-    q = deque([1])
-    while q:
-        u = q.popleft()
-        for w, _ in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                q.append(w)
-    connected = len(seen) == g.n
-    min_degree = min(len(adj[v]) for v in g.vertices) if g.n else 0
-
-    # cut vertices and bridges via iterative Tarjan lowpoint
-    disc: Dict[int, int] = {}
-    low: Dict[int, int] = {}
-    cut: set = set()
-    bridges: List[int] = []
-    timer = 0
-    for root in g.vertices:
-        if root in disc:
-            continue
-        stack: List[Tuple[int, int, int, int]] = [(root, -1, -1, 0)]
-        children = {root: 0}
-        while stack:
-            v, parent, pedge, i = stack.pop()
-            if i == 0:
-                disc[v] = low[v] = timer
-                timer += 1
-            if i < len(adj[v]):
-                stack.append((v, parent, pedge, i + 1))
-                w, eid = adj[v][i]
-                if w not in disc:
-                    children[v] = children.get(v, 0) + 1
-                    children.setdefault(w, 0)
-                    stack.append((w, v, eid, 0))
-                elif eid != pedge:
-                    low[v] = min(low[v], disc[w])
-            else:
-                if parent != -1:
-                    low[parent] = min(low[parent], low[v])
-                    if low[v] > disc[parent]:
-                        bridges.append(pedge)
-                    if parent != root and low[v] >= disc[parent]:
-                        cut.add(parent)
-        if children.get(root, 0) > 1:
-            cut.add(root)
+    G = nx.Graph()
+    G.add_nodes_from(g.vertices)
+    G.add_edges_from(g.edges.values())
+    bridges = [
+        edge_between(g, *comp[0])
+        for comp in nx.biconnected_component_edges(G)
+        if len(comp) == 1
+    ]
     return NonseparabilityReport(
-        connected=connected,
-        min_degree=min_degree,
-        cut_vertices=sorted(cut),
+        connected=nx.is_connected(G),
+        min_degree=min(d for _, d in G.degree),
+        cut_vertices=sorted(nx.articulation_points(G)),
         bridges=sorted(bridges),
     )
 

@@ -231,6 +231,9 @@ def _ints(x: object, size: Optional[int] = None) -> bool:
     return type(x) is list and size in (None, len(x)) and all(type(v) is int for v in x)
 
 
+# Drawing layers a decomposition may open before it gives up.
+_MAX_LAYERS = 16
+
 # The pin's outer shape; a key that is absent or null leaves its stage unpinned.
 _PIN_FIELDS = {"system": dict, "hamiltonian": list, "plan": dict}
 
@@ -257,16 +260,14 @@ def _check_pin(pin: object) -> None:
             )
         if not _ints(system.get("rim")):
             raise DecompositionError("malformed pin: 'system.rim' must be a list of integers")
+        if not (system["rim"] and all(cycles)):
+            raise DecompositionError("malformed pin: a ring of 'system' is empty")
     if not _ints(pin.get("hamiltonian") or []):
         raise DecompositionError("malformed pin: 'hamiltonian' must hold integers only")
 
 
 def decompose(
-    g: Graph,
-    strategy: str = "thickness",
-    pin: Optional[dict] = None,
-    pool: Optional[Sequence[Cycle]] = None,
-    max_layers: int = 16,
+    g: Graph, strategy: str = "thickness", pin: Optional[dict] = None
 ) -> Decomposition:
     """Full layered drawing of a nonseparable graph.
 
@@ -283,13 +284,7 @@ def decompose(
     if pin is not None:
         _check_pin(pin)
     pin = pin or {}
-    # Only a pinned system is read from the isometric cycles; the greedy
-    # planar subgraph comes from planarity testing alone.
-    if pool is None and pin.get("system") is not None:
-        from .cycles import enumerate_isometric_cycles
-
-        pool = enumerate_isometric_cycles(g)
-    sys_ = select_planar_cycle_system(g, pool, pin.get("system"))
+    sys_ = select_planar_cycle_system(g, pin.get("system"))
     ring = hamiltonian_rim(sys_, g, pin.get("hamiltonian"))
     drawing = Drawing.from_system(g, sys_)
     split_regions(drawing, ring)
@@ -311,7 +306,7 @@ def decompose(
     layer_index = 1
     while remaining:
         layer_index += 1
-        if layer_index > max_layers:
+        if layer_index > _MAX_LAYERS:
             raise DecompositionError("layer budget exhausted")
         drawing.banned.clear()
         if planned:

@@ -9,7 +9,7 @@ opposite directions.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
@@ -124,40 +124,37 @@ def _check_euler(sys_: CycleSystem) -> None:
         raise PlanarizationError(f"Euler check failed: {nv} - {ne} + {nf} != 2")
 
 
-def _pool_lookup(pool: Sequence[Cycle]) -> Dict[Tuple[int, ...], Cycle]:
-    return {tuple(canonical_ring(list(c.vertices))): c for c in pool}
-
-
-def select_planar_cycle_system(
-    g: Graph, pool: Optional[Sequence[Cycle]], pin: Optional[dict] = None
-) -> CycleSystem:
+def select_planar_cycle_system(g: Graph, pin: Optional[dict] = None) -> CycleSystem:
     """Pick facial cycles of a maximal planar subgraph.
 
-    With a pin (fixture mapping), the listed rings are taken verbatim from
-    the pool of isometric cycles and oriented.  Without one, edges are
-    tried in edge-id order: an edge whose ends share a face of the kept
+    With a pin (fixture mapping), the isometric cycles of g are
+    enumerated, and the listed rings are taken verbatim from them and
+    oriented.  Without one, no cycles are enumerated: edges are tried in
+    edge-id order, and an edge whose ends share a face of the kept
     graph's current embedding (or that has an isolated end) is kept
     without a test, any other edge runs a full planarity test.  The
     embedding of the resulting maximal planar subgraph supplies the
-    faces; the pool is not read and may be None.
+    faces.
     """
     if pin is not None:
-        if pool is None:
-            raise PlanarizationError("a pinned system needs the isometric cycle pool")
-        lookup = _pool_lookup(pool)
+        # imported per call: tests and the benchmark's tracer replace it
+        from .cycles import enumerate_isometric_cycles
+
+        pool = {
+            tuple(canonical_ring(list(c.vertices))): c
+            for c in enumerate_isometric_cycles(g)
+        }
         rings: Dict[int, Sequence[int]] = {}
         ids = []
         for vs in list(pin["cycles"]) + [pin["rim"]]:
             key = tuple(canonical_ring(list(vs)))
-            if key not in lookup:
+            if key not in pool:
                 raise PlanarizationError(
                     f"pinned ring {list(vs)} is not an isometric cycle of the graph"
                 )
-            ids.append(lookup[key].id)
-            rings[lookup[key].id] = vs
-        rim_id = ids[-1]
-        cycles, rim = orient_cycles(rings, rim_id)
-        sys_ = CycleSystem(n=g.n, cycles=cycles, rim=rim)
+            ids.append(pool[key].id)
+            rings[pool[key].id] = vs
+        cycles, rim = orient_cycles(rings, ids[-1])
     else:
         kept = _greedy_planar_subgraph(g)
         _, emb = nx.check_planarity(kept)
@@ -169,13 +166,9 @@ def select_planar_cycle_system(
             ring = emb.traverse_face(u, v, mark_half_edges=seen_darts)
             faces.append(ring)
         faces.sort(key=lambda r: (len(r), tuple(canonical_ring(list(r)))))
-        rings = {i: r for i, r in enumerate(faces, start=1)}
-        rim_id = 1  # smallest face doubles as the rim; the sphere has no outside
-        cycles = {}
-        for cid, r in rings.items():
-            cycles[cid] = ring_cycle(cid, list(r))
-        rim = cycles.pop(rim_id)
-        sys_ = CycleSystem(n=g.n, cycles=cycles, rim=rim)
+        cycles = {cid: ring_cycle(cid, list(r)) for cid, r in enumerate(faces, start=1)}
+        rim = cycles.pop(1)  # smallest face doubles as the rim; the sphere has no outside
+    sys_ = CycleSystem(n=g.n, cycles=cycles, rim=rim)
     for s in sys_.segments():
         if edge_between(g, *s) is None:
             raise PlanarizationError(f"system uses non-edge ({s[0]},{s[1]})")

@@ -271,7 +271,8 @@ def check_graph_edges(
     chords: Sequence[Sequence[int]],
 ) -> CheckResult:
     """Graph edges are [id, u, v] rows with u != v in 1..n, unique ids and
-    unique endpoint pairs; each chord row repeats the graph edge of its id."""
+    unique endpoint pairs; each chord row repeats the graph edge of its id,
+    and no chord id is listed twice."""
     by_id: Dict[int, Tuple[int, int]] = {}
     pairs: Dict[Tuple[int, int], int] = {}
     bad = []
@@ -286,9 +287,13 @@ def check_graph_edges(
             bad.append(f"e{eid}: same ends as e{pairs[_seg(u, v)]}")
         by_id[eid] = (u, v)
         pairs[_seg(u, v)] = eid
+    listed: Set[int] = set()
     for eid, u, v in chords:
         if by_id.get(eid) != (u, v):
             bad.append(f"chord e{eid}: ({u},{v}) is not graph edge e{eid}")
+        if eid in listed:
+            bad.append(f"chord e{eid}: listed twice")
+        listed.add(eid)
     return CheckResult(not bad, bad)
 
 

@@ -7,7 +7,6 @@ from topolayers import (
     complete_graph,
     decompose,
     decomposition_to_document,
-    enumerate_isometric_cycles,
     select_planar_cycle_system,
 )
 from topolayers.fixtures import load_fixture
@@ -31,28 +30,18 @@ def k10():
 
 
 @pytest.fixture(scope="session")
-def k7_pool(k7):
-    return enumerate_isometric_cycles(k7)
+def k7_system(k7):
+    return select_planar_cycle_system(k7, load_fixture("k7")["system"])
 
 
 @pytest.fixture(scope="session")
-def k8_pool(k8):
-    return enumerate_isometric_cycles(k8)
+def k7_decomposition(k7):
+    return decompose(k7, strategy="thickness", pin=load_fixture("k7"))
 
 
 @pytest.fixture(scope="session")
-def k7_system(k7, k7_pool):
-    return select_planar_cycle_system(k7, k7_pool, load_fixture("k7")["system"])
-
-
-@pytest.fixture(scope="session")
-def k7_decomposition(k7, k7_pool):
-    return decompose(k7, strategy="thickness", pin=load_fixture("k7"), pool=k7_pool)
-
-
-@pytest.fixture(scope="session")
-def k8_decomposition(k8, k8_pool):
-    return decompose(k8, strategy="thickness", pin=load_fixture("k8"), pool=k8_pool)
+def k8_decomposition(k8):
+    return decompose(k8, strategy="thickness", pin=load_fixture("k8"))
 
 
 @pytest.fixture(scope="session")

@@ -19,7 +19,9 @@ connection-hosted crossing marker of the document, whichever layer is
 drawn.  `shortest_route_copying_ref` copies a filtered list of each
 face's links through `conjugate_links_ref` instead of testing the cached
 links in place, and `serialize_ref` is the canonical document text as
-`json.dumps` writes it.  The package versions must return exactly what
+`json.dumps` writes it.  `nonseparable_ref` is the input gate by brute
+force: a cut vertex or bridge is one whose removal leaves more
+components.  The package versions must return exactly what
 these return.  `graph_from_networkx` builds test inputs the way the
 benchmark corpus does.
 """
@@ -466,3 +468,45 @@ def graph_from_networkx(G: nx.Graph, name: str = "") -> Graph:
     label = {v: i for i, v in enumerate(sorted(G.nodes()), start=1)}
     pairs = sorted(tuple(sorted((label[a], label[b]))) for a, b in G.edges())
     return parse_graph("".join(f"{u} {v}\n" for u, v in pairs), name=name)
+
+
+def _components(vertices: Set[int], pairs: Sequence[Tuple[int, int]]) -> int:
+    """Connected components of the graph on `vertices`, counted by BFS."""
+    adj: Dict[int, List[int]] = {v: [] for v in vertices}
+    for a, b in pairs:
+        adj[a].append(b)
+        adj[b].append(a)
+    seen: Set[int] = set()
+    count = 0
+    for root in sorted(vertices):
+        if root in seen:
+            continue
+        count += 1
+        seen.add(root)
+        q = deque([root])
+        while q:
+            for w in adj[q.popleft()]:
+                if w not in seen:
+                    seen.add(w)
+                    q.append(w)
+    return count
+
+
+def nonseparable_ref(g: Graph) -> Tuple[bool, int, List[int], List[int]]:
+    """(connected, min degree, cut vertices, bridge ids) of g, each
+    decided by deleting the vertex or edge and recounting components."""
+    vs = set(g.vertices)
+    pairs = list(g.edges.values())
+    base = _components(vs, pairs)
+    degree = {v: sum(v in uv for uv in pairs) for v in vs}
+    cut = [
+        v
+        for v in sorted(vs)
+        if _components(vs - {v}, [uv for uv in pairs if v not in uv]) > base
+    ]
+    bridges = [
+        eid
+        for eid in sorted(g.edges)
+        if _components(vs, [uv for e, uv in g.edges.items() if e != eid]) > base
+    ]
+    return base == 1, min(degree.values()), cut, bridges

@@ -367,6 +367,8 @@ def test_unknown_pin_exits_2(runner, k7_file):
         ('{"system": {"cycles": "x", "rim": [1, 2, 3]}}', "'system.cycles' must be a list"),
         ('{"system": {"cycles": [[1, 2, 3]], "rim": "x"}}', "'system.rim' must be a list"),
         ('{"hamiltonian": ["a", 2]}', "'hamiltonian' must hold integers only"),
+        ('{"system": {"cycles": [[]], "rim": [1, 2, 3]}}', "a ring of 'system' is empty"),
+        ('{"system": {"cycles": [[1, 2, 3]], "rim": []}}', "a ring of 'system' is empty"),
     ],
     ids=[
         "list",
@@ -378,6 +380,8 @@ def test_unknown_pin_exits_2(runner, k7_file):
         "cycles-string",
         "rim-string",
         "hamiltonian-strings",
+        "empty-cycle",
+        "empty-rim",
     ],
 )
 def test_malformed_pin_exits_2(runner, k7_file, tmp_path, command, text, message):

@@ -19,7 +19,7 @@ from topolayers.cycles import (
 )
 from topolayers.graphs import complete_graph, parse_graph
 
-from oracles import boundary_ring_ref, connection_path_ref
+from oracles import boundary_ring_ref, connection_path_ref, graph_from_networkx
 
 
 def _isometric_oracle(g):
@@ -88,6 +88,15 @@ def test_isometric_oracle_k33():
     pool = enumerate_isometric_cycles(g)
     got = {normalize_ring(list(c.vertices)) for c in pool}
     assert got == _isometric_oracle(g)
+
+
+def test_isometric_oracle_petersen():
+    # diameter 2 and girth 5: the twelve pentagons, nothing longer
+    g = graph_from_networkx(nx.petersen_graph())
+    pool = enumerate_isometric_cycles(g)
+    got = {normalize_ring(list(c.vertices)) for c in pool}
+    assert got == _isometric_oracle(g)
+    assert sorted(len(r) for r in got) == [5] * 12
 
 
 def _ring_segs(vs):

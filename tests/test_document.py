@@ -150,6 +150,20 @@ def _layer_index_seven(doc):
     doc["layers"][1]["index"] = 7
 
 
+def _bogus_face_under_a_used_id(doc):
+    cycles = doc["layers"][1]["system"]["cycles"]
+    cycles.insert(0, {"id": cycles[0]["id"], "arcs": [[1, 2], [2, 3], [3, 1]]})
+
+
+def _cycle_entry_twice(doc):
+    cycles = doc["layers"][1]["system"]["cycles"]
+    cycles.append(json.loads(json.dumps(cycles[-1])))
+
+
+def _chord_row_twice(doc):
+    doc["chords"].append(list(doc["chords"][0]))
+
+
 @pytest.mark.parametrize(
     "corrupt,check,detail",
     [
@@ -163,6 +177,9 @@ def _layer_index_seven(doc):
         (_ring_pair_not_in_layer_1, "layer-rings", "is not an edge of the first layer"),
         (_ring_on_layer_1, "layer-rings", "layer 1: the first layer has a ring"),
         (_layer_index_seven, "layer-indexes", "layer 2 has index 7"),
+        (_bogus_face_under_a_used_id, "layer-2/cycle-ids", "id used 2 times"),
+        (_cycle_entry_twice, "layer-2/cycle-ids", "id used 2 times"),
+        (_chord_row_twice, "graph-edges", "listed twice"),
     ],
     ids=[
         "edge-off-graph",
@@ -175,6 +192,9 @@ def _layer_index_seven(doc):
         "ring-pair-off-layer-1",
         "ring-on-layer-1",
         "layer-index-seven",
+        "bogus-face-reusing-an-id",
+        "cycle-entry-twice",
+        "chord-row-twice",
     ],
 )
 def test_verifier_names_bad_edges_and_rings(k10_decomposition, corrupt, check, detail):

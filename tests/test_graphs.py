@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import nonseparable_ref
 from topolayers.graphs import (
+    Graph,
     GraphInputError,
     complete_graph,
     edge_between,
@@ -84,3 +88,25 @@ def test_nonseparable_rejects_disconnected():
     g = parse_graph("1 2\n2 3\n3 1\n4 5\n5 6\n6 4\n")
     rep = validate_nonseparable(g)
     assert not rep.ok and not rep.connected
+
+
+@st.composite
+def small_graphs(draw):
+    """Graphs on 1..n, n <= 10, edge ids in random order.  Sparse draws
+    give isolated vertices, pendant edges and several components; a
+    drawn complement gives dense graphs with a few edges missing."""
+    n = draw(st.integers(1, 10))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    picked = draw(st.sets(st.integers(0, max(len(pairs) - 1, 0)), max_size=len(pairs)))
+    if draw(st.booleans()):
+        picked = set(range(len(pairs))) - picked
+    chosen = [pairs[i] for i in sorted(picked)]
+    ids = draw(st.permutations(range(1, len(chosen) + 1)))
+    return Graph(n=n, edges=dict(zip(ids, chosen)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_graphs())
+def test_nonseparable_matches_brute_force(g):
+    rep = validate_nonseparable(g)
+    assert (rep.connected, rep.min_degree, rep.cut_vertices, rep.bridges) == nonseparable_ref(g)

@@ -23,7 +23,7 @@ import topolayers.layering as layering
 import topolayers.projection as projection
 import topolayers.routing as routing
 import topolayers.cycles as cycles
-from topolayers.cycles import enumerate_isometric_cycles, seg
+from topolayers.cycles import seg
 from topolayers.fixtures import load_fixture
 from topolayers.graphs import complete_graph
 from topolayers.layering import decompose, split_regions
@@ -105,7 +105,7 @@ def _assert_routes_match(drawing, g):
 @given(st.integers(5, 9), st.randoms(use_true_random=False))
 def test_shortest_route_matches_reference_on_random_insertions(n, rnd):
     g = complete_graph(n)
-    sys_ = select_planar_cycle_system(g, enumerate_isometric_cycles(g))
+    sys_ = select_planar_cycle_system(g)
     d = Drawing.from_system(g, sys_)
     ring = hamiltonian_rim(sys_, g)
     split_regions(d, ring)
@@ -238,7 +238,7 @@ def test_route_greedy_matches_reference(n, monkeypatch):
 )
 def test_route_greedy_matches_reference_on_shuffled_pools(n, side, rnd):
     g = complete_graph(n)
-    d = Drawing.from_system(g, select_planar_cycle_system(g, None))
+    d = Drawing.from_system(g, select_planar_cycle_system(g))
     ring = hamiltonian_rim(d.snapshot(), g)
     split_regions(d, ring)
     chords = _pending(d, g)
@@ -282,7 +282,7 @@ def test_link_cache_tracks_each_face_change():
     """_remove_face and _add_face each keep the cache exact on their own;
     insert_connection always pairs them, which would hide a lapse in one."""
     g = complete_graph(8)
-    d = Drawing.from_system(g, select_planar_cycle_system(g, None))
+    d = Drawing.from_system(g, select_planar_cycle_system(g))
     for fid in sorted(d.faces):
         face = d.faces[fid]
         build_mixed_cycle_graph(d)

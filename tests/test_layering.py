@@ -76,7 +76,7 @@ def _strip_outcome(strip, d, chord):
 @given(st.integers(7, 10), st.randoms(use_true_random=False))
 def test_strip_matches_union_find_after_random_insertions(n, rnd):
     g = complete_graph(n)
-    sys_ = select_planar_cycle_system(g, None)
+    sys_ = select_planar_cycle_system(g)
     d = Drawing.from_system(g, sys_)
     split_regions(d, hamiltonian_rim(sys_, g))
     drawn = {seg(*s) for s in sys_.segments()}
@@ -136,8 +136,8 @@ def test_k10_three_layers(k10, k10_decomposition):
     assert sorted(eid for ids in part.values() for eid in ids) == sorted(k10.edges)
 
 
-def test_inner_only_strategy(k7, k7_pool):
-    d = decompose(k7, strategy="inner-only", pin=load_fixture("k7"), pool=k7_pool)
+def test_inner_only_strategy(k7):
+    d = decompose(k7, strategy="inner-only", pin=load_fixture("k7"))
     assert len(d.layers) >= 2
     for layer in d.layers:
         assert verify_system(layer.system).ok
@@ -181,8 +181,8 @@ def test_decompose_rejects_malformed_pin(k7, pin):
         decompose(k7, pin=pin)
 
 
-def test_decompose_deterministic(k7, k7_pool, k7_decomposition):
-    d2 = decompose(k7, strategy="thickness", pin=load_fixture("k7"), pool=k7_pool)
+def test_decompose_deterministic(k7, k7_decomposition):
+    d2 = decompose(k7, strategy="thickness", pin=load_fixture("k7"))
     assert d2.sequences == k7_decomposition.sequences
     assert [sorted(l.realized) for l in d2.layers] == [
         sorted(l.realized) for l in k7_decomposition.layers

@@ -13,7 +13,7 @@ from oracles import (
     hamiltonian_rim_ref,
 )
 from topolayers import planar
-from topolayers.cycles import enumerate_isometric_cycles, ring_cycle, seg
+from topolayers.cycles import ring_cycle, seg
 from topolayers.graphs import complete_graph, parse_graph
 from topolayers.layering import split_regions
 from topolayers.planar import (
@@ -104,8 +104,7 @@ def test_hamiltonian_rim_refuses_a_bad_pinned_ring(k7, k7_system, pin_ring, mess
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_unpinned_planarization_is_maximal_planar(n):
     g = complete_graph(n)
-    pool = enumerate_isometric_cycles(g)
-    sys_ = select_planar_cycle_system(g, pool)
+    sys_ = select_planar_cycle_system(g)
     assert len(sys_.segments()) == 3 * n - 6
     rep = verify_system(sys_)
     assert rep.ok, rep.lines()
@@ -116,9 +115,7 @@ def test_gf2_sum_equals_rim(k7_system):
 
 
 def test_pinned_system_needs_the_pool(k7):
-    with pytest.raises(PlanarizationError, match="pool"):
-        select_planar_cycle_system(k7, None, load_fixture("k7")["system"])
-    assert len(select_planar_cycle_system(k7, None).segments()) == 15
+    assert len(select_planar_cycle_system(k7).segments()) == 15
 
 
 # The planar stage's shortcuts against the loops they replaced: the same
@@ -181,7 +178,7 @@ def _assert_planar_stage_matches_loops(g):
     faces = embedding_faces_ref(ref)
     assert embedding_faces_ref(kept) == faces
     try:
-        sys_ = select_planar_cycle_system(g, None)
+        sys_ = select_planar_cycle_system(g)
     except PlanarizationError:
         return
     want = {i: ring_cycle(i, list(r)).arcs for i, r in enumerate(faces, start=1)}
@@ -209,7 +206,7 @@ def test_planar_stage_matches_loops_on_generated_graphs(g):
 def test_pinned_ring_sides_match_gf2(which):
     pin = load_fixture(which)
     g = complete_graph(int(which[1:]))
-    sys_ = select_planar_cycle_system(g, enumerate_isometric_cycles(g), pin["system"])
+    sys_ = select_planar_cycle_system(g, pin["system"])
     _assert_sides_match_gf2(g, sys_, hamiltonian_rim(sys_, g, pin.get("hamiltonian")))
 
 
@@ -290,7 +287,7 @@ def test_plane_rotation_check_catches_a_wrong_angle(g):
 
 def test_hamiltonian_search_budget_exhausts():
     g = graph_from_networkx(nx.hypercube_graph(5))
-    sys_ = select_planar_cycle_system(g, None)
+    sys_ = select_planar_cycle_system(g)
     with pytest.raises(PlanarizationError, match="^Hamiltonian ring search budget exhausted$"):
         hamiltonian_rim(sys_, g, budget=10)
     assert len(hamiltonian_rim(sys_, g)) == 32

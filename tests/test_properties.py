@@ -15,7 +15,6 @@ from topolayers.document import (
 )
 from topolayers.graphs import complete_graph
 from topolayers.planar import select_planar_cycle_system
-from topolayers.cycles import enumerate_isometric_cycles
 from topolayers.projection import basis_from_ring, chords_cross
 from topolayers.routing import Drawing, shortest_route, insert_connection
 from topolayers.verify import (
@@ -59,8 +58,7 @@ def run_random_insertions(target=200):
     while done < target:
         n = rng.randint(5, 10)
         g = complete_graph(n)
-        pool = enumerate_isometric_cycles(g)
-        sys_ = select_planar_cycle_system(g, pool)
+        sys_ = select_planar_cycle_system(g)
         d = Drawing.from_system(g, sys_)
         chords = [uv for uv in g.edges.values() if uv not in sys_.segments()]
         rng.shuffle(chords)
