@@ -51,11 +51,15 @@ def _input_errors() -> Iterator[None]:
         sys.exit(2)
 
 
-def _read_graph(path: str):
+def _parse_file(path: str):
     with open(path) as fh:
         text = fh.read()
     name = os.path.splitext(os.path.basename(path))[0]
-    g = parse_graph(text, name=name)
+    return parse_graph(text, name=name)
+
+
+def _read_graph(path: str):
+    g = _parse_file(path)
     report = validate_nonseparable(g)
     if not report.ok:
         raise GraphInputError(
@@ -133,7 +137,8 @@ def planarize(input_path: str, pin_spec: Optional[str]) -> None:
 def decompose_cmd(input_path: str, strategy: str, pin_spec: Optional[str], out_path: str) -> None:
     """Decompose IN into planar layers and write a JSON document."""
     with _input_errors():
-        g = _read_graph(input_path)
+        # decompose runs the nonseparable gate and refuses a failing graph
+        g = _parse_file(input_path)
         pin = _read_pin(pin_spec)
         d = decompose(g, strategy=strategy, pin=pin)
         doc = decomposition_to_document(d)

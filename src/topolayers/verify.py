@@ -4,15 +4,27 @@ Everything here re-derives its facts from raw arc lists so that a bug in
 the router cannot hide behind shared code: MacLane double cover, GF(2)
 rim sum, Euler count, orientation coherence, imaginary degrees, and face
 tracing from rebuilt rotations.
+
+`verify_raw` converts a system's members to tuples once and builds one
+segment table, segment -> [(member id, arc), ...], in a single pass over
+the arcs.  The double cover, orientation, Euler and imaginary-degree
+checks read that table; the walk and GF(2) checks read the converted
+members.  Face tracing stays independent: `check_face_trace` converts
+the members itself, rebuilds each vertex's rotation from its own dart
+successor table and re-traces the faces.  Each public `check_*` wraps
+the same private helper `verify_raw` calls, so every check has one
+implementation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import eq
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 Arc = Tuple[int, int]
 RawMember = Tuple[int, Tuple[Arc, ...]]  # (id, arcs)
+SegmentTable = Dict[Tuple[int, int], List[Tuple[int, Arc]]]
 
 
 @dataclass
@@ -50,46 +62,55 @@ def _members(cycles: Dict[int, Tuple[Arc, ...]], rim) -> List[RawMember]:
     return out
 
 
-def check_walks(cycles, rim=None) -> CheckResult:
-    """Each member is a closed simple walk of length >= 3."""
+def _segment_table(members: Sequence[RawMember]) -> SegmentTable:
+    """segment -> [(member id, arc), ...] in member order, arc order."""
+    table: SegmentTable = {}
+    for cid, arcs in members:
+        for arc in arcs:
+            a, b = arc
+            s = (a, b) if a < b else (b, a)
+            row = table.get(s)
+            if row is None:
+                table[s] = [(cid, arc)]
+            else:
+                row.append((cid, arc))
+    return table
+
+
+def _walks(members: Sequence[RawMember]) -> CheckResult:
     bad = []
-    for cid, arcs in _members(cycles, rim):
+    for cid, arcs in members:
         if len(arcs) < 3:
             bad.append(f"c{cid}: only {len(arcs)} arcs")
             continue
-        heads = [a for a, _ in arcs]
-        for (a, b), (c, d) in zip(arcs, arcs[1:] + arcs[:1]):
-            if b != c:
-                bad.append(f"c{cid}: arcs break at ({a},{b})->({c},{d})")
-                break
-        else:
-            if len(set(heads)) != len(heads):
-                bad.append(f"c{cid}: revisits a vertex")
-            if any(a == b for a, b in arcs):
-                bad.append(f"c{cid}: self-loop arc")
+        heads, tails = zip(*arcs)
+        nxt = heads[1:] + heads[:1]
+        if tails != nxt:
+            i = next(i for i, (b, c) in enumerate(zip(tails, nxt)) if b != c)
+            (a, b), (c, d) = arcs[i], arcs[(i + 1) % len(arcs)]
+            bad.append(f"c{cid}: arcs break at ({a},{b})->({c},{d})")
+            continue
+        if len(set(heads)) != len(heads):
+            bad.append(f"c{cid}: revisits a vertex")
+        if any(map(eq, heads, tails)):
+            bad.append(f"c{cid}: self-loop arc")
     return CheckResult(not bad, bad)
 
 
-def check_maclane(cycles, rim=None) -> CheckResult:
-    """Every edge lies on exactly two members (double cover)."""
-    cov: Dict[Tuple[int, int], List[int]] = {}
-    for cid, arcs in _members(cycles, rim):
-        for a, b in arcs:
-            cov.setdefault(_seg(a, b), []).append(cid)
+def _maclane(table: SegmentTable) -> CheckResult:
     bad = [
-        f"edge ({s[0]},{s[1]}) on {len(who)} members: {who}"
-        for s, who in sorted(cov.items())
-        if len(who) != 2
+        f"edge ({s[0]},{s[1]}) on {len(row)} members: {[cid for cid, _ in row]}"
+        for s, row in sorted(table.items())
+        if len(row) != 2
     ]
     return CheckResult(not bad, bad)
 
 
-def check_gf2_sum(cycles, rim=None) -> CheckResult:
-    """XOR of cycle edge sets equals the rim edge set (empty without rim)."""
+def _gf2_sum(members: Sequence[RawMember], has_rim: bool) -> CheckResult:
     acc: Set[Tuple[int, int]] = set()
-    for _, arcs in sorted(cycles.items()):
-        acc.symmetric_difference_update(_seg(a, b) for a, b in arcs)
-    want = set() if rim is None else {_seg(a, b) for a, b in rim[1]}
+    for _, arcs in (members[:-1] if has_rim else members):
+        acc.symmetric_difference_update({(a, b) if a < b else (b, a) for a, b in arcs})
+    want = {_seg(a, b) for a, b in members[-1][1]} if has_rim else set()
     if acc == want:
         return CheckResult(True)
     extra = sorted(acc - want)
@@ -97,46 +118,64 @@ def check_gf2_sum(cycles, rim=None) -> CheckResult:
     return CheckResult(False, [f"sum mismatch: extra {extra}, missing {missing}"])
 
 
-def check_euler(cycles, rim=None) -> CheckResult:
-    vs: Set[int] = set()
-    es: Set[Tuple[int, int]] = set()
-    for _, arcs in _members(cycles, rim):
-        for a, b in arcs:
-            vs.update((a, b))
-            es.add(_seg(a, b))
-    nf = len(cycles) + (1 if rim is not None else 0)
-    lhs = len(vs) - len(es) + nf
+def _euler(table: SegmentTable, nf: int) -> CheckResult:
+    nv = len({v for s in table for v in s})
+    lhs = nv - len(table) + nf
     if lhs == 2:
         return CheckResult(True)
-    return CheckResult(False, [f"{len(vs)} - {len(es)} + {nf} = {lhs} != 2"])
+    return CheckResult(False, [f"{nv} - {len(table)} + {nf} = {lhs} != 2"])
+
+
+def _orientation(table: SegmentTable) -> CheckResult:
+    bad = [
+        f"edge ({s[0]},{s[1]}) traversed {[row[0][1], row[1][1]]}"
+        for s, row in sorted(table.items())
+        if len(row) == 2 and row[0][1] == row[1][1]
+    ]
+    return CheckResult(not bad, bad)
+
+
+def _imaginary_degree(n: int, table: SegmentTable) -> CheckResult:
+    # a self-loop segment (v, v) is one incident segment of v
+    deg: Dict[int, int] = {}
+    for a, b in table:
+        if a > n:
+            deg[a] = deg.get(a, 0) + 1
+        if b > n and b != a:
+            deg[b] = deg.get(b, 0) + 1
+    bad = [f"v{v}: degree {d} != 4" for v, d in sorted(deg.items()) if d != 4]
+    return CheckResult(not bad, bad)
+
+
+def check_walks(cycles, rim=None) -> CheckResult:
+    """Each member is a closed simple walk of length >= 3."""
+    return _walks(_members(cycles, rim))
+
+
+def check_maclane(cycles, rim=None) -> CheckResult:
+    """Every edge lies on exactly two members (double cover)."""
+    return _maclane(_segment_table(_members(cycles, rim)))
+
+
+def check_gf2_sum(cycles, rim=None) -> CheckResult:
+    """XOR of cycle edge sets equals the rim edge set (empty without rim)."""
+    return _gf2_sum(_members(cycles, rim), rim is not None)
+
+
+def check_euler(cycles, rim=None) -> CheckResult:
+    """V - E + F = 2 over the vertices, segments and members."""
+    members = _members(cycles, rim)
+    return _euler(_segment_table(members), len(members))
 
 
 def check_orientation(cycles, rim=None) -> CheckResult:
     """Shared edges must be traversed in opposite directions."""
-    dirs: Dict[Tuple[int, int], List[Arc]] = {}
-    for _, arcs in _members(cycles, rim):
-        for a, b in arcs:
-            dirs.setdefault(_seg(a, b), []).append((a, b))
-    bad = [
-        f"edge ({s[0]},{s[1]}) traversed {ds}"
-        for s, ds in sorted(dirs.items())
-        if len(ds) == 2 and ds[0] == ds[1]
-    ]
-    return CheckResult(not bad, bad)
+    return _orientation(_segment_table(_members(cycles, rim)))
 
 
 def check_imaginary_degree(n: int, cycles, rim=None) -> CheckResult:
     """Imaginary vertices (id > n) have drawing degree exactly 4."""
-    deg: Dict[int, Set[Tuple[int, int]]] = {}
-    for _, arcs in _members(cycles, rim):
-        for a, b in arcs:
-            for v in (a, b):
-                if v > n:
-                    deg.setdefault(v, set()).add(_seg(a, b))
-    bad = [
-        f"v{v}: degree {len(ss)} != 4" for v, ss in sorted(deg.items()) if len(ss) != 4
-    ]
-    return CheckResult(not bad, bad)
+    return _imaginary_degree(n, _segment_table(_members(cycles, rim)))
 
 
 def trace_faces(rotation: Dict[int, List[int]]) -> List[Tuple[Arc, ...]]:
@@ -201,8 +240,8 @@ def check_face_trace(cycles, rim=None) -> CheckResult:
             return CheckResult(False, bad)
         rotation[v] = ring
     traced = trace_faces(rotation)
-    want = {frozenset(_norm_face(arcs)) for _, arcs in members}
-    got = {frozenset(_norm_face(f)) for f in traced}
+    want = {frozenset(arcs) for _, arcs in members}
+    got = {frozenset(f) for f in traced}
     if want != got or len(traced) != len(members):
         bad.append(
             f"traced {len(traced)} faces, expected {len(members)}; "
@@ -211,23 +250,20 @@ def check_face_trace(cycles, rim=None) -> CheckResult:
     return CheckResult(not bad, bad)
 
 
-def _norm_face(arcs: Sequence[Arc]) -> Tuple[Arc, ...]:
-    k = min(range(len(arcs)), key=lambda i: arcs[i])
-    return tuple(arcs[k:]) + tuple(arcs[:k])
-
-
 def verify_raw(
     n: int,
     cycles: Dict[int, Tuple[Arc, ...]],
     rim: Optional[RawMember] = None,
 ) -> VerificationReport:
+    members = _members(cycles, rim)
+    table = _segment_table(members)
     checks = {
-        "walks": check_walks(cycles, rim),
-        "maclane": check_maclane(cycles, rim),
-        "gf2-sum": check_gf2_sum(cycles, rim),
-        "euler": check_euler(cycles, rim),
-        "orientation": check_orientation(cycles, rim),
-        "imaginary-degree": check_imaginary_degree(n, cycles, rim),
+        "walks": _walks(members),
+        "maclane": _maclane(table),
+        "gf2-sum": _gf2_sum(members, rim is not None),
+        "euler": _euler(table, len(members)),
+        "orientation": _orientation(table),
+        "imaginary-degree": _imaginary_degree(n, table),
     }
     if all(checks[k].ok for k in ("walks", "maclane", "orientation")):
         checks["face-trace-agreement"] = check_face_trace(cycles, rim)

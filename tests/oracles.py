@@ -21,9 +21,12 @@ face's links through `conjugate_links_ref` instead of testing the cached
 links in place, and `serialize_ref` is the canonical document text as
 `json.dumps` writes it.  `nonseparable_ref` is the input gate by brute
 force: a cut vertex or bridge is one whose removal leaves more
-components.  The package versions must return exactly what
-these return.  `graph_from_networkx` builds test inputs the way the
-benchmark corpus does.
+components.  `verify_raw_ref` runs each per-layer verifier check the
+way it was written before `verify.verify_raw` shared one segment table:
+every check copies the arcs and walks them again, and face tracing
+rotates each face to its smallest arc before comparing.  The package
+versions must return exactly what these return.  `graph_from_networkx`
+builds test inputs the way the benchmark corpus does.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from topolayers.planar import CycleSystem, PlanarizationError
 from topolayers.projection import crossing_counts, project_chord
 from topolayers.render import RenderError, _carrier_key, _carrier_paths
 from topolayers.routing import RoutingError, insert_connection
+from topolayers.verify import CheckResult, trace_faces
 
 
 def select_noncrossing_ref(basis, chords: Dict[int, Tuple[int, int]]) -> Tuple[List[int], List[int]]:
@@ -510,3 +514,155 @@ def nonseparable_ref(g: Graph) -> Tuple[bool, int, List[int], List[int]]:
         if _components(vs, [uv for e, uv in g.edges.items() if e != eid]) > base
     ]
     return base == 1, min(degree.values()), cut, bridges
+
+
+def _members_ref(cycles, rim) -> List[Tuple[int, Tuple[Tuple[int, int], ...]]]:
+    out = [(cid, tuple(map(tuple, arcs))) for cid, arcs in sorted(cycles.items())]
+    if rim is not None:
+        out.append((rim[0], tuple(map(tuple, rim[1]))))
+    return out
+
+
+def _walks_ref(cycles, rim) -> CheckResult:
+    bad = []
+    for cid, arcs in _members_ref(cycles, rim):
+        if len(arcs) < 3:
+            bad.append(f"c{cid}: only {len(arcs)} arcs")
+            continue
+        heads = [a for a, _ in arcs]
+        for (a, b), (c, d) in zip(arcs, arcs[1:] + arcs[:1]):
+            if b != c:
+                bad.append(f"c{cid}: arcs break at ({a},{b})->({c},{d})")
+                break
+        else:
+            if len(set(heads)) != len(heads):
+                bad.append(f"c{cid}: revisits a vertex")
+            if any(a == b for a, b in arcs):
+                bad.append(f"c{cid}: self-loop arc")
+    return CheckResult(not bad, bad)
+
+
+def _maclane_ref(cycles, rim) -> CheckResult:
+    cov: Dict[Segment, List[int]] = {}
+    for cid, arcs in _members_ref(cycles, rim):
+        for a, b in arcs:
+            cov.setdefault(seg(a, b), []).append(cid)
+    bad = [
+        f"edge ({s[0]},{s[1]}) on {len(who)} members: {who}"
+        for s, who in sorted(cov.items())
+        if len(who) != 2
+    ]
+    return CheckResult(not bad, bad)
+
+
+def _gf2_sum_ref(cycles, rim) -> CheckResult:
+    acc: Set[Segment] = set()
+    for _, arcs in sorted(cycles.items()):
+        acc.symmetric_difference_update(seg(a, b) for a, b in arcs)
+    want = set() if rim is None else {seg(a, b) for a, b in rim[1]}
+    if acc == want:
+        return CheckResult(True)
+    extra = sorted(acc - want)
+    missing = sorted(want - acc)
+    return CheckResult(False, [f"sum mismatch: extra {extra}, missing {missing}"])
+
+
+def _euler_ref(cycles, rim) -> CheckResult:
+    vs: Set[int] = set()
+    es: Set[Segment] = set()
+    for _, arcs in _members_ref(cycles, rim):
+        for a, b in arcs:
+            vs.update((a, b))
+            es.add(seg(a, b))
+    nf = len(cycles) + (1 if rim is not None else 0)
+    lhs = len(vs) - len(es) + nf
+    if lhs == 2:
+        return CheckResult(True)
+    return CheckResult(False, [f"{len(vs)} - {len(es)} + {nf} = {lhs} != 2"])
+
+
+def _orientation_ref(cycles, rim) -> CheckResult:
+    dirs: Dict[Segment, List[Tuple[int, int]]] = {}
+    for _, arcs in _members_ref(cycles, rim):
+        for a, b in arcs:
+            dirs.setdefault(seg(a, b), []).append((a, b))
+    bad = [
+        f"edge ({s[0]},{s[1]}) traversed {ds}"
+        for s, ds in sorted(dirs.items())
+        if len(ds) == 2 and ds[0] == ds[1]
+    ]
+    return CheckResult(not bad, bad)
+
+
+def _imaginary_degree_ref(n: int, cycles, rim) -> CheckResult:
+    deg: Dict[int, Set[Segment]] = {}
+    for _, arcs in _members_ref(cycles, rim):
+        for a, b in arcs:
+            for v in (a, b):
+                if v > n:
+                    deg.setdefault(v, set()).add(seg(a, b))
+    bad = [
+        f"v{v}: degree {len(ss)} != 4" for v, ss in sorted(deg.items()) if len(ss) != 4
+    ]
+    return CheckResult(not bad, bad)
+
+
+def _norm_face_ref(arcs: Sequence[Tuple[int, int]]) -> Tuple[Tuple[int, int], ...]:
+    k = min(range(len(arcs)), key=lambda i: arcs[i])
+    return tuple(arcs[k:]) + tuple(arcs[:k])
+
+
+def _face_trace_ref(cycles, rim) -> CheckResult:
+    members = _members_ref(cycles, rim)
+    after: Dict[int, Dict[int, int]] = {}
+    bad: List[str] = []
+    for cid, arcs in members:
+        for (a, b), (_, d) in zip(arcs, arcs[1:] + arcs[:1]):
+            tbl = after.setdefault(b, {})
+            if a in tbl:
+                bad.append(f"v{b}: two successors for dart from v{a}")
+                return CheckResult(False, bad)
+            tbl[a] = d
+    rotation: Dict[int, List[int]] = {}
+    for v, tbl in after.items():
+        start = min(tbl)
+        ring = [start]
+        w = tbl[start]
+        while w != start:
+            if w not in tbl or len(ring) > len(tbl):
+                bad.append(f"v{v}: rotation does not close up")
+                return CheckResult(False, bad)
+            ring.append(w)
+            w = tbl[w]
+        if len(ring) != len(tbl):
+            bad.append(f"v{v}: neighbourhood splits into several fans")
+            return CheckResult(False, bad)
+        rotation[v] = ring
+    traced = trace_faces(rotation)
+    want = {frozenset(_norm_face_ref(arcs)) for _, arcs in members}
+    got = {frozenset(_norm_face_ref(f)) for f in traced}
+    if want != got or len(traced) != len(members):
+        bad.append(
+            f"traced {len(traced)} faces, expected {len(members)}; "
+            f"unmatched: {len(want ^ got)}"
+        )
+    return CheckResult(not bad, bad)
+
+
+def verify_raw_ref(n: int, cycles, rim=None) -> Dict[str, CheckResult]:
+    """The per-layer checks, each copying and walking the arcs itself."""
+    checks = {
+        "walks": _walks_ref(cycles, rim),
+        "maclane": _maclane_ref(cycles, rim),
+        "gf2-sum": _gf2_sum_ref(cycles, rim),
+        "euler": _euler_ref(cycles, rim),
+        "orientation": _orientation_ref(cycles, rim),
+        "imaginary-degree": _imaginary_degree_ref(n, cycles, rim),
+    }
+    if all(checks[k].ok for k in ("walks", "maclane", "orientation")):
+        checks["face-trace-agreement"] = _face_trace_ref(cycles, rim)
+    else:
+        checks["face-trace-agreement"] = CheckResult(
+            False, ["skipped: structural checks failed"]
+        )
+    return checks

@@ -74,6 +74,33 @@ def test_cycles_separable_is_input_error(runner, tmp_path):
     assert "nonseparable" in res.output
 
 
+@pytest.mark.parametrize(
+    "text, code",
+    [(format_graph(complete_graph(7)), 0), ("1 2\n2 3\n3 1\n3 4\n4 5\n5 3\n", 2)],
+    ids=["k7", "separable"],
+)
+def test_decompose_runs_the_gate_once(runner, tmp_path, monkeypatch, text, code):
+    import topolayers.cli
+    import topolayers.layering
+    from topolayers.graphs import validate_nonseparable
+
+    calls = []
+
+    def counted(g):
+        calls.append(g.name)
+        return validate_nonseparable(g)
+
+    for module in (topolayers.cli, topolayers.layering):
+        monkeypatch.setattr(module, "validate_nonseparable", counted)
+    p = tmp_path / "in.txt"
+    p.write_text(text)
+    res = runner.invoke(main, ["decompose", str(p), "-o", str(tmp_path / "out.json")])
+    assert res.exit_code == code, res.output
+    assert calls == ["in"]
+    if code:
+        assert "nonseparable" in res.output
+
+
 def test_planarize_pinned(runner, k7_file):
     res = runner.invoke(main, ["planarize", k7_file, "--pin", "k7"])
     assert res.exit_code == 0

@@ -1,5 +1,11 @@
 from __future__ import annotations
 
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from oracles import verify_raw_ref
+from topolayers.document import decomposition_to_document, verify_document
 from topolayers.verify import (
     check_connection_realization,
     check_edge_partition,
@@ -7,6 +13,7 @@ from topolayers.verify import (
     check_face_trace,
     check_gf2_sum,
     check_graph_edges,
+    check_imaginary_degree,
     check_layer_rings,
     check_maclane,
     check_orientation,
@@ -123,3 +130,139 @@ def test_layer_rings_checker():
     assert not check_layer_rings(4, edges, [(1, None), (2, [1, 2, 3])], first).ok
     assert not check_layer_rings(4, edges, [(1, None), (2, [1, 2, 3, 3])], first).ok
     assert not check_layer_rings(4, edges, [(1, None), (2, [1, 2, 4, 3])], first).ok
+
+
+def _layer_systems(doc):
+    """(n, cycles, rim) of each layer, with arcs as the JSON lists."""
+    out = []
+    for layer in doc["layers"]:
+        sj = layer["system"]
+        cycles = {c["id"]: c["arcs"] for c in sj["cycles"]}
+        rim = None if sj["rim"] is None else (sj["rim"]["id"], sj["rim"]["arcs"])
+        out.append((sj["n"], cycles, rim))
+    return out
+
+
+def _as_pairs(checks):
+    return {name: (r.ok, r.details) for name, r in checks.items()}
+
+
+def test_maclane_details_list_member_ids():
+    cycles = {cid: K4_CYCLES[cid] for cid in (1, 2, 3)}
+    assert check_maclane(cycles).details == [
+        "edge (2,3) on 1 members: [1]",
+        "edge (2,4) on 1 members: [3]",
+        "edge (3,4) on 1 members: [2]",
+    ]
+    assert _as_pairs(verify_raw(4, cycles).checks) == _as_pairs(verify_raw_ref(4, cycles))
+
+
+def test_self_loop_at_imaginary_vertex_is_one_segment():
+    # Read K4 with n = 3, so v4 is imaginary: three segments meet it.
+    assert check_imaginary_degree(3, K4_CYCLES).details == ["v4: degree 3 != 4"]
+    looped = dict(K4_CYCLES)
+    looped[2] = ((1, 3), (3, 4), (4, 4), (4, 1))
+    assert check_imaginary_degree(3, looped).ok
+    assert check_walks(looped).details == ["c2: revisits a vertex", "c2: self-loop arc"]
+    assert _as_pairs(verify_raw(3, looped).checks) == _as_pairs(verify_raw_ref(3, looped))
+
+
+@pytest.mark.parametrize(
+    "fixture",
+    ["k7_decomposition", "k8_decomposition", "k10_decomposition", "k12_unpinned_decomposition"],
+)
+def test_verify_raw_matches_oracle_on_every_layer(fixture, request):
+    doc = decomposition_to_document(request.getfixturevalue(fixture))
+    report = _as_pairs(verify_document(doc).checks)
+    for k, (n, cycles, rim) in enumerate(_layer_systems(doc), start=1):
+        want = _as_pairs(verify_raw_ref(n, cycles, rim))
+        assert _as_pairs(verify_raw(n, cycles, rim).checks) == want
+        assert {name: report[f"layer-{k}/{name}"] for name in want} == want
+
+
+def _merge_across(members, w, u):
+    """Delete segment (w, u) by joining the two members on its sides."""
+    i = next(p for p, (_, arcs) in enumerate(members) if (w, u) in arcs)
+    j = next(p for p, (_, arcs) in enumerate(members) if (u, w) in arcs)
+    a, b = members[i][1], members[j][1]
+    x, y = a.index((w, u)), b.index((u, w))
+    merged = a[x + 1:] + a[:x] + b[y + 1:] + b[:y]
+    keep, drop = (j, i) if j == len(members) - 1 else (i, j)
+    out = list(members)
+    out[keep] = (members[keep][0], merged)
+    del out[drop]
+    return out
+
+
+def _split(members, has_rim):
+    """(cycles, rim) from members listed with the rim last."""
+    if has_rim and members:
+        *body, rim = members
+        return dict(body), rim
+    return dict(members), None
+
+
+MUTATIONS = [
+    "reverse", "drop", "duplicate", "delete-arc", "self-loop", "spur", "imaginary-degree-3",
+]
+
+
+@pytest.fixture(scope="module")
+def mutable_layers(k7_decomposition, k8_decomposition):
+    return [
+        system
+        for d in (k7_decomposition, k8_decomposition)
+        for system in _layer_systems(decomposition_to_document(d))
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), mutation=st.sampled_from(MUTATIONS))
+def test_verify_raw_matches_oracle_on_mutated_systems(mutable_layers, data, mutation):
+    n, cycles, rim = data.draw(st.sampled_from(mutable_layers))
+    members = [(cid, [tuple(a) for a in arcs]) for cid, arcs in sorted(cycles.items())]
+    if rim is not None:
+        members.append((rim[0], [tuple(a) for a in rim[1]]))
+    m = data.draw(st.integers(0, len(members) - 1))
+    cid, arcs = members[m]
+    at = data.draw(st.integers(0, len(arcs) - 1))
+    if mutation == "reverse":
+        members[m] = (cid, [(b, a) for a, b in reversed(arcs)])
+    elif mutation == "drop":
+        del members[m]
+    elif mutation == "duplicate":
+        members.insert(0, (max(c for c, _ in members) + 1, list(arcs)))
+    elif mutation == "delete-arc":
+        members[m] = (cid, arcs[:at] + arcs[at + 1:])
+    elif mutation == "self-loop":
+        v = arcs[at][0]
+        members[m] = (cid, arcs[:at] + [(v, v)] + arcs[at:])
+    elif mutation == "spur":
+        # out to a new vertex and back: one member holds a segment twice
+        v = arcs[at][0]
+        x = max(w for _, a in members for arc in a for w in arc) + 1
+        members[m] = (cid, arcs[:at] + [(v, x), (x, v)] + arcs[at:])
+    else:
+        imaginary = sorted({v for _, a in members for arc in a for v in arc if v > n})
+        assume(imaginary)
+        w = data.draw(st.sampled_from(imaginary))
+        u = next(b for _, a in members for x, b in a if x == w)
+        members = _merge_across(members, w, u)
+        rep = verify_raw(n, *_split(members, rim is not None))
+        assert f"v{w}: degree 3 != 4" in rep.checks["imaginary-degree"].details
+    cycles, rim = _split(members, rim is not None)
+    want = _as_pairs(verify_raw_ref(n, cycles, rim))
+    assert _as_pairs(verify_raw(n, cycles, rim).checks) == want
+    public = {
+        "walks": check_walks(cycles, rim),
+        "maclane": check_maclane(cycles, rim),
+        "gf2-sum": check_gf2_sum(cycles, rim),
+        "euler": check_euler(cycles, rim),
+        "orientation": check_orientation(cycles, rim),
+        "imaginary-degree": check_imaginary_degree(n, cycles, rim),
+    }
+    assert _as_pairs(public) == {name: want[name] for name in public}
+    traced = want["face-trace-agreement"]
+    if traced[1] != ["skipped: structural checks failed"]:
+        result = check_face_trace(cycles, rim)
+        assert (result.ok, result.details) == traced
