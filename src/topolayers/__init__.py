@@ -31,8 +31,6 @@ from .layering import (
     DecompositionError,
     Layer,
     decompose,
-    layer_edge_partition,
-    strip_imaginary_region,
 )
 from .planar import (
     CycleSystem,
@@ -45,9 +43,7 @@ from .projection import (
     Basis,
     ProjectionError,
     basis_from_ring,
-    brute_force_max_noncrossing,
     chords_cross,
-    crossing_counts,
     project_chord,
     select_noncrossing,
 )
@@ -83,13 +79,11 @@ __all__ = [
     "RoutingError",
     "VerificationReport",
     "basis_from_ring",
-    "brute_force_max_noncrossing",
     "build_mixed_cycle_graph",
     "canonical_ring",
     "chords_cross",
     "complete_graph",
     "connection_path",
-    "crossing_counts",
     "decompose",
     "decomposition_to_document",
     "edge_between",
@@ -98,7 +92,6 @@ __all__ = [
     "hamiltonian_rim",
     "imaginary_sequence",
     "insert_connection",
-    "layer_edge_partition",
     "orient_cycles",
     "parse_document",
     "parse_graph",
@@ -109,7 +102,6 @@ __all__ = [
     "select_planar_cycle_system",
     "serialize_document",
     "shortest_route",
-    "strip_imaginary_region",
     "trace_faces",
     "validate_nonseparable",
     "verify_document",

@@ -70,11 +70,6 @@ def canonical_ring(vs: List[int]) -> List[int]:
     return vs
 
 
-def normalize_ring(vs: List[int]) -> Tuple[int, ...]:
-    """Orientation-normalized cyclic sequence (for comparisons)."""
-    return tuple(canonical_ring(list(vs)))
-
-
 def walk(segs: Iterable[Segment], start: int, stop: int) -> Optional[List[int]]:
     """The simple path from start to stop along segs, or None.
 
@@ -153,7 +148,6 @@ __all__ = [
     "seg",
     "ring_cycle",
     "canonical_ring",
-    "normalize_ring",
     "walk",
     "ring_from_segments",
     "enumerate_isometric_cycles",

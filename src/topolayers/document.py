@@ -261,10 +261,10 @@ def _check_cycle_ids(sj: dict) -> CheckResult:
 
 
 def _raw_system(sj: dict):
-    cycles = {c["id"]: tuple(tuple(a) for a in c["arcs"]) for c in sj["cycles"]}
-    rim = None
-    if sj.get("rim") is not None:
-        rim = (sj["rim"]["id"], tuple(tuple(a) for a in sj["rim"]["arcs"]))
+    """(n, cycles, rim) of a system, arcs as the document lists them;
+    verify_raw converts them."""
+    cycles = {c["id"]: c["arcs"] for c in sj["cycles"]}
+    rim = None if sj["rim"] is None else (sj["rim"]["id"], sj["rim"]["arcs"])
     return sj["n"], cycles, rim
 
 
@@ -274,8 +274,7 @@ def verify_document(doc: dict) -> VerificationReport:
     n = doc["graph"]["n"]
     # layers are named by position; layer k must also carry index k
     for k, layer in enumerate(doc["layers"], start=1):
-        ln, cycles, rim = _raw_system(layer["system"])
-        sub = verify_raw(ln, cycles, rim)
+        sub = verify_raw(*_raw_system(layer["system"]))
         for name, res in sub.checks.items():
             checks[f"layer-{k}/{name}"] = res
         checks[f"layer-{k}/cycle-ids"] = _check_cycle_ids(layer["system"])
@@ -299,12 +298,9 @@ def verify_document(doc: dict) -> VerificationReport:
     )
     chords = {eid: (u, v) for eid, u, v in doc["chords"]}
     sequences = {int(k): list(v) for k, v in doc["sequences"].items()}
-    _, final_cycles, final_rim = _raw_system(doc["layers"][-1]["system"])
-    if final_rim is not None:
-        final_cycles = dict(final_cycles)
-        final_cycles[final_rim[0]] = final_rim[1]
+    # sub is the final layer's report; its segments are the final drawing's
     checks["connection-realization"] = check_connection_realization(
-        n, chords, sequences, final_cycles
+        n, chords, sequences, sub._table
     )
     return VerificationReport(checks)
 

@@ -34,9 +34,6 @@ class Graph:
     def vertices(self) -> List[int]:
         return list(range(1, self.n + 1))
 
-    def degree(self, v: int) -> int:
-        return sum(1 for u, w in self.edges.values() if v in (u, w))
-
 
 def parse_graph(text: str, name: str = "") -> Graph:
     """Parse an edge list: one "u v" pair per non-comment line.

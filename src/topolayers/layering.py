@@ -1,4 +1,4 @@
-"""Layer construction: regions, stripping, and the decomposition loop.
+"""Layer construction: regions and the decomposition loop.
 
 Layer 1 is the maximal planar subgraph.  Its Hamiltonian ring splits the
 faces in two: one flood fill from the rim face, stopped at ring segments,
@@ -12,7 +12,7 @@ is left opens the next layer with a fresh ban set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Container, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .cycles import Cycle, Segment, canonical_ring, ring_from_segments, seg
 from .graphs import Graph, edge_between, validate_nonseparable
@@ -54,10 +54,6 @@ class Decomposition:
     drawing: Drawing = field(repr=False, default=None)
 
 
-def layer_edge_partition(d: Decomposition) -> Dict[int, List[int]]:
-    return {layer.index: sorted(layer.realized) for layer in d.layers}
-
-
 def _boundary_ring(faces: Sequence[Cycle]) -> Optional[List[int]]:
     acc: Set[Segment] = set()
     for c in faces:
@@ -65,53 +61,18 @@ def _boundary_ring(faces: Sequence[Cycle]) -> Optional[List[int]]:
     return ring_from_segments(acc)
 
 
-def _flood(
-    drawing: Drawing, start: int, faces: Container[int], cut: Set[Segment]
-) -> Set[int]:
-    """The faces of `faces` reachable from face `start`, stepping between
-    faces that share a segment not in `cut`."""
+def _flood(drawing: Drawing, start: int, cut: Set[Segment]) -> Set[int]:
+    """The faces reachable from face `start`, stepping between faces that
+    share a segment not in `cut`."""
     seen = {start}
     stack = [start]
     while stack:
         for s in drawing.faces[stack.pop()].segments - cut:
             for fid in drawing.segment_faces[s]:
-                if fid not in seen and fid in faces:
+                if fid not in seen:
                     seen.add(fid)
                     stack.append(fid)
     return seen
-
-
-def strip_imaginary_region(
-    drawing: Drawing, chord: Tuple[int, int]
-) -> Tuple[List[int], List[int]]:
-    """Faces free of imaginary vertices that can host the chord.
-
-    The rim face is excluded; links whose shared edge touches a chord
-    endpoint are cut, since a route cannot cross there anyway.  Of the
-    components whose boundary ring holds both endpoints, the one with the
-    lexicographically smallest boundary is returned as (face ids,
-    boundary ring).
-    """
-    cands = {
-        fid
-        for fid in drawing.faces
-        if fid != drawing.rim_id and not drawing.has_imaginary(fid)
-    }
-    u, v = chord
-    cut = {s for s in drawing.segment_faces if u in s or v in s}
-    hits = []
-    seen: Set[int] = set()
-    for fid in sorted(cands):
-        if fid in seen:
-            continue
-        members = _flood(drawing, fid, cands, cut)
-        seen |= members
-        ring = _boundary_ring([drawing.faces[f] for f in members])
-        if ring is not None and u in ring and v in ring:
-            hits.append((sorted(members), ring))
-    if not hits:
-        raise DecompositionError(f"no residual region can host chord ({u},{v})")
-    return min(hits, key=lambda t: sorted(seg(a, b) for a, b in zip(t[1], t[1][1:] + t[1][:1])))
 
 
 def split_regions(drawing: Drawing, ring: Sequence[int]) -> Tuple[Set[int], Set[int]]:
@@ -122,7 +83,7 @@ def split_regions(drawing: Drawing, ring: Sequence[int]) -> Tuple[Set[int], Set[
     rest are inner.  Returns (inner, outer) face ids.
     """
     cut = {seg(a, b) for a, b in zip(ring, [*ring[1:], ring[0]])}
-    outer = _flood(drawing, drawing.rim_id, drawing.faces, cut)
+    outer = _flood(drawing, drawing.rim_id, cut)
     inner = set(drawing.faces) - outer
     boundary = _boundary_ring([drawing.faces[fid] for fid in inner])
     if boundary is None or canonical_ring(boundary) != canonical_ring(list(ring)):
@@ -363,8 +324,6 @@ __all__ = [
     "Layer",
     "Decomposition",
     "decompose",
-    "layer_edge_partition",
     "split_regions",
-    "strip_imaginary_region",
     "expanded_ring",
 ]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
@@ -34,15 +34,8 @@ class CycleSystem:
             out.append(self.rim)
         return out
 
-    def coverage(self) -> Dict[Segment, List[int]]:
-        cov: Dict[Segment, List[int]] = {}
-        for c in self.members():
-            for s in (seg(a, b) for a, b in c.arcs):
-                cov.setdefault(s, []).append(c.id)
-        return cov
-
     def segments(self) -> Set[Segment]:
-        return set(self.coverage())
+        return {s for c in self.members() for s in c.segments}
 
     def vertices(self) -> Set[int]:
         vs: Set[int] = set()
@@ -276,46 +269,37 @@ def hamiltonian_rim(
     free = {v: len(ns) for v, ns in adj.items()}
     path: List[int] = [1]
     used: Set[int] = {1}
+    # steps[i]: the untried successors of path[i], kept on an explicit
+    # stack so that a ring may be longer than Python's recursion limit.
+    # Vertex 1 is an end of the path, never interior, so every neighbour
+    # of it is a step.
+    steps: List[Iterator[int]] = [iter(adj[1])]
     tried = 0
-
-    def extend() -> Optional[List[int]]:
-        nonlocal tried
+    while steps:
+        w = next((x for x in steps[-1] if x not in used), None)
+        if w is None:
+            steps.pop()
+            if steps:
+                end = path.pop()
+                used.discard(end)
+                for x in adj[end]:
+                    free[x] += 1
+            continue
         tried += 1
         if tried > budget:
             raise PlanarizationError("Hamiltonian ring search budget exhausted")
-        end = path[-1]
-        if len(path) == g.n:
-            return list(path) if path[0] in adj[end] else None
-        # every step from here makes `end` interior
-        for x in adj[end]:
+        if len(path) + 1 == g.n:
+            if 1 in adj[w]:
+                return canonical_ring([*path, w])
+            continue
+        path.append(w)
+        used.add(w)
+        # every step from here makes w interior
+        for x in adj[w]:
             free[x] -= 1
-        short = [x for x in adj[end] if x not in used and free[x] < 2]
+        short = [x for x in adj[w] if x not in used and free[x] < 2]
         # a short vertex can only be the next end, so two end the branch
-        steps = (short or adj[end]) if len(short) < 2 else []
-        found = None
-        for w in steps:
-            if w not in used:
-                path.append(w)
-                used.add(w)
-                found = extend()
-                path.pop()
-                used.discard(w)
-                if found is not None:
-                    break
-        for x in adj[end]:
-            free[x] += 1
-        return found
-
-    # vertex 1 is an end of the path, never interior, so the search
-    # starts from each second vertex in turn
-    for second in adj[1]:
-        path.append(second)
-        used.add(second)
-        found = extend()
-        path.pop()
-        used.discard(second)
-        if found is not None:
-            return canonical_ring(found)
+        steps.append(iter((short or adj[w]) if len(short) < 2 else ()))
     raise PlanarizationError("no Hamiltonian ring found in the planar subgraph")
 
 

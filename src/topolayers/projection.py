@@ -86,18 +86,6 @@ def _proper(p1: FrozenSet[int], p2: FrozenSet[int]) -> bool:
     return bool(inter) and inter != p1 and inter != p2
 
 
-def crossing_counts(
-    basis: Basis, chords: Dict[int, Tuple[int, int]]
-) -> Dict[int, int]:
-    """Number of crossings per chord (keyed like the input)."""
-    counts = {cid: 0 for cid in chords}
-    for a, b in combinations(sorted(chords), 2):
-        if chords_cross(basis, chords[a], chords[b]):
-            counts[a] += 1
-            counts[b] += 1
-    return counts
-
-
 def select_noncrossing(
     basis: Basis, chords: Dict[int, Tuple[int, int]]
 ) -> Tuple[List[int], List[int]]:
@@ -129,51 +117,11 @@ def select_noncrossing(
     return sorted(crosses), removed
 
 
-def brute_force_max_noncrossing(
-    basis: Basis, chords: Dict[int, Tuple[int, int]]
-) -> List[int]:
-    """Exhaustive maximum non-crossing subset (reference oracle, <= 20 chords).
-
-    Among maximum subsets, the lexicographically smallest sorted id list
-    wins.
-    """
-    ids = sorted(chords)
-    if len(ids) > 20:
-        raise ProjectionError("brute force limited to 20 chords")
-    conflict = {
-        cid: {
-            oid
-            for oid in ids
-            if oid != cid and chords_cross(basis, chords[cid], chords[oid])
-        }
-        for cid in ids
-    }
-    best: List[int] = []
-
-    def grow(i: int, cur: List[int], banned: set) -> None:
-        nonlocal best
-        if len(cur) + (len(ids) - i) < len(best):
-            return
-        if i == len(ids):
-            if len(cur) > len(best) or (len(cur) == len(best) and cur < best):
-                best = list(cur)
-            return
-        cid = ids[i]
-        if cid not in banned:
-            grow(i + 1, cur + [cid], banned | conflict[cid])
-        grow(i + 1, cur, banned)
-
-    grow(0, [], set())
-    return best
-
-
 __all__ = [
     "Basis",
     "ProjectionError",
     "basis_from_ring",
     "project_chord",
     "chords_cross",
-    "crossing_counts",
     "select_noncrossing",
-    "brute_force_max_noncrossing",
 ]

@@ -145,9 +145,6 @@ class Drawing:
         rim = faces.pop(self.rim_id) if self.rim_id is not None else None
         return CycleSystem(n=self.g.n, cycles=faces, rim=rim)
 
-    def has_imaginary(self, fid: int) -> bool:
-        return any(v > self.g.n for v in self.faces[fid].vertices)
-
 
 def conjugate_edge(c1: Cycle, c2: Cycle) -> Segment:
     """The single shared edge of two conjugate cycles."""

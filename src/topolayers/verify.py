@@ -9,18 +9,19 @@ tracing from rebuilt rotations.
 segment table, segment -> [(member id, arc), ...], in a single pass over
 the arcs.  The double cover, orientation, Euler and imaginary-degree
 checks read that table; the walk and GF(2) checks read the converted
-members.  Face tracing stays independent: `check_face_trace` converts
-the members itself, rebuilds each vertex's rotation from its own dart
-successor table and re-traces the faces.  Each public `check_*` wraps
-the same private helper `verify_raw` calls, so every check has one
-implementation.
+members.  The report keeps the table, so a document's connection check
+reads its final layer's segments from there.  Face tracing stays
+independent: `check_face_trace` converts the members itself, rebuilds
+each vertex's rotation from its own dart successor table and re-traces
+the faces.  Each public `check_*` wraps the same private helper
+`verify_raw` calls, so every check has one implementation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import eq
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Collection, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 Arc = Tuple[int, int]
 RawMember = Tuple[int, Tuple[Arc, ...]]  # (id, arcs)
@@ -36,6 +37,8 @@ class CheckResult:
 @dataclass
 class VerificationReport:
     checks: Dict[str, CheckResult]
+    # the segment table of the one system verify_raw checked
+    _table: SegmentTable = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -135,14 +138,20 @@ def _orientation(table: SegmentTable) -> CheckResult:
     return CheckResult(not bad, bad)
 
 
-def _imaginary_degree(n: int, table: SegmentTable) -> CheckResult:
-    # a self-loop segment (v, v) is one incident segment of v
+def _imaginary_degrees(n: int, segments: Iterable[Tuple[int, int]]) -> Dict[int, int]:
+    """Incident segments of each imaginary vertex (id > n); a self-loop
+    segment (v, v) is one incident segment of v."""
     deg: Dict[int, int] = {}
-    for a, b in table:
+    for a, b in segments:
         if a > n:
             deg[a] = deg.get(a, 0) + 1
         if b > n and b != a:
             deg[b] = deg.get(b, 0) + 1
+    return deg
+
+
+def _imaginary_degree(n: int, table: SegmentTable) -> CheckResult:
+    deg = _imaginary_degrees(n, table)
     bad = [f"v{v}: degree {d} != 4" for v, d in sorted(deg.items()) if d != 4]
     return CheckResult(not bad, bad)
 
@@ -182,7 +191,8 @@ def trace_faces(rotation: Dict[int, List[int]]) -> List[Tuple[Arc, ...]]:
     """Orbits of next(d) = rotation-successor of the reversed dart.
 
     `rotation[v]` is the cyclic order of neighbours around v.  Each orbit
-    is one face, returned as its arc sequence.
+    is one face, returned as its arc sequence from whichever of its darts
+    the rotation lists first; the faces come in no particular order.
     """
     succ: Dict[Arc, Arc] = {}
     for v, ring in rotation.items():
@@ -191,7 +201,7 @@ def trace_faces(rotation: Dict[int, List[int]]) -> List[Tuple[Arc, ...]]:
             succ[(v, u)] = (v, w)
     faces = []
     seen: Set[Arc] = set()
-    for dart in sorted(succ):
+    for dart in succ:
         if dart in seen:
             continue
         walk = []
@@ -271,14 +281,14 @@ def verify_raw(
         checks["face-trace-agreement"] = CheckResult(
             False, ["skipped: structural checks failed"]
         )
-    return VerificationReport(checks)
+    return VerificationReport(checks, table)
 
 
 def verify_system(sys_) -> VerificationReport:
     """Report for a CycleSystem (cycles + optional rim)."""
     cycles = {cid: c.arcs for cid, c in sys_.cycles.items()}
     rim = (sys_.rim.id, sys_.rim.arcs) if sys_.rim is not None else None
-    return VerificationReport(verify_raw(sys_.n, cycles, rim).checks)
+    return verify_raw(sys_.n, cycles, rim)
 
 
 def check_edge_partition(
@@ -364,17 +374,12 @@ def check_connection_realization(
     n: int,
     chords: Dict[int, Tuple[int, int]],
     sequences: Dict[int, List[int]],
-    final_cycles: Dict[int, Tuple[Arc, ...]],
+    segments: Collection[Tuple[int, int]],
 ) -> CheckResult:
     """Each routed chord's connection is a path s -> ... -> t of drawing
-    edges whose interior vertices are imaginary and of degree 4."""
-    segs: Set[Tuple[int, int]] = set()
-    deg: Dict[int, Set[Tuple[int, int]]] = {}
-    for arcs in final_cycles.values():
-        for a, b in arcs:
-            segs.add(_seg(a, b))
-            deg.setdefault(a, set()).add(_seg(a, b))
-            deg.setdefault(b, set()).add(_seg(a, b))
+    segments, each (min, max), whose interior vertices are imaginary and
+    of degree 4; and every sequence belongs to a chord."""
+    deg = _imaginary_degrees(n, segments)
     bad = []
     for eid, (u, v) in sorted(chords.items()):
         if eid not in sequences:
@@ -382,13 +387,14 @@ def check_connection_realization(
             continue
         path = [min(u, v)] + list(sequences[eid]) + [max(u, v)]
         for a, b in zip(path, path[1:]):
-            if _seg(a, b) not in segs:
+            if _seg(a, b) not in segments:
                 bad.append(f"e{eid}: connection segment ({a},{b}) missing")
         for w in sequences[eid]:
             if w <= n:
                 bad.append(f"e{eid}: crossing vertex v{w} is not imaginary")
-            elif len(deg.get(w, ())) != 4:
-                bad.append(f"e{eid}: imaginary v{w} has degree {len(deg.get(w, ()))}")
+            elif deg.get(w, 0) != 4:
+                bad.append(f"e{eid}: imaginary v{w} has degree {deg.get(w, 0)}")
+    bad.extend(f"e{eid}: sequence names no chord" for eid in sorted(set(sequences) - set(chords)))
     return CheckResult(not bad, bad)
 
 

@@ -1,7 +1,10 @@
 """Loop versions of chord selection, routing and segment walks, kept as
-test references.
+test references, and helpers the package no longer ships.
 
-These recompute everything on every query: `select_noncrossing_ref`
+`crossing_counts` counts each chord's crossings pair by pair, and
+`brute_force_max_noncrossing` finds a maximum non-crossing chord subset
+exhaustively; both moved here from `projection`, where nothing called
+them.  These recompute everything on every query: `select_noncrossing_ref`
 recounts all pairwise crossings after each removal, and
 `shortest_route_ref` builds the whole mixed cycle graph from the face
 dictionary and runs a full breadth-first search.  `boundary_ring_ref`
@@ -13,8 +16,12 @@ and `hamiltonian_rim_ref` is the unpruned depth-first search that copies
 its path at every step; it keeps the first ring that `_solve_gf2_subset`,
 a GF(2) elimination over the system cycles, writes as a sum of them, and
 returns that ring with its summands (inside) and the other cycles
-(outside).  `strip_imaginary_region_ref` finds the residual regions by
-union-find.  `imaginary_positions_ref` relaxes every
+(outside).  `hamiltonian_rim_recursive_ref` is the pruned search as it
+recursed once per path vertex, before `planar.hamiltonian_rim` kept an
+explicit stack.  `strip_imaginary_region_ref` finds the residual regions
+of a drawing's faces free of imaginary vertices by union-find; the
+package's flood-fill version of it had no caller and is gone.
+`imaginary_positions_ref` relaxes every
 connection-hosted crossing marker of the document, whichever layer is
 drawn.  `shortest_route_copying_ref` copies a filtered list of each
 face's links through `conjugate_links_ref` instead of testing the cached
@@ -24,27 +31,89 @@ force: a cut vertex or bridge is one whose removal leaves more
 components.  `verify_raw_ref` runs each per-layer verifier check the
 way it was written before `verify.verify_raw` shared one segment table:
 every check copies the arcs and walks them again, and face tracing
-rotates each face to its smallest arc before comparing.  The package
-versions must return exactly what these return.  `graph_from_networkx`
-builds test inputs the way the benchmark corpus does.
+(`trace_faces_ref`, from every dart in sorted order) rotates each face
+to its smallest arc before comparing.  `verify_document_ref` converts
+every layer's arcs twice and the final layer's once more, and
+`check_connection_realization_ref` rebuilds that layer's segments.  The
+package versions must return exactly what these return.
+`graph_from_networkx` builds test inputs the way the benchmark corpus
+does.
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque
+from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
 from topolayers.cycles import Segment, canonical_ring, seg
+from topolayers.document import _check_cycle_ids
 from topolayers.graphs import Graph, parse_graph
 from topolayers.layering import DecompositionError, _boundary_ring
 from topolayers.planar import CycleSystem, PlanarizationError
-from topolayers.projection import crossing_counts, project_chord
+from topolayers.projection import Basis, ProjectionError, chords_cross, project_chord
 from topolayers.render import RenderError, _carrier_key, _carrier_paths
 from topolayers.routing import RoutingError, insert_connection
-from topolayers.verify import CheckResult, trace_faces
+from topolayers.verify import (
+    CheckResult,
+    VerificationReport,
+    check_edge_partition,
+    check_graph_edges,
+    check_layer_rings,
+)
+
+
+def crossing_counts(
+    basis: Basis, chords: Dict[int, Tuple[int, int]]
+) -> Dict[int, int]:
+    """Number of crossings per chord (keyed like the input)."""
+    counts = {cid: 0 for cid in chords}
+    for a, b in combinations(sorted(chords), 2):
+        if chords_cross(basis, chords[a], chords[b]):
+            counts[a] += 1
+            counts[b] += 1
+    return counts
+
+
+def brute_force_max_noncrossing(
+    basis: Basis, chords: Dict[int, Tuple[int, int]]
+) -> List[int]:
+    """Exhaustive maximum non-crossing subset (reference oracle, <= 20 chords).
+
+    Among maximum subsets, the lexicographically smallest sorted id list
+    wins.
+    """
+    ids = sorted(chords)
+    if len(ids) > 20:
+        raise ProjectionError("brute force limited to 20 chords")
+    conflict = {
+        cid: {
+            oid
+            for oid in ids
+            if oid != cid and chords_cross(basis, chords[cid], chords[oid])
+        }
+        for cid in ids
+    }
+    best: List[int] = []
+
+    def grow(i: int, cur: List[int], banned: set) -> None:
+        nonlocal best
+        if len(cur) + (len(ids) - i) < len(best):
+            return
+        if i == len(ids):
+            if len(cur) > len(best) or (len(cur) == len(best) and cur < best):
+                best = list(cur)
+            return
+        cid = ids[i]
+        if cid not in banned:
+            grow(i + 1, cur + [cid], banned | conflict[cid])
+        grow(i + 1, cur, banned)
+
+    grow(0, [], set())
+    return best
 
 
 def select_noncrossing_ref(basis, chords: Dict[int, Tuple[int, int]]) -> Tuple[List[int], List[int]]:
@@ -352,6 +421,58 @@ def hamiltonian_rim_ref(sys_, g, budget: int = 200_000):
     raise PlanarizationError("no Hamiltonian ring found in the planar subgraph")
 
 
+def hamiltonian_rim_recursive_ref(sys_, g, budget: int = 200_000) -> List[int]:
+    """The unpinned pruned search of `planar.hamiltonian_rim` as a nested
+    function that recurses once per path vertex, so a ring longer than
+    the recursion limit raises RecursionError."""
+    adj: Dict[int, List[int]] = {v: [] for v in range(1, g.n + 1)}
+    for a, b in sys_.segments():
+        adj[a].append(b)
+        adj[b].append(a)
+    for v in adj:
+        adj[v].sort()
+    free = {v: len(ns) for v, ns in adj.items()}
+    path: List[int] = [1]
+    used: Set[int] = {1}
+    tried = 0
+
+    def extend() -> Optional[List[int]]:
+        nonlocal tried
+        tried += 1
+        if tried > budget:
+            raise PlanarizationError("Hamiltonian ring search budget exhausted")
+        end = path[-1]
+        if len(path) == g.n:
+            return list(path) if path[0] in adj[end] else None
+        for x in adj[end]:
+            free[x] -= 1
+        short = [x for x in adj[end] if x not in used and free[x] < 2]
+        steps = (short or adj[end]) if len(short) < 2 else []
+        found = None
+        for w in steps:
+            if w not in used:
+                path.append(w)
+                used.add(w)
+                found = extend()
+                path.pop()
+                used.discard(w)
+                if found is not None:
+                    break
+        for x in adj[end]:
+            free[x] += 1
+        return found
+
+    for second in adj[1]:
+        path.append(second)
+        used.add(second)
+        found = extend()
+        path.pop()
+        used.discard(second)
+        if found is not None:
+            return canonical_ring(found)
+    raise PlanarizationError("no Hamiltonian ring found in the planar subgraph")
+
+
 def _solve_gf2_subset(
     sys_: CycleSystem, target: Set[Segment]
 ) -> Optional[List[int]]:
@@ -393,7 +514,7 @@ def _solve_gf2_subset(
 
 
 def strip_imaginary_region_ref(
-    drawing: Drawing, chord: Tuple[int, int]
+    drawing, chord: Tuple[int, int]
 ) -> Tuple[List[int], List[int]]:
     """Faces free of imaginary vertices that can host the chord, with the
     components of the candidate faces found by union-find over every
@@ -401,7 +522,8 @@ def strip_imaginary_region_ref(
     cands = {
         fid
         for fid in drawing.faces
-        if fid != drawing.rim_id and not drawing.has_imaginary(fid)
+        if fid != drawing.rim_id
+        and not any(v > drawing.g.n for v in drawing.faces[fid].vertices)
     }
     u, v = chord
     parent = {fid: fid for fid in cands}
@@ -607,6 +729,27 @@ def _imaginary_degree_ref(n: int, cycles, rim) -> CheckResult:
     return CheckResult(not bad, bad)
 
 
+def trace_faces_ref(rotation: Dict[int, List[int]]) -> List[Tuple[Tuple[int, int], ...]]:
+    """Faces of a rotation system, traced from every dart in sorted order."""
+    succ: Dict[Tuple[int, int], Tuple[int, int]] = {}
+    for v, ring in rotation.items():
+        for i, u in enumerate(ring):
+            succ[(v, u)] = (v, ring[(i + 1) % len(ring)])
+    faces = []
+    seen: Set[Tuple[int, int]] = set()
+    for dart in sorted(succ):
+        if dart in seen:
+            continue
+        walk = []
+        d = dart
+        while d not in seen:
+            seen.add(d)
+            walk.append(d)
+            d = succ[(d[1], d[0])]
+        faces.append(tuple(walk))
+    return faces
+
+
 def _norm_face_ref(arcs: Sequence[Tuple[int, int]]) -> Tuple[Tuple[int, int], ...]:
     k = min(range(len(arcs)), key=lambda i: arcs[i])
     return tuple(arcs[k:]) + tuple(arcs[:k])
@@ -638,7 +781,7 @@ def _face_trace_ref(cycles, rim) -> CheckResult:
             bad.append(f"v{v}: neighbourhood splits into several fans")
             return CheckResult(False, bad)
         rotation[v] = ring
-    traced = trace_faces(rotation)
+    traced = trace_faces_ref(rotation)
     want = {frozenset(_norm_face_ref(arcs)) for _, arcs in members}
     got = {frozenset(_norm_face_ref(f)) for f in traced}
     if want != got or len(traced) != len(members):
@@ -666,3 +809,82 @@ def verify_raw_ref(n: int, cycles, rim=None) -> Dict[str, CheckResult]:
             False, ["skipped: structural checks failed"]
         )
     return checks
+
+
+def _raw_system_ref(sj: dict):
+    cycles = {c["id"]: tuple(tuple(a) for a in c["arcs"]) for c in sj["cycles"]}
+    rim = None
+    if sj.get("rim") is not None:
+        rim = (sj["rim"]["id"], tuple(tuple(a) for a in sj["rim"]["arcs"]))
+    return sj["n"], cycles, rim
+
+
+def check_connection_realization_ref(
+    n: int,
+    chords: Dict[int, Tuple[int, int]],
+    sequences: Dict[int, List[int]],
+    final_cycles: Dict[int, Tuple[Tuple[int, int], ...]],
+) -> CheckResult:
+    """The connection check over the final layer's arcs, walked again."""
+    segs: Set[Segment] = set()
+    deg: Dict[int, Set[Segment]] = {}
+    for arcs in final_cycles.values():
+        for a, b in arcs:
+            segs.add(seg(a, b))
+            deg.setdefault(a, set()).add(seg(a, b))
+            deg.setdefault(b, set()).add(seg(a, b))
+    bad = []
+    for eid, (u, v) in sorted(chords.items()):
+        if eid not in sequences:
+            bad.append(f"e{eid}: chord has no realized connection")
+            continue
+        path = [min(u, v)] + list(sequences[eid]) + [max(u, v)]
+        for a, b in zip(path, path[1:]):
+            if seg(a, b) not in segs:
+                bad.append(f"e{eid}: connection segment ({a},{b}) missing")
+        for w in sequences[eid]:
+            if w <= n:
+                bad.append(f"e{eid}: crossing vertex v{w} is not imaginary")
+            elif len(deg.get(w, ())) != 4:
+                bad.append(f"e{eid}: imaginary v{w} has degree {len(deg.get(w, ()))}")
+    return CheckResult(not bad, bad)
+
+
+def verify_document_ref(doc: dict) -> VerificationReport:
+    """`verify_document` with every layer's system converted twice, the
+    final layer's once more, and its segments rebuilt for the connection
+    check."""
+    checks: Dict[str, CheckResult] = {}
+    n = doc["graph"]["n"]
+    for k, layer in enumerate(doc["layers"], start=1):
+        ln, cycles, rim = _raw_system_ref(layer["system"])
+        for name, res in verify_raw_ref(ln, cycles, rim).items():
+            checks[f"layer-{k}/{name}"] = res
+        checks[f"layer-{k}/cycle-ids"] = _check_cycle_ids(layer["system"])
+    bad = [
+        f"layer {k} has index {layer['index']}"
+        for k, layer in enumerate(doc["layers"], start=1)
+        if layer["index"] != k
+    ]
+    checks["layer-indexes"] = CheckResult(not bad, bad)
+    edges = doc["graph"]["edges"]
+    checks["graph-edges"] = check_graph_edges(n, edges, doc["chords"])
+    checks["edge-partition"] = check_edge_partition(
+        [eid for eid, _, _ in edges], [layer["realized"] for layer in doc["layers"]]
+    )
+    checks["layer-rings"] = check_layer_rings(
+        n,
+        {eid: (u, v) for eid, u, v in edges},
+        [(k, layer.get("ring")) for k, layer in enumerate(doc["layers"], start=1)],
+        doc["layers"][0]["realized"],
+    )
+    chords = {eid: (u, v) for eid, u, v in doc["chords"]}
+    sequences = {int(k): list(v) for k, v in doc["sequences"].items()}
+    _, final_cycles, final_rim = _raw_system_ref(doc["layers"][-1]["system"])
+    if final_rim is not None:
+        final_cycles = dict(final_cycles)
+        final_cycles[final_rim[0]] = final_rim[1]
+    checks["connection-realization"] = check_connection_realization_ref(
+        n, chords, sequences, final_cycles
+    )
+    return VerificationReport(checks)

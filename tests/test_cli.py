@@ -149,14 +149,19 @@ def _layer_index_seven(doc):
     doc["layers"][1]["index"] = 7
 
 
+def _sequence_without_chord(doc):
+    doc["sequences"]["999"] = [8]
+
+
 @pytest.mark.parametrize(
     "corrupt,check",
     [
         (_edge_off_the_graph, "graph-edges"),
         (_ring_off_the_graph, "layer-rings"),
         (_layer_index_seven, "layer-indexes"),
+        (_sequence_without_chord, "connection-realization"),
     ],
-    ids=["edge-off-graph", "ring-off-graph", "layer-index-seven"],
+    ids=["edge-off-graph", "ring-off-graph", "layer-index-seven", "sequence-without-chord"],
 )
 def test_verify_bad_edge_or_ring_exits_1(runner, k7_doc_file, tmp_path, corrupt, check):
     doc = json.loads(open(k7_doc_file).read())

@@ -164,6 +164,14 @@ def _chord_row_twice(doc):
     doc["chords"].append(list(doc["chords"][0]))
 
 
+def _sequence_without_chord(doc):
+    doc["sequences"]["999"] = [8]
+
+
+def _sequence_on_a_layer_1_edge(doc):
+    doc["sequences"][str(doc["layers"][0]["realized"][0])] = [8]
+
+
 @pytest.mark.parametrize(
     "corrupt,check,detail",
     [
@@ -180,6 +188,8 @@ def _chord_row_twice(doc):
         (_bogus_face_under_a_used_id, "layer-2/cycle-ids", "id used 2 times"),
         (_cycle_entry_twice, "layer-2/cycle-ids", "id used 2 times"),
         (_chord_row_twice, "graph-edges", "listed twice"),
+        (_sequence_without_chord, "connection-realization", "e999: sequence names no chord"),
+        (_sequence_on_a_layer_1_edge, "connection-realization", "sequence names no chord"),
     ],
     ids=[
         "edge-off-graph",
@@ -195,6 +205,8 @@ def _chord_row_twice(doc):
         "bogus-face-reusing-an-id",
         "cycle-entry-twice",
         "chord-row-twice",
+        "sequence-without-chord",
+        "sequence-on-a-layer-1-edge",
     ],
 )
 def test_verifier_names_bad_edges_and_rings(k10_decomposition, corrupt, check, detail):

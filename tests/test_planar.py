@@ -10,12 +10,14 @@ from oracles import (
     embedding_faces_ref,
     graph_from_networkx,
     greedy_planar_subgraph_ref,
+    hamiltonian_rim_recursive_ref,
     hamiltonian_rim_ref,
 )
 from topolayers import planar
+from topolayers.document import decomposition_to_document, verify_document
 from topolayers.cycles import ring_cycle, seg
 from topolayers.graphs import complete_graph, parse_graph
-from topolayers.layering import split_regions
+from topolayers.layering import decompose, split_regions
 from topolayers.planar import (
     PlanarizationError,
     _greedy_planar_subgraph,
@@ -120,7 +122,8 @@ def test_pinned_system_needs_the_pool(k7):
 
 # The planar stage's shortcuts against the loops they replaced: the same
 # kept graph in the same adjacency order, the same faces, and the same
-# Hamiltonian ring or the same refusal.  The ring's inner faces, found by
+# Hamiltonian ring or the same refusal, from the unpruned search and from
+# the pruned one as it recursed before it kept an explicit stack.  The ring's inner faces, found by
 # flood fill, are the cycles the GF(2) solver sums to it.
 
 
@@ -184,6 +187,7 @@ def _assert_planar_stage_matches_loops(g):
     want = {i: ring_cycle(i, list(r)).arcs for i, r in enumerate(faces, start=1)}
     assert {c.id: c.arcs for c in sys_.members()} == want
     got, ref = _rim_outcome(hamiltonian_rim, sys_, g), _rim_outcome(hamiltonian_rim_ref, sys_, g)
+    assert got == _rim_outcome(hamiltonian_rim_recursive_ref, sys_, g)
     if isinstance(ref, str):
         assert got == ref
     else:
@@ -291,3 +295,25 @@ def test_hamiltonian_search_budget_exhausts():
     with pytest.raises(PlanarizationError, match="^Hamiltonian ring search budget exhausted$"):
         hamiltonian_rim(sys_, g, budget=10)
     assert len(hamiltonian_rim(sys_, g)) == 32
+
+
+# Petersen's search ends after 11 steps and Q5's finds its ring at step
+# 3476, so the budgets either side of those pin the step count exactly.
+@pytest.mark.parametrize("budget", [10, 11, 100, 1000, 3475, 3476])
+@pytest.mark.parametrize(
+    "G", [nx.hypercube_graph(5), nx.petersen_graph()], ids=["Q5", "petersen"]
+)
+def test_hamiltonian_search_counts_steps_as_the_recursion_did(G, budget):
+    g = graph_from_networkx(G)
+    sys_ = select_planar_cycle_system(g)
+    search = lambda s, h: hamiltonian_rim(s, h, budget=budget)
+    recursive = lambda s, h: hamiltonian_rim_recursive_ref(s, h, budget)
+    assert _rim_outcome(search, sys_, g) == _rim_outcome(recursive, sys_, g)
+
+
+def test_hamiltonian_ring_longer_than_the_recursion_limit():
+    """The prism C600 x K2 is planar and nonseparable; its ring has 1200
+    vertices, past the depth a recursive search reaches."""
+    d = decompose(graph_from_networkx(nx.circular_ladder_graph(600), name="prism600"))
+    assert len(d.layers) == 1
+    assert verify_document(decomposition_to_document(d)).ok

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import copy
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import verify_raw_ref
+from oracles import verify_document_ref, verify_raw_ref
 from topolayers.document import decomposition_to_document, verify_document
 from topolayers.verify import (
     check_connection_realization,
@@ -22,6 +24,8 @@ from topolayers.verify import (
     verify_raw,
     verify_system,
 )
+
+from test_document import DIGESTED
 
 # K4 drawn on the sphere: 4 oriented triangles, no rim.
 K4_CYCLES = {
@@ -98,10 +102,7 @@ def test_edge_partition_checker():
 
 def test_connection_realization_unrouted_chord_fails(k7_decomposition):
     d = k7_decomposition
-    final = {cid: c.arcs for cid, c in d.layers[-1].system.cycles.items()}
-    if d.layers[-1].system.rim is not None:
-        rim = d.layers[-1].system.rim
-        final[rim.id] = rim.arcs
+    final = d.layers[-1].system.segments()
     assert check_connection_realization(7, d.chords, d.sequences, final).ok
     broken = dict(d.sequences)
     some = next(iter(broken))
@@ -216,16 +217,17 @@ def mutable_layers(k7_decomposition, k8_decomposition):
     ]
 
 
-@settings(max_examples=150, deadline=None)
-@given(data=st.data(), mutation=st.sampled_from(MUTATIONS))
-def test_verify_raw_matches_oracle_on_mutated_systems(mutable_layers, data, mutation):
-    n, cycles, rim = data.draw(st.sampled_from(mutable_layers))
+def _mutate(data, mutation, n, cycles, rim):
+    """One drawn mutation of a system: (cycles, rim, w), where w is the
+    imaginary vertex an "imaginary-degree-3" merge leaves with three
+    segments, else None."""
     members = [(cid, [tuple(a) for a in arcs]) for cid, arcs in sorted(cycles.items())]
     if rim is not None:
         members.append((rim[0], [tuple(a) for a in rim[1]]))
     m = data.draw(st.integers(0, len(members) - 1))
     cid, arcs = members[m]
     at = data.draw(st.integers(0, len(arcs) - 1))
+    w = None
     if mutation == "reverse":
         members[m] = (cid, [(b, a) for a, b in reversed(arcs)])
     elif mutation == "drop":
@@ -248,9 +250,17 @@ def test_verify_raw_matches_oracle_on_mutated_systems(mutable_layers, data, muta
         w = data.draw(st.sampled_from(imaginary))
         u = next(b for _, a in members for x, b in a if x == w)
         members = _merge_across(members, w, u)
-        rep = verify_raw(n, *_split(members, rim is not None))
+    return (*_split(members, rim is not None), w)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), mutation=st.sampled_from(MUTATIONS))
+def test_verify_raw_matches_oracle_on_mutated_systems(mutable_layers, data, mutation):
+    n, cycles, rim = data.draw(st.sampled_from(mutable_layers))
+    cycles, rim, w = _mutate(data, mutation, n, cycles, rim)
+    if w is not None:
+        rep = verify_raw(n, cycles, rim)
         assert f"v{w}: degree 3 != 4" in rep.checks["imaginary-degree"].details
-    cycles, rim = _split(members, rim is not None)
     want = _as_pairs(verify_raw_ref(n, cycles, rim))
     assert _as_pairs(verify_raw(n, cycles, rim).checks) == want
     public = {
@@ -266,3 +276,32 @@ def test_verify_raw_matches_oracle_on_mutated_systems(mutable_layers, data, muta
     if traced[1] != ["skipped: structural checks failed"]:
         result = check_face_trace(cycles, rim)
         assert (result.ok, result.details) == traced
+
+
+# verify_document reads each layer's arcs once and the final layer's
+# segments from the table verify_raw built; the oracle converts every
+# layer twice, the final one once more, and rebuilds its segments.
+
+
+@pytest.mark.parametrize("fixture", DIGESTED)
+def test_verify_document_matches_oracle_on_digested_documents(fixture, request):
+    doc = decomposition_to_document(request.getfixturevalue(fixture))
+    assert _as_pairs(verify_document(doc).checks) == _as_pairs(verify_document_ref(doc).checks)
+
+
+@pytest.fixture(scope="module")
+def mutable_documents(k7_decomposition, k8_decomposition):
+    return [decomposition_to_document(d) for d in (k7_decomposition, k8_decomposition)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), mutation=st.sampled_from(MUTATIONS))
+def test_verify_document_matches_oracle_on_mutated_layers(mutable_documents, data, mutation):
+    doc = copy.deepcopy(data.draw(st.sampled_from(mutable_documents)))
+    layer = data.draw(st.sampled_from(doc["layers"]))
+    sj = layer["system"]
+    rim = None if sj["rim"] is None else (sj["rim"]["id"], sj["rim"]["arcs"])
+    cycles, rim, _ = _mutate(data, mutation, sj["n"], {c["id"]: c["arcs"] for c in sj["cycles"]}, rim)
+    sj["cycles"] = [{"id": cid, "arcs": [list(a) for a in arcs]} for cid, arcs in cycles.items()]
+    sj["rim"] = None if rim is None else {"id": rim[0], "arcs": [list(a) for a in rim[1]]}
+    assert _as_pairs(verify_document(doc).checks) == _as_pairs(verify_document_ref(doc).checks)
