@@ -1,7 +1,7 @@
 """Pinned fixtures: cycle systems and routing plans for the worked examples.
 
-A plan is the route log of the pinned drawing (see `layering._replay_layer`).
-K10 has no plan.
+Each of k7, k8 and k10 pins the planar system, the Hamiltonian ring and a
+plan: the route log of the pinned drawing (see `layering._replay_layer`).
 """
 
 from __future__ import annotations

@@ -39,7 +39,8 @@ def parse_graph(text: str, name: str = "") -> Graph:
     """Parse an edge list: one "u v" pair per non-comment line.
 
     Lines starting with '#' and blank lines are skipped.  Edge ids are
-    assigned in line order starting from 1.  Errors name the line.
+    assigned in line order starting from 1.  Errors name the line, or the
+    smallest vertex of 1..n that is on no edge.
     """
     edges: Dict[int, Tuple[int, int]] = {}
     seen: Dict[Tuple[int, int], int] = {}
@@ -76,6 +77,10 @@ def parse_graph(text: str, name: str = "") -> Graph:
         max_v = max(max_v, u, v)
     if not edges:
         raise GraphInputError("no edges in input")
+    used = {v for pair in edges.values() for v in pair}
+    if len(used) < max_v:
+        gap = next(v for v in range(1, len(used) + 2) if v not in used)
+        raise GraphInputError(f"vertex ids must be 1..{max_v} with no gap: v{gap} is on no edge")
     return Graph(n=max_v, edges=edges, name=name)
 
 

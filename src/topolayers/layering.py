@@ -3,10 +3,11 @@
 Layer 1 is the maximal planar subgraph.  Its Hamiltonian ring splits the
 faces in two: one flood fill from the rim face, stopped at ring segments,
 finds the outer side, and every other face is inner (split_regions).
-Each further layer re-projects the remaining chords on the ring, routes
-what it can inside, then outside, then through any channel of conjugate
-faces that avoids the connections already drawn in the same layer; what
-is left opens the next layer with a fresh ban set.
+Each further layer, with a fresh ban set, replays its entry of a pinned
+route log or runs its strategy's passes (_PASSES): `thickness` routes the
+chords re-projected on the ring inside, then outside, then any chord through
+conjugate faces that avoid the layer's connections; `inner-only` routes
+inside only.  What is left opens the next layer.
 """
 
 from __future__ import annotations
@@ -195,6 +196,11 @@ def _ints(x: object, size: Optional[int] = None) -> bool:
 # Drawing layers a decomposition may open before it gives up.
 _MAX_LAYERS = 16
 
+# Each strategy's routing passes per unplanned layer.  A side pass routes, in
+# that side's faces, the chords that do not cross on the expanded ring; the
+# None pass routes every remaining chord in any face.
+_PASSES = {"thickness": ("inner", "outer", None), "inner-only": ("inner",)}
+
 # The pin's outer shape; a key that is absent or null leaves its stage unpinned.
 _PIN_FIELDS = {"system": dict, "hamiltonian": list, "plan": dict}
 
@@ -235,7 +241,7 @@ def decompose(
     A pin may fix the planar `system`, the `hamiltonian` ring and a `plan`,
     a route log replayed for the layers it lists (see _replay_layer).
     """
-    if strategy not in ("thickness", "inner-only"):
+    if strategy not in _PASSES:
         raise DecompositionError(f"unknown strategy {strategy!r}")
     report = validate_nonseparable(g)
     if not report.ok:
@@ -250,11 +256,9 @@ def decompose(
     drawing = Drawing.from_system(g, sys_)
     split_regions(drawing, ring)
 
-    region_eids = sorted(edge_between(g, *s) for s in sys_.segments())
-    chords = {
-        eid: uv for eid, uv in g.edges.items() if eid not in set(region_eids)
-    }
-    layers = [Layer(1, realized=region_eids, system=sys_)]
+    planar = {edge_between(g, *s) for s in sys_.segments()}
+    chords = {eid: uv for eid, uv in g.edges.items() if eid not in planar}
+    layers = [Layer(1, realized=sorted(planar), system=sys_)]
     remaining = dict(chords)
 
     # pinned route logs record thickness-style schedules; the inner-only
@@ -264,48 +268,28 @@ def decompose(
     if type(plan.get("layers", [])) is not list:
         raise DecompositionError('malformed plan: expected {"layers": [[entry, ...], ...]}')
     planned = list(plan.get("layers", [])) if strategy == "thickness" else []
-    layer_index = 1
     while remaining:
-        layer_index += 1
-        if layer_index > _MAX_LAYERS:
+        if len(layers) == _MAX_LAYERS:
             raise DecompositionError("layer budget exhausted")
         drawing.banned.clear()
         if planned:
             routed = _replay_layer(drawing, planned.pop(0), remaining)
         else:
             routed = []
-            ring_now = expanded_ring(drawing, ring)
-            basis = basis_from_ring(ring_now)
-            sides = ["inner"] if strategy == "inner-only" else ["inner", "outer"]
-            for side in sides:
-                cand = {eid: remaining[eid] for eid in sorted(remaining)}
-                if not cand:
+            basis = basis_from_ring(expanded_ring(drawing, ring))
+            for side in _PASSES[strategy]:
+                if not remaining:
                     break
-                kept, _ = select_noncrossing(basis, cand)
-                pool_k = {eid: cand[eid] for eid in kept}
-                done = _route_greedy(drawing, pool_k, side)
-                for eid in done:
+                pool = {eid: remaining[eid] for eid in sorted(remaining)}
+                if side is not None:
+                    kept, _ = select_noncrossing(basis, pool)
+                    pool = {eid: pool[eid] for eid in kept}
+                for eid in _route_greedy(drawing, pool, side):
                     del remaining[eid]
-                routed.extend(done)
-            if strategy == "thickness":
-                done = _route_greedy(
-                    drawing, {eid: remaining[eid] for eid in sorted(remaining)}, None
-                )
-                for eid in done:
-                    del remaining[eid]
-                routed.extend(done)
+                    routed.append(eid)
         if not routed:
-            raise DecompositionError(
-                f"no remaining chord is routable in layer {layer_index}"
-            )
-        layers.append(
-            Layer(
-                layer_index,
-                realized=sorted(routed),
-                system=drawing.snapshot(),
-                ring=list(ring),
-            )
-        )
+            raise DecompositionError(f"no remaining chord is routable in layer {len(layers) + 1}")
+        layers.append(Layer(len(layers) + 1, sorted(routed), drawing.snapshot(), list(ring)))
     sequences = {
         eid: imaginary_sequence(drawing, uv) for eid, uv in chords.items()
     }

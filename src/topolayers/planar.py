@@ -250,7 +250,7 @@ def hamiltonian_rim(
     segs = sys_.segments()
     if pin_ring is not None:
         ring = list(pin_ring)
-        if sorted(ring) != list(range(1, g.n + 1)):
+        if len(ring) != g.n or sorted(ring) != list(range(1, g.n + 1)):
             raise PlanarizationError(f"pinned ring does not list 1..{g.n} once each")
         for a, b in zip(ring, ring[1:] + ring[:1]):
             if seg(a, b) not in segs:

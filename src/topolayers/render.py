@@ -82,6 +82,11 @@ def _base_positions(doc: dict) -> Dict[int, Tuple[float, float]]:
     for i, v in enumerate(ring):
         ang = 2 * math.pi * i / len(ring) - math.pi / 2
         pos[v] = (SIZE / 2 + r * math.cos(ang), SIZE / 2 + r * math.sin(ang))
+    # every vertex named is in 1..n, so one is missing below len(covered) + 2
+    covered = set(pos).union(*arcs)
+    if len(covered) < n:
+        v = next(v for v in range(1, len(covered) + 2) if v not in covered)
+        raise RenderError(f"vertex {v} is neither on the ring nor on a layer-1 arc")
     interior = [v for v in range(1, n + 1) if v not in pos]
     if interior:
         # Tutte: each interior vertex at the average of its layer-1 neighbours
@@ -91,9 +96,6 @@ def _base_positions(doc: dict) -> Dict[int, Tuple[float, float]]:
                 nbrs[a].append(b)
             if b in nbrs:
                 nbrs[b].append(a)
-        for v in interior:
-            if not nbrs[v]:
-                raise RenderError(f"vertex {v} is neither on the ring nor on a layer-1 arc")
         ix = {v: i for i, v in enumerate(interior)}
         # one row per interior vertex: its Laplacian row, then the x and y
         # sums of its ring neighbours

@@ -359,7 +359,7 @@ def check_layer_rings(
             continue
         if pos == 0:
             bad.append(f"layer {k}: the first layer has a ring")
-        elif sorted(ring) != list(range(1, n + 1)):
+        elif len(ring) != n or sorted(ring) != list(range(1, n + 1)):
             bad.append(f"layer {k}: ring does not list 1..{n} once each")
         else:
             bad.extend(

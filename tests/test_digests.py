@@ -14,7 +14,10 @@ hypercubes were recorded while every layer still relaxed all of the
 document's crossing markers; K16 has 541 on connection hosts.  The
 layer-1 SVG digests of the planar inputs, whose documents have no ring,
 so that interior vertices take Tutte positions from a linear solve, were
-recorded while numpy's solver ran it.
+recorded while numpy's solver ran it.  The inner-only digests were
+recorded while `decompose` still spelled out each strategy's passes as
+its own branch, and before pinned K10 carried a route log (the
+inner-only strategy replays none, so they must not move with it).
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import pytest
 from oracles import graph_from_networkx
 from topolayers import complete_graph, decompose
 from topolayers.document import decomposition_to_document, serialize_document
+from topolayers.fixtures import load_fixture
 from topolayers.planar import PlanarizationError
 from topolayers.render import render_svg
 
@@ -39,6 +43,14 @@ UNPINNED = {
     12: "5d5eaeffde3e2a9c2064559d5d23cbbd765999064371f66a3f4be22096c26191",
     14: "a9a86907049ee077bb73a0d405c791e8f49b393cef7ca1189113beee5b9c14dc",
     16: "6af1ff136de6f894528e09e5c93734398c9ba04d5dfaf5489d7dabb6613542bf",
+}
+# strategy="inner-only": (fixture or None, n) -> sha256, with 5/6/7/6/9 layers.
+INNER_ONLY = {
+    ("k7", 7): "f83ac9ed43037815ab3b27e33e98d8a37d5522d7ded5bc7125cd2e1802dfa462",
+    ("k8", 8): "c39b801c90bb95d3d08c04b6b97f74dda1d1735743c844c0ba3c13ac7c0fa0ec",
+    ("k10", 10): "9decf9eadaccb934444a7f9b53894b6d1400bf803048c62cafb8d025c2fa097c",
+    (None, 10): "b5ea769087b5e93c556f79a244d41942173bd0c6f3eead13f90793ab8edd85c5",
+    (None, 12): "b5cb09c0d879199bcf87551630f2f7fbe8a196a5a00559c49fab803d9b4656a2",
 }
 HYPERCUBE = {
     4: "caf9dab3de46ab623dc1c842b89503ca9a60f0633f925797c39e1a3555e4ab39",
@@ -113,6 +125,15 @@ def test_pinned_document_digest(which, request):
 @pytest.mark.parametrize("n", sorted(UNPINNED))
 def test_unpinned_complete_document_digest(n, request):
     assert _digest(request.getfixturevalue(f"k{n}_unpinned_decomposition")) == UNPINNED[n]
+
+
+@pytest.mark.parametrize(
+    "fixture,n", sorted(INNER_ONLY, key=lambda k: (k[0] is None, k[1]))
+)
+def test_inner_only_document_digest(fixture, n):
+    pin = load_fixture(fixture) if fixture else None
+    d = decompose(complete_graph(n, name=f"K{n}" if fixture else ""), "inner-only", pin)
+    assert _digest(d) == INNER_ONLY[(fixture, n)]
 
 
 @pytest.mark.parametrize("dim", sorted(HYPERCUBE))

@@ -24,8 +24,8 @@ def test_parse_basic():
 
 
 def test_parse_orders_endpoints():
-    g = parse_graph("5 2\n")
-    assert g.edges[1] == (2, 5)
+    g = parse_graph("3 2\n3 1\n2 1\n")
+    assert g.edges == {1: (2, 3), 2: (1, 3), 3: (1, 2)}
 
 
 @pytest.mark.parametrize(
@@ -37,6 +37,7 @@ def test_parse_orders_endpoints():
         ("0 1\n", "positive"),
         ("2 2\n", "self-loop"),
         ("1 2\n2 1\n", "duplicate"),
+        ("1 2\n1 3\n2 3\n3 1000000000\n", "1..1000000000 with no gap: v4 is on no edge"),
     ],
 )
 def test_parse_errors(text, fragment):

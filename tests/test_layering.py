@@ -9,6 +9,7 @@ import pytest
 from topolayers.cycles import canonical_ring, seg
 from topolayers.document import decomposition_to_document, serialize_document
 from topolayers.fixtures import load_fixture
+from topolayers import layering
 from topolayers.graphs import complete_graph, edge_between, parse_graph
 from topolayers.layering import DecompositionError, decompose, split_regions
 from topolayers.planar import hamiltonian_rim
@@ -189,10 +190,26 @@ def test_route_log_replays_unpinned_drawing(g):
     assert _text(replayed) == _text(d)
 
 
-@pytest.mark.parametrize("which", ["k7", "k8"])
+@pytest.mark.parametrize("which", ["k7", "k8", "k10"])
 def test_pinned_fixture_is_its_own_route_log(which, request):
     d = request.getfixturevalue(f"{which}_decomposition")
-    assert _route_log(d) == load_fixture(which)["plan"]["layers"]
+    pin = load_fixture(which)
+    assert _route_log(d) == pin["plan"]["layers"]
+    assert [layer.ring for layer in d.layers[1:]] == [pin["hamiltonian"]] * len(pin["plan"]["layers"])
+
+
+@pytest.mark.parametrize("which", ["k7", "k8", "k10"])
+def test_pinned_run_replays_without_searching(which, monkeypatch):
+    from test_digests import PINNED
+
+    def searched(*args, **kwargs):
+        raise AssertionError("a pinned run searched for chords or routes")
+
+    for name in ("expanded_ring", "basis_from_ring", "select_noncrossing", "shortest_route"):
+        monkeypatch.setattr(layering, name, searched)
+    n = int(which[1:])
+    d = decompose(complete_graph(n, name=f"K{n}"), pin=load_fixture(which))
+    assert hashlib.sha256(_text(d).encode()).hexdigest() == PINNED[which]
 
 
 def test_decompose_leaves_the_pin_alone(k7):
