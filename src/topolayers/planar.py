@@ -4,6 +4,13 @@ A CycleSystem is a sphere drawing given combinatorially: a set of facial
 cycles plus one distinguished rim (the face everything else is drawn
 inside of).  Every covered edge lies on exactly two members, traversed in
 opposite directions.
+
+Without a pin, the maximal planar subgraph is grown greedily.  Its full
+planarity tests run on `_lr_rotation`, an in-package left-right test on
+the loop's own adjacency lists; only the final embedding, whose faces
+become the cycle system, comes from networkx's `check_planarity`, once
+per run.  networkx keeps that step because each face's traversal start,
+which `ring_cycle` keeps, follows the order of networkx's half-edges.
 """
 
 from __future__ import annotations
@@ -125,9 +132,12 @@ def select_planar_cycle_system(g: Graph, pin: Optional[dict] = None) -> CycleSys
     oriented.  Without one, no cycles are enumerated: edges are tried in
     edge-id order, and an edge whose ends share a face of the kept
     graph's current embedding (or that has an isolated end) is kept
-    without a test, any other edge runs a full planarity test.  The
+    without a test, any other edge runs the full left-right test of
+    `_lr_rotation` (`_greedy_planar_subgraph`).  One `nx.check_planarity`
     embedding of the resulting maximal planar subgraph supplies the
-    faces.
+    faces, traced from networkx's half-edges.  A face that walks both
+    sides of an edge means the edge is a bridge; the smallest is named
+    in the refusal.
     """
     if pin is not None:
         # imported per call: tests and the benchmark's tracer replace it
@@ -158,6 +168,20 @@ def select_planar_cycle_system(g: Graph, pin: Optional[dict] = None) -> CycleSys
                 continue
             ring = emb.traverse_face(u, v, mark_half_edges=seen_darts)
             faces.append(ring)
+        # a face walks both sides of an edge exactly when it is a bridge
+        bridges = []
+        for r in faces:
+            walked = set()
+            for a, b in zip(r, r[1:] + r[:1]):
+                s = seg(a, b)
+                if s in walked:
+                    bridges.append(s)
+                walked.add(s)
+        if bridges:
+            a, b = min(bridges)
+            raise PlanarizationError(
+                f"the planar subgraph has a bridge ({a},{b}), so its faces are not simple cycles"
+            )
         faces.sort(key=lambda r: (len(r), tuple(canonical_ring(list(r)))))
         cycles = {cid: ring_cycle(cid, list(r)) for cid, r in enumerate(faces, start=1)}
         rim = cycles.pop(1)  # smallest face doubles as the rim; the sphere has no outside
@@ -178,24 +202,239 @@ def _greedy_planar_subgraph(g: Graph) -> nx.Graph:
     neighbours in cyclic order.  An edge with an isolated end, or whose
     ends share a face of `rot`, is drawn into that face and kept without
     a test; it cannot break planarity.  Any other edge runs the full
-    test, and an accepted one resets `rot` from the test's embedding.
-    Kept edges enter `kept` in edge-id order either way and a refused one
-    is removed again, so the adjacency order of `kept`, which the final
-    embedding follows, is what testing every edge gives.
+    left-right test of `_lr_rotation` on `adj`, the kept adjacency in
+    edge-id order: a refused edge is dropped again, and an accepted one
+    replaces `rot` with the test's embedding.  `kept` is built once, from
+    the kept edges in edge-id order, so its adjacency order, which the
+    final embedding follows, is what testing every edge gives.
     """
+    adj: Dict[int, List[int]] = {v: [] for v in g.vertices}
+    rot: Dict[int, List[int]] = {v: [] for v in g.vertices}
+    pairs = []
+    for _, (u, v) in sorted(g.edges.items()):
+        adj[u].append(v)
+        adj[v].append(u)
+        if not _insert_in_shared_face(rot, u, v):
+            tested = _lr_rotation(adj)
+            if tested is None:
+                adj[u].pop()
+                adj[v].pop()
+                continue
+            rot = tested
+        pairs.append((u, v))
     kept = nx.Graph()
     kept.add_nodes_from(g.vertices)
-    rot: Dict[int, List[int]] = {v: [] for v in g.vertices}
-    for _, (u, v) in sorted(g.edges.items()):
-        kept.add_edge(u, v)
-        if _insert_in_shared_face(rot, u, v):
-            continue
-        ok, emb = nx.check_planarity(kept)
-        if ok:
-            rot = {w: list(emb.neighbors_cw_order(w)) for w in rot}
-        else:
-            kept.remove_edge(u, v)
+    kept.add_edges_from(pairs)
     return kept
+
+
+def _lr_rotation(adj: Dict[int, List[int]]) -> Optional[Dict[int, List[int]]]:
+    """Brandes' left-right planarity test (2009) on a simple graph.
+
+    `adj` lists each vertex's neighbours; their order fixes the
+    depth-first search.  Returns each vertex's neighbours in clockwise
+    order, a plane rotation system, or None when the graph is not planar.
+    The phases are those of networkx's `LRPlanarity`: orientation (DFS
+    heights, lowpoints, nesting depths), testing (a stack of conflict
+    pairs), sign, and embedding.  Edges are (tail, head) tuples as the
+    DFS orients them, and a conflict pair is a list [left low, left high,
+    right low, right high] of return edges, an interval being empty when
+    both its ends are None.  Every DFS keeps an explicit stack, so no
+    depth of the graph reaches Python's recursion limit.
+    """
+    n = len(adj)
+    if n > 2 and sum(map(len, adj.values())) > 2 * (3 * n - 6):
+        return None
+    height: Dict[int, int] = {}
+    parent: Dict[int, Tuple[int, int]] = {}  # tree edge into each non-root
+    lowpt: Dict[Tuple[int, int], int] = {}
+    lowpt2: Dict[Tuple[int, int], int] = {}
+    nesting: Dict[Tuple[int, int], int] = {}
+    out: Dict[int, List[int]] = {v: [] for v in adj}
+    roots = []
+    # orientation: a tree edge's lowpoints are final once its head is
+    # popped, a back edge's at once; then each updates its tail's tree edge
+    for r in adj:
+        if r in height:
+            continue
+        height[r] = 0
+        roots.append(r)
+        stack = [(r, iter(adj[r]))]
+        while stack:
+            v, it = stack[-1]
+            w = next(it, None)
+            if w is None:
+                stack.pop()
+                if not stack:
+                    break
+                vw = parent[v]
+                v = vw[0]
+            else:
+                if (w, v) in lowpt:  # oriented from w already
+                    continue
+                vw = (v, w)
+                out[v].append(w)
+                lowpt2[vw] = height[v]
+                if w not in height:
+                    lowpt[vw] = height[v]
+                    parent[w] = vw
+                    height[w] = height[v] + 1
+                    stack.append((w, iter(adj[w])))
+                    continue
+                lowpt[vw] = height[w]
+            low, low2 = lowpt[vw], lowpt2[vw]
+            nesting[vw] = 2 * low + (low2 < height[v])
+            e = parent.get(v)
+            if e is not None:
+                if low < lowpt[e]:
+                    lowpt2[e] = min(lowpt[e], low2)
+                    lowpt[e] = low
+                elif low > lowpt[e]:
+                    lowpt2[e] = min(lowpt2[e], low)
+                else:
+                    lowpt2[e] = min(lowpt2[e], low2)
+
+    def conflicting(lo, hi, b) -> bool:
+        return (lo is not None or hi is not None) and lowpt[hi] > lowpt[b]
+
+    # testing: every return edge lands in a conflict pair whose two
+    # intervals must lie on opposite sides; `ref` and `side` record each
+    # edge's side relative to another's
+    order = {v: sorted(ws, key=lambda w, v=v: nesting[v, w]) for v, ws in out.items()}
+    S: List[list] = []
+    bottom: Dict[Tuple[int, int], Optional[list]] = {}
+    lowpt_edge: Dict[Tuple[int, int], Tuple[int, int]] = {}
+    ref: Dict[Optional[Tuple[int, int]], Optional[Tuple[int, int]]] = {}
+    side: Dict[Tuple[int, int], int] = {}
+    for r in roots:
+        stack = [(r, iter(order[r]))]
+        while stack:
+            v, it = stack[-1]
+            w = next(it, None)
+            if w is None:
+                stack.pop()
+                if not stack:
+                    break
+                # v is done: trim the back edges that end at its parent u
+                ei = parent[v]
+                v = u = ei[0]
+                while S:
+                    P = S[-1]
+                    if P[0] is None and P[1] is None:
+                        lowest = lowpt[P[2]]
+                    elif P[2] is None and P[3] is None:
+                        lowest = lowpt[P[0]]
+                    else:
+                        lowest = min(lowpt[P[0]], lowpt[P[2]])
+                    if lowest != height[u]:
+                        break
+                    S.pop()
+                    if P[0] is not None:
+                        side[P[0]] = -1
+                if S:
+                    P = S[-1]
+                    while P[1] is not None and P[1][1] == u:
+                        P[1] = ref.get(P[1])
+                    if P[1] is None and P[0] is not None:
+                        ref[P[0]] = P[2]
+                        side[P[0]] = -1
+                        P[0] = None
+                    while P[3] is not None and P[3][1] == u:
+                        P[3] = ref.get(P[3])
+                    if P[3] is None and P[2] is not None:
+                        ref[P[2]] = P[0]
+                        side[P[2]] = -1
+                        P[2] = None
+                if lowpt[ei] < height[u]:
+                    hl, hr = S[-1][1], S[-1][3]
+                    ref[ei] = hl if hl is not None and (hr is None or lowpt[hl] > lowpt[hr]) else hr
+            else:
+                ei = (v, w)
+                bottom[ei] = S[-1] if S else None
+                if height[w] > height[v]:  # tree edge
+                    stack.append((w, iter(order[w])))
+                    continue
+                lowpt_edge[ei] = ei
+                S.append([None, None, ei, ei])
+            if lowpt[ei] >= height[v]:
+                continue
+            e = parent[v]
+            if ei[1] == order[v][0]:
+                lowpt_edge[e] = lowpt_edge[ei]
+                continue
+            # merge the return edges of ei into P's right interval
+            P = [None, None, None, None]
+            while True:
+                Q = S.pop()
+                if Q[0] is not None or Q[1] is not None:
+                    Q[:] = Q[2], Q[3], Q[0], Q[1]
+                    if Q[0] is not None or Q[1] is not None:
+                        return None
+                if lowpt[Q[2]] > lowpt[e]:
+                    if P[2] is None and P[3] is None:
+                        P[3] = Q[3]
+                    else:
+                        ref[P[2]] = Q[3]
+                    P[2] = Q[2]
+                else:
+                    ref[Q[2]] = lowpt_edge[e]
+                if (S[-1] if S else None) is bottom[ei]:
+                    break
+            # merge the conflicting return edges of ei's elder siblings
+            while conflicting(S[-1][0], S[-1][1], ei) or conflicting(S[-1][2], S[-1][3], ei):
+                Q = S.pop()
+                if conflicting(Q[2], Q[3], ei):
+                    Q[:] = Q[2], Q[3], Q[0], Q[1]
+                    if conflicting(Q[2], Q[3], ei):
+                        return None
+                ref[P[2]] = Q[3]
+                if Q[2] is not None:
+                    P[2] = Q[2]
+                if P[0] is None and P[1] is None:
+                    P[1] = Q[1]
+                else:
+                    ref[P[0]] = Q[1]
+                P[0] = Q[0]
+            if any(x is not None for x in P):
+                S.append(P)
+
+    # sign: resolve each edge's side along its chain of references
+    for v, ws in out.items():
+        for w in ws:
+            chain = [(v, w)]
+            r = ref.pop(chain[0], None)
+            while r is not None:
+                chain.append(r)
+                r = ref.pop(r, None)
+            s = 1
+            for x in reversed(chain):
+                s = side[x] = side.get(x, 1) * s
+            nesting[v, w] *= s
+    # embedding: out-edges in signed nesting order, clockwise from the
+    # leftmost; then each in-edge beside the tree edge its tail hangs from
+    order = {v: sorted(ws, key=lambda w, v=v: nesting[v, w]) for v, ws in out.items()}
+    rot = {v: list(ws) for v, ws in order.items()}
+    left: Dict[int, int] = {}
+    right: Dict[int, int] = {}
+    for r in roots:
+        stack = [(r, iter(order[r]))]
+        while stack:
+            v, it = stack[-1]
+            w = next(it, None)
+            if w is None:
+                stack.pop()
+                continue
+            rw = rot[w]
+            if height[w] > height[v]:  # tree edge
+                rw.insert(0, v)
+                left[v] = right[v] = w
+                stack.append((w, iter(order[w])))
+            elif side.get((v, w), 1) == 1:
+                rw.insert(rw.index(right[w]) + 1, v)
+            else:
+                rw.insert(rw.index(left[w]), v)
+                left[w] = v
+    return rot
 
 
 def _insert_in_shared_face(rot: Dict[int, List[int]], u: int, v: int) -> bool:

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import sys
+
 import networkx as nx
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,14 +17,16 @@ from oracles import (
     hamiltonian_rim_ref,
 )
 from topolayers import planar
+from topolayers.cli import main
 from topolayers.document import decomposition_to_document, verify_document
 from topolayers.cycles import ring_cycle, seg
-from topolayers.graphs import complete_graph, parse_graph
+from topolayers.graphs import complete_graph, parse_graph, validate_nonseparable
 from topolayers.layering import decompose, split_regions
 from topolayers.planar import (
     PlanarizationError,
     _greedy_planar_subgraph,
     _insert_in_shared_face,
+    _lr_rotation,
     hamiltonian_rim,
     orient_cycles,
     select_planar_cycle_system,
@@ -317,3 +322,156 @@ def test_hamiltonian_ring_longer_than_the_recursion_limit():
     d = decompose(graph_from_networkx(nx.circular_ladder_graph(600), name="prism600"))
     assert len(d.layers) == 1
     assert verify_document(decomposition_to_document(d)).ok
+
+
+# The left-right kernel against networkx's planarity test: the same
+# decision, and for a planar graph a rotation system listing exactly each
+# vertex's neighbours that traces a plane drawing.
+
+
+def _adjacency(vertices, pairs):
+    adj = {v: [] for v in vertices}
+    for u, v in pairs:
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
+def _assert_kernel_matches_networkx(adj, rot):
+    G = nx.Graph()
+    G.add_nodes_from(adj)
+    G.add_edges_from((u, v) for u, ns in adj.items() for v in ns)
+    assert (rot is not None) == nx.check_planarity(G)[0]
+    if rot is not None:
+        assert list(rot) == list(adj)
+        assert all(sorted(rot[v]) == sorted(ns) for v, ns in adj.items())
+        assert _is_plane_rotation(rot)
+
+
+@st.composite
+def simple_graphs(draw):
+    """Any simple graph on up to 12 vertices, isolated and disconnected
+    ones included, its vertices and edges in a drawn order."""
+    vertices = draw(st.permutations(range(1, draw(st.integers(0, 12)) + 1)))
+    pairs = [(u, v) for u in vertices for v in vertices if u < v]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=3 * len(vertices))) if pairs else []
+    return _adjacency(vertices, [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges])
+
+
+@settings(max_examples=400, deadline=None)
+@given(simple_graphs())
+def test_kernel_matches_networkx_on_drawn_graphs(adj):
+    _assert_kernel_matches_networkx(adj, _lr_rotation(adj))
+
+
+@pytest.mark.parametrize("g", _networkx_corpus())
+def test_kernel_matches_networkx_on_generated_graphs(g):
+    adj = _adjacency(g.vertices, g.edges.values())
+    _assert_kernel_matches_networkx(adj, _lr_rotation(adj))
+
+
+def _kernel_calls(g):
+    """Each adjacency the greedy loop tests, with the kernel's answer."""
+    calls = []
+
+    def recorded(adj):
+        rot = _lr_rotation(adj)
+        snapshot = None if rot is None else {v: list(ns) for v, ns in rot.items()}
+        calls.append(({v: list(ns) for v, ns in adj.items()}, snapshot))
+        return rot
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(planar, "_lr_rotation", recorded)
+        _greedy_planar_subgraph(g)
+    return calls
+
+
+def _benchmark_graphs():
+    """K10-K16 and the benchmark's sparse family: random regular graphs
+    (networkx seeds 0-2) and the hypercubes Q4, Q5."""
+    graphs = [(f"K{n}", complete_graph(n)) for n in (10, 12, 14, 16)]
+    for d, n in ((4, 16), (5, 20), (6, 20), (5, 30), (8, 20)):
+        graphs += [
+            (f"rr{d}_{n}_s{s}", graph_from_networkx(nx.random_regular_graph(d, n, seed=s)))
+            for s in range(3)
+        ]
+    graphs += [(f"Q{d}", graph_from_networkx(nx.hypercube_graph(d))) for d in (4, 5)]
+    return [pytest.param(g, id=name) for name, g in graphs]
+
+
+@pytest.mark.parametrize("g", _benchmark_graphs())
+def test_kernel_matches_networkx_on_every_greedy_test(g):
+    calls = _kernel_calls(g)
+    assert calls
+    for adj, rot in calls:
+        _assert_kernel_matches_networkx(adj, rot)
+
+
+def _deep_graph(n, planar_end):
+    """A cycle 1..n whose depth-first search from 1 runs n - 1 deep before
+    it reaches a K5 on n..n+4 (less one edge when `planar_end`)."""
+    pairs = [(i, i + 1) for i in range(1, n)] + [(1, n)]
+    k5 = [(a, b) for a in range(n, n + 5) for b in range(a + 1, n + 5)]
+    return _adjacency(range(1, n + 5), pairs + k5[planar_end:])
+
+
+@pytest.mark.parametrize("planar_end", [True, False], ids=["planar", "k5"])
+def test_kernel_runs_deeper_than_the_recursion_limit(planar_end):
+    limit = sys.getrecursionlimit()
+    adj = _deep_graph(3001, planar_end)
+    rot = _lr_rotation(adj)
+    assert (rot is not None) == planar_end
+    if planar_end:
+        assert _is_plane_rotation(rot)
+    assert sys.getrecursionlimit() == limit
+
+
+def test_unpinned_decompose_embeds_with_networkx_once(k10, monkeypatch):
+    calls = []
+    check = nx.check_planarity
+
+    def counted(G, *args, **kwargs):
+        calls.append(G.number_of_edges())
+        return check(G, *args, **kwargs)
+
+    monkeypatch.setattr(nx, "check_planarity", counted)
+    decompose(k10)
+    assert calls == [24]
+
+
+def test_fast_accepts_leave_the_prism_one_kernel_call():
+    """C600 x K2 is planar: nearly every edge shares a face with the
+    kept graph, so testing each of its 1800 edges shows here by count."""
+    g = graph_from_networkx(nx.circular_ladder_graph(600))
+    assert len(g.edges) == 1800
+    assert len(_kernel_calls(g)) <= 10
+
+
+# rr4_16_s1 of the sparse benchmark corpus (networkx's random 4-regular
+# graph on 16 vertices, seed 1, relabelled 1..16), written out so that no
+# networkx release can change it.  Its greedy planar subgraph has the
+# bridges (1,16) and (9,14).
+RR4_16_S1 = (
+    "1 5\n1 8\n1 9\n1 16\n2 10\n2 11\n2 12\n2 15\n3 4\n3 5\n3 7\n3 9\n"
+    "4 8\n4 10\n4 13\n5 8\n5 15\n6 11\n6 12\n6 13\n6 16\n7 11\n7 13\n7 16\n"
+    "8 12\n9 14\n9 15\n10 14\n10 15\n11 16\n12 14\n13 14\n"
+)
+BRIDGE_MESSAGE = "the planar subgraph has a bridge (1,16), so its faces are not simple cycles"
+
+
+def test_a_bridge_of_the_planar_subgraph_is_named():
+    g = parse_graph(RR4_16_S1)
+    assert len(g.edges) == 32 and validate_nonseparable(g).ok
+    kept = _greedy_planar_subgraph(g)
+    assert sorted(tuple(sorted(e)) for e in nx.bridges(kept)) == [(1, 16), (9, 14)]
+    with pytest.raises(PlanarizationError) as exc:
+        select_planar_cycle_system(g)
+    assert str(exc.value) == BRIDGE_MESSAGE
+
+
+def test_cli_refuses_a_bridge(tmp_path):
+    p = tmp_path / "rr4_16_s1.txt"
+    p.write_text(RR4_16_S1)
+    res = CliRunner().invoke(main, ["decompose", str(p), "-o", str(tmp_path / "out.json")])
+    assert res.exit_code == 2, res.output
+    assert f"error: {BRIDGE_MESSAGE}" in res.output
