@@ -51,9 +51,17 @@ def _input_errors() -> Iterator[None]:
         sys.exit(2)
 
 
+def _read_text(path: str, error: type) -> str:
+    """The file's text; a file that is not UTF-8 raises `error` naming it."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise error(f"{path!r} is not UTF-8 text: {exc}") from None
+
+
 def _parse_file(path: str):
-    with open(path) as fh:
-        text = fh.read()
+    text = _read_text(path, GraphInputError)
     name = os.path.splitext(os.path.basename(path))[0]
     return parse_graph(text, name=name)
 
@@ -75,7 +83,7 @@ def _read_pin(ref: Optional[str]) -> Optional[dict]:
         with open(ref) as fh:
             try:
                 pin = json.load(fh)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise GraphInputError(f"pin {ref!r} is not JSON: {exc}") from None
     else:
         try:
@@ -152,8 +160,7 @@ def decompose_cmd(input_path: str, strategy: str, pin_spec: Optional[str], out_p
 def verify(doc_path: str) -> None:
     """Re-check every invariant of a decomposition document."""
     with _input_errors():
-        with open(doc_path) as fh:
-            doc = parse_document(fh.read())
+        doc = parse_document(_read_text(doc_path, DocumentError))
     report = verify_document(doc)
     for line in report.lines():
         click.echo(line)
@@ -168,8 +175,7 @@ def verify(doc_path: str) -> None:
 def render(doc_path: str, layer_index: int, out_path: str) -> None:
     """Render one layer of a decomposition document as SVG."""
     with _input_errors():
-        with open(doc_path) as fh:
-            doc = parse_document(fh.read())
+        doc = parse_document(_read_text(doc_path, DocumentError))
         svg = render_svg(doc, layer_index)
         with open(out_path, "w") as fh:
             fh.write(svg)

@@ -8,14 +8,23 @@ the text is defined as json.dumps(doc, sort_keys=True, separators=(",",
 byte-identical.  With an indent json always runs its pure-Python
 encoder, so `serialize_document` writes the same text with `_emit`, a
 small recursive emitter that joins each list of ints, or of equal-length
-int rows, in one go.
+int rows, in one go.  The three long row lists, each system's cycles, the
+imaginary entries and the carrier rows, are written from one cached
+%-template per row shape (its kind, indent, and arc count or carrier
+kind), filled with all the list's ints at once.  Each template is the
+emitter's own text for a skeleton row whose int holes it writes as a raw
+NUL, which no real str can produce; a list that does not fit its shape
+exactly, down to every cell being an int and not a bool or float, is
+written item by item instead.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from itertools import chain
+from functools import lru_cache
+from itertools import chain, compress, repeat
+from operator import itemgetter
 from typing import Dict, List, Optional
 
 from .layering import Decomposition
@@ -95,15 +104,132 @@ def decomposition_to_document(d: Decomposition) -> dict:
 
 _encode_str = json.encoder.encode_basestring_ascii
 
+# A hole in a row skeleton: `_emit` writes it as a raw NUL, which no str or
+# number it writes can contain, since encode_basestring_ascii escapes every
+# control character.
+_HOLE = object()
+_CYCLE_KEYS = frozenset(("arcs", "id"))
+_IMAGINARY_KEYS = frozenset(("carrier", "chord", "host", "id"))
+
+
+@lru_cache(maxsize=4096)
+def _template(row: str, indent: str, shape: object) -> str:
+    """The %-template `_emit` fills for one row of a known shape at this
+    indent: the generic writer's own text for the row's skeleton, with
+    each int hole as %d and every other % doubled.
+
+    `shape` is the arc count of a cycle, or (kind, pair) of an imaginary
+    entry's or a carrier row's carrier, pair telling a conn ref [u, v]
+    from an edge id.  The text depends on the key alone, so a cached
+    template never goes stale.
+    """
+    if row == "cycle":
+        item: object = {"arcs": [[_HOLE, _HOLE]] * shape, "id": _HOLE}
+    else:
+        kind, pair = shape
+        ref = [_HOLE, _HOLE] if pair else _HOLE
+        if row == "imaginary":
+            hole = [_HOLE, _HOLE]
+            item = {"carrier": [kind, ref], "chord": hole, "host": hole, "id": _HOLE}
+        else:
+            item = [_HOLE, _HOLE, kind, ref]
+    return _emit(item, indent).replace("%", "%%").replace("\0", "%d")
+
+
+def _pairs(xs: list) -> bool:
+    """Every item of xs is a list of two items."""
+    return set(map(type, xs)) == {list} and set(map(len, xs)) == {2}
+
+
+def _carrier_shapes(kinds: list, refs: list) -> Optional[list]:
+    """(kind, pair) of each carrier, pair telling a conn ref [u, v] from an
+    edge id; None unless every kind is a str and every list ref a pair."""
+    pair = [type(r) is list for r in refs]
+    if set(map(type, kinds)) != {str} or set(map(len, compress(refs, pair))) - {2}:
+        return None
+    return list(zip(kinds, pair))
+
+
+def _cycle_rows(x: list, vals: list) -> Optional[list]:
+    """The shapes of a list of {"arcs", "id"} cycles, their cells added to
+    vals in text order; None unless every arc list is non-empty pairs."""
+    arcs = list(map(itemgetter("arcs"), x))
+    if set(map(type, arcs)) != {list} or not all(arcs):
+        return None
+    if not _pairs(list(chain.from_iterable(arcs))):
+        return None
+    for a, cid in zip(arcs, map(itemgetter("id"), x)):
+        vals += chain.from_iterable(a)
+        vals.append(cid)
+    return list(map(len, arcs))
+
+
+def _imaginary_rows(x: list, vals: list) -> Optional[list]:
+    """As `_cycle_rows`, for {"carrier": [kind, ref], "chord": [u, v],
+    "host": [u, v], "id": w} entries."""
+    carriers = list(map(itemgetter("carrier"), x))
+    chords = list(map(itemgetter("chord"), x))
+    hosts = list(map(itemgetter("host"), x))
+    if not _pairs(carriers + chords + hosts):
+        return None
+    refs = list(map(itemgetter(1), carriers))
+    shapes = _carrier_shapes(list(map(itemgetter(0), carriers)), refs)
+    if shapes is None:
+        return None
+    for ref, chord, host, w in zip(refs, chords, hosts, map(itemgetter("id"), x)):
+        vals += (*ref, *chord, *host, w) if type(ref) is list else (ref, *chord, *host, w)
+    return shapes
+
+
+def _carrier_rows(x: list, vals: list) -> Optional[list]:
+    """As `_cycle_rows`, for [a, b, kind, ref] rows."""
+    if set(map(len, x)) != {4}:
+        return None
+    shapes = _carrier_shapes(list(map(itemgetter(2), x)), list(map(itemgetter(3), x)))
+    if shapes is None:
+        return None
+    for a, b, _, ref in x:
+        vals += (a, b, *ref) if type(ref) is list else (a, b, ref)
+    return shapes
+
+
+def _table(x: list, kinds: set, indent: str) -> Optional[str]:
+    """The items of x, at this indent and joined as a list body, when x is
+    a list of cycles, of imaginary entries or of carrier rows whose cells
+    are all exactly int: one cached template per row, filled once.  None
+    on any other list, which then takes the generic path."""
+    vals: list = []
+    if kinds == {list}:
+        row, shapes = "carrier", _carrier_rows(x, vals)
+    elif kinds != {dict}:
+        return None
+    else:
+        keys = set(map(frozenset, x))
+        if keys == {_CYCLE_KEYS}:
+            row, shapes = "cycle", _cycle_rows(x, vals)
+        elif keys == {_IMAGINARY_KEYS}:
+            row, shapes = "imaginary", _imaginary_rows(x, vals)
+        else:
+            return None
+    if shapes is None or set(map(type, vals)) != {int}:
+        return None
+    rows = map(_template, repeat(row), repeat(indent), shapes)
+    return (",\n" + indent).join(rows) % tuple(vals)
+
 
 def _emit(x: object, indent: str) -> str:
     """x as json.dumps(x, sort_keys=True, separators=(",", ": "), indent=1)
     writes it at nesting `indent`, except that a dict key that is not a
     str raises TypeError.
 
-    A list of ints (or of ints and strings, like a carrier row) is one
-    join, and a list of equal-length int rows (the arcs, edges and chords
-    that make up most of a document) is one %-template filled once.
+    A list of ints (or of ints and strings) is one join, and a list of
+    equal-length int rows (the arcs, edges and chords) is one %-template
+    filled once.  A list of cycles ({"arcs", "id"}), of imaginary entries
+    ({"carrier", "chord", "host", "id"}) or of carrier rows
+    ([a, b, kind, ref]) is joined from cached per-row templates (see
+    `_template`) and filled once; any other key set, empty arcs, a row or
+    pair of another length, or a cell whose type is not exactly int makes
+    that list fall back to writing each item in turn.
     """
     if type(x) is int:
         return int.__repr__(x)
@@ -126,7 +252,7 @@ def _emit(x: object, indent: str) -> str:
             row = "[\n" + inner + " " + deep.join(["%d"] * len(x[0])) + "\n" + inner + "]"
             body = sep.join([row] * len(x)) % tuple(flat)
         else:
-            body = sep.join([_emit(v, inner) for v in x])
+            body = _table(x, kinds, inner) or sep.join([_emit(v, inner) for v in x])
         return "[\n" + inner + body + "\n" + indent + "]"
     if isinstance(x, dict):
         if not x:
@@ -136,6 +262,8 @@ def _emit(x: object, indent: str) -> str:
         inner = indent + " "
         items = [_encode_str(k) + ": " + _emit(x[k], inner) for k in sorted(x)]
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if x is _HOLE:
+        return "\0"
     return json.dumps(x)
 
 
@@ -167,6 +295,17 @@ def _carriers(pairs: List[object]) -> bool:
     edge = [ref for kind, ref in pairs if kind == "edge"]
     conn = [ref for kind, ref in pairs if kind == "conn"]
     return len(edge) + len(conn) == len(pairs) and _all(edge, int) and _rows(conn, 2)
+
+
+def _edge_key(key: str) -> bool:
+    """key is an edge id as str(int) writes it: no sign, space or leading
+    zero, so no two keys name one edge, and int(key) does not raise."""
+    if not (key.isascii() and key.isdigit()):
+        return False
+    try:
+        return key == str(int(key))
+    except ValueError:  # more digits than the interpreter converts
+        return False
 
 
 def _check_schema(doc: dict) -> None:
@@ -215,7 +354,7 @@ def _check_schema(doc: dict) -> None:
     seqs = doc["sequences"]
     need(
         type(seqs) is dict
-        and all(key.isascii() and key.isdigit() for key in seqs)
+        and all(map(_edge_key, seqs))
         and _rows(list(seqs.values())),
         "sequences",
     )
@@ -241,7 +380,9 @@ def _check_schema(doc: dict) -> None:
 def parse_document(text: str) -> dict:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, an int past the interpreter's digit limit, or
+        # nesting deeper than the decoder's recursion limit
         raise DocumentError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         raise DocumentError(f"not a {FORMAT} document")

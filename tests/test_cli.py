@@ -355,10 +355,32 @@ def _letter_sequence_key(doc):
     doc["sequences"]["zz"] = []
 
 
+def _padded_sequence_key_beside_the_real_one(doc):
+    doc["sequences"]["03"] = [999, 998]
+
+
+def _padded_sequence_key(doc):
+    doc["sequences"]["03"] = doc["sequences"].pop("3")
+
+
 @pytest.mark.parametrize(
     "corrupt",
-    [_layer_without_system, _string_arcs, _empty_layers, _letter_sequence_key],
-    ids=["no-system", "string-arcs", "empty-layers", "letter-sequence-key"],
+    [
+        _layer_without_system,
+        _string_arcs,
+        _empty_layers,
+        _letter_sequence_key,
+        _padded_sequence_key_beside_the_real_one,
+        _padded_sequence_key,
+    ],
+    ids=[
+        "no-system",
+        "string-arcs",
+        "empty-layers",
+        "letter-sequence-key",
+        "padded-sequence-key-beside-real",
+        "padded-sequence-key",
+    ],
 )
 def test_verify_malformed_document_exits_2(runner, k7_doc_file, tmp_path, corrupt):
     doc = json.loads(open(k7_doc_file).read())
@@ -370,6 +392,38 @@ def test_verify_malformed_document_exits_2(runner, k7_doc_file, tmp_path, corrup
     res = runner.invoke(main, ["verify", str(bad)])
     assert res.exit_code == 2, res.output
     assert res.output.startswith("error: malformed")
+
+
+def _args(command, path, tmp_path):
+    if command == "decompose":
+        return [command, path, "-o", str(tmp_path / "out.json")]
+    if command == "render":
+        return [command, path, "--layer", "1", "-o", str(tmp_path / "out.svg")]
+    return [command, path]
+
+
+@pytest.mark.parametrize("command", ["cycles", "planarize", "decompose", "verify", "render"])
+def test_non_utf8_input_exits_2_naming_the_file(runner, tmp_path, command):
+    p = tmp_path / "utf16.txt"
+    p.write_bytes(b"\xff\xfe1 2\n")
+    res = runner.invoke(main, _args(command, str(p), tmp_path))
+    assert res.exit_code == 2, res.output
+    assert res.output.startswith(f"error: {str(p)!r} is not UTF-8 text")
+
+
+@pytest.mark.parametrize("command", ["verify", "render"])
+@pytest.mark.parametrize(
+    "text", ["[" * 200_000, "1" * 5000], ids=["nested-200000-deep", "int-of-5000-digits"]
+)
+def test_undecodable_json_exits_2(runner, tmp_path, command, text):
+    p = tmp_path / "doc.json"
+    p.write_text(text)
+    res = runner.invoke(main, _args(command, str(p), tmp_path))
+    assert res.exit_code == 2, res.output
+    # without an int digit limit the 5000 digits read as a number, which
+    # is valid JSON but not a document
+    limited = text[0] == "[" or getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    assert res.output.startswith("error: not valid JSON" if limited else "error: not a ")
 
 
 def test_pin_from_file(runner, k7_file, tmp_path):
@@ -395,6 +449,7 @@ def test_unknown_pin_exits_2(runner, k7_file):
         ('{"hamiltonian": {"ring": [1, 2, 3]}}', "'hamiltonian' must be a list, got dict"),
         ('{"plan": [[]]}', "'plan' must be an object, got list"),
         ("not json", "is not JSON"),
+        ("[" * 200_000, "is not JSON"),
         ('{"system": {}}', "'system.cycles' must be a list of integer lists"),
         ('{"system": {"cycles": "x", "rim": [1, 2, 3]}}', "'system.cycles' must be a list"),
         ('{"system": {"cycles": [[1, 2, 3]], "rim": "x"}}', "'system.rim' must be a list"),
@@ -408,6 +463,7 @@ def test_unknown_pin_exits_2(runner, k7_file):
         "hamiltonian-object",
         "plan-list",
         "not-json",
+        "nested-200000-deep",
         "system-empty",
         "cycles-string",
         "rim-string",

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import serialize_ref
+from topolayers import document
 from topolayers.document import (
     DocumentError,
     decomposition_to_document,
@@ -31,6 +33,29 @@ def test_produced_documents_verify(which, request):
     doc = decomposition_to_document(d)
     rep = verify_document(doc)
     assert rep.ok, rep.lines()
+
+
+@pytest.mark.parametrize(
+    "text", ["[" * 200_000, '{"n": ' + "1" * 5000 + "}"], ids=["nested", "long-int"]
+)
+def test_parse_reports_undecodable_json(text):
+    if text[0] == "{" and not getattr(sys, "get_int_max_str_digits", lambda: 0)():
+        pytest.skip("this interpreter reads ints of any length")
+    with pytest.raises(DocumentError, match="not valid JSON"):
+        parse_document(text)
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [{"03": [999, 998]}, {"03": None}, {"+3": None}, {"1" * 5000: [1]}],
+    ids=["padded-beside-real", "padded-alone", "signed", "5000-digits"],
+)
+def test_parse_refuses_non_canonical_sequence_keys(k7_document, keys):
+    doc = json.loads(serialize_document(k7_document))
+    for key, seq in keys.items():
+        doc["sequences"][key] = doc["sequences"].pop("3") if seq is None else seq
+    with pytest.raises(DocumentError, match="malformed sequences"):
+        parse_document(json.dumps(doc))
 
 
 def test_parse_rejects_garbage():
@@ -101,6 +126,124 @@ _values = st.recursive(
 @given(_values)
 def test_serialize_matches_json_on_drawn_values(value):
     assert serialize_document(value) == serialize_ref(value)
+
+
+# The three row lists the emitter writes from cached templates, plus near
+# misses that must take the generic path: bool and float cells, extra or
+# missing keys, empty arcs, rows of length 1 or 3, refs of length 3, and
+# kinds that hold %, a quote, a NUL or non-ASCII text.
+_cell = st.one_of(st.integers(-(2**70), 2**70), st.integers(0, 99), st.booleans(), st.floats(-3, 3))
+_int = st.integers(-(2**70), 2**70)
+_pair = st.lists(_int, min_size=2, max_size=2)
+_near_pair = st.lists(_cell, min_size=1, max_size=3)
+_kind = st.one_of(
+    st.sampled_from(["edge", "conn"]),
+    st.text(alphabet=st.sampled_from('ab%d"\\\0é\U0001f600'), max_size=4),
+    _int,
+    st.booleans(),
+)
+_ref = st.one_of(_int, _pair, _cell, _near_pair)
+_cycle = st.one_of(
+    st.fixed_dictionaries({"arcs": st.lists(_pair, min_size=1, max_size=4), "id": _int}),
+    st.fixed_dictionaries(
+        {"arcs": st.lists(st.one_of(_pair, _near_pair), max_size=3)},
+        optional={"id": _cell, "rim": _int},
+    ),
+)
+_imaginary = st.one_of(
+    st.fixed_dictionaries(
+        {"carrier": st.tuples(_kind, _ref).map(list), "chord": _pair, "host": _pair, "id": _int}
+    ),
+    st.fixed_dictionaries(
+        {
+            "carrier": st.one_of(st.tuples(_kind, _ref).map(list), _near_pair),
+            "chord": st.one_of(_pair, _near_pair),
+            "host": _pair,
+        },
+        optional={"id": _cell, "x": _int},
+    ),
+)
+_carrier = st.one_of(
+    st.tuples(_int, _int, _kind, _ref).map(list),
+    st.tuples(_cell, _cell, _kind, _ref).map(list),
+    st.tuples(_int, _int, _kind, _ref),
+    _near_pair,
+)
+
+
+def _nest(value, depth):
+    for k in range(depth):
+        value = {"k": value} if k % 2 else [value]
+    return value
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(
+        st.lists(_cycle, min_size=1, max_size=4),
+        st.lists(_imaginary, min_size=1, max_size=4),
+        st.lists(_carrier, min_size=1, max_size=4),
+    ),
+    st.integers(0, 3),
+)
+def test_serialize_matches_json_on_drawn_rows(rows, depth):
+    value = _nest(rows, depth)
+    assert serialize_document(value) == serialize_ref(value)
+
+
+_ROWS = {
+    "cycles": [{"arcs": [[1, 2], [2, 3], [3, 1]], "id": 4}, {"arcs": [[5, 6]], "id": 7}],
+    "imaginary": [
+        {"carrier": ["conn", [1, 2]], "chord": [3, 4], "host": [5, 6], "id": 7},
+        {"carrier": ["edge", 8], "chord": [9, 10], "host": [11, 12], "id": 13},
+    ],
+    "carrier": [[1, 2, "conn", [3, 4]], [5, 6, "edge", 7]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ROWS))
+def test_serialize_rows_at_every_indent(name):
+    """One shape written at several depths keeps each depth's indent."""
+    for depth in (0, 1, 2, 3, 1, 0):
+        value = _nest(_ROWS[name], depth)
+        assert serialize_document(value) == serialize_ref(value)
+
+
+@pytest.mark.parametrize("kind", ["%", "%d", "%s%%", '"', "\0", "é"])
+def test_serialize_rows_with_odd_kinds(kind):
+    for value in (
+        [[1, 2, kind, 3], [4, 5, kind, [6, 7]]],
+        [{"carrier": [kind, 1], "chord": [2, 3], "host": [4, 5], "id": 6}],
+    ):
+        assert serialize_document(value) == serialize_ref(value)
+
+
+@pytest.mark.parametrize("cell", [True, False, 1.0, None])
+def test_serialize_rows_with_non_int_cells(cell):
+    values = [
+        [{"arcs": [[1, 2]], "id": cell}],
+        [{"carrier": ["edge", cell], "chord": [2, 3], "host": [4, 5], "id": 6}],
+        [[1, cell, "conn", [3, 4]]],
+        [[1, 2, "conn", [3, cell]]],
+    ]
+    for value in values:
+        assert serialize_document(value) == serialize_ref(value)
+
+
+def test_serialize_k16_writes_rows_from_templates(k16_unpinned_decomposition, monkeypatch):
+    """Unpinned K16 has about 20,000 rows and cells; with the row lists
+    written from templates the emitter recurses a few hundred times."""
+    doc = decomposition_to_document(k16_unpinned_decomposition)
+    calls = []
+    emit = document._emit
+
+    def counted(x, indent):
+        calls.append(1)
+        return emit(x, indent)
+
+    monkeypatch.setattr(document, "_emit", counted)
+    assert serialize_document(doc) == serialize_ref(doc)
+    assert len(calls) < 1000
 
 
 def test_serialize_refuses_non_str_keys():
