@@ -123,11 +123,31 @@ def _carrier_key(kind: object, ref: object) -> tuple:
 
 
 def _carrier_paths(doc: dict) -> Dict[tuple, List[int]]:
-    """Walk the final drawing segments of each carrier back into a path."""
+    """Walk the final drawing segments of each carrier back into a path.
+
+    Each row's carrier is keyed as `_carrier_key` keys it, with the same
+    type tests written out here, since this runs once per drawn segment.
+    """
     edges = {eid: (u, v) for eid, u, v in doc["graph"]["edges"]}
     groups: Dict[tuple, List[Tuple[int, int]]] = {}
     for a, b, kind, ref in doc["carrier"]:
-        groups.setdefault(_carrier_key(kind, ref), []).append((a, b))
+        if kind == "edge" and type(ref) is int:
+            key = (kind, ref)
+        elif (
+            kind == "conn"
+            and isinstance(ref, list)
+            and len(ref) == 2
+            and type(ref[0]) is int
+            and type(ref[1]) is int
+        ):
+            key = (kind, (ref[0], ref[1]))
+        else:
+            raise RenderError(f"malformed carrier {[kind, ref]}")
+        segs = groups.get(key)
+        if segs is None:
+            groups[key] = [(a, b)]
+        else:
+            segs.append((a, b))
     paths: Dict[tuple, List[int]] = {}
     for key, segs in groups.items():
         kind, ref = key
@@ -136,10 +156,14 @@ def _carrier_paths(doc: dict) -> Dict[tuple, List[int]]:
         u, v = edges[ref] if kind == "edge" else ref
         path = walk(segs, min(u, v), max(u, v))
         if path is None:
-            name = f"edge {ref}" if kind == "edge" else f"connection ({u},{v})"
-            raise RenderError(f"carrier {name} is not a path")
+            raise RenderError(f"carrier {_carrier_name(key)} is not a path")
         paths[key] = path
     return paths
+
+
+def _carrier_name(key: tuple) -> str:
+    kind, ref = key
+    return f"edge {ref}" if kind == "edge" else f"connection ({ref[0]},{ref[1]})"
 
 
 def _imaginary_positions(
@@ -156,6 +180,9 @@ def _imaginary_positions(
     float operations, in the same order, as in a sweep over all of them.
     """
     paths = _carrier_paths(doc)
+    n = doc["graph"]["n"]
+    # each vertex's index on each carrier path; walk's paths are simple
+    index_on = {key: {v: i for i, v in enumerate(path)} for key, path in paths.items()}
     out: Dict[int, Tuple[float, float]] = {}
     pending: List[Tuple[int, int, int]] = []  # (vertex, path neighbours)
     for entry in doc["imaginary"]:
@@ -165,16 +192,18 @@ def _imaginary_positions(
         path = paths.get(key)
         if path is None:
             raise RenderError(f"imaginary vertex {w} has a carrier with no path")
-        if w not in path[1:-1]:
+        i = index_on[key].get(w, 0)
+        if not 0 < i < len(path) - 1:
             raise RenderError(f"imaginary vertex {w} is not inside its carrier's path")
-        i = path.index(w)
+        u, v = (path[0], path[-1]) if kind == "edge" else key[1]
+        if u not in pos or v not in pos:
+            raise RenderError(f"carrier {_carrier_name(key)} names a vertex outside 1..{n}")
+        p, q = pos[u], pos[v]
         if kind == "edge":
             t = i / (len(path) - 1)
-            p, q = pos[path[0]], pos[path[-1]]
             out[w] = (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
         else:
-            u, v = key[1]
-            out[w] = ((pos[u][0] + pos[v][0]) / 2, (pos[u][1] + pos[v][1]) / 2)
+            out[w] = ((p[0] + q[0]) / 2, (p[1] + q[1]) / 2)
             pending.append((w, path[i - 1], path[i + 1]))
     reads: Dict[int, List[int]] = {}
     for w, a, b in pending:
@@ -214,6 +243,7 @@ def render_svg(doc: dict, layer_index: int) -> str:
     edges = {eid: (u, v) for eid, u, v in doc["graph"]["edges"]}
     sequences = {int(k): v for k, v in doc["sequences"].items()}
     realized = [] if layer_index == 1 else layer["realized"]
+    n = doc["graph"]["n"]
     for eid in realized:
         if eid not in edges:
             raise RenderError(f"layer {layer_index} realizes {eid}, which is not a graph edge")
@@ -233,12 +263,14 @@ def render_svg(doc: dict, layer_index: int) -> str:
         for a, b in segs:
             lines.append((pos[a], pos[b]))
     else:
-        ring = _ring(layer, doc["graph"]["n"])
+        ring = _ring(layer, n)
         for i in range(len(ring)):
             a, b = ring[i], ring[(i + 1) % len(ring)]
             lines.append((pos[a], pos[b]))
         for eid in realized:
             u, v = edges[eid]
+            if u not in pos or v not in pos:
+                raise RenderError(f"edge {eid} ({u},{v}) names a vertex outside 1..{n}")
             pts = [pos[min(u, v)]]
             pts.extend(ipos[w] for w in sequences.get(eid, []))
             pts.append(pos[max(u, v)])

@@ -2,19 +2,21 @@
 
 Everything here re-derives its facts from raw arc lists so that a bug in
 the router cannot hide behind shared code: MacLane double cover, GF(2)
-rim sum, Euler count, orientation coherence, imaginary degrees, and face
-tracing from rebuilt rotations.
+rim sum, Euler count, orientation coherence, imaginary degrees, and the
+rotation at each vertex.
 
 `verify_raw` converts a system's members to tuples once and builds one
 segment table, segment -> [(member id, arc), ...], in a single pass over
 the arcs.  The double cover, orientation, Euler and imaginary-degree
-checks read that table; the walk and GF(2) checks read the converted
-members.  The report keeps the table, so a document's connection check
-reads its final layer's segments from there.  Face tracing stays
-independent: `check_face_trace` converts the members itself, rebuilds
-each vertex's rotation from its own dart successor table and re-traces
-the faces.  Each public `check_*` wraps the same private helper
-`verify_raw` calls, so every check has one implementation.
+checks read that table; the walk, GF(2) and rotation checks read the
+converted members.  The report keeps the table, so a document's
+connection check reads its final layer's segments from there.  The face
+check runs once walks, double cover and orientation pass; it rebuilds
+each vertex's rotation from the members' dart successors and requires
+it to close into one cycle.  Re-tracing the faces of those rotations
+would give back the members themselves (see `check_face_trace`), so
+`verify_raw` stops there.  Each public `check_*` wraps the same private
+helper `verify_raw` calls, so every check has one implementation.
 """
 
 from __future__ import annotations
@@ -101,10 +103,10 @@ def _walks(members: Sequence[RawMember]) -> CheckResult:
 
 
 def _maclane(table: SegmentTable) -> CheckResult:
+    odd = sorted(s for s, row in table.items() if len(row) != 2)
     bad = [
-        f"edge ({s[0]},{s[1]}) on {len(row)} members: {[cid for cid, _ in row]}"
-        for s, row in sorted(table.items())
-        if len(row) != 2
+        f"edge ({a},{b}) on {len(table[a, b])} members: {[cid for cid, _ in table[a, b]]}"
+        for a, b in odd
     ]
     return CheckResult(not bad, bad)
 
@@ -130,11 +132,8 @@ def _euler(table: SegmentTable, nf: int) -> CheckResult:
 
 
 def _orientation(table: SegmentTable) -> CheckResult:
-    bad = [
-        f"edge ({s[0]},{s[1]}) traversed {[row[0][1], row[1][1]]}"
-        for s, row in sorted(table.items())
-        if len(row) == 2 and row[0][1] == row[1][1]
-    ]
+    same = sorted(s for s, row in table.items() if len(row) == 2 and row[0][1] == row[1][1])
+    bad = [f"edge ({a},{b}) traversed {[arc for _, arc in table[a, b]]}" for a, b in same]
     return CheckResult(not bad, bad)
 
 
@@ -214,22 +213,19 @@ def trace_faces(rotation: Dict[int, List[int]]) -> List[Tuple[Arc, ...]]:
     return faces
 
 
-def check_face_trace(cycles, rim=None) -> CheckResult:
-    """Rebuild vertex rotations from the members and re-trace the faces.
+def _rotations(members: Sequence[RawMember]) -> Tuple[Dict[int, List[int]], List[str]]:
+    """Each vertex's rotation, rebuilt from the members' dart successors,
+    or the first vertex at which that fails.
 
-    At each vertex the faces dictate a successor map on incident darts;
-    it must close into a single cyclic order (a disk neighbourhood), and
-    tracing must return exactly the member set.
+    At each vertex the members dictate a successor map on incident darts;
+    it must close into a single cyclic order (a disk neighbourhood).
     """
-    members = _members(cycles, rim)
     after: Dict[int, Dict[int, int]] = {}  # at v: incoming-from u -> outgoing-to w
-    bad: List[str] = []
     for cid, arcs in members:
         for (a, b), (_, d) in zip(arcs, arcs[1:] + arcs[:1]):
             tbl = after.setdefault(b, {})
             if a in tbl:
-                bad.append(f"v{b}: two successors for dart from v{a}")
-                return CheckResult(False, bad)
+                return {}, [f"v{b}: two successors for dart from v{a}"]
             tbl[a] = d
     rotation: Dict[int, List[int]] = {}
     for v, tbl in after.items():
@@ -241,14 +237,30 @@ def check_face_trace(cycles, rim=None) -> CheckResult:
         w = tbl[start]
         while w != start:
             if w not in tbl or len(ring) > len(tbl):
-                bad.append(f"v{v}: rotation does not close up")
-                return CheckResult(False, bad)
+                return {}, [f"v{v}: rotation does not close up"]
             ring.append(w)
             w = tbl[w]
         if len(ring) != len(tbl):
-            bad.append(f"v{v}: neighbourhood splits into several fans")
-            return CheckResult(False, bad)
+            return {}, [f"v{v}: neighbourhood splits into several fans"]
         rotation[v] = ring
+    return rotation, []
+
+
+def check_face_trace(cycles, rim=None) -> CheckResult:
+    """Rebuild vertex rotations from the members and re-trace the faces.
+
+    Each vertex's rotation must close into a single cyclic order, and
+    tracing must return exactly the member set.  `verify_raw` checks the
+    rotations only: once walks, double cover and orientation pass, every
+    arc lies in exactly one member, each vertex's successor map is a
+    permutation of its neighbours, and tracing dart (a, b) steps to the
+    arc after it in its own member, so the traced faces are the members.
+    A direct caller's arcs need not chain like that, so this re-traces.
+    """
+    members = _members(cycles, rim)
+    rotation, bad = _rotations(members)
+    if bad:
+        return CheckResult(False, bad)
     traced = trace_faces(rotation)
     want = {frozenset(arcs) for _, arcs in members}
     got = {frozenset(f) for f in traced}
@@ -276,7 +288,9 @@ def verify_raw(
         "imaginary-degree": _imaginary_degree(n, table),
     }
     if all(checks[k].ok for k in ("walks", "maclane", "orientation")):
-        checks["face-trace-agreement"] = check_face_trace(cycles, rim)
+        # the faces these rotations trace are the members (check_face_trace)
+        bad = _rotations(members)[1]
+        checks["face-trace-agreement"] = CheckResult(not bad, bad)
     else:
         checks["face-trace-agreement"] = CheckResult(
             False, ["skipped: structural checks failed"]

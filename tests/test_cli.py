@@ -293,6 +293,38 @@ def _path_neighbour_not_a_vertex(doc):
             row[:2] = [777 if x == 13 else x for x in row[:2]]
 
 
+def _realized_edge_off_the_graph(doc):
+    # graph and chord rows of layer 2's first realized edge, e2 = (1,3)
+    eid = doc["layers"][1]["realized"][0]
+    for row in doc["graph"]["edges"] + doc["chords"]:
+        if row[0] == eid:
+            row[2] = 50
+
+
+def _edge_carrier_off_the_graph(doc):
+    # the first edge carrier an imaginary entry names, e17 = (2,10), ends
+    # at v50 in its graph row and its carrier rows
+    key = next(e["carrier"] for e in doc["imaginary"] if e["carrier"][0] == "edge")
+    row = next(r for r in doc["graph"]["edges"] if r[0] == key[1])
+    for c in doc["carrier"]:
+        if c[2:] == key:
+            c[:2] = [50 if x == row[2] else x for x in c[:2]]
+    row[2] = 50
+
+
+def _conn_carrier_off_the_graph(doc):
+    # the first connection carrier an imaginary entry names, (5,9), ends
+    # at v50 in its rows and in every entry on it
+    key = next(e["carrier"] for e in doc["imaginary"] if e["carrier"][0] == "conn")
+    u, v = key[1]
+    for c in doc["carrier"]:
+        if c[2:] == key:
+            c[:] = [50 if x == v else x for x in c[:2]] + ["conn", [u, 50]]
+    for e in doc["imaginary"]:
+        if e["carrier"] == key:
+            e["carrier"] = ["conn", [u, 50]]
+
+
 @pytest.mark.parametrize(
     "corrupt,layer,message",
     [
@@ -308,6 +340,9 @@ def _path_neighbour_not_a_vertex(doc):
         (_ring_repeats_a_vertex, 3, "layer 3 ring repeats a vertex"),
         (_layer_index_seven, 2, "layer indexes [1, 7, 3] are not 1..3 in order"),
         (_layer_index_seven, 1, "layer indexes [1, 7, 3] are not 1..3 in order"),
+        (_realized_edge_off_the_graph, 2, "edge 2 (1,50) names a vertex outside 1..10"),
+        (_edge_carrier_off_the_graph, 1, "carrier edge 17 names a vertex outside 1..10"),
+        (_conn_carrier_off_the_graph, 2, "carrier connection (5,50) names a vertex outside 1..10"),
     ],
     ids=[
         "unknown-edge",
@@ -322,6 +357,9 @@ def _path_neighbour_not_a_vertex(doc):
         "ring-repeats-layer-3",
         "layer-index-seven-layer-2",
         "layer-index-seven-layer-1",
+        "realized-edge-off-graph",
+        "edge-carrier-off-graph",
+        "conn-carrier-off-graph",
     ],
 )
 def test_render_malformed_document_exits_2(

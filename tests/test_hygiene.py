@@ -32,6 +32,7 @@ UNREFERENCED_OK = {
     "check_euler": "public wrapper of the Euler check verify_raw runs",
     "check_orientation": "public wrapper of the orientation check verify_raw runs",
     "check_imaginary_degree": "public wrapper of the imaginary-degree check verify_raw runs",
+    "check_face_trace": "public wrapper of the face-trace check verify_raw runs",
     "build_mixed_cycle_graph": "the benchmark's tracer patches it by name",
     "MixedCycleGraph": "the return type of build_mixed_cycle_graph",
 }

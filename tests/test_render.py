@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import copy
+import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import imaginary_positions_ref
-from topolayers.document import decomposition_to_document
+from topolayers.document import decomposition_to_document, parse_document, serialize_document
 from topolayers.graphs import complete_graph
 from topolayers.layering import decompose
 from topolayers.render import RenderError, _base_positions, _imaginary_positions, render_svg
@@ -128,3 +132,59 @@ def test_unpinned_markers_match_full_relaxation(n, request):
 def test_markers_match_full_relaxation(which, request):
     d = request.getfixturevalue(f"{which}_decomposition")
     _assert_markers_match_full_relaxation(decomposition_to_document(d))
+
+
+def test_k7_realized_edge_off_the_graph_is_a_render_error(k7_document):
+    doc = copy.deepcopy(k7_document)
+    eid = doc["layers"][1]["realized"][0]
+    for row in doc["graph"]["edges"] + doc["chords"]:
+        if row[0] == eid:
+            row[2] = 50
+    assert render_svg(doc, 1).startswith("<svg")
+    with pytest.raises(RenderError, match=re.escape(f"edge {eid} (1,50) names a vertex outside 1..7")):
+        render_svg(doc, 2)
+
+
+@pytest.fixture(scope="module")
+def pinned_documents(k7_decomposition, k8_decomposition, k10_decomposition):
+    return [
+        serialize_document(decomposition_to_document(d))
+        for d in (k7_decomposition, k8_decomposition, k10_decomposition)
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), part=st.sampled_from(["edge", "carrier", "conn"]))
+def test_vertex_off_the_graph_renders_or_is_a_render_error(pinned_documents, data, part):
+    """A vertex outside 1..n written into a graph edge (and its chord), a
+    carrier row or a connection carrier's ends still parses; rendering
+    any layer returns an SVG or raises RenderError."""
+    doc = json.loads(data.draw(st.sampled_from(pinned_documents)))
+    n = doc["graph"]["n"]
+    x = n + data.draw(st.integers(1, 50))
+    if part == "edge":
+        eid = data.draw(st.sampled_from([eid for eid, _, _ in doc["graph"]["edges"]]))
+        end = data.draw(st.sampled_from([1, 2]))
+        for row in doc["graph"]["edges"] + doc["chords"]:
+            if row[0] == eid:
+                row[end] = x
+    elif part == "carrier":
+        row = data.draw(st.sampled_from(doc["carrier"]))
+        row[data.draw(st.sampled_from([0, 1]))] = x
+    else:
+        refs = sorted({tuple(ref) for _, _, kind, ref in doc["carrier"] if kind == "conn"})
+        ref = data.draw(st.sampled_from(refs))
+        old = ref[data.draw(st.sampled_from([0, 1]))]
+        new = [x if v == old else v for v in ref]
+        for row in doc["carrier"]:
+            if row[2] == "conn" and tuple(row[3]) == ref:
+                row[:] = [x if v == old else v for v in row[:2]] + ["conn", new]
+        for entry in doc["imaginary"]:
+            if entry["carrier"] == ["conn", list(ref)]:
+                entry["carrier"] = ["conn", new]
+    doc = parse_document(json.dumps(doc))
+    for k in range(1, len(doc["layers"]) + 1):
+        try:
+            assert render_svg(doc, k).startswith("<svg")
+        except RenderError:
+            pass

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import verify_document_ref, verify_raw_ref
+from topolayers import verify
 from topolayers.document import decomposition_to_document, verify_document
 from topolayers.verify import (
     check_connection_realization,
@@ -205,6 +206,7 @@ def _split(members, has_rim):
 
 MUTATIONS = [
     "reverse", "drop", "duplicate", "delete-arc", "self-loop", "spur", "imaginary-degree-3",
+    "pinch",
 ]
 
 
@@ -217,10 +219,35 @@ def mutable_layers(k7_decomposition, k8_decomposition):
     ]
 
 
+def _pinch(data, members):
+    """Rename a vertex to one that shares no member and no neighbour with
+    it: walks, double cover and orientation still pass, and the rotation
+    at the kept vertex splits into two fans.  (members, kept vertex)."""
+    nbrs: dict = {}
+    on: dict = {}
+    for cid, arcs in members:
+        for a, b in arcs:
+            nbrs.setdefault(a, set()).add(b)
+            nbrs.setdefault(b, set()).add(a)
+            on.setdefault(a, set()).add(cid)
+    pairs = [
+        (x, y)
+        for x in sorted(nbrs)
+        for y in sorted(nbrs)
+        if x != y and not on[x] & on[y] and not nbrs[x] & (nbrs[y] | {y})
+    ]
+    assume(pairs)
+    x, y = data.draw(st.sampled_from(pairs))
+    pinched = [
+        (cid, [(y if a == x else a, y if b == x else b) for a, b in arcs]) for cid, arcs in members
+    ]
+    return pinched, y
+
+
 def _mutate(data, mutation, n, cycles, rim):
     """One drawn mutation of a system: (cycles, rim, w), where w is the
     imaginary vertex an "imaginary-degree-3" merge leaves with three
-    segments, else None."""
+    segments, or the vertex a "pinch" splits into fans, else None."""
     members = [(cid, [tuple(a) for a in arcs]) for cid, arcs in sorted(cycles.items())]
     if rim is not None:
         members.append((rim[0], [tuple(a) for a in rim[1]]))
@@ -244,6 +271,8 @@ def _mutate(data, mutation, n, cycles, rim):
         v = arcs[at][0]
         x = max(w for _, a in members for arc in a for w in arc) + 1
         members[m] = (cid, arcs[:at] + [(v, x), (x, v)] + arcs[at:])
+    elif mutation == "pinch":
+        members, w = _pinch(data, members)
     else:
         imaginary = sorted({v for _, a in members for arc in a for v in arc if v > n})
         assume(imaginary)
@@ -258,9 +287,14 @@ def _mutate(data, mutation, n, cycles, rim):
 def test_verify_raw_matches_oracle_on_mutated_systems(mutable_layers, data, mutation):
     n, cycles, rim = data.draw(st.sampled_from(mutable_layers))
     cycles, rim, w = _mutate(data, mutation, n, cycles, rim)
-    if w is not None:
+    if mutation == "imaginary-degree-3":
         rep = verify_raw(n, cycles, rim)
         assert f"v{w}: degree 3 != 4" in rep.checks["imaginary-degree"].details
+    if mutation == "pinch":
+        rep = verify_raw(n, cycles, rim)
+        assert rep.checks["face-trace-agreement"].details == [
+            f"v{w}: neighbourhood splits into several fans"
+        ]
     want = _as_pairs(verify_raw_ref(n, cycles, rim))
     assert _as_pairs(verify_raw(n, cycles, rim).checks) == want
     public = {
@@ -305,3 +339,64 @@ def test_verify_document_matches_oracle_on_mutated_layers(mutable_documents, dat
     sj["cycles"] = [{"id": cid, "arcs": [list(a) for a in arcs]} for cid, arcs in cycles.items()]
     sj["rim"] = None if rim is None else {"id": rim[0], "arcs": [list(a) for a in rim[1]]}
     assert _as_pairs(verify_document(doc).checks) == _as_pairs(verify_document_ref(doc).checks)
+
+
+@st.composite
+def _sphere_faces(draw, first):
+    """The faces of a random plane graph on vertices first.., each a simple
+    cycle: a polygon, then drawn edge subdivisions and face chords."""
+    k = draw(st.integers(3, 6))
+    ring = list(range(first, first + k))
+    arcs = list(zip(ring, ring[1:] + ring[:1]))
+    faces = [arcs, [(b, a) for a, b in reversed(arcs)]]
+    fresh = first + k
+    for _ in range(draw(st.integers(0, 8))):
+        f = draw(st.integers(0, len(faces) - 1))
+        face = faces[f]
+        if draw(st.booleans()):
+            a, b = draw(st.sampled_from(face))
+            split = {(a, b): [(a, fresh), (fresh, b)], (b, a): [(b, fresh), (fresh, a)]}
+            faces = [[x for arc in g for x in split.get(arc, [arc])] for g in faces]
+            fresh += 1
+            continue
+        i, j = sorted(draw(st.lists(st.integers(0, len(face) - 1), min_size=2, max_size=2)))
+        u, v = face[i][0], face[j][0]
+        if j - i < 2 or j - i > len(face) - 2:
+            continue  # the same or adjacent vertices
+        if any({u, v} == {a, b} for g in faces for a, b in g):
+            continue  # already an edge
+        faces[f] = face[i:j] + [(v, u)]
+        faces.append(face[j:] + face[:i] + [(u, v)])
+    return faces
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), pinch=st.booleans())
+def test_face_trace_equals_the_closure_check_past_the_gate(data, pinch):
+    """Past the walks, double cover and orientation checks, re-tracing the
+    faces decides nothing the rotation closure has not: two random plane
+    systems, the second optionally pinched onto the first at a vertex."""
+    faces = data.draw(_sphere_faces(1)) + data.draw(_sphere_faces(100))
+    if pinch:
+        x = data.draw(st.sampled_from(sorted({a for f in faces for a, _ in f if a >= 100})))
+        y = data.draw(st.sampled_from(sorted({a for f in faces for a, _ in f if a < 100})))
+        faces = [[(y if a == x else a, y if b == x else b) for a, b in f] for f in faces]
+    cycles = dict(enumerate(faces, start=1))
+    rep = verify_raw(200, cycles)
+    assert all(rep.checks[k].ok for k in ("walks", "maclane", "orientation")), rep.lines()
+    closure = rep.checks["face-trace-agreement"]
+    result = check_face_trace(cycles)
+    assert (result.ok, result.details) == (closure.ok, closure.details)
+    assert closure.ok is not pinch
+
+
+def test_verify_document_does_not_retrace_faces(
+    monkeypatch, k7_decomposition, k12_unpinned_decomposition
+):
+    def retraced(*args, **kwargs):
+        raise AssertionError("verify_document re-traced the faces")
+
+    monkeypatch.setattr(verify, "trace_faces", retraced)
+    monkeypatch.setattr(verify, "check_face_trace", retraced)
+    for d in (k7_decomposition, k12_unpinned_decomposition):
+        assert verify_document(decomposition_to_document(d)).ok
