@@ -31,6 +31,7 @@ from .layering import Decomposition
 from .planar import CycleSystem
 from .verify import (
     CheckResult,
+    SegmentTable,
     VerificationReport,
     check_connection_realization,
     check_edge_partition,
@@ -409,6 +410,39 @@ def _raw_system(sj: dict):
     return sj["n"], cycles, rim
 
 
+def _check_carrier_table(doc: dict, table: SegmentTable) -> CheckResult:
+    """The carrier rows list each segment of the final layer's `table`
+    once; every carrier, of a row or of an imaginary entry, is a graph
+    edge that is not a chord, or a chord's ends; and the imaginary
+    entries list each vertex above n of the final layer once."""
+    chords = doc["chords"]
+    plain = {eid for eid, _, _ in doc["graph"]["edges"]}.difference([eid for eid, _, _ in chords])
+    conns = {(u, v) if u < v else (v, u) for _, u, v in chords}
+    rows = doc["carrier"]
+    listed = Counter([(a, b) for a, b, _, _ in rows])
+    bad = [f"segment ({a},{b}) has no carrier row" for a, b in sorted(table.keys() - listed.keys())]
+    for a, b in sorted(s for s, k in listed.items() if k > 1 or s not in table):
+        if (a, b) in table:
+            bad.append(f"segment ({a},{b}) has {listed[a, b]} carrier rows")
+        else:
+            bad.append(f"carrier row ({a},{b}) is not a segment of the final layer")
+    carriers = [row[2:] for row in rows] + [entry["carrier"] for entry in doc["imaginary"]]
+    edges = {ref for kind, ref in carriers if kind == "edge"}
+    ends = {(ref[0], ref[1]) for kind, ref in carriers if kind == "conn"}
+    bad += [f"carrier edge {e} is not a graph edge outside the chords" for e in sorted(edges - plain)]
+    bad += [f"carrier connection ({u},{v}) is not a chord's ends" for u, v in sorted(ends - conns)]
+    n = doc["graph"]["n"]
+    ids = Counter([entry["id"] for entry in doc["imaginary"]])
+    drawn = {v for v in chain.from_iterable(table) if v > n}
+    bad += [f"v{w}: no imaginary entry" for w in sorted(drawn - ids.keys())]
+    for w in sorted(w for w, k in ids.items() if k > 1 or w not in drawn):
+        if w in drawn:
+            bad.append(f"v{w}: {ids[w]} imaginary entries")
+        else:
+            bad.append(f"imaginary entry v{w} is not a vertex of the final layer")
+    return CheckResult(not bad, bad)
+
+
 def verify_document(doc: dict) -> VerificationReport:
     """Full re-check of a parsed document, layer by layer."""
     checks: Dict[str, CheckResult] = {}
@@ -443,6 +477,7 @@ def verify_document(doc: dict) -> VerificationReport:
     checks["connection-realization"] = check_connection_realization(
         n, chords, sequences, sub._table
     )
+    checks["carrier-table"] = _check_carrier_table(doc, sub._table)
     return VerificationReport(checks)
 
 

@@ -5,12 +5,10 @@ cycles plus one distinguished rim (the face everything else is drawn
 inside of).  Every covered edge lies on exactly two members, traversed in
 opposite directions.
 
-Without a pin, the maximal planar subgraph is grown greedily.  Its full
-planarity tests run on `_lr_rotation`, an in-package left-right test on
-the loop's own adjacency lists; only the final embedding, whose faces
-become the cycle system, comes from networkx's `check_planarity`, once
-per run.  networkx keeps that step because each face's traversal start,
-which `ring_cycle` keeps, follows the order of networkx's half-edges.
+Without a pin, the maximal planar subgraph is grown greedily.  Its
+planarity tests and its final embedding, whose faces become the cycle
+system, all run on `_lr_rotation`, an in-package left-right test on plain
+adjacency lists.
 """
 
 from __future__ import annotations
@@ -19,10 +17,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
-
 from .cycles import Cycle, Segment, canonical_ring, ring_cycle, seg
 from .graphs import Graph, edge_between
+from .verify import trace_faces
 
 
 class PlanarizationError(ValueError):
@@ -133,11 +130,11 @@ def select_planar_cycle_system(g: Graph, pin: Optional[dict] = None) -> CycleSys
     edge-id order, and an edge whose ends share a face of the kept
     graph's current embedding (or that has an isolated end) is kept
     without a test, any other edge runs the full left-right test of
-    `_lr_rotation` (`_greedy_planar_subgraph`).  One `nx.check_planarity`
-    embedding of the resulting maximal planar subgraph supplies the
-    faces, traced from networkx's half-edges.  A face that walks both
-    sides of an edge means the edge is a bridge; the smallest is named
-    in the refusal.
+    `_lr_rotation` (`_greedy_planar_subgraph`).  `trace_faces` traces
+    the faces of the resulting subgraph's counter-clockwise rotation,
+    each from its smallest vertex.  A face that walks both sides of an
+    edge means the edge is a bridge; the smallest is named in the
+    refusal.
     """
     if pin is not None:
         # imported per call: tests and the benchmark's tracer replace it
@@ -159,20 +156,13 @@ def select_planar_cycle_system(g: Graph, pin: Optional[dict] = None) -> CycleSys
             rings[pool[key].id] = vs
         cycles, rim = orient_cycles(rings, ids[-1])
     else:
-        kept = _greedy_planar_subgraph(g)
-        _, emb = nx.check_planarity(kept)
-        faces = []
-        seen_darts = set()
-        for u, v in emb.edges:
-            if (u, v) in seen_darts:
-                continue
-            ring = emb.traverse_face(u, v, mark_half_edges=seen_darts)
-            faces.append(ring)
+        rot = _greedy_planar_subgraph(g)
+        faces = trace_faces({v: ns[::-1] for v, ns in rot.items()})
         # a face walks both sides of an edge exactly when it is a bridge
         bridges = []
-        for r in faces:
+        for arcs in faces:
             walked = set()
-            for a, b in zip(r, r[1:] + r[:1]):
+            for a, b in arcs:
                 s = seg(a, b)
                 if s in walked:
                     bridges.append(s)
@@ -182,8 +172,8 @@ def select_planar_cycle_system(g: Graph, pin: Optional[dict] = None) -> CycleSys
             raise PlanarizationError(
                 f"the planar subgraph has a bridge ({a},{b}), so its faces are not simple cycles"
             )
-        faces.sort(key=lambda r: (len(r), tuple(canonical_ring(list(r)))))
-        cycles = {cid: ring_cycle(cid, list(r)) for cid, r in enumerate(faces, start=1)}
+        faces.sort(key=lambda arcs: (len(arcs), tuple(canonical_ring([a for a, _ in arcs]))))
+        cycles = {cid: Cycle(cid, arcs) for cid, arcs in enumerate(faces, start=1)}
         rim = cycles.pop(1)  # smallest face doubles as the rim; the sphere has no outside
     sys_ = CycleSystem(n=g.n, cycles=cycles, rim=rim)
     for s in sys_.segments():
@@ -195,8 +185,9 @@ def select_planar_cycle_system(g: Graph, pin: Optional[dict] = None) -> CycleSys
     return sys_
 
 
-def _greedy_planar_subgraph(g: Graph) -> nx.Graph:
-    """Maximal planar subgraph kept by trying the edges in edge-id order.
+def _greedy_planar_subgraph(g: Graph) -> Dict[int, List[int]]:
+    """Clockwise rotation of the maximal planar subgraph kept by trying
+    the edges in edge-id order.
 
     `rot` is a planar rotation system of the kept graph: each vertex's
     neighbours in cyclic order.  An edge with an isolated end, or whose
@@ -204,9 +195,10 @@ def _greedy_planar_subgraph(g: Graph) -> nx.Graph:
     a test; it cannot break planarity.  Any other edge runs the full
     left-right test of `_lr_rotation` on `adj`, the kept adjacency in
     edge-id order: a refused edge is dropped again, and an accepted one
-    replaces `rot` with the test's embedding.  `kept` is built once, from
-    the kept edges in edge-id order, so its adjacency order, which the
-    final embedding follows, is what testing every edge gives.
+    replaces `rot` with the test's embedding.  The returned rotation is
+    one last test on the kept (low, high) pairs stably sorted by low end,
+    the order networkx's `LRPlanarity` copies them in, so it is the
+    embedding networkx's planarity test gives the kept graph.
     """
     adj: Dict[int, List[int]] = {v: [] for v in g.vertices}
     rot: Dict[int, List[int]] = {v: [] for v in g.vertices}
@@ -222,10 +214,11 @@ def _greedy_planar_subgraph(g: Graph) -> nx.Graph:
                 continue
             rot = tested
         pairs.append((u, v))
-    kept = nx.Graph()
-    kept.add_nodes_from(g.vertices)
-    kept.add_edges_from(pairs)
-    return kept
+    adj = {v: [] for v in g.vertices}
+    for u, v in sorted(pairs, key=lambda p: p[0]):
+        adj[u].append(v)
+        adj[v].append(u)
+    return _lr_rotation(adj)
 
 
 def _lr_rotation(adj: Dict[int, List[int]]) -> Optional[Dict[int, List[int]]]:

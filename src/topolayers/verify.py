@@ -15,8 +15,13 @@ check runs once walks, double cover and orientation pass; it rebuilds
 each vertex's rotation from the members' dart successors and requires
 it to close into one cycle.  Re-tracing the faces of those rotations
 would give back the members themselves (see `check_face_trace`), so
-`verify_raw` stops there.  Each public `check_*` wraps the same private
-helper `verify_raw` calls, so every check has one implementation.
+`verify_raw` stops there and never calls `trace_faces`.  Each public
+`check_*` wraps the same private helper `verify_raw` calls, so every
+check has one implementation.
+
+`trace_faces` is shared with the planar stage, which traces the faces
+of its final embedding with it.  This module imports nothing from the
+package, so sharing it leaves the checkers independent of the producer.
 """
 
 from __future__ import annotations
@@ -191,7 +196,8 @@ def trace_faces(rotation: Dict[int, List[int]]) -> List[Tuple[Arc, ...]]:
 
     `rotation[v]` is the cyclic order of neighbours around v.  Each orbit
     is one face, returned as its arc sequence from whichever of its darts
-    the rotation lists first; the faces come in no particular order.
+    the rotation lists first, vertex by vertex in the rotation's order
+    and then in each ring's order; the faces come in that order too.
     """
     succ: Dict[Arc, Arc] = {}
     for v, ring in rotation.items():

@@ -18,6 +18,12 @@ from topolayers.document import (
 from topolayers.graphs import complete_graph, format_graph
 from topolayers.render import RenderError, render_svg
 
+from test_document import (
+    _carrier_row_dropped,
+    _conn_carrier_off_the_graph,
+    _imaginary_entry_dropped,
+)
+
 
 @pytest.fixture()
 def runner():
@@ -173,6 +179,21 @@ def test_verify_bad_edge_or_ring_exits_1(runner, k7_doc_file, tmp_path, corrupt,
     assert f"{check}: FAIL" in res.output
 
 
+@pytest.mark.parametrize(
+    "corrupt",
+    [_conn_carrier_off_the_graph, _carrier_row_dropped, _imaginary_entry_dropped],
+    ids=["conn-carrier-off-graph", "carrier-row-dropped", "imaginary-entry-dropped"],
+)
+def test_verify_bad_carrier_table_exits_1(runner, k10_decomposition, tmp_path, corrupt):
+    doc = json.loads(serialize_document(decomposition_to_document(k10_decomposition)))
+    corrupt(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    res = runner.invoke(main, ["verify", str(bad)])
+    assert res.exit_code == 1, res.output
+    assert "carrier-table: FAIL" in res.output.splitlines()
+
+
 def test_verify_missing_file_exits_2(runner):
     res = runner.invoke(main, ["verify", "no-such-file.json"])
     assert res.exit_code == 2
@@ -310,19 +331,6 @@ def _edge_carrier_off_the_graph(doc):
         if c[2:] == key:
             c[:2] = [50 if x == row[2] else x for x in c[:2]]
     row[2] = 50
-
-
-def _conn_carrier_off_the_graph(doc):
-    # the first connection carrier an imaginary entry names, (5,9), ends
-    # at v50 in its rows and in every entry on it
-    key = next(e["carrier"] for e in doc["imaginary"] if e["carrier"][0] == "conn")
-    u, v = key[1]
-    for c in doc["carrier"]:
-        if c[2:] == key:
-            c[:] = [50 if x == v else x for x in c[:2]] + ["conn", [u, 50]]
-    for e in doc["imaginary"]:
-        if e["carrier"] == key:
-            e["carrier"] = ["conn", [u, 50]]
 
 
 @pytest.mark.parametrize(

@@ -315,6 +315,29 @@ def _sequence_on_a_layer_1_edge(doc):
     doc["sequences"][str(doc["layers"][0]["realized"][0])] = [8]
 
 
+def _conn_carrier_off_the_graph(doc):
+    # the first connection carrier an imaginary entry names, (5,9), ends
+    # at v50 in its rows and in every entry on it
+    key = next(e["carrier"] for e in doc["imaginary"] if e["carrier"][0] == "conn")
+    u, v = key[1]
+    for c in doc["carrier"]:
+        if c[2:] == key:
+            c[:] = [50 if x == v else x for x in c[:2]] + ["conn", [u, 50]]
+    for e in doc["imaginary"]:
+        if e["carrier"] == key:
+            e["carrier"] = ["conn", [u, 50]]
+
+
+def _carrier_row_dropped(doc):
+    # the row of segment (1,30) in pinned K10
+    del doc["carrier"][5]
+
+
+def _imaginary_entry_dropped(doc):
+    # the entry of v16 in pinned K10
+    del doc["imaginary"][5]
+
+
 @pytest.mark.parametrize(
     "corrupt,check,detail",
     [
@@ -333,6 +356,9 @@ def _sequence_on_a_layer_1_edge(doc):
         (_chord_row_twice, "graph-edges", "listed twice"),
         (_sequence_without_chord, "connection-realization", "e999: sequence names no chord"),
         (_sequence_on_a_layer_1_edge, "connection-realization", "sequence names no chord"),
+        (_conn_carrier_off_the_graph, "carrier-table", "carrier connection (5,50) is not a chord's ends"),
+        (_carrier_row_dropped, "carrier-table", "segment (1,30) has no carrier row"),
+        (_imaginary_entry_dropped, "carrier-table", "v16: no imaginary entry"),
     ],
     ids=[
         "edge-off-graph",
@@ -350,6 +376,9 @@ def _sequence_on_a_layer_1_edge(doc):
         "chord-row-twice",
         "sequence-without-chord",
         "sequence-on-a-layer-1-edge",
+        "conn-carrier-off-graph",
+        "carrier-row-dropped",
+        "imaginary-entry-dropped",
     ],
 )
 def test_verifier_names_bad_edges_and_rings(k10_decomposition, corrupt, check, detail):
