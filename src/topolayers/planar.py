@@ -229,142 +229,162 @@ def _lr_rotation(adj: Dict[int, List[int]]) -> Optional[Dict[int, List[int]]]:
     order, a plane rotation system, or None when the graph is not planar.
     The phases are those of networkx's `LRPlanarity`: orientation (DFS
     heights, lowpoints, nesting depths), testing (a stack of conflict
-    pairs), sign, and embedding.  Edges are (tail, head) tuples as the
-    DFS orients them, and a conflict pair is a list [left low, left high,
-    right low, right high] of return edges, an interval being empty when
-    both its ends are None.  Every DFS keeps an explicit stack, so no
+    pairs), sign, and embedding.  They run on integer ids: the vertices
+    are relabelled 0..k-1 in `adj`'s order, each edge is numbered in the
+    order the DFS orients it, and every per-edge quantity is a flat list
+    indexed by that number.  The edge v-w met from v is already oriented
+    exactly when w is a finished descendant (higher than v) or the tail
+    of v's tree edge.  A conflict pair is a list [left low, left high,
+    right low, right high] of return edges, -1 standing for no edge and
+    an interval being empty when both its ends are -1.  `lowpt`, `ref`
+    and `side` have one spare slot at index -1, where the writes keyed
+    by no edge land; its lowpoint -1 is below every height, so an empty
+    interval never conflicts.  The embedding phase writes the rotation
+    in `adj`'s own labels.  Every DFS keeps an explicit stack, so no
     depth of the graph reaches Python's recursion limit.
     """
-    n = len(adj)
-    if n > 2 and sum(map(len, adj.values())) > 2 * (3 * n - 6):
+    k = len(adj)
+    m = sum(map(len, adj.values())) // 2
+    if k > 2 and m > 3 * k - 6:
         return None
-    height: Dict[int, int] = {}
-    parent: Dict[int, Tuple[int, int]] = {}  # tree edge into each non-root
-    lowpt: Dict[Tuple[int, int], int] = {}
-    lowpt2: Dict[Tuple[int, int], int] = {}
-    nesting: Dict[Tuple[int, int], int] = {}
-    out: Dict[int, List[int]] = {v: [] for v in adj}
+    label = list(adj)
+    index = dict(zip(label, range(k)))
+    nbrs = [list(map(index.__getitem__, ws)) for ws in adj.values()]
+    height = [-1] * k
+    up = [-1] * k  # parent vertex and tree edge of each non-root
+    parent = [-1] * k
+    head = [0] * m
+    lowpt, lowpt2, nesting = [0] * m + [-1], [0] * m, [0] * m
+    out: List[List[int]] = [[] for _ in range(k)]
     roots = []
+    oriented = 0  # edges so far, the next edge's id
     # orientation: a tree edge's lowpoints are final once its head is
     # popped, a back edge's at once; then each updates its tail's tree edge
-    for r in adj:
-        if r in height:
+    for r in range(k):
+        if height[r] >= 0:
             continue
         height[r] = 0
         roots.append(r)
-        stack = [(r, iter(adj[r]))]
+        stack = [(r, iter(nbrs[r]))]
         while stack:
             v, it = stack[-1]
-            w = next(it, None)
-            if w is None:
+            hv, uv = height[v], up[v]
+            for w in it:
+                hw = height[w]
+                if hw > hv or w == uv:  # oriented from w already
+                    continue
+                vw, oriented = oriented, oriented + 1
+                head[vw] = w
+                out[v].append(vw)
+                if hw < 0:
+                    lowpt[vw] = lowpt2[vw] = hv
+                    up[w], parent[w], height[w] = v, vw, hv + 1
+                    stack.append((w, iter(nbrs[w])))
+                    break
+                lowpt[vw] = hw
+                nesting[vw] = 2 * hw
+                # v's tree edge pe: both its lowpoints are at most hv - 1,
+                # so the back edge's second lowpoint (hv) never counts
+                pe = parent[v]
+                lp = lowpt[pe]
+                if hw < lp:
+                    lowpt2[pe], lowpt[pe] = lp, hw
+                elif lp < hw < lowpt2[pe]:
+                    lowpt2[pe] = hw
+            else:
                 stack.pop()
                 if not stack:
                     break
                 vw = parent[v]
-                v = vw[0]
-            else:
-                if (w, v) in lowpt:  # oriented from w already
-                    continue
-                vw = (v, w)
-                out[v].append(w)
-                lowpt2[vw] = height[v]
-                if w not in height:
-                    lowpt[vw] = height[v]
-                    parent[w] = vw
-                    height[w] = height[v] + 1
-                    stack.append((w, iter(adj[w])))
-                    continue
-                lowpt[vw] = height[w]
-            low, low2 = lowpt[vw], lowpt2[vw]
-            nesting[vw] = 2 * low + (low2 < height[v])
-            e = parent.get(v)
-            if e is not None:
-                if low < lowpt[e]:
-                    lowpt2[e] = min(lowpt[e], low2)
-                    lowpt[e] = low
-                elif low > lowpt[e]:
-                    lowpt2[e] = min(lowpt2[e], low)
-                else:
-                    lowpt2[e] = min(lowpt2[e], low2)
-
-    def conflicting(lo, hi, b) -> bool:
-        return (lo is not None or hi is not None) and lowpt[hi] > lowpt[b]
+                v = uv
+                low, low2 = lowpt[vw], lowpt2[vw]
+                nesting[vw] = 2 * low + (low2 < height[v])
+                pe = parent[v]
+                if pe >= 0:
+                    if low < lowpt[pe]:
+                        lowpt2[pe] = min(lowpt[pe], low2)
+                        lowpt[pe] = low
+                    elif low > lowpt[pe]:
+                        lowpt2[pe] = min(lowpt2[pe], low)
+                    else:
+                        lowpt2[pe] = min(lowpt2[pe], low2)
 
     # testing: every return edge lands in a conflict pair whose two
     # intervals must lie on opposite sides; `ref` and `side` record each
     # edge's side relative to another's
-    order = {v: sorted(ws, key=lambda w, v=v: nesting[v, w]) for v, ws in out.items()}
-    S: List[list] = []
-    bottom: Dict[Tuple[int, int], Optional[list]] = {}
-    lowpt_edge: Dict[Tuple[int, int], Tuple[int, int]] = {}
-    ref: Dict[Optional[Tuple[int, int]], Optional[Tuple[int, int]]] = {}
-    side: Dict[Tuple[int, int], int] = {}
+    order = [sorted(es, key=nesting.__getitem__) for es in out]
+    S: List[List[int]] = []
+    bottom: List[Optional[List[int]]] = [None] * m
+    lowpt_edge = [-1] * m
+    ref = [-1] * (m + 1)
+    side = [1] * (m + 1)
     for r in roots:
         stack = [(r, iter(order[r]))]
         while stack:
             v, it = stack[-1]
-            w = next(it, None)
-            if w is None:
+            ei = next(it, -1)
+            if ei < 0:
                 stack.pop()
                 if not stack:
                     break
                 # v is done: trim the back edges that end at its parent u
                 ei = parent[v]
-                v = u = ei[0]
+                v = u = up[v]
+                hu = height[u]
                 while S:
                     P = S[-1]
-                    if P[0] is None and P[1] is None:
+                    if P[0] == P[1] == -1:
                         lowest = lowpt[P[2]]
-                    elif P[2] is None and P[3] is None:
+                    elif P[2] == P[3] == -1:
                         lowest = lowpt[P[0]]
                     else:
                         lowest = min(lowpt[P[0]], lowpt[P[2]])
-                    if lowest != height[u]:
+                    if lowest != hu:
                         break
                     S.pop()
-                    if P[0] is not None:
-                        side[P[0]] = -1
+                    side[P[0]] = -1
                 if S:
                     P = S[-1]
-                    while P[1] is not None and P[1][1] == u:
-                        P[1] = ref.get(P[1])
-                    if P[1] is None and P[0] is not None:
+                    while P[1] >= 0 and head[P[1]] == u:
+                        P[1] = ref[P[1]]
+                    if P[1] < 0 and P[0] >= 0:
                         ref[P[0]] = P[2]
                         side[P[0]] = -1
-                        P[0] = None
-                    while P[3] is not None and P[3][1] == u:
-                        P[3] = ref.get(P[3])
-                    if P[3] is None and P[2] is not None:
+                        P[0] = -1
+                    while P[3] >= 0 and head[P[3]] == u:
+                        P[3] = ref[P[3]]
+                    if P[3] < 0 and P[2] >= 0:
                         ref[P[2]] = P[0]
                         side[P[2]] = -1
-                        P[2] = None
-                if lowpt[ei] < height[u]:
+                        P[2] = -1
+                if lowpt[ei] < hu:
                     hl, hr = S[-1][1], S[-1][3]
-                    ref[ei] = hl if hl is not None and (hr is None or lowpt[hl] > lowpt[hr]) else hr
+                    ref[ei] = hl if lowpt[hl] > lowpt[hr] else hr
             else:
-                ei = (v, w)
                 bottom[ei] = S[-1] if S else None
-                if height[w] > height[v]:  # tree edge
+                w = head[ei]
+                if parent[w] == ei:  # tree edge
                     stack.append((w, iter(order[w])))
                     continue
                 lowpt_edge[ei] = ei
-                S.append([None, None, ei, ei])
-            if lowpt[ei] >= height[v]:
+                S.append([-1, -1, ei, ei])
+            lb = lowpt[ei]
+            if lb >= height[v]:
                 continue
             e = parent[v]
-            if ei[1] == order[v][0]:
+            if ei == order[v][0]:
                 lowpt_edge[e] = lowpt_edge[ei]
                 continue
             # merge the return edges of ei into P's right interval
-            P = [None, None, None, None]
+            P = [-1, -1, -1, -1]
             while True:
                 Q = S.pop()
-                if Q[0] is not None or Q[1] is not None:
+                if Q[0] >= 0 or Q[1] >= 0:
                     Q[:] = Q[2], Q[3], Q[0], Q[1]
-                    if Q[0] is not None or Q[1] is not None:
+                    if Q[0] >= 0 or Q[1] >= 0:
                         return None
                 if lowpt[Q[2]] > lowpt[e]:
-                    if P[2] is None and P[3] is None:
+                    if P[2] == P[3] == -1:
                         P[3] = Q[3]
                     else:
                         ref[P[2]] = Q[3]
@@ -374,60 +394,61 @@ def _lr_rotation(adj: Dict[int, List[int]]) -> Optional[Dict[int, List[int]]]:
                 if (S[-1] if S else None) is bottom[ei]:
                     break
             # merge the conflicting return edges of ei's elder siblings
-            while conflicting(S[-1][0], S[-1][1], ei) or conflicting(S[-1][2], S[-1][3], ei):
+            while lowpt[S[-1][1]] > lb or lowpt[S[-1][3]] > lb:
                 Q = S.pop()
-                if conflicting(Q[2], Q[3], ei):
+                if lowpt[Q[3]] > lb:
                     Q[:] = Q[2], Q[3], Q[0], Q[1]
-                    if conflicting(Q[2], Q[3], ei):
+                    if lowpt[Q[3]] > lb:
                         return None
                 ref[P[2]] = Q[3]
-                if Q[2] is not None:
+                if Q[2] >= 0:
                     P[2] = Q[2]
-                if P[0] is None and P[1] is None:
+                if P[0] == P[1] == -1:
                     P[1] = Q[1]
                 else:
                     ref[P[0]] = Q[1]
                 P[0] = Q[0]
-            if any(x is not None for x in P):
+            if max(P) >= 0:
                 S.append(P)
 
     # sign: resolve each edge's side along its chain of references
-    for v, ws in out.items():
-        for w in ws:
-            chain = [(v, w)]
-            r = ref.pop(chain[0], None)
-            while r is not None:
-                chain.append(r)
-                r = ref.pop(r, None)
-            s = 1
-            for x in reversed(chain):
-                s = side[x] = side.get(x, 1) * s
-            nesting[v, w] *= s
+    for e in range(m):
+        chain = [e]
+        r = ref[e]
+        while r >= 0:
+            chain.append(r)
+            r = ref[r]
+        s = 1
+        for x in reversed(chain):
+            s = side[x] = side[x] * s
+            ref[x] = -1
+        nesting[e] *= s
     # embedding: out-edges in signed nesting order, clockwise from the
     # leftmost; then each in-edge beside the tree edge its tail hangs from
-    order = {v: sorted(ws, key=lambda w, v=v: nesting[v, w]) for v, ws in out.items()}
-    rot = {v: list(ws) for v, ws in order.items()}
-    left: Dict[int, int] = {}
-    right: Dict[int, int] = {}
+    order = [sorted(es, key=nesting.__getitem__) for es in out]
+    rot = [[label[head[e]] for e in es] for es in order]
+    left = [-1] * k
+    right = [-1] * k
     for r in roots:
         stack = [(r, iter(order[r]))]
         while stack:
             v, it = stack[-1]
-            w = next(it, None)
-            if w is None:
-                stack.pop()
-                continue
-            rw = rot[w]
-            if height[w] > height[v]:  # tree edge
-                rw.insert(0, v)
-                left[v] = right[v] = w
-                stack.append((w, iter(order[w])))
-            elif side.get((v, w), 1) == 1:
-                rw.insert(rw.index(right[w]) + 1, v)
+            for e in it:
+                w = head[e]
+                rw = rot[w]
+                if parent[w] == e:  # tree edge
+                    rw.insert(0, label[v])
+                    left[v] = right[v] = label[w]
+                    stack.append((w, iter(order[w])))
+                    break
+                if side[e] == 1:
+                    rw.insert(rw.index(right[w]) + 1, label[v])
+                else:
+                    rw.insert(rw.index(left[w]), label[v])
+                    left[w] = label[v]
             else:
-                rw.insert(rw.index(left[w]), v)
-                left[w] = v
-    return rot
+                stack.pop()
+    return dict(zip(label, rot))
 
 
 def _insert_in_shared_face(rot: Dict[int, List[int]], u: int, v: int) -> bool:

@@ -55,6 +55,11 @@ def k7_document(k7_decomposition):
 
 
 @pytest.fixture(scope="session")
+def k10_unpinned_decomposition():
+    return decompose(complete_graph(10))
+
+
+@pytest.fixture(scope="session")
 def k12_unpinned_decomposition():
     return decompose(complete_graph(12))
 

@@ -18,9 +18,12 @@ a GF(2) elimination over the system cycles, writes as a sum of them, and
 returns that ring with its summands (inside) and the other cycles
 (outside).  `hamiltonian_rim_recursive_ref` is the pruned search as it
 recursed once per path vertex, before `planar.hamiltonian_rim` kept an
-explicit stack.  `strip_imaginary_region_ref` finds the residual regions
-of a drawing's faces free of imaginary vertices by union-find; the
-package's flood-fill version of it had no caller and is gone.
+explicit stack.  `lr_rotation_ref` is the left-right planarity kernel
+as it kept every per-edge quantity in dicts keyed by (tail, head)
+tuples, before `planar._lr_rotation` moved to integer ids.
+`strip_imaginary_region_ref` finds the residual regions of a drawing's
+faces free of imaginary vertices by union-find; the package's
+flood-fill version of it had no caller and is gone.
 `imaginary_positions_ref` relaxes every
 connection-hosted crossing marker of the document, whichever layer is
 drawn.  `shortest_route_copying_ref` copies a filtered list of each
@@ -381,6 +384,216 @@ def embedding_faces_ref(kept: nx.Graph) -> List[List[int]]:
             faces.append(emb.traverse_face(u, v, mark_half_edges=seen_darts))
     faces.sort(key=lambda r: (len(r), tuple(canonical_ring(list(r)))))
     return faces
+
+
+def lr_rotation_ref(adj: Dict[int, List[int]]) -> Optional[Dict[int, List[int]]]:
+    """Brandes' left-right planarity test (2009) on a simple graph, as
+    `planar._lr_rotation` ran it on tuple-keyed dicts.
+
+    `adj` lists each vertex's neighbours; their order fixes the
+    depth-first search.  Returns each vertex's neighbours in clockwise
+    order, a plane rotation system, or None when the graph is not planar.
+    The phases are those of networkx's `LRPlanarity`: orientation (DFS
+    heights, lowpoints, nesting depths), testing (a stack of conflict
+    pairs), sign, and embedding.  Edges are (tail, head) tuples as the
+    DFS orients them, and a conflict pair is a list [left low, left high,
+    right low, right high] of return edges, an interval being empty when
+    both its ends are None.  Every DFS keeps an explicit stack, so no
+    depth of the graph reaches Python's recursion limit.
+    """
+    n = len(adj)
+    if n > 2 and sum(map(len, adj.values())) > 2 * (3 * n - 6):
+        return None
+    height: Dict[int, int] = {}
+    parent: Dict[int, Tuple[int, int]] = {}  # tree edge into each non-root
+    lowpt: Dict[Tuple[int, int], int] = {}
+    lowpt2: Dict[Tuple[int, int], int] = {}
+    nesting: Dict[Tuple[int, int], int] = {}
+    out: Dict[int, List[int]] = {v: [] for v in adj}
+    roots = []
+    # orientation: a tree edge's lowpoints are final once its head is
+    # popped, a back edge's at once; then each updates its tail's tree edge
+    for r in adj:
+        if r in height:
+            continue
+        height[r] = 0
+        roots.append(r)
+        stack = [(r, iter(adj[r]))]
+        while stack:
+            v, it = stack[-1]
+            w = next(it, None)
+            if w is None:
+                stack.pop()
+                if not stack:
+                    break
+                vw = parent[v]
+                v = vw[0]
+            else:
+                if (w, v) in lowpt:  # oriented from w already
+                    continue
+                vw = (v, w)
+                out[v].append(w)
+                lowpt2[vw] = height[v]
+                if w not in height:
+                    lowpt[vw] = height[v]
+                    parent[w] = vw
+                    height[w] = height[v] + 1
+                    stack.append((w, iter(adj[w])))
+                    continue
+                lowpt[vw] = height[w]
+            low, low2 = lowpt[vw], lowpt2[vw]
+            nesting[vw] = 2 * low + (low2 < height[v])
+            e = parent.get(v)
+            if e is not None:
+                if low < lowpt[e]:
+                    lowpt2[e] = min(lowpt[e], low2)
+                    lowpt[e] = low
+                elif low > lowpt[e]:
+                    lowpt2[e] = min(lowpt2[e], low)
+                else:
+                    lowpt2[e] = min(lowpt2[e], low2)
+
+    def conflicting(lo, hi, b) -> bool:
+        return (lo is not None or hi is not None) and lowpt[hi] > lowpt[b]
+
+    # testing: every return edge lands in a conflict pair whose two
+    # intervals must lie on opposite sides; `ref` and `side` record each
+    # edge's side relative to another's
+    order = {v: sorted(ws, key=lambda w, v=v: nesting[v, w]) for v, ws in out.items()}
+    S: List[list] = []
+    bottom: Dict[Tuple[int, int], Optional[list]] = {}
+    lowpt_edge: Dict[Tuple[int, int], Tuple[int, int]] = {}
+    ref: Dict[Optional[Tuple[int, int]], Optional[Tuple[int, int]]] = {}
+    side: Dict[Tuple[int, int], int] = {}
+    for r in roots:
+        stack = [(r, iter(order[r]))]
+        while stack:
+            v, it = stack[-1]
+            w = next(it, None)
+            if w is None:
+                stack.pop()
+                if not stack:
+                    break
+                # v is done: trim the back edges that end at its parent u
+                ei = parent[v]
+                v = u = ei[0]
+                while S:
+                    P = S[-1]
+                    if P[0] is None and P[1] is None:
+                        lowest = lowpt[P[2]]
+                    elif P[2] is None and P[3] is None:
+                        lowest = lowpt[P[0]]
+                    else:
+                        lowest = min(lowpt[P[0]], lowpt[P[2]])
+                    if lowest != height[u]:
+                        break
+                    S.pop()
+                    if P[0] is not None:
+                        side[P[0]] = -1
+                if S:
+                    P = S[-1]
+                    while P[1] is not None and P[1][1] == u:
+                        P[1] = ref.get(P[1])
+                    if P[1] is None and P[0] is not None:
+                        ref[P[0]] = P[2]
+                        side[P[0]] = -1
+                        P[0] = None
+                    while P[3] is not None and P[3][1] == u:
+                        P[3] = ref.get(P[3])
+                    if P[3] is None and P[2] is not None:
+                        ref[P[2]] = P[0]
+                        side[P[2]] = -1
+                        P[2] = None
+                if lowpt[ei] < height[u]:
+                    hl, hr = S[-1][1], S[-1][3]
+                    ref[ei] = hl if hl is not None and (hr is None or lowpt[hl] > lowpt[hr]) else hr
+            else:
+                ei = (v, w)
+                bottom[ei] = S[-1] if S else None
+                if height[w] > height[v]:  # tree edge
+                    stack.append((w, iter(order[w])))
+                    continue
+                lowpt_edge[ei] = ei
+                S.append([None, None, ei, ei])
+            if lowpt[ei] >= height[v]:
+                continue
+            e = parent[v]
+            if ei[1] == order[v][0]:
+                lowpt_edge[e] = lowpt_edge[ei]
+                continue
+            # merge the return edges of ei into P's right interval
+            P = [None, None, None, None]
+            while True:
+                Q = S.pop()
+                if Q[0] is not None or Q[1] is not None:
+                    Q[:] = Q[2], Q[3], Q[0], Q[1]
+                    if Q[0] is not None or Q[1] is not None:
+                        return None
+                if lowpt[Q[2]] > lowpt[e]:
+                    if P[2] is None and P[3] is None:
+                        P[3] = Q[3]
+                    else:
+                        ref[P[2]] = Q[3]
+                    P[2] = Q[2]
+                else:
+                    ref[Q[2]] = lowpt_edge[e]
+                if (S[-1] if S else None) is bottom[ei]:
+                    break
+            # merge the conflicting return edges of ei's elder siblings
+            while conflicting(S[-1][0], S[-1][1], ei) or conflicting(S[-1][2], S[-1][3], ei):
+                Q = S.pop()
+                if conflicting(Q[2], Q[3], ei):
+                    Q[:] = Q[2], Q[3], Q[0], Q[1]
+                    if conflicting(Q[2], Q[3], ei):
+                        return None
+                ref[P[2]] = Q[3]
+                if Q[2] is not None:
+                    P[2] = Q[2]
+                if P[0] is None and P[1] is None:
+                    P[1] = Q[1]
+                else:
+                    ref[P[0]] = Q[1]
+                P[0] = Q[0]
+            if any(x is not None for x in P):
+                S.append(P)
+
+    # sign: resolve each edge's side along its chain of references
+    for v, ws in out.items():
+        for w in ws:
+            chain = [(v, w)]
+            r = ref.pop(chain[0], None)
+            while r is not None:
+                chain.append(r)
+                r = ref.pop(r, None)
+            s = 1
+            for x in reversed(chain):
+                s = side[x] = side.get(x, 1) * s
+            nesting[v, w] *= s
+    # embedding: out-edges in signed nesting order, clockwise from the
+    # leftmost; then each in-edge beside the tree edge its tail hangs from
+    order = {v: sorted(ws, key=lambda w, v=v: nesting[v, w]) for v, ws in out.items()}
+    rot = {v: list(ws) for v, ws in order.items()}
+    left: Dict[int, int] = {}
+    right: Dict[int, int] = {}
+    for r in roots:
+        stack = [(r, iter(order[r]))]
+        while stack:
+            v, it = stack[-1]
+            w = next(it, None)
+            if w is None:
+                stack.pop()
+                continue
+            rw = rot[w]
+            if height[w] > height[v]:  # tree edge
+                rw.insert(0, v)
+                left[v] = right[v] = w
+                stack.append((w, iter(order[w])))
+            elif side.get((v, w), 1) == 1:
+                rw.insert(rw.index(right[w]) + 1, v)
+            else:
+                rw.insert(rw.index(left[w]), v)
+                left[w] = v
+    return rot
 
 
 def hamiltonian_rim_ref(sys_, g, budget: int = 200_000):

@@ -17,7 +17,11 @@ so that interior vertices take Tutte positions from a linear solve, were
 recorded while numpy's solver ran it.  The inner-only digests were
 recorded while `decompose` still spelled out each strategy's passes as
 its own branch, and before pinned K10 carried a route log (the
-inner-only strategy replays none, so they must not move with it).
+inner-only strategy replays none, so they must not move with it).  The
+documents and refusals of unpinned K10 and of the sparse benchmark's
+random regular graphs were recorded while the left-right planarity
+kernel still kept its per-edge state in dicts keyed by (tail, head)
+tuples.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ PINNED = {
     "k10": "915f9bcd11d03fe4a41d06bc8fa2676145c3a1e1c21d98873abd7bd05394a6f2",
 }
 UNPINNED = {
+    10: "3c3ea8d91655386dd6fccea755400582c0f9166e0f1bbc4c065718b64569797d",
     12: "5d5eaeffde3e2a9c2064559d5d23cbbd765999064371f66a3f4be22096c26191",
     14: "a9a86907049ee077bb73a0d405c791e8f49b393cef7ca1189113beee5b9c14dc",
     16: "6af1ff136de6f894528e09e5c93734398c9ba04d5dfaf5489d7dabb6613542bf",
@@ -57,10 +62,37 @@ HYPERCUBE = {
     5: "36b2af271bf5a3309d38885a0d0ed855a800e31ae1c80ddf6518e22f300e741d",
 }
 NO_RING = "no Hamiltonian ring found in the planar subgraph"
+BRIDGE = "the planar subgraph has a bridge (%d,%d), so its faces are not simple cycles"
+
+
+def _regular(d, n, seed):
+    """The sparse benchmark's graph rr{d}_{n}_s{seed}; `graph_from_networkx`
+    relabels it as perfbench/corpus.py does."""
+    return lambda: nx.random_regular_graph(d, n, seed=seed)
+
+
 REFUSED = {
     "petersen": (nx.petersen_graph, NO_RING),
     "K5,5": (lambda: nx.complete_bipartite_graph(5, 5), NO_RING),
     "K6,6": (lambda: nx.complete_bipartite_graph(6, 6), NO_RING),
+    "rr4_16_s1": (_regular(4, 16, 1), BRIDGE % (1, 16)),
+    "rr4_16_s2": (_regular(4, 16, 2), NO_RING),
+    "rr5_20_s0": (_regular(5, 20, 0), NO_RING),
+    "rr5_20_s2": (_regular(5, 20, 2), BRIDGE % (4, 13)),
+    "rr5_30_s0": (_regular(5, 30, 0), BRIDGE % (2, 28)),
+    "rr5_30_s1": (_regular(5, 30, 1), BRIDGE % (4, 16)),
+    "rr5_30_s2": (_regular(5, 30, 2), BRIDGE % (3, 23)),
+    "rr6_20_s1": (_regular(6, 20, 1), NO_RING),
+    "rr6_20_s2": (_regular(6, 20, 2), NO_RING),
+    "rr8_20_s0": (_regular(8, 20, 0), NO_RING),
+    "rr8_20_s1": (_regular(8, 20, 1), NO_RING),
+}
+# The sparse benchmark's graphs that decompose, named as the corpus names them.
+SPARSE = {
+    "rr4_16_s0": (_regular(4, 16, 0), "7d0cb36120daf63c3ecd214c8ddc03c68b6f61c35ade9adbefaee2df2e07c527"),
+    "rr5_20_s1": (_regular(5, 20, 1), "2a963cdca69366939401e3a4256926158416e09bbfe6c9cd60889954accb92b6"),
+    "rr6_20_s0": (_regular(6, 20, 0), "c60513d7ca877343365c8ceb5698ab833b07b7b41391a5e435defb66936031be"),
+    "rr8_20_s2": (_regular(8, 20, 2), "baf135c3b178b142740c2e090d793ea1d6f3ac05c183a4ada3aec22e540d5343"),
 }
 
 SVG = {
@@ -147,6 +179,12 @@ def test_unpinned_refusal_message(which):
     with pytest.raises(PlanarizationError) as exc:
         decompose(graph_from_networkx(make(), name=which))
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("which", sorted(SPARSE))
+def test_sparse_document_digest(which):
+    make, want = SPARSE[which]
+    assert _digest(decompose(graph_from_networkx(make(), name=which))) == want
 
 
 @pytest.mark.parametrize("which,layer", sorted(SVG))

@@ -15,6 +15,7 @@ from oracles import (
     greedy_planar_subgraph_ref,
     hamiltonian_rim_recursive_ref,
     hamiltonian_rim_ref,
+    lr_rotation_ref,
 )
 from topolayers import planar
 from topolayers.cli import main
@@ -464,6 +465,44 @@ def test_kernel_runs_deeper_than_the_recursion_limit(planar_end):
     if planar_end:
         assert _is_plane_rotation(rot)
     assert sys.getrecursionlimit() == limit
+
+
+# The kernel against the tuple-keyed kernel it replaced: the same answer
+# exactly, None or each vertex's clockwise neighbours with the vertices in
+# the same order.  The networkx comparisons above check only the decision
+# and that the rotation is plane, while the final embedding, and so every
+# document, depends on the exact rotation.
+
+
+def _assert_kernel_matches_oracle(adj, rot):
+    want = lr_rotation_ref(adj)
+    assert rot == want
+    if rot is not None:
+        assert list(rot) == list(want)
+
+
+@settings(max_examples=400, deadline=None)
+@given(simple_graphs())
+def test_kernel_matches_the_oracle_on_drawn_graphs(adj):
+    _assert_kernel_matches_oracle(adj, _lr_rotation(adj))
+
+
+@pytest.mark.parametrize("g", _networkx_corpus())
+def test_kernel_matches_the_oracle_on_generated_graphs(g):
+    adj = _adjacency(g.vertices, g.edges.values())
+    _assert_kernel_matches_oracle(adj, _lr_rotation(adj))
+
+
+@pytest.mark.parametrize("g", _benchmark_graphs())
+def test_kernel_matches_the_oracle_on_every_greedy_test(g):
+    for adj, rot in _kernel_calls(g):
+        _assert_kernel_matches_oracle(adj, rot)
+
+
+@pytest.mark.parametrize("planar_end", [True, False], ids=["planar", "k5"])
+def test_kernel_matches_the_oracle_deeper_than_the_recursion_limit(planar_end):
+    adj = _deep_graph(3001, planar_end)
+    _assert_kernel_matches_oracle(adj, _lr_rotation(adj))
 
 
 def test_unpinned_decompose_runs_no_networkx_planarity_test(k10, monkeypatch):
