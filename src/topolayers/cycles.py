@@ -6,15 +6,15 @@ cycles on which the cycle metric agrees with the graph metric for every
 vertex pair.  In a complete graph these are exactly the triangles.
 
 `walk` turns a set of drawing segments back into an ordered vertex list:
-a subdivided ring edge, a routed chord or, through `ring_from_segments`,
-a region boundary.  It is the one place the package follows segments.
+a subdivided ring edge or a routed chord.  It is the one place the
+package follows segments.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 import networkx as nx
 
@@ -48,9 +48,8 @@ class Cycle:
     def segments(self) -> FrozenSet[Segment]:
         return frozenset(seg(a, b) for a, b in self.arcs)
 
-    def reversed(self, new_id: int | None = None) -> "Cycle":
-        rev = tuple((b, a) for a, b in reversed(self.arcs))
-        return Cycle(self.id if new_id is None else new_id, rev)
+    def reversed(self) -> "Cycle":
+        return Cycle(self.id, tuple((b, a) for a, b in reversed(self.arcs)))
 
 
 def ring_cycle(cid: int, ring: List[int]) -> Cycle:
@@ -88,17 +87,6 @@ def walk(segs: Iterable[Segment], start: int, stop: int) -> Optional[List[int]]:
         prev = path[-1]
         path.append(step[0])
     return path
-
-
-def ring_from_segments(segs: AbstractSet[Segment]) -> Optional[List[int]]:
-    """Canonical vertex ring if segs form one simple closed curve, else None."""
-    if not segs:
-        return None
-    a, b = min(segs)
-    path = walk((s for s in segs if s != (a, b)), a, b)
-    if path is None or len(path) != len(segs):
-        return None
-    return canonical_ring(path)
 
 
 def _is_isometric(ring: List[int], dist: Dict[int, Dict[int, int]]) -> bool:
@@ -149,6 +137,5 @@ __all__ = [
     "ring_cycle",
     "canonical_ring",
     "walk",
-    "ring_from_segments",
     "enumerate_isometric_cycles",
 ]

@@ -403,11 +403,11 @@ def _check_cycle_ids(sj: dict) -> CheckResult:
 
 
 def _raw_system(sj: dict):
-    """(n, cycles, rim) of a system, arcs as the document lists them;
+    """(cycles, rim) of a system, arcs as the document lists them;
     verify_raw converts them."""
     cycles = {c["id"]: c["arcs"] for c in sj["cycles"]}
     rim = None if sj["rim"] is None else (sj["rim"]["id"], sj["rim"]["arcs"])
-    return sj["n"], cycles, rim
+    return cycles, rim
 
 
 def _check_carrier_table(doc: dict, table: SegmentTable) -> CheckResult:
@@ -447,17 +447,18 @@ def verify_document(doc: dict) -> VerificationReport:
     """Full re-check of a parsed document, layer by layer."""
     checks: Dict[str, CheckResult] = {}
     n = doc["graph"]["n"]
-    # layers are named by position; layer k must also carry index k
+    # layers are named by position and read with the graph's n; layer k
+    # must also carry index k and that n
+    bad = []
     for k, layer in enumerate(doc["layers"], start=1):
-        sub = verify_raw(*_raw_system(layer["system"]))
+        sub = verify_raw(n, *_raw_system(layer["system"]))
         for name, res in sub.checks.items():
             checks[f"layer-{k}/{name}"] = res
         checks[f"layer-{k}/cycle-ids"] = _check_cycle_ids(layer["system"])
-    bad = [
-        f"layer {k} has index {layer['index']}"
-        for k, layer in enumerate(doc["layers"], start=1)
-        if layer["index"] != k
-    ]
+        if layer["index"] != k:
+            bad.append(f"layer {k} has index {layer['index']}")
+        if layer["system"]["n"] != n:
+            bad.append(f"layer {k} has system n {layer['system']['n']}, not the graph's {n}")
     checks["layer-indexes"] = CheckResult(not bad, bad)
     edges = doc["graph"]["edges"]
     checks["graph-edges"] = check_graph_edges(n, edges, doc["chords"])

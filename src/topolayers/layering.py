@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .cycles import Cycle, Segment, canonical_ring, ring_from_segments, seg
+from .cycles import Segment, seg
 from .graphs import Graph, edge_between, validate_nonseparable
 from .planar import (
     CycleSystem,
@@ -55,13 +55,6 @@ class Decomposition:
     drawing: Drawing = field(repr=False, default=None)
 
 
-def _boundary_ring(faces: Sequence[Cycle]) -> Optional[List[int]]:
-    acc: Set[Segment] = set()
-    for c in faces:
-        acc.symmetric_difference_update(c.segments)
-    return ring_from_segments(acc)
-
-
 def _flood(drawing: Drawing, start: int, cut: Set[Segment]) -> Set[int]:
     """The faces reachable from face `start`, stepping between faces that
     share a segment not in `cut`."""
@@ -81,13 +74,18 @@ def split_regions(drawing: Drawing, ring: Sequence[int]) -> Tuple[Set[int], Set[
 
     The ring is a closed curve on the sphere, so the outer faces are those
     reached from the rim face without crossing a ring segment, and the
-    rest are inner.  Returns (inner, outer) face ids.
+    rest are inner.  The inner faces' segments must sum over GF(2) to the
+    ring's own segment set; the ring is a simple cycle, so that holds
+    exactly when the inner side is bounded by the ring.  Returns (inner,
+    outer) face ids.
     """
     cut = {seg(a, b) for a, b in zip(ring, [*ring[1:], ring[0]])}
     outer = _flood(drawing, drawing.rim_id, cut)
     inner = set(drawing.faces) - outer
-    boundary = _boundary_ring([drawing.faces[fid] for fid in inner])
-    if boundary is None or canonical_ring(boundary) != canonical_ring(list(ring)):
+    boundary: Set[Segment] = set()
+    for fid in inner:
+        boundary.symmetric_difference_update(drawing.faces[fid].segments)
+    if boundary != cut:
         raise DecompositionError("the faces inside the Hamiltonian ring do not sum to it")
     for fid in drawing.faces:
         drawing.side[fid] = "inner" if fid in inner else "outer"

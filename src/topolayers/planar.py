@@ -8,18 +8,19 @@ opposite directions.
 Without a pin, the maximal planar subgraph is grown greedily.  Its
 planarity tests and its final embedding, whose faces become the cycle
 system, all run on `_lr_rotation`, an in-package left-right test on plain
-adjacency lists.
+adjacency lists.  Pinned or not, the system is checked with the
+verifier's `verify_system`.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .cycles import Cycle, Segment, canonical_ring, ring_cycle, seg
 from .graphs import Graph, edge_between
-from .verify import trace_faces
+from .verify import trace_faces, verify_system
 
 
 class PlanarizationError(ValueError):
@@ -40,19 +41,6 @@ class CycleSystem:
 
     def segments(self) -> Set[Segment]:
         return {s for c in self.members() for s in c.segments}
-
-    def vertices(self) -> Set[int]:
-        vs: Set[int] = set()
-        for c in self.members():
-            vs.update(c.vertices)
-        return vs
-
-    def gf2_cycle_sum(self) -> FrozenSet[Segment]:
-        """Symmetric difference of all cycle edge sets (rim excluded)."""
-        acc: Set[Segment] = set()
-        for c in self.cycles.values():
-            acc.symmetric_difference_update(c.segments)
-        return frozenset(acc)
 
 
 def orient_cycles(
@@ -113,14 +101,6 @@ def orient_cycles(
     return oriented, rim
 
 
-def _check_euler(sys_: CycleSystem) -> None:
-    nv = len(sys_.vertices())
-    ne = len(sys_.segments())
-    nf = len(sys_.cycles) + (1 if sys_.rim is not None else 0)
-    if nv - ne + nf != 2:
-        raise PlanarizationError(f"Euler check failed: {nv} - {ne} + {nf} != 2")
-
-
 def select_planar_cycle_system(g: Graph, pin: Optional[dict] = None) -> CycleSystem:
     """Pick facial cycles of a maximal planar subgraph.
 
@@ -133,8 +113,13 @@ def select_planar_cycle_system(g: Graph, pin: Optional[dict] = None) -> CycleSys
     `_lr_rotation` (`_greedy_planar_subgraph`).  `trace_faces` traces
     the faces of the resulting subgraph's counter-clockwise rotation,
     each from its smallest vertex.  A face that walks both sides of an
-    edge means the edge is a bridge; the smallest is named in the
-    refusal.
+    edge means the edge is a bridge, and one that passes a vertex twice
+    means the vertex is a cut vertex; the smallest bridge, or else the
+    smallest cut vertex, is named in the refusal.
+
+    Either way, every segment must be an edge of g, and then
+    `verify_system` checks the system itself; the first check it fails
+    is named in the refusal with that check's first detail.
     """
     if pin is not None:
         # imported per call: tests and the benchmark's tracer replace it
@@ -158,19 +143,27 @@ def select_planar_cycle_system(g: Graph, pin: Optional[dict] = None) -> CycleSys
     else:
         rot = _greedy_planar_subgraph(g)
         faces = trace_faces({v: ns[::-1] for v, ns in rot.items()})
-        # a face walks both sides of an edge exactly when it is a bridge
-        bridges = []
+        # a face walks both sides of an edge exactly when it is a bridge,
+        # and passes a vertex twice exactly when it is a cut vertex
+        bridges, cuts = [], []
         for arcs in faces:
-            walked = set()
+            walked, passed = set(), set()
             for a, b in arcs:
                 s = seg(a, b)
                 if s in walked:
                     bridges.append(s)
+                if a in passed:
+                    cuts.append(a)
                 walked.add(s)
+                passed.add(a)
         if bridges:
             a, b = min(bridges)
             raise PlanarizationError(
                 f"the planar subgraph has a bridge ({a},{b}), so its faces are not simple cycles"
+            )
+        if cuts:
+            raise PlanarizationError(
+                f"the planar subgraph has a cut vertex v{min(cuts)}, so its faces are not simple cycles"
             )
         faces.sort(key=lambda arcs: (len(arcs), tuple(canonical_ring([a for a, _ in arcs]))))
         cycles = {cid: Cycle(cid, arcs) for cid, arcs in enumerate(faces, start=1)}
@@ -179,9 +172,9 @@ def select_planar_cycle_system(g: Graph, pin: Optional[dict] = None) -> CycleSys
     for s in sys_.segments():
         if edge_between(g, *s) is None:
             raise PlanarizationError(f"system uses non-edge ({s[0]},{s[1]})")
-    _check_euler(sys_)
-    if sys_.gf2_cycle_sum() != sys_.rim.segments:
-        raise PlanarizationError("GF(2) sum of cycles does not equal the rim")
+    for name, res in verify_system(sys_).checks.items():
+        if not res.ok:
+            raise PlanarizationError(f"{name} check failed: {res.details[0]}")
     return sys_
 
 

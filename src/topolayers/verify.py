@@ -15,13 +15,15 @@ check runs once walks, double cover and orientation pass; it rebuilds
 each vertex's rotation from the members' dart successors and requires
 it to close into one cycle.  Re-tracing the faces of those rotations
 would give back the members themselves (see `check_face_trace`), so
-`verify_raw` stops there and never calls `trace_faces`.  Each public
-`check_*` wraps the same private helper `verify_raw` calls, so every
-check has one implementation.
+`verify_raw` stops there and never calls `trace_faces`.  Each check has
+one implementation, and callers read it by name from the report's
+`checks`.
 
-`trace_faces` is shared with the planar stage, which traces the faces
-of its final embedding with it.  This module imports nothing from the
-package, so sharing it leaves the checkers independent of the producer.
+The planar stage shares two things with this module: it traces the
+faces of its final embedding with `trace_faces`, and it checks the
+system it built with `verify_system` instead of keeping its own Euler
+and GF(2) checks.  This module imports nothing from the package, so
+sharing them leaves the checkers independent of the producer.
 """
 
 from __future__ import annotations
@@ -158,37 +160,6 @@ def _imaginary_degree(n: int, table: SegmentTable) -> CheckResult:
     deg = _imaginary_degrees(n, table)
     bad = [f"v{v}: degree {d} != 4" for v, d in sorted(deg.items()) if d != 4]
     return CheckResult(not bad, bad)
-
-
-def check_walks(cycles, rim=None) -> CheckResult:
-    """Each member is a closed simple walk of length >= 3."""
-    return _walks(_members(cycles, rim))
-
-
-def check_maclane(cycles, rim=None) -> CheckResult:
-    """Every edge lies on exactly two members (double cover)."""
-    return _maclane(_segment_table(_members(cycles, rim)))
-
-
-def check_gf2_sum(cycles, rim=None) -> CheckResult:
-    """XOR of cycle edge sets equals the rim edge set (empty without rim)."""
-    return _gf2_sum(_members(cycles, rim), rim is not None)
-
-
-def check_euler(cycles, rim=None) -> CheckResult:
-    """V - E + F = 2 over the vertices, segments and members."""
-    members = _members(cycles, rim)
-    return _euler(_segment_table(members), len(members))
-
-
-def check_orientation(cycles, rim=None) -> CheckResult:
-    """Shared edges must be traversed in opposite directions."""
-    return _orientation(_segment_table(_members(cycles, rim)))
-
-
-def check_imaginary_degree(n: int, cycles, rim=None) -> CheckResult:
-    """Imaginary vertices (id > n) have drawing degree exactly 4."""
-    return _imaginary_degree(n, _segment_table(_members(cycles, rim)))
 
 
 def trace_faces(rotation: Dict[int, List[int]]) -> List[Tuple[Arc, ...]]:
@@ -421,12 +392,6 @@ def check_connection_realization(
 __all__ = [
     "CheckResult",
     "VerificationReport",
-    "check_walks",
-    "check_maclane",
-    "check_gf2_sum",
-    "check_euler",
-    "check_orientation",
-    "check_imaginary_degree",
     "check_face_trace",
     "check_edge_partition",
     "check_graph_edges",

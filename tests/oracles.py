@@ -8,8 +8,9 @@ them.  These recompute everything on every query: `select_noncrossing_ref`
 recounts all pairwise crossings after each removal, and
 `shortest_route_ref` builds the whole mixed cycle graph from the face
 dictionary and runs a full breadth-first search.  `boundary_ring_ref`
-and `connection_path_ref` are the region-boundary and chord walks that
-`cycles.ring_from_segments` and `cycles.walk` replaced.
+turns a region's segment set into its ring; the package no longer does
+(`layering.split_regions` compares segment sets).  `connection_path_ref`
+is the chord walk that `cycles.walk` replaced.
 `route_greedy_ref` re-queries every pending chord after each insertion.
 `greedy_planar_subgraph_ref` runs a full planarity test for every edge,
 and `hamiltonian_rim_ref` is the unpruned depth-first search that copies
@@ -22,8 +23,9 @@ explicit stack.  `lr_rotation_ref` is the left-right planarity kernel
 as it kept every per-edge quantity in dicts keyed by (tail, head)
 tuples, before `planar._lr_rotation` moved to integer ids.
 `strip_imaginary_region_ref` finds the residual regions of a drawing's
-faces free of imaginary vertices by union-find; the package's
-flood-fill version of it had no caller and is gone.
+faces free of imaginary vertices by union-find, and each region's ring
+with `boundary_ring_ref`; the package's flood-fill version of it had no
+caller and is gone.
 `imaginary_positions_ref` relaxes every
 connection-hosted crossing marker of the document, whichever layer is
 drawn.  `shortest_route_copying_ref` copies a filtered list of each
@@ -55,7 +57,7 @@ import networkx as nx
 from topolayers.cycles import Segment, canonical_ring, seg
 from topolayers.document import _check_cycle_ids
 from topolayers.graphs import Graph, parse_graph
-from topolayers.layering import DecompositionError, _boundary_ring
+from topolayers.layering import DecompositionError
 from topolayers.planar import CycleSystem, PlanarizationError
 from topolayers.projection import Basis, ProjectionError, chords_cross, project_chord
 from topolayers.render import RenderError, _carrier_key, _carrier_paths
@@ -758,7 +760,10 @@ def strip_imaginary_region_ref(
         comps.setdefault(find(fid), []).append(fid)
     hits = []
     for members in comps.values():
-        ring = _boundary_ring([drawing.faces[fid] for fid in members])
+        acc: Set[Segment] = set()
+        for fid in members:
+            acc.symmetric_difference_update(drawing.faces[fid].segments)
+        ring = boundary_ring_ref(acc)
         if ring is not None and u in ring and v in ring:
             hits.append((sorted(members), ring))
     if not hits:
@@ -1069,16 +1074,16 @@ def verify_document_ref(doc: dict) -> VerificationReport:
     check."""
     checks: Dict[str, CheckResult] = {}
     n = doc["graph"]["n"]
+    bad = []
     for k, layer in enumerate(doc["layers"], start=1):
         ln, cycles, rim = _raw_system_ref(layer["system"])
-        for name, res in verify_raw_ref(ln, cycles, rim).items():
+        for name, res in verify_raw_ref(n, cycles, rim).items():
             checks[f"layer-{k}/{name}"] = res
         checks[f"layer-{k}/cycle-ids"] = _check_cycle_ids(layer["system"])
-    bad = [
-        f"layer {k} has index {layer['index']}"
-        for k, layer in enumerate(doc["layers"], start=1)
-        if layer["index"] != k
-    ]
+        if layer["index"] != k:
+            bad.append(f"layer {k} has index {layer['index']}")
+        if ln != n:
+            bad.append(f"layer {k} has system n {ln}, not the graph's {n}")
     checks["layer-indexes"] = CheckResult(not bad, bad)
     edges = doc["graph"]["edges"]
     checks["graph-edges"] = check_graph_edges(n, edges, doc["chords"])

@@ -23,6 +23,7 @@ from test_document import (
     _conn_carrier_off_the_graph,
     _imaginary_entry_dropped,
 )
+from test_planar import K7_TORUS_PIN, K7_TORUS_REFUSAL
 
 
 @pytest.fixture()
@@ -502,6 +503,7 @@ def test_unknown_pin_exits_2(runner, k7_file):
         ('{"hamiltonian": ["a", 2]}', "'hamiltonian' must hold integers only"),
         ('{"system": {"cycles": [[]], "rim": [1, 2, 3]}}', "a ring of 'system' is empty"),
         ('{"system": {"cycles": [[1, 2, 3]], "rim": []}}', "a ring of 'system' is empty"),
+        (json.dumps({"system": K7_TORUS_PIN}), K7_TORUS_REFUSAL),
     ],
     ids=[
         "list",
@@ -516,6 +518,7 @@ def test_unknown_pin_exits_2(runner, k7_file):
         "hamiltonian-strings",
         "empty-cycle",
         "empty-rim",
+        "toroidal",
     ],
 )
 def test_malformed_pin_exits_2(runner, k7_file, tmp_path, command, text, message):

@@ -293,6 +293,19 @@ def _layer_index_seven(doc):
     doc["layers"][1]["index"] = 7
 
 
+def _imaginary_vertex_made_real(doc):
+    # subdivide a layer-2 segment with v1000000 in both faces that hold
+    # it, then raise that layer's n above it
+    sj = doc["layers"][1]["system"]
+    a, b = sj["cycles"][0]["arcs"][0]
+    for member in sj["cycles"] + ([sj["rim"]] if sj["rim"] else []):
+        for x, y in ((a, b), (b, a)):
+            if [x, y] in member["arcs"]:
+                i = member["arcs"].index([x, y])
+                member["arcs"][i : i + 1] = [[x, 10**6], [10**6, y]]
+    sj["n"] = 10**7
+
+
 def _bogus_face_under_a_used_id(doc):
     cycles = doc["layers"][1]["system"]["cycles"]
     cycles.insert(0, {"id": cycles[0]["id"], "arcs": [[1, 2], [2, 3], [3, 1]]})
@@ -351,6 +364,8 @@ def _imaginary_entry_dropped(doc):
         (_ring_pair_not_in_layer_1, "layer-rings", "is not an edge of the first layer"),
         (_ring_on_layer_1, "layer-rings", "layer 1: the first layer has a ring"),
         (_layer_index_seven, "layer-indexes", "layer 2 has index 7"),
+        (_imaginary_vertex_made_real, "layer-2/imaginary-degree", "v1000000: degree 2 != 4"),
+        (_imaginary_vertex_made_real, "layer-indexes", "layer 2 has system n 10000000, not the graph's 10"),
         (_bogus_face_under_a_used_id, "layer-2/cycle-ids", "id used 2 times"),
         (_cycle_entry_twice, "layer-2/cycle-ids", "id used 2 times"),
         (_chord_row_twice, "graph-edges", "listed twice"),
@@ -371,6 +386,8 @@ def _imaginary_entry_dropped(doc):
         "ring-pair-off-layer-1",
         "ring-on-layer-1",
         "layer-index-seven",
+        "imaginary-made-real-degree",
+        "imaginary-made-real-n",
         "bogus-face-reusing-an-id",
         "cycle-entry-twice",
         "chord-row-twice",

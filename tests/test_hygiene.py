@@ -24,14 +24,7 @@ MODULES = sorted(SRC.glob("*.py"))
 UNREFERENCED_OK = {
     "complete_graph": "public constructor of K_n inputs, used by tests, CI and the benchmark",
     "format_graph": "public writer of the edge-list format parse_graph reads",
-    "verify_system": "public verifier of an in-memory CycleSystem",
     "chords_cross": "public form of the crossing relation select_noncrossing applies",
-    "check_walks": "public wrapper of the walks check verify_raw runs",
-    "check_maclane": "public wrapper of the double-cover check verify_raw runs",
-    "check_gf2_sum": "public wrapper of the GF(2) sum check verify_raw runs",
-    "check_euler": "public wrapper of the Euler check verify_raw runs",
-    "check_orientation": "public wrapper of the orientation check verify_raw runs",
-    "check_imaginary_degree": "public wrapper of the imaginary-degree check verify_raw runs",
     "check_face_trace": "public wrapper of the face-trace check verify_raw runs",
     "build_mixed_cycle_graph": "the benchmark's tracer patches it by name",
     "MixedCycleGraph": "the return type of build_mixed_cycle_graph",

@@ -24,7 +24,6 @@ from topolayers.cycles import ring_cycle, seg
 from topolayers.graphs import complete_graph, parse_graph, validate_nonseparable
 from topolayers.layering import decompose, split_regions
 from topolayers.planar import (
-    CycleSystem,
     PlanarizationError,
     _greedy_planar_subgraph,
     _insert_in_shared_face,
@@ -35,7 +34,7 @@ from topolayers.planar import (
 )
 from topolayers.fixtures import load_fixture
 from topolayers.routing import Drawing
-from topolayers.verify import verify_system
+from topolayers.verify import verify_raw, verify_system
 
 # The pinned K7 system, oriented: every edge appears once per direction.
 K7_ORIENTED = {
@@ -66,8 +65,6 @@ def test_pinned_k7_system_verifies(k7_system):
 
 
 def test_orient_cycles_flips_consistently():
-    from topolayers.verify import verify_raw
-
     rings = {1: [1, 2, 3], 2: [1, 3, 4], 3: [1, 2, 4], 4: [2, 3, 4]}
     cycles, rim = orient_cycles(rings, rim_id=4)
     raw = {cid: c.arcs for cid, c in cycles.items()}
@@ -120,11 +117,33 @@ def test_unpinned_planarization_is_maximal_planar(n):
 
 
 def test_gf2_sum_equals_rim(k7_system):
-    assert k7_system.gf2_cycle_sum() == k7_system.rim.segments
+    assert verify_system(k7_system).checks["gf2-sum"].ok
 
 
 def test_pinned_system_needs_the_pool(k7):
     assert len(select_planar_cycle_system(k7).segments()) == 15
+
+
+# K7 on the torus: triangles (i, i+1, i+3) and (i, i+2, i+3) mod 7, shifted
+# to 1..7.  They cover every edge twice and orient coherently, so only
+# Euler (7 - 21 + 14 = 0) tells them from a sphere.
+K7_TORUS = [
+    [i % 7 + 1, (i + j) % 7 + 1, (i + 3) % 7 + 1] for i in range(7) for j in (1, 2)
+]
+K7_TORUS_PIN = {"cycles": [t for t in K7_TORUS if t != [1, 2, 4]], "rim": [1, 2, 4]}
+K7_TORUS_REFUSAL = "euler check failed: 7 - 21 + 14 = 0 != 2"
+
+
+def test_toroidal_pin_is_refused_by_the_euler_check(k7):
+    cycles, rim = orient_cycles(
+        dict(enumerate(K7_TORUS_PIN["cycles"] + [K7_TORUS_PIN["rim"]], start=1)), rim_id=14
+    )
+    raw = {cid: c.arcs for cid, c in cycles.items()}
+    failing = [name for name, r in verify_raw(7, raw, (rim.id, rim.arcs)).checks.items() if not r.ok]
+    assert failing == ["euler"]
+    with pytest.raises(PlanarizationError) as exc:
+        select_planar_cycle_system(k7, K7_TORUS_PIN)
+    assert str(exc.value) == K7_TORUS_REFUSAL
 
 
 # The planar stage's shortcuts against the loops they replaced: the same
@@ -221,17 +240,13 @@ def test_planar_stage_matches_loops_on_generated_graphs(g):
     _assert_planar_stage_matches_loops(g)
 
 
-def _oracle_refusal(g, kept):
-    """The parent path's refusal of a kept subgraph that is not
-    biconnected: its smallest bridge, or else, since a cut vertex lies on
-    no Hamiltonian ring, the ring search's message."""
+def _oracle_refusal(kept):
+    """The planar stage's refusal of a kept subgraph that is not
+    biconnected: its smallest bridge, or else its smallest cut vertex."""
     bridges = sorted(tuple(sorted(e)) for e in nx.bridges(kept))
     if bridges:
         return BRIDGE_TEMPLATE % bridges[0]
-    faces = embedding_faces_ref(kept)
-    cycles = {i: ring_cycle(i, list(r)) for i, r in enumerate(faces, start=1)}
-    sys_ = CycleSystem(g.n, cycles, cycles.pop(1))
-    return _rim_outcome(hamiltonian_rim_recursive_ref, sys_, g)
+    return CUT_VERTEX_TEMPLATE % min(nx.articulation_points(kept))
 
 
 @settings(max_examples=200, deadline=None)
@@ -239,7 +254,7 @@ def _oracle_refusal(g, kept):
 def test_faces_traced_from_the_kernel_match_networkx(g):
     """Where the kept subgraph is biconnected, every face of the traced
     rotation starts where networkx's half-edges start it; elsewhere the
-    faces may start elsewhere, but the stage refuses g as before."""
+    stage refuses g naming the smallest bridge or cut vertex."""
     kept = greedy_planar_subgraph_ref(g)
     if nx.is_biconnected(kept):
         faces = embedding_faces_ref(kept)
@@ -248,8 +263,8 @@ def test_faces_traced_from_the_kernel_match_networkx(g):
         assert {c.id: c.arcs for c in sys_.members()} == want
         return
     with pytest.raises(PlanarizationError) as exc:
-        hamiltonian_rim(select_planar_cycle_system(g), g)
-    assert str(exc.value) == _oracle_refusal(g, kept)
+        select_planar_cycle_system(g)
+    assert str(exc.value) == _oracle_refusal(kept)
 
 
 @pytest.mark.parametrize("which", ["k7", "k8", "k10"])
@@ -533,6 +548,7 @@ RR4_16_S1 = (
     "8 12\n9 14\n9 15\n10 14\n10 15\n11 16\n12 14\n13 14\n"
 )
 BRIDGE_TEMPLATE = "the planar subgraph has a bridge (%d,%d), so its faces are not simple cycles"
+CUT_VERTEX_TEMPLATE = "the planar subgraph has a cut vertex v%d, so its faces are not simple cycles"
 BRIDGE_MESSAGE = BRIDGE_TEMPLATE % (1, 16)
 
 
@@ -545,6 +561,17 @@ def test_a_bridge_of_the_planar_subgraph_is_named():
     with pytest.raises(PlanarizationError) as exc:
         select_planar_cycle_system(g)
     assert str(exc.value) == BRIDGE_MESSAGE
+
+
+def test_a_cut_vertex_of_the_planar_subgraph_is_named():
+    # The greedy subgraph refuses (5,9), the last edge that ties the
+    # triangle 1-8-9 to the rest, so v1 is a cut vertex and no edge a bridge.
+    edges = [(1, 2), (1, 3), (1, 6), (1, 7), (1, 8), (1, 9), (2, 3), (2, 6)]
+    edges += [(3, 4), (3, 7), (4, 5), (5, 6), (6, 7), (5, 9), (8, 9)]
+    g = parse_graph("".join(f"{u} {v}\n" for u, v in edges))
+    with pytest.raises(PlanarizationError) as exc:
+        select_planar_cycle_system(g)
+    assert str(exc.value) == CUT_VERTEX_TEMPLATE % 1
 
 
 def test_cli_refuses_a_bridge(tmp_path):

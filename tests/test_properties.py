@@ -17,11 +17,7 @@ from topolayers.graphs import complete_graph
 from topolayers.planar import select_planar_cycle_system
 from topolayers.projection import basis_from_ring, chords_cross
 from topolayers.routing import Drawing, shortest_route, insert_connection
-from topolayers.verify import (
-    check_euler,
-    check_imaginary_degree,
-    check_maclane,
-)
+from topolayers.verify import verify_raw
 
 SEED = 20260823
 
@@ -74,12 +70,9 @@ def run_random_insertions(target=200):
             snap = d.snapshot()
             cycles = {cid: c.arcs for cid, c in snap.cycles.items()}
             rim = (snap.rim.id, snap.rim.arcs) if snap.rim else None
-            for name, check in (
-                ("maclane", check_maclane(cycles, rim)),
-                ("euler", check_euler(cycles, rim)),
-                ("imaginary-degree", check_imaginary_degree(n, cycles, rim)),
-            ):
-                if not check.ok:
+            checks = verify_raw(n, cycles, rim).checks
+            for name in ("maclane", "euler", "imaginary-degree"):
+                if not checks[name].ok:
                     failures.append((n, (s, t), name))
             if done >= target:
                 break

@@ -12,15 +12,9 @@ from topolayers.document import decomposition_to_document, verify_document
 from topolayers.verify import (
     check_connection_realization,
     check_edge_partition,
-    check_euler,
     check_face_trace,
-    check_gf2_sum,
     check_graph_edges,
-    check_imaginary_degree,
     check_layer_rings,
-    check_maclane,
-    check_orientation,
-    check_walks,
     trace_faces,
     verify_raw,
     verify_system,
@@ -44,37 +38,34 @@ def test_k4_sphere_passes_everything():
 
 def test_drop_one_cycle_fails_maclane():
     cycles = {cid: K4_CYCLES[cid] for cid in (1, 2, 3)}
-    res = check_maclane(cycles)
+    res = verify_raw(4, cycles).checks["maclane"]
     assert not res.ok
     assert any("(2,3)" in d or "(2, 3)" in d.replace(" ", "") for d in res.details)
 
 
 def test_euler_counts_imaginary_vertices(k7_decomposition):
     sys_ = k7_decomposition.layers[1].system
-    assert check_euler(
-        {cid: c.arcs for cid, c in sys_.cycles.items()},
-        (sys_.rim.id, sys_.rim.arcs) if sys_.rim else None,
-    ).ok
+    assert verify_system(sys_).checks["euler"].ok
 
 
 def test_remove_edge_fails_euler():
     cycles = dict(K4_CYCLES)
     cycles[4] = ((2, 4), (4, 3), (3, 2), (2, 4))  # malformed on purpose
-    assert not check_walks(cycles).ok
+    assert not verify_raw(4, cycles).checks["walks"].ok
 
 
 def test_gf2_sum_detects_mismatch(k7_system):
     cycles = {cid: c.arcs for cid, c in k7_system.cycles.items()}
     rim = (k7_system.rim.id, k7_system.rim.arcs)
-    assert check_gf2_sum(cycles, rim).ok
+    assert verify_raw(7, cycles, rim).checks["gf2-sum"].ok
     del cycles[19]
-    assert not check_gf2_sum(cycles, rim).ok
+    assert not verify_raw(7, cycles, rim).checks["gf2-sum"].ok
 
 
 def test_orientation_detects_same_direction():
     cycles = dict(K4_CYCLES)
     cycles[1] = ((2, 1), (1, 3), (3, 2))  # reversed: now agrees with c2 on (1,3)
-    assert not check_orientation(cycles).ok
+    assert not verify_raw(4, cycles).checks["orientation"].ok
 
 
 def test_trace_faces_triangle():
@@ -156,7 +147,7 @@ def _oracle_pairs(checks, oracle):
 
 def test_maclane_details_list_member_ids():
     cycles = {cid: K4_CYCLES[cid] for cid in (1, 2, 3)}
-    assert check_maclane(cycles).details == [
+    assert verify_raw(4, cycles).checks["maclane"].details == [
         "edge (2,3) on 1 members: [1]",
         "edge (2,4) on 1 members: [3]",
         "edge (3,4) on 1 members: [2]",
@@ -166,11 +157,12 @@ def test_maclane_details_list_member_ids():
 
 def test_self_loop_at_imaginary_vertex_is_one_segment():
     # Read K4 with n = 3, so v4 is imaginary: three segments meet it.
-    assert check_imaginary_degree(3, K4_CYCLES).details == ["v4: degree 3 != 4"]
+    assert verify_raw(3, K4_CYCLES).checks["imaginary-degree"].details == ["v4: degree 3 != 4"]
     looped = dict(K4_CYCLES)
     looped[2] = ((1, 3), (3, 4), (4, 4), (4, 1))
-    assert check_imaginary_degree(3, looped).ok
-    assert check_walks(looped).details == ["c2: revisits a vertex", "c2: self-loop arc"]
+    checks = verify_raw(3, looped).checks
+    assert checks["imaginary-degree"].ok
+    assert checks["walks"].details == ["c2: revisits a vertex", "c2: self-loop arc"]
     assert _as_pairs(verify_raw(3, looped).checks) == _as_pairs(verify_raw_ref(3, looped))
 
 
@@ -302,15 +294,6 @@ def test_verify_raw_matches_oracle_on_mutated_systems(mutable_layers, data, muta
         ]
     want = _as_pairs(verify_raw_ref(n, cycles, rim))
     assert _as_pairs(verify_raw(n, cycles, rim).checks) == want
-    public = {
-        "walks": check_walks(cycles, rim),
-        "maclane": check_maclane(cycles, rim),
-        "gf2-sum": check_gf2_sum(cycles, rim),
-        "euler": check_euler(cycles, rim),
-        "orientation": check_orientation(cycles, rim),
-        "imaginary-degree": check_imaginary_degree(n, cycles, rim),
-    }
-    assert _as_pairs(public) == {name: want[name] for name in public}
     traced = want["face-trace-agreement"]
     if traced[1] != ["skipped: structural checks failed"]:
         result = check_face_trace(cycles, rim)
