@@ -36,7 +36,6 @@ from .planar import (
     CycleSystem,
     PlanarizationError,
     hamiltonian_rim,
-    orient_cycles,
     select_planar_cycle_system,
 )
 from .projection import (
@@ -92,7 +91,6 @@ __all__ = [
     "hamiltonian_rim",
     "imaginary_sequence",
     "insert_connection",
-    "orient_cycles",
     "parse_document",
     "parse_graph",
     "project_chord",

@@ -7,9 +7,10 @@ opposite directions.
 
 Without a pin, the maximal planar subgraph is grown greedily.  Its
 planarity tests and its final embedding, whose faces become the cycle
-system, all run on `_lr_rotation`, an in-package left-right test on plain
-adjacency lists.  Pinned or not, the system is checked with the
-verifier's `verify_system`.
+system, all run on `_lr_rotation`, an in-package left-right test.  Every
+per-vertex table of the stage is a list indexed by vertex id, so nothing
+is relabelled.  A pin's rings are oriented by one flood fill.  Pinned or
+not, the system is checked with the verifier's `verify_system`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .cycles import Cycle, Segment, canonical_ring, ring_cycle, seg
-from .graphs import Graph, edge_between
+from .graphs import Graph
 from .verify import trace_faces, verify_system
 
 
@@ -43,14 +44,17 @@ class CycleSystem:
         return {s for c in self.members() for s in c.segments}
 
 
-def orient_cycles(
+def _orient_cycles(
     rings: Dict[int, Sequence[int]], rim_id: int
 ) -> Tuple[Dict[int, Cycle], Cycle]:
-    """Assign consistent orientations to a double cover given as vertex rings.
+    """Orient a double cover given as vertex rings by one flood fill.
 
     The rim is oriented from its smallest vertex toward its larger
     neighbour; everything else is forced by the rule that a shared edge is
-    traversed oppositely by its two faces.
+    traversed oppositely by its two faces.  The fill needs every edge on
+    exactly two rings and every ring reached, so those are refused here;
+    whether the result is a consistent orientation is left to the
+    verifier (`verify_system`), which the caller runs next.
     """
     cands = {cid: ring_cycle(cid, canonical_ring(list(vs))) for cid, vs in rings.items()}
     cov: Dict[Segment, List[int]] = {}
@@ -87,16 +91,6 @@ def orient_cycles(
     oriented = {
         cid: (c.reversed() if flip[cid] else c) for cid, c in cands.items()
     }
-    # final consistency check
-    dirs: Dict[Segment, List[Tuple[int, int]]] = {}
-    for c in oriented.values():
-        for a, b in c.arcs:
-            dirs.setdefault(seg(a, b), []).append((a, b))
-    for s, ds in dirs.items():
-        if len(ds) != 2 or ds[0] == ds[1]:
-            raise PlanarizationError(
-                f"inconsistent orientation across edge ({s[0]},{s[1]})"
-            )
     rim = oriented.pop(rim_id)
     return oriented, rim
 
@@ -106,20 +100,21 @@ def select_planar_cycle_system(g: Graph, pin: Optional[dict] = None) -> CycleSys
 
     With a pin (fixture mapping), the isometric cycles of g are
     enumerated, and the listed rings are taken verbatim from them and
-    oriented.  Without one, no cycles are enumerated: edges are tried in
-    edge-id order, and an edge whose ends share a face of the kept
-    graph's current embedding (or that has an isolated end) is kept
-    without a test, any other edge runs the full left-right test of
-    `_lr_rotation` (`_greedy_planar_subgraph`).  `trace_faces` traces
+    oriented (`_orient_cycles`); a pin that lists one ring twice, or its
+    rim among its cycles too, is refused.  Without one, no cycles are
+    enumerated: edges are tried in edge-id order, and an edge whose ends
+    share a face of the kept graph's current embedding (or that has an
+    isolated end) is kept without a test, any other edge runs the full
+    left-right test of `_lr_rotation` (`_greedy_planar_subgraph`).  `trace_faces` traces
     the faces of the resulting subgraph's counter-clockwise rotation,
     each from its smallest vertex.  A face that walks both sides of an
     edge means the edge is a bridge, and one that passes a vertex twice
     means the vertex is a cut vertex; the smallest bridge, or else the
     smallest cut vertex, is named in the refusal.
 
-    Either way, every segment must be an edge of g, and then
-    `verify_system` checks the system itself; the first check it fails
-    is named in the refusal with that check's first detail.
+    Either way, `verify_system` then checks the system itself; the first
+    check it fails is named in the refusal with that check's first
+    detail.
     """
     if pin is not None:
         # imported per call: tests and the benchmark's tracer replace it
@@ -130,19 +125,20 @@ def select_planar_cycle_system(g: Graph, pin: Optional[dict] = None) -> CycleSys
             for c in enumerate_isometric_cycles(g)
         }
         rings: Dict[int, Sequence[int]] = {}
-        ids = []
         for vs in list(pin["cycles"]) + [pin["rim"]]:
             key = tuple(canonical_ring(list(vs)))
             if key not in pool:
                 raise PlanarizationError(
                     f"pinned ring {list(vs)} is not an isometric cycle of the graph"
                 )
-            ids.append(pool[key].id)
-            rings[pool[key].id] = vs
-        cycles, rim = orient_cycles(rings, ids[-1])
+            cid = pool[key].id
+            if cid in rings:
+                raise PlanarizationError(f"pinned ring {list(vs)} is listed twice")
+            rings[cid] = vs
+        cycles, rim = _orient_cycles(rings, cid)  # the rim is listed last
     else:
         rot = _greedy_planar_subgraph(g)
-        faces = trace_faces({v: ns[::-1] for v, ns in rot.items()})
+        faces = trace_faces({v: ns[::-1] for v, ns in enumerate(rot)})
         # a face walks both sides of an edge exactly when it is a bridge,
         # and passes a vertex twice exactly when it is a cut vertex
         bridges, cuts = [], []
@@ -169,21 +165,20 @@ def select_planar_cycle_system(g: Graph, pin: Optional[dict] = None) -> CycleSys
         cycles = {cid: Cycle(cid, arcs) for cid, arcs in enumerate(faces, start=1)}
         rim = cycles.pop(1)  # smallest face doubles as the rim; the sphere has no outside
     sys_ = CycleSystem(n=g.n, cycles=cycles, rim=rim)
-    for s in sys_.segments():
-        if edge_between(g, *s) is None:
-            raise PlanarizationError(f"system uses non-edge ({s[0]},{s[1]})")
     for name, res in verify_system(sys_).checks.items():
         if not res.ok:
             raise PlanarizationError(f"{name} check failed: {res.details[0]}")
     return sys_
 
 
-def _greedy_planar_subgraph(g: Graph) -> Dict[int, List[int]]:
+def _greedy_planar_subgraph(g: Graph) -> List[List[int]]:
     """Clockwise rotation of the maximal planar subgraph kept by trying
-    the edges in edge-id order.
+    the edges in edge-id order, indexed by vertex id (slot 0 empty).
 
     `rot` is a planar rotation system of the kept graph: each vertex's
-    neighbours in cyclic order.  An edge with an isolated end, or whose
+    neighbours in cyclic order.  `rot` and `adj` are lists indexed by
+    vertex id, as the kernel reads them; slot 0 stays empty, an isolated
+    vertex to the kernel.  An edge with an isolated end, or whose
     ends share a face of `rot`, is drawn into that face and kept without
     a test; it cannot break planarity.  Any other edge runs the full
     left-right test of `_lr_rotation` on `adj`, the kept adjacency in
@@ -193,8 +188,8 @@ def _greedy_planar_subgraph(g: Graph) -> Dict[int, List[int]]:
     the order networkx's `LRPlanarity` copies them in, so it is the
     embedding networkx's planarity test gives the kept graph.
     """
-    adj: Dict[int, List[int]] = {v: [] for v in g.vertices}
-    rot: Dict[int, List[int]] = {v: [] for v in g.vertices}
+    adj: List[List[int]] = [[] for _ in range(g.n + 1)]
+    rot: List[List[int]] = [[] for _ in range(g.n + 1)]
     pairs = []
     for _, (u, v) in sorted(g.edges.items()):
         adj[u].append(v)
@@ -207,42 +202,37 @@ def _greedy_planar_subgraph(g: Graph) -> Dict[int, List[int]]:
                 continue
             rot = tested
         pairs.append((u, v))
-    adj = {v: [] for v in g.vertices}
+    adj = [[] for _ in range(g.n + 1)]
     for u, v in sorted(pairs, key=lambda p: p[0]):
         adj[u].append(v)
         adj[v].append(u)
     return _lr_rotation(adj)
 
 
-def _lr_rotation(adj: Dict[int, List[int]]) -> Optional[Dict[int, List[int]]]:
+def _lr_rotation(adj: List[List[int]]) -> Optional[List[List[int]]]:
     """Brandes' left-right planarity test (2009) on a simple graph.
 
-    `adj` lists each vertex's neighbours; their order fixes the
-    depth-first search.  Returns each vertex's neighbours in clockwise
-    order, a plane rotation system, or None when the graph is not planar.
-    The phases are those of networkx's `LRPlanarity`: orientation (DFS
-    heights, lowpoints, nesting depths), testing (a stack of conflict
-    pairs), sign, and embedding.  They run on integer ids: the vertices
-    are relabelled 0..k-1 in `adj`'s order, each edge is numbered in the
-    order the DFS orients it, and every per-edge quantity is a flat list
-    indexed by that number.  The edge v-w met from v is already oriented
-    exactly when w is a finished descendant (higher than v) or the tail
-    of v's tree edge.  A conflict pair is a list [left low, left high,
-    right low, right high] of return edges, -1 standing for no edge and
-    an interval being empty when both its ends are -1.  `lowpt`, `ref`
-    and `side` have one spare slot at index -1, where the writes keyed
-    by no edge land; its lowpoint -1 is below every height, so an empty
-    interval never conflicts.  The embedding phase writes the rotation
-    in `adj`'s own labels.  Every DFS keeps an explicit stack, so no
-    depth of the graph reaches Python's recursion limit.
+    `adj[v]` lists vertex v's neighbours, v in 0..k-1; their order fixes
+    the depth-first search, which starts from each unvisited vertex in
+    id order.  Returns each vertex's neighbours in clockwise order, a
+    plane rotation system indexed the same way, or None when the graph
+    is not planar.  The phases are those of networkx's `LRPlanarity`:
+    orientation (DFS heights, lowpoints, nesting depths), testing (a
+    stack of conflict pairs), sign, and embedding.  Each edge is
+    numbered in the order the DFS orients it, and every per-edge
+    quantity is a flat list indexed by that number.  The edge v-w met
+    from v is already oriented exactly when w is a finished descendant
+    (higher than v) or the tail of v's tree edge.  A conflict pair is a
+    list [left low, left high, right low, right high] of return edges,
+    -1 standing for no edge and an interval being empty when both its
+    ends are -1.  `lowpt`, `ref` and `side` have one spare slot at index
+    -1, where the writes keyed by no edge land; its lowpoint -1 is below
+    every height, so an empty interval never conflicts.  Every DFS keeps
+    an explicit stack, so no depth of the graph reaches Python's
+    recursion limit.
     """
     k = len(adj)
-    m = sum(map(len, adj.values())) // 2
-    if k > 2 and m > 3 * k - 6:
-        return None
-    label = list(adj)
-    index = dict(zip(label, range(k)))
-    nbrs = [list(map(index.__getitem__, ws)) for ws in adj.values()]
+    m = sum(map(len, adj)) // 2
     height = [-1] * k
     up = [-1] * k  # parent vertex and tree edge of each non-root
     parent = [-1] * k
@@ -258,7 +248,7 @@ def _lr_rotation(adj: Dict[int, List[int]]) -> Optional[Dict[int, List[int]]]:
             continue
         height[r] = 0
         roots.append(r)
-        stack = [(r, iter(nbrs[r]))]
+        stack = [(r, iter(adj[r]))]
         while stack:
             v, it = stack[-1]
             hv, uv = height[v], up[v]
@@ -272,7 +262,7 @@ def _lr_rotation(adj: Dict[int, List[int]]) -> Optional[Dict[int, List[int]]]:
                 if hw < 0:
                     lowpt[vw] = lowpt2[vw] = hv
                     up[w], parent[w], height[w] = v, vw, hv + 1
-                    stack.append((w, iter(nbrs[w])))
+                    stack.append((w, iter(adj[w])))
                     break
                 lowpt[vw] = hw
                 nesting[vw] = 2 * hw
@@ -419,7 +409,7 @@ def _lr_rotation(adj: Dict[int, List[int]]) -> Optional[Dict[int, List[int]]]:
     # embedding: out-edges in signed nesting order, clockwise from the
     # leftmost; then each in-edge beside the tree edge its tail hangs from
     order = [sorted(es, key=nesting.__getitem__) for es in out]
-    rot = [[label[head[e]] for e in es] for es in order]
+    rot = [[head[e] for e in es] for es in order]
     left = [-1] * k
     right = [-1] * k
     for r in roots:
@@ -430,21 +420,21 @@ def _lr_rotation(adj: Dict[int, List[int]]) -> Optional[Dict[int, List[int]]]:
                 w = head[e]
                 rw = rot[w]
                 if parent[w] == e:  # tree edge
-                    rw.insert(0, label[v])
-                    left[v] = right[v] = label[w]
+                    rw.insert(0, v)
+                    left[v] = right[v] = w
                     stack.append((w, iter(order[w])))
                     break
                 if side[e] == 1:
-                    rw.insert(rw.index(right[w]) + 1, label[v])
+                    rw.insert(rw.index(right[w]) + 1, v)
                 else:
-                    rw.insert(rw.index(left[w]), label[v])
-                    left[w] = label[v]
+                    rw.insert(rw.index(left[w]), v)
+                    left[w] = v
             else:
                 stack.pop()
-    return dict(zip(label, rot))
+    return rot
 
 
-def _insert_in_shared_face(rot: Dict[int, List[int]], u: int, v: int) -> bool:
+def _insert_in_shared_face(rot: List[List[int]], u: int, v: int) -> bool:
     """Draw the new edge (u, v) into `rot` if that keeps it planar.
 
     That holds when u or v is isolated, or when some face holds both.  A
@@ -504,15 +494,15 @@ def hamiltonian_rim(
                     f"pinned ring pair ({a},{b}) is not an edge of the planar subgraph"
                 )
         return canonical_ring(ring)
-    adj: Dict[int, List[int]] = {v: [] for v in range(1, g.n + 1)}
+    adj: List[List[int]] = [[] for _ in range(g.n + 1)]
     for a, b in segs:
         adj[a].append(b)
         adj[b].append(a)
-    for v in adj:
-        adj[v].sort()
+    for ns in adj:
+        ns.sort()
     # free[v]: neighbours of v not interior to the path.  A vertex off the
     # path needs two of them to lie on the closing cycle.
-    free = {v: len(ns) for v, ns in adj.items()}
+    free = [len(ns) for ns in adj]
     path: List[int] = [1]
     used: Set[int] = {1}
     # steps[i]: the untried successors of path[i], kept on an explicit
@@ -552,7 +542,6 @@ def hamiltonian_rim(
 __all__ = [
     "CycleSystem",
     "PlanarizationError",
-    "orient_cycles",
     "select_planar_cycle_system",
     "hamiltonian_rim",
 ]

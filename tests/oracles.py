@@ -21,7 +21,10 @@ returns that ring with its summands (inside) and the other cycles
 recursed once per path vertex, before `planar.hamiltonian_rim` kept an
 explicit stack.  `lr_rotation_ref` is the left-right planarity kernel
 as it kept every per-edge quantity in dicts keyed by (tail, head)
-tuples, before `planar._lr_rotation` moved to integer ids.
+tuples, before `planar._lr_rotation` moved to integer ids and to lists
+indexed by vertex id; it still takes and returns dicts keyed by vertex,
+so tests compare the two through `dict(enumerate(...))`, and it still
+refuses a graph of more than 3k - 6 edges before its search.
 `strip_imaginary_region_ref` finds the residual regions of a drawing's
 faces free of imaginary vertices by union-find, and each region's ring
 with `boundary_ring_ref`; the package's flood-fill version of it had no

@@ -23,7 +23,7 @@ from test_document import (
     _conn_carrier_off_the_graph,
     _imaginary_entry_dropped,
 )
-from test_planar import K7_TORUS_PIN, K7_TORUS_REFUSAL
+from test_planar import K7_CYCLE_TWICE_PIN, K7_RIM_AS_CYCLE_PIN, K7_TORUS_PIN, K7_TORUS_REFUSAL
 
 
 @pytest.fixture()
@@ -504,6 +504,8 @@ def test_unknown_pin_exits_2(runner, k7_file):
         ('{"system": {"cycles": [[]], "rim": [1, 2, 3]}}', "a ring of 'system' is empty"),
         ('{"system": {"cycles": [[1, 2, 3]], "rim": []}}', "a ring of 'system' is empty"),
         (json.dumps({"system": K7_TORUS_PIN}), K7_TORUS_REFUSAL),
+        (json.dumps({"system": K7_CYCLE_TWICE_PIN}), "is listed twice"),
+        (json.dumps({"system": K7_RIM_AS_CYCLE_PIN}), "is listed twice"),
     ],
     ids=[
         "list",
@@ -519,6 +521,8 @@ def test_unknown_pin_exits_2(runner, k7_file):
         "empty-cycle",
         "empty-rim",
         "toroidal",
+        "cycle-twice",
+        "rim-as-cycle",
     ],
 )
 def test_malformed_pin_exits_2(runner, k7_file, tmp_path, command, text, message):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import sys
 
 import networkx as nx
@@ -21,15 +22,15 @@ from topolayers import planar
 from topolayers.cli import main
 from topolayers.document import decomposition_to_document, verify_document
 from topolayers.cycles import ring_cycle, seg
-from topolayers.graphs import complete_graph, parse_graph, validate_nonseparable
+from topolayers.graphs import complete_graph, format_graph, parse_graph, validate_nonseparable
 from topolayers.layering import decompose, split_regions
 from topolayers.planar import (
     PlanarizationError,
     _greedy_planar_subgraph,
     _insert_in_shared_face,
     _lr_rotation,
+    _orient_cycles,
     hamiltonian_rim,
-    orient_cycles,
     select_planar_cycle_system,
 )
 from topolayers.fixtures import load_fixture
@@ -66,7 +67,7 @@ def test_pinned_k7_system_verifies(k7_system):
 
 def test_orient_cycles_flips_consistently():
     rings = {1: [1, 2, 3], 2: [1, 3, 4], 3: [1, 2, 4], 4: [2, 3, 4]}
-    cycles, rim = orient_cycles(rings, rim_id=4)
+    cycles, rim = _orient_cycles(rings, rim_id=4)
     raw = {cid: c.arcs for cid, c in cycles.items()}
     assert verify_raw(4, raw, (rim.id, rim.arcs)).ok
 
@@ -74,7 +75,7 @@ def test_orient_cycles_flips_consistently():
 def test_orient_cycles_rejects_bad_coverage():
     rings = {1: [1, 2, 3], 2: [1, 3, 4]}
     with pytest.raises(PlanarizationError):
-        orient_cycles(rings, rim_id=2)
+        _orient_cycles(rings, rim_id=2)
 
 
 def test_hamiltonian_rim_pinned(k7, k7_system):
@@ -135,7 +136,7 @@ K7_TORUS_REFUSAL = "euler check failed: 7 - 21 + 14 = 0 != 2"
 
 
 def test_toroidal_pin_is_refused_by_the_euler_check(k7):
-    cycles, rim = orient_cycles(
+    cycles, rim = _orient_cycles(
         dict(enumerate(K7_TORUS_PIN["cycles"] + [K7_TORUS_PIN["rim"]], start=1)), rim_id=14
     )
     raw = {cid: c.arcs for cid, c in cycles.items()}
@@ -144,6 +145,73 @@ def test_toroidal_pin_is_refused_by_the_euler_check(k7):
     with pytest.raises(PlanarizationError) as exc:
         select_planar_cycle_system(k7, K7_TORUS_PIN)
     assert str(exc.value) == K7_TORUS_REFUSAL
+
+
+# K6 on the projective plane: the hemi-icosahedron's ten triangles cover
+# every edge twice, but no orientation makes each edge's two traversals
+# opposite.  The flood fill orients what it reaches and leaves the rest to
+# the verifier, whose Euler check (6 - 15 + 10 = 1) fails first.
+K6_PROJECTIVE_PIN = {
+    "cycles": [
+        [1, 2, 3], [1, 3, 4], [1, 4, 5], [1, 5, 6], [1, 6, 2],
+        [2, 3, 5], [3, 4, 6], [4, 5, 2], [5, 6, 3],
+    ],
+    "rim": [6, 2, 4],
+}
+K6_PROJECTIVE_REFUSAL = "euler check failed: 6 - 15 + 10 = 1 != 2"
+
+# K7's pin with its first cycle listed again, reversed, and with its rim
+# listed among the cycles too.  Either repeat would collapse into one
+# member of the system.
+_K7_PIN = load_fixture("k7")["system"]
+K7_CYCLE_TWICE_PIN = {"cycles": _K7_PIN["cycles"] + [_K7_PIN["cycles"][0][::-1]], "rim": _K7_PIN["rim"]}
+K7_RIM_AS_CYCLE_PIN = {"cycles": _K7_PIN["cycles"] + [_K7_PIN["rim"]], "rim": _K7_PIN["rim"]}
+
+
+@pytest.mark.parametrize(
+    "g,pin,message",
+    [
+        (complete_graph(6), K6_PROJECTIVE_PIN, K6_PROJECTIVE_REFUSAL),
+        (complete_graph(7), K7_CYCLE_TWICE_PIN, "pinned ring [3, 2, 1] is listed twice"),
+        (complete_graph(7), K7_RIM_AS_CYCLE_PIN, "pinned ring [1, 3, 5] is listed twice"),
+        # two K4 surfaces cover their edges twice each, but the flood
+        # fill from the rim never reaches the first
+        (
+            complete_graph(8),
+            {
+                "cycles": [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4], [5, 6, 7], [5, 6, 8], [5, 7, 8]],
+                "rim": [6, 7, 8],
+            },
+            "cycle system is not edge-connected",
+        ),
+        # Q3 numbered in sorted order: v1 = 000 and v4 = 011 are not
+        # adjacent, so 1-2-4 is no cycle of the graph, and a pinned
+        # segment is always an edge
+        (
+            graph_from_networkx(nx.hypercube_graph(3)),
+            {"cycles": [[1, 2, 4, 3]], "rim": [1, 2, 4]},
+            "pinned ring [1, 2, 4] is not an isometric cycle of the graph",
+        ),
+    ],
+    ids=["projective-plane", "cycle-twice", "rim-as-cycle", "two-tetrahedra", "q3-non-edge"],
+)
+def test_a_bad_pin_is_refused_by_name(g, pin, message):
+    with pytest.raises(PlanarizationError) as exc:
+        select_planar_cycle_system(g, pin)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("command", ["decompose", "planarize"])
+def test_cli_refuses_a_non_orientable_pin(tmp_path, command):
+    graph, pin = tmp_path / "k6.txt", tmp_path / "pin.json"
+    graph.write_text(format_graph(complete_graph(6)))
+    pin.write_text(json.dumps({"system": K6_PROJECTIVE_PIN}))
+    args = [command, str(graph), "--pin", str(pin)]
+    if command == "decompose":
+        args += ["-o", str(tmp_path / "out.json")]
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert res.output == f"error: {K6_PROJECTIVE_REFUSAL}\n"
 
 
 # The planar stage's shortcuts against the loops they replaced: the same
@@ -208,10 +276,11 @@ def _cyclic(ns):
 def _assert_planar_stage_matches_loops(g):
     rot = _greedy_planar_subgraph(g)
     ref = greedy_planar_subgraph_ref(g)
-    assert [(v, set(ns)) for v, ns in rot.items()] == [(v, set(nb)) for v, nb in ref.adj.items()]
+    assert rot[0] == []
+    assert [(v, set(ns)) for v, ns in enumerate(rot)][1:] == [(v, set(nb)) for v, nb in ref.adj.items()]
     # the final kernel call is the embedding networkx's test gives ref
     emb = nx.check_planarity(ref)[1].get_data()
-    assert {v: _cyclic(ns) for v, ns in rot.items()} == {v: _cyclic(emb.get(v, [])) for v in ref}
+    assert [_cyclic(ns) for ns in rot[1:]] == [_cyclic(emb.get(v, [])) for v in ref]
     try:
         sys_ = select_planar_cycle_system(g)
     except PlanarizationError:
@@ -276,20 +345,21 @@ def test_pinned_ring_sides_match_gf2(which):
 
 
 def _is_plane_rotation(rot) -> bool:
-    """Euler's formula for the faces traced from a rotation system.
+    """Euler's formula for the faces traced from a rotation system, a
+    list of each vertex's neighbours indexed by vertex id.
 
     With F the faces of the plane drawing (the traced faces, with the
     outer faces of the C_e components that have edges counted once),
     V - E + F = 1 + C holds exactly when every component is embedded in
     the sphere.
     """
-    darts = {(a, b) for a, ns in rot.items() for b in ns}
+    darts = {(a, b) for a, ns in enumerate(rot) for b in ns}
     if any((b, a) not in darts for a, b in darts) or any(
-        len(set(ns)) != len(ns) for ns in rot.values()
+        len(set(ns)) != len(ns) for ns in rot
     ):
         return False
     G = nx.Graph(list(darts))
-    G.add_nodes_from(rot)
+    G.add_nodes_from(range(len(rot)))
     todo, traced = set(darts), 0
     while todo:
         start = a, b = todo.pop()
@@ -385,8 +455,9 @@ def test_hamiltonian_ring_longer_than_the_recursion_limit():
 # vertex's neighbours that traces a plane drawing.
 
 
-def _adjacency(vertices, pairs):
-    adj = {v: [] for v in vertices}
+def _adjacency(k, pairs):
+    """Neighbour lists of vertices 0..k-1, as the kernel reads them."""
+    adj = [[] for _ in range(k)]
     for u, v in pairs:
         adj[u].append(v)
         adj[v].append(u)
@@ -395,23 +466,26 @@ def _adjacency(vertices, pairs):
 
 def _assert_kernel_matches_networkx(adj, rot):
     G = nx.Graph()
-    G.add_nodes_from(adj)
-    G.add_edges_from((u, v) for u, ns in adj.items() for v in ns)
+    G.add_nodes_from(range(len(adj)))
+    G.add_edges_from((u, v) for u, ns in enumerate(adj) for v in ns)
     assert (rot is not None) == nx.check_planarity(G)[0]
     if rot is not None:
-        assert list(rot) == list(adj)
-        assert all(sorted(rot[v]) == sorted(ns) for v, ns in adj.items())
+        assert len(rot) == len(adj)
+        assert all(sorted(r) == sorted(ns) for r, ns in zip(rot, adj))
         assert _is_plane_rotation(rot)
 
 
 @st.composite
 def simple_graphs(draw):
     """Any simple graph on up to 12 vertices, isolated and disconnected
-    ones included, its vertices and edges in a drawn order."""
+    ones included, its edges in a drawn order.  The vertices are drawn
+    in an order too, and the i-th of that order is vertex i, so the
+    drawn order is the order the kernel's search starts from them."""
     vertices = draw(st.permutations(range(1, draw(st.integers(0, 12)) + 1)))
-    pairs = [(u, v) for u in vertices for v in vertices if u < v]
+    index = {v: i for i, v in enumerate(vertices)}
+    pairs = [(index[u], index[v]) for u in vertices for v in vertices if u < v]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=3 * len(vertices))) if pairs else []
-    return _adjacency(vertices, [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges])
+    return _adjacency(len(vertices), [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges])
 
 
 @settings(max_examples=400, deadline=None)
@@ -422,7 +496,7 @@ def test_kernel_matches_networkx_on_drawn_graphs(adj):
 
 @pytest.mark.parametrize("g", _networkx_corpus())
 def test_kernel_matches_networkx_on_generated_graphs(g):
-    adj = _adjacency(g.vertices, g.edges.values())
+    adj = _adjacency(g.n + 1, g.edges.values())
     _assert_kernel_matches_networkx(adj, _lr_rotation(adj))
 
 
@@ -432,8 +506,8 @@ def _kernel_calls(g):
 
     def recorded(adj):
         rot = _lr_rotation(adj)
-        snapshot = None if rot is None else {v: list(ns) for v, ns in rot.items()}
-        calls.append(({v: list(ns) for v, ns in adj.items()}, snapshot))
+        snapshot = None if rot is None else [list(ns) for ns in rot]
+        calls.append(([list(ns) for ns in adj], snapshot))
         return rot
 
     with pytest.MonkeyPatch.context() as mp:
@@ -468,7 +542,7 @@ def _deep_graph(n, planar_end):
     it reaches a K5 on n..n+4 (less one edge when `planar_end`)."""
     pairs = [(i, i + 1) for i in range(1, n)] + [(1, n)]
     k5 = [(a, b) for a in range(n, n + 5) for b in range(a + 1, n + 5)]
-    return _adjacency(range(1, n + 5), pairs + k5[planar_end:])
+    return _adjacency(n + 5, pairs + k5[planar_end:])
 
 
 @pytest.mark.parametrize("planar_end", [True, False], ids=["planar", "k5"])
@@ -482,18 +556,16 @@ def test_kernel_runs_deeper_than_the_recursion_limit(planar_end):
     assert sys.getrecursionlimit() == limit
 
 
-# The kernel against the tuple-keyed kernel it replaced: the same answer
-# exactly, None or each vertex's clockwise neighbours with the vertices in
-# the same order.  The networkx comparisons above check only the decision
-# and that the rotation is plane, while the final embedding, and so every
-# document, depends on the exact rotation.
+# The kernel against the tuple-keyed kernel it replaced, which takes and
+# returns dicts keyed by vertex: the same answer exactly, None or each
+# vertex's clockwise neighbours.  The networkx comparisons above check
+# only the decision and that the rotation is plane, while the final
+# embedding, and so every document, depends on the exact rotation.
 
 
 def _assert_kernel_matches_oracle(adj, rot):
-    want = lr_rotation_ref(adj)
-    assert rot == want
-    if rot is not None:
-        assert list(rot) == list(want)
+    want = lr_rotation_ref(dict(enumerate(adj)))
+    assert (None if rot is None else dict(enumerate(rot))) == want
 
 
 @settings(max_examples=400, deadline=None)
@@ -504,7 +576,7 @@ def test_kernel_matches_the_oracle_on_drawn_graphs(adj):
 
 @pytest.mark.parametrize("g", _networkx_corpus())
 def test_kernel_matches_the_oracle_on_generated_graphs(g):
-    adj = _adjacency(g.vertices, g.edges.values())
+    adj = _adjacency(g.n + 1, g.edges.values())
     _assert_kernel_matches_oracle(adj, _lr_rotation(adj))
 
 
@@ -556,7 +628,7 @@ def test_a_bridge_of_the_planar_subgraph_is_named():
     g = parse_graph(RR4_16_S1)
     assert len(g.edges) == 32 and validate_nonseparable(g).ok
     rot = _greedy_planar_subgraph(g)
-    kept = nx.Graph((u, v) for u, ns in rot.items() for v in ns)
+    kept = nx.Graph((u, v) for u, ns in enumerate(rot) for v in ns)
     assert sorted(tuple(sorted(e)) for e in nx.bridges(kept)) == [(1, 16), (9, 14)]
     with pytest.raises(PlanarizationError) as exc:
         select_planar_cycle_system(g)
