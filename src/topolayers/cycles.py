@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-import networkx as nx
-
 from .graphs import Graph, edge_between
 
 Arc = Tuple[int, int]
@@ -79,13 +77,22 @@ def walk(segs: Iterable[Segment], start: int, stop: int) -> Optional[List[int]]:
     for a, b in segs:
         adj.setdefault(a, []).append(b)
         adj.setdefault(b, []).append(a)
-    path, prev = [start], None
-    while path[-1] != stop:
-        step = [w for w in adj.get(path[-1], ()) if w != prev]
-        if len(step) != 1:
-            return None
-        prev = path[-1]
-        path.append(step[0])
+    path, prev, cur = [start], None, start
+    while cur != stop:
+        nbrs = adj.get(cur, ())
+        if len(nbrs) == 2:
+            # the common case, a vertex inside the path: exactly one of
+            # its two neighbours must be the one it was entered from
+            a, b = nbrs
+            if (a == prev) == (b == prev):
+                return None
+            prev, cur = cur, b if a == prev else a
+        else:
+            step = [w for w in nbrs if w != prev]
+            if len(step) != 1:
+                return None
+            prev, cur = cur, step[0]
+        path.append(cur)
     return path
 
 
@@ -105,6 +112,8 @@ def enumerate_isometric_cycles(g: Graph) -> List[Cycle]:
     An isometric cycle is never longer than 2*diam(G)+1, which bounds the
     simple-cycle enumeration.
     """
+    import networkx as nx  # here, so `verify` and `render` never load it
+
     G = nx.Graph()
     G.add_nodes_from(g.vertices)
     G.add_edges_from(g.edges.values())

@@ -27,6 +27,7 @@ from itertools import chain, compress, repeat
 from operator import itemgetter
 from typing import Dict, List, Optional
 
+from .cycles import walk
 from .layering import Decomposition
 from .planar import CycleSystem
 from .verify import (
@@ -413,10 +414,13 @@ def _raw_system(sj: dict):
 def _check_carrier_table(doc: dict, table: SegmentTable) -> CheckResult:
     """The carrier rows list each segment of the final layer's `table`
     once; every carrier, of a row or of an imaginary entry, is a graph
-    edge that is not a chord, or a chord's ends; and the imaginary
-    entries list each vertex above n of the final layer once."""
+    edge that is not a chord, or a chord's ends; the rows of each such
+    carrier walk one path between its ends, as the renderer walks them;
+    and the imaginary entries list each vertex above n of the final layer
+    once."""
     chords = doc["chords"]
-    plain = {eid for eid, _, _ in doc["graph"]["edges"]}.difference([eid for eid, _, _ in chords])
+    ends_of = {eid: (u, v) for eid, u, v in doc["graph"]["edges"]}
+    plain = set(ends_of).difference([eid for eid, _, _ in chords])
     conns = {(u, v) if u < v else (v, u) for _, u, v in chords}
     rows = doc["carrier"]
     listed = Counter([(a, b) for a, b, _, _ in rows])
@@ -426,11 +430,24 @@ def _check_carrier_table(doc: dict, table: SegmentTable) -> CheckResult:
             bad.append(f"segment ({a},{b}) has {listed[a, b]} carrier rows")
         else:
             bad.append(f"carrier row ({a},{b}) is not a segment of the final layer")
-    carriers = [row[2:] for row in rows] + [entry["carrier"] for entry in doc["imaginary"]]
-    edges = {ref for kind, ref in carriers if kind == "edge"}
-    ends = {(ref[0], ref[1]) for kind, ref in carriers if kind == "conn"}
+    groups: Dict[tuple, list] = {}
+    for a, b, kind, ref in rows:
+        groups.setdefault((kind, ref if kind == "edge" else tuple(ref)), []).append((a, b))
+    keys = set(groups).union(
+        (kind, ref if kind == "edge" else tuple(ref))
+        for kind, ref in (entry["carrier"] for entry in doc["imaginary"])
+    )
+    edges = {ref for kind, ref in keys if kind == "edge"}
+    ends = {ref for kind, ref in keys if kind == "conn"}
     bad += [f"carrier edge {e} is not a graph edge outside the chords" for e in sorted(edges - plain)]
     bad += [f"carrier connection ({u},{v}) is not a chord's ends" for u, v in sorted(ends - conns)]
+    for (kind, ref), segs in sorted(groups.items()):
+        if ref in (plain if kind == "edge" else conns):
+            u, v = ends_of[ref] if kind == "edge" else ref
+            path = walk(segs, min(u, v), max(u, v))
+            if path is None or len(path) != len(segs) + 1:
+                name = f"edge {ref}" if kind == "edge" else f"connection ({u},{v})"
+                bad.append(f"carrier {name} is not a path")
     n = doc["graph"]["n"]
     ids = Counter([entry["id"] for entry in doc["imaginary"]])
     drawn = {v for v in chain.from_iterable(table) if v > n}

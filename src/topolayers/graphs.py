@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import networkx as nx
-
 
 class GraphInputError(ValueError):
     """Raised for malformed edge-list input; message names the line."""
@@ -142,6 +140,8 @@ def validate_nonseparable(g: Graph) -> NonseparabilityReport:
     an edge that forms a biconnected component on its own.  Violations
     are reported, not raised; pipeline entry points decide.
     """
+    import networkx as nx  # here, so `verify` and `render` never load it
+
     G = nx.Graph()
     G.add_nodes_from(g.vertices)
     G.add_edges_from(g.edges.values())

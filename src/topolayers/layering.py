@@ -61,11 +61,10 @@ def _flood(drawing: Drawing, start: int, cut: Set[Segment]) -> Set[int]:
     seen = {start}
     stack = [start]
     while stack:
-        for s in drawing.faces[stack.pop()].segments - cut:
-            for fid in drawing.segment_faces[s]:
-                if fid not in seen:
-                    seen.add(fid)
-                    stack.append(fid)
+        for fid in drawing.neighbours(stack.pop(), cut):
+            if fid not in seen:
+                seen.add(fid)
+                stack.append(fid)
     return seen
 
 
@@ -139,8 +138,7 @@ def _route_greedy(
         eid, r = best
         dirty = set(r)
         for fid in r:
-            for s in drawing.faces[fid].segments:
-                dirty |= drawing.segment_faces[s]
+            dirty.update(drawing.neighbours(fid))
         insert_connection(drawing, *pool[eid], r)
         done.append(eid)
         routes = {k: q for k, q in routes.items() if k != eid and q[1].isdisjoint(dirty)}
@@ -269,7 +267,7 @@ def decompose(
     while remaining:
         if len(layers) == _MAX_LAYERS:
             raise DecompositionError("layer budget exhausted")
-        drawing.banned.clear()
+        drawing.clear_bans()
         if planned:
             routed = _replay_layer(drawing, planned.pop(0), remaining)
         else:

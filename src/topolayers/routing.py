@@ -6,16 +6,21 @@ vertex that subdivides it, and every face along the route splits in two.
 The drawing is kept as a sphere: the faces of the current system plus the
 rim face, each a simple oriented cycle, every edge on exactly two faces.
 
-A Drawing indexes its faces by segment and by vertex, and
-`insert_connection` keeps both indexes in step as faces split.  It also
-caches each face's conjugate links, sorted and unfiltered, in `links`;
-adding or removing a face drops the entries of every face that shares a
-segment with it, so an entry always equals a fresh computation.  A route
-query reads the cached lists in place and applies the filter during the
-search: it tests each link against its face set, the ban set and the
-chord's endpoints as it reaches that link, copies no list, and stops once
-the search has reached the nearest face holding the source vertex, so it
-never builds the whole mixed cycle graph.
+A Drawing numbers each segment when it is created and keeps its face
+index in tables indexed by that id: two face slots per segment, each
+face's segment ids aligned with its arcs, and a ban flag per segment.
+`insert_connection` keeps them in step as faces split.  Since a segment
+has two slots, a split face is removed before its two halves are added.
+The drawing also caches each face's conjugate links, sorted (face,
+segment id) pairs, unfiltered, in `links`; adding or removing a face
+drops the entries of every face that shares a segment with it, so an
+entry always equals a fresh computation.  A route query copies the ban
+flags once, flags the segments at the chord's ends, and labels faces by
+distance in a list indexed by face id.  It reads the cached lists in
+place, tests each link as it reaches it, and stops once the search has
+reached the nearest face holding the source vertex, so it never builds
+the whole mixed cycle graph.  Code outside this module reads the tables
+only through Drawing's methods.
 
 `shortest_route` can report in `seen` every face whose links it read,
 with the faces holding the chord's endpoints.  Its answer depends on
@@ -30,7 +35,7 @@ segments that carry it by `carrier_path`, which walks them with
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -52,60 +57,134 @@ class Drawing:
     rim_id: Optional[int]  # id of the face playing the drawing rim, if intact
     carrier: Dict[Segment, Carrier]
     side: Dict[int, str] = field(default_factory=dict)  # "inner" / "outer"
-    banned: Set[Segment] = field(default_factory=set)
     next_cycle_id: int = 0
     next_vertex_id: int = 0
     routed: List[Tuple[int, int]] = field(default_factory=list)
     imaginary: Dict[int, dict] = field(default_factory=dict)
-    # Face ids on each segment and at each vertex.  Built from `faces`
-    # here; insert_connection, the only code that changes faces, keeps
-    # them in step through _add_face and _remove_face.
-    segment_faces: Dict[Segment, Set[int]] = field(init=False, repr=False, compare=False)
+    # Segment ids, given once when a segment is created and never reused:
+    # `seg_id` maps each live segment to its id, `seg_ends[sid]` is the
+    # segment, and `seg_faces[2*sid : 2*sid + 2]` holds the ids of the at
+    # most two faces on it, -1 for an empty slot.  `banned[sid]` flags a
+    # segment no route may cross.
+    seg_id: Dict[Segment, int] = field(init=False, repr=False, compare=False)
+    seg_ends: List[Segment] = field(init=False, repr=False, compare=False)
+    seg_faces: List[int] = field(init=False, repr=False, compare=False)
+    banned: bytearray = field(init=False, repr=False, compare=False)
+    # Indexed by face id: the face's segment ids, aligned with its arcs,
+    # or None for a face no longer drawn.
+    face_segs: List[Optional[List[int]]] = field(init=False, repr=False, compare=False)
+    # Face ids at each vertex.  insert_connection, the only code that
+    # changes faces, keeps this and the tables above in step through
+    # _remove_face and _add_face.
     vertex_faces: Dict[int, Set[int]] = field(init=False, repr=False, compare=False)
-    # Conjugate links of each face, sorted and unfiltered, filled on
-    # demand by _cached_links.  An entry depends only on the face and
-    # the faces sharing its segments, so _add_face and _remove_face drop
-    # the entries of those faces.
-    links: Dict[int, List[Tuple[int, Segment]]] = field(init=False, repr=False, compare=False)
+    # Indexed by face id: the face's conjugate links as sorted (face,
+    # segment id) pairs, unfiltered, or None until _cached_links fills
+    # it.  An entry depends only on the face and the faces sharing its
+    # segments, so _add_face and _remove_face drop the entries of those
+    # faces.
+    links: List[Optional[List[Tuple[int, int]]]] = field(init=False, repr=False, compare=False)
     # The segments each carrier key holds: `carrier` inverted, kept in
     # step by _carry and _uncarry.
     carried: Dict[Carrier, Set[Segment]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.segment_faces = {}
+        self.seg_id = {}
+        self.seg_ends = []
+        self.seg_faces = []
+        self.banned = bytearray()
+        self.face_segs = []
         self.vertex_faces = {}
-        self.links = {}
+        self.links = []
         self.carried = {}
-        for fid, c in self.faces.items():
-            self._index(fid, c)
+        for c in list(self.faces.values()):
+            sids = []
+            for a, b in c.arcs:
+                sid = self.seg_id.get(seg(a, b))
+                sids.append(self._new_segment(a, b) if sid is None else sid)
+            self._add_face(c, sids)
         for s, key in self.carrier.items():
             self.carried.setdefault(key, set()).add(s)
 
-    def _index(self, fid: int, c: Cycle) -> None:
-        for s in c.segments:
-            self.segment_faces.setdefault(s, set()).add(fid)
-        for v in c.vertices:
+    def _new_segment(self, a: int, b: int) -> int:
+        s = seg(a, b)
+        sid = len(self.seg_ends)
+        self.seg_id[s] = sid
+        self.seg_ends.append(s)
+        self.seg_faces += (-1, -1)
+        self.banned.append(0)
+        return sid
+
+    def _forget_links(self, fid: int) -> None:
+        """Drop the cached links of face fid and of every face sharing a segment with it."""
+        sf = self.seg_faces
+        for sid in self.face_segs[fid]:
+            for other in sf[2 * sid], sf[2 * sid + 1]:
+                if other >= 0:
+                    self.links[other] = None
+
+    def _add_face(self, c: Cycle, sids: List[int]) -> None:
+        """Draw face c, whose arcs lie on segments `sids` in order."""
+        fid = c.id
+        self.faces[fid] = c
+        if fid >= len(self.face_segs):
+            grow = fid + 1 - len(self.face_segs)
+            self.face_segs += [None] * grow
+            self.links += [None] * grow
+        self.face_segs[fid] = sids
+        sf = self.seg_faces
+        for sid in sids:
+            k = 2 * sid if sf[2 * sid] < 0 else 2 * sid + 1
+            if sf[k] >= 0:
+                a, b = self.seg_ends[sid]
+                raise RoutingError(f"segment ({a},{b}) would lie on three faces")
+            sf[k] = fid
+        for v, _ in c.arcs:
             self.vertex_faces.setdefault(v, set()).add(fid)
-
-    def _forget_links(self, c: Cycle) -> None:
-        """Drop the cached links of c and of every face sharing a segment with it."""
-        for s in c.segments:
-            for fid in self.segment_faces[s]:
-                self.links.pop(fid, None)
-
-    def _add_face(self, c: Cycle) -> None:
-        self.faces[c.id] = c
-        self._index(c.id, c)
-        self._forget_links(c)
+        self._forget_links(fid)
 
     def _remove_face(self, fid: int) -> None:
         c = self.faces.pop(fid)
-        self._forget_links(c)
-        for index, keys in ((self.segment_faces, c.segments), (self.vertex_faces, c.vertices)):
-            for key in keys:
-                index[key].discard(fid)
-                if not index[key]:
-                    del index[key]
+        self._forget_links(fid)
+        sf = self.seg_faces
+        for sid in self.face_segs[fid]:
+            sf[2 * sid if sf[2 * sid] == fid else 2 * sid + 1] = -1
+        self.face_segs[fid] = None
+        for v, _ in c.arcs:
+            here = self.vertex_faces[v]
+            here.discard(fid)
+            if not here:
+                del self.vertex_faces[v]
+
+    def neighbours(self, fid: int, cut: Set[Segment] = frozenset()) -> List[int]:
+        """The faces across each segment of face fid that is not in `cut`."""
+        sf, ends = self.seg_faces, self.seg_ends
+        out = []
+        for sid in self.face_segs[fid]:
+            if ends[sid] not in cut:
+                a = sf[2 * sid]
+                other = sf[2 * sid + 1] if a == fid else a
+                if other >= 0:
+                    out.append(other)
+        return out
+
+    def _faces_on(self, s: Segment) -> List[int]:
+        """Sorted ids of the faces on segment s."""
+        sid = self.seg_id.get(s)
+        if sid is None:
+            return []
+        return sorted(f for f in self.seg_faces[2 * sid : 2 * sid + 2] if f >= 0)
+
+    def _conjugate(self, a: int, b: int) -> int:
+        """The id of the single segment that faces a and b share."""
+        sf = self.seg_faces
+        shared = [sid for sid in self.face_segs[a] if b in (sf[2 * sid], sf[2 * sid + 1])]
+        if len(shared) != 1:
+            raise RoutingError(f"c{a} and c{b} share {len(shared)} edges, not conjugate")
+        return shared[0]
+
+    def clear_bans(self) -> None:
+        """Let routes cross every segment again, as a new layer starts."""
+        self.banned = bytearray(len(self.seg_ends))
 
     def _carry(self, s: Segment, key: Carrier) -> None:
         self.carrier[s] = key
@@ -146,16 +225,6 @@ class Drawing:
         return CycleSystem(n=self.g.n, cycles=faces, rim=rim)
 
 
-def conjugate_edge(c1: Cycle, c2: Cycle) -> Segment:
-    """The single shared edge of two conjugate cycles."""
-    shared = c1.segments & c2.segments
-    if len(shared) != 1:
-        raise RoutingError(
-            f"c{c1.id} and c{c2.id} share {len(shared)} edges, not conjugate"
-        )
-    return next(iter(shared))
-
-
 @dataclass
 class MixedCycleGraph:
     """Cycle nodes joined by unbanned conjugate edges, plus vertex incidences."""
@@ -164,56 +233,31 @@ class MixedCycleGraph:
     vertex_faces: Dict[int, List[int]]
 
 
-def _cached_links(drawing: Drawing, fid: int) -> List[Tuple[int, Segment]]:
-    """Sorted (face, shared edge) for each face conjugate to face fid.
+def _cached_links(drawing: Drawing, fid: int) -> List[Tuple[int, int]]:
+    """Sorted (face, segment id) for each face conjugate to face fid.
 
-    An edge counts when exactly two faces hold it and it is the only edge
-    the two faces share.  The list is the drawing's cached one, unfiltered:
-    callers test each link with `_usable` and must not change it.
+    A segment counts when two faces hold it and the other face occurs on
+    no other segment of fid: the two faces share that segment alone.  The
+    list is the drawing's cached one, unfiltered: callers test each link
+    themselves and must not change it.
     """
-    links = drawing.links.get(fid)
+    links = drawing.links[fid]
     if links is None:
-        face = drawing.faces[fid]
-        links = []
-        for s in face.segments:
-            who = drawing.segment_faces[s]
-            if len(who) != 2:
-                continue
-            a, b = who
-            nb = a if b == fid else b
-            if len(face.segments & drawing.faces[nb].segments) == 1:
-                links.append((nb, s))
-        links.sort()
+        sf = drawing.seg_faces
+        across = [
+            (sf[2 * sid + 1] if sf[2 * sid] == fid else sf[2 * sid], sid)
+            for sid in drawing.face_segs[fid]
+        ]
+        across.sort()
+        nbs = [nb for nb, _ in across]
+        links = [p for p in across if p[0] >= 0 and nbs.count(p[0]) == 1]
         drawing.links[fid] = links
     return links
-
-
-def _usable(
-    nb: int,
-    s: Segment,
-    face_ids: Optional[Set[int]],
-    banned: Set[Segment],
-    avoid: Tuple[int, ...],
-) -> bool:
-    """A cached link to face nb over edge s may be crossed.
-
-    Only faces in face_ids count (every face when None), and the edge must
-    be unbanned and touch no vertex in `avoid`.  The face the link leaves
-    is in face_ids already: every drawing edge lies on exactly two faces,
-    so only the other face needs the test.
-    """
-    return (
-        (face_ids is None or nb in face_ids)
-        and s not in banned
-        and s[0] not in avoid
-        and s[1] not in avoid
-    )
 
 
 def build_mixed_cycle_graph(
     drawing: Drawing,
     face_ids: Optional[Set[int]] = None,
-    banned: Optional[Set[Segment]] = None,
     avoid_vertices: Sequence[int] = (),
 ) -> MixedCycleGraph:
     """The whole mixed cycle graph over face_ids (every face when None).
@@ -221,11 +265,14 @@ def build_mixed_cycle_graph(
     `shortest_route` reads the same links face by face instead.
     """
     ids = set(drawing.faces) if face_ids is None else set(face_ids)
-    if banned is None:
-        banned = drawing.banned
-    avoid = tuple(avoid_vertices)
+    avoid = set(avoid_vertices)
+    banned, ends = drawing.banned, drawing.seg_ends
     links = {
-        fid: [(nb, s) for nb, s in _cached_links(drawing, fid) if _usable(nb, s, ids, banned, avoid)]
+        fid: [
+            (nb, ends[sid])
+            for nb, sid in _cached_links(drawing, fid)
+            if nb in ids and not banned[sid] and avoid.isdisjoint(ends[sid])
+        ]
         for fid in ids
     }
     vertex_faces: Dict[int, List[int]] = {}
@@ -265,38 +312,51 @@ def shortest_route(
     seen |= targets
     if not sources or not targets:
         return None
-    banned = drawing.banned
-    avoid = (s, t)
+    banned, cache = drawing.banned, drawing.links
 
     # Backward BFS from the target faces, then a greedy lex-smallest
     # forward walk.  The walk reads distances up to that of the nearest
     # source face only, so the search stops once that level is complete.
+    # A link over an edge at s or t joins two faces that both hold that
+    # vertex.  At t both are targets, at distance 0 from the start, so
+    # neither search step crosses it.  At s both are sources: the BFS
+    # stops before it reads a source's links, and the walk starts at a
+    # source and steps only to faces nearer t, none of them a source.
+    # So testing the ban flag is enough.
     level = 0 if sources & targets else None
-    dist = {fid: 0 for fid in targets}
-    q = deque(sorted(targets))
-    while q:
-        fid = q.popleft()
+    dist = [-1] * drawing.next_cycle_id
+    q = sorted(targets)
+    for fid in q:
+        dist[fid] = 0
+    for fid in q:
         d = dist[fid]
-        if level is not None and d >= level:
+        if d == level:
             break
-        seen.add(fid)
-        for nb, sg in _cached_links(drawing, fid):
-            if nb not in dist and _usable(nb, sg, ids, banned, avoid):
+        links = cache[fid]
+        if links is None:
+            links = _cached_links(drawing, fid)
+        for nb, sid in links:
+            if dist[nb] < 0 and not banned[sid] and (ids is None or nb in ids):
                 dist[nb] = d + 1
                 q.append(nb)
                 if level is None and nb in sources:
                     level = d + 1
     if level is None:
+        seen.update(q)
         return None
-    cur = min(fid for fid in sources if dist.get(fid) == level)
+    # q runs in order of distance; the faces before the first one at
+    # `level` had their links read
+    seen.update(q[: bisect_left(q, level, key=dist.__getitem__)])
+    cur = min(fid for fid in sources if dist[fid] == level)
     route = [cur]
     while dist[cur] > 0:
         d = dist[cur] - 1
         seen.add(cur)
-        cur = min(
+        # the links are sorted by face id, so the first fit is the smallest
+        cur = next(
             nb
-            for nb, sg in _cached_links(drawing, cur)
-            if dist.get(nb) == d and _usable(nb, sg, ids, banned, avoid)
+            for nb, sid in _cached_links(drawing, cur)
+            if dist[nb] == d and not banned[sid] and (ids is None or nb in ids)
         )
         route.append(cur)
     return route
@@ -321,8 +381,7 @@ def route_from_conjugates(
         return both
     route: List[int] = []
     for a, b in conjugates:
-        sg = seg(a, b)
-        who = sorted(drawing.segment_faces.get(sg, ()))
+        who = drawing._faces_on(seg(a, b))
         if len(who) != 2:
             raise RoutingError(f"pinned conjugate ({a},{b}) lies on {len(who)} faces")
         if not route:
@@ -365,23 +424,27 @@ def insert_connection(drawing: Drawing, s: int, t: int, route: Sequence[int]) ->
         raise RoutingError(f"({s},{t}) is already an edge of the drawing")
     if len(set(route)) != len(route):
         raise RoutingError("route revisits a face")
-    if s not in drawing.faces[route[0]].vertices:
+    faces = drawing.faces
+    missing = [fid for fid in route if fid not in faces]
+    if missing:
+        raise RoutingError(f"route face c{missing[0]} is not in the drawing")
+    if s not in faces[route[0]].vertices:
         raise RoutingError(f"v{s} is not on the first route face c{route[0]}")
-    if t not in drawing.faces[route[-1]].vertices:
+    if t not in faces[route[-1]].vertices:
         raise RoutingError(f"v{t} is not on the last route face c{route[-1]}")
-    conjs = [
-        conjugate_edge(drawing.faces[a], drawing.faces[b])
-        for a, b in zip(route, route[1:])
-    ]
-    for cs in conjs:
-        if cs in drawing.banned:
+    conjs = [drawing._conjugate(a, b) for a, b in zip(route, route[1:])]
+    ends = drawing.seg_ends
+    for sid in conjs:
+        cs = ends[sid]
+        if drawing.banned[sid]:
             raise RoutingError(f"conjugate edge ({cs[0]},{cs[1]}) is banned")
         if s in cs or t in cs:
             raise RoutingError("degenerate crossing")
 
     chord_key = seg(s, t)
     ws = []
-    for cs in conjs:
+    for sid in conjs:
+        cs = ends[sid]
         w = drawing.next_vertex_id
         drawing.next_vertex_id += 1
         ws.append(w)
@@ -390,47 +453,51 @@ def insert_connection(drawing: Drawing, s: int, t: int, route: Sequence[int]) ->
             "carrier": drawing.carrier[cs],
             "chord": chord_key,
         }
-    work = {fid: list(drawing.faces[fid].arcs) for fid in route}
-    for i, cs in enumerate(conjs):
+    # Each route face's arcs and their segment ids, split in step.
+    work = {fid: (list(faces[fid].arcs), list(drawing.face_segs[fid])) for fid in route}
+    for i, sid in enumerate(conjs):
         w = ws[i]
+        x, y = cs = ends[sid]
+        lo, hi = drawing._new_segment(x, w), drawing._new_segment(w, y)
         for fid in (route[i], route[i + 1]):
-            arcs = work[fid]
-            for k, (a, b) in enumerate(arcs):
-                if seg(a, b) == cs:
-                    arcs[k : k + 1] = [(a, w), (w, b)]
-                    break
-            else:
-                raise RoutingError("conjugate edge missing from route face")
+            arcs, sids = work[fid]
+            k = sids.index(sid)
+            a, b = arcs[k]
+            arcs[k : k + 1] = [(a, w), (w, b)]
+            sids[k : k + 1] = [lo, hi] if a == x else [hi, lo]
         ck = drawing._uncarry(cs)
-        drawing._carry(seg(cs[0], w), ck)
-        drawing._carry(seg(w, cs[1]), ck)
-        drawing.banned.discard(cs)
+        drawing._carry(ends[lo], ck)
+        drawing._carry(ends[hi], ck)
+        # the subdivided segment's slots empty as its two faces are removed
+        del drawing.seg_id[cs]
 
     for k, fid in enumerate(route):
         entry = s if k == 0 else ws[k - 1]
         exit_ = ws[k] if k < len(ws) else t
         if entry == exit_:
             raise RoutingError("degenerate crossing")
-        arcs = work[fid]
-        verts = [a for a, _ in arcs]
-        arcs = arcs[verts.index(entry):] + arcs[: verts.index(entry)]
+        arcs, sids = work[fid]
+        i = [a for a, _ in arcs].index(entry)
+        arcs, sids = arcs[i:] + arcs[:i], sids[i:] + sids[:i]
         j = [a for a, _ in arcs].index(exit_)
-        path1, path2 = arcs[:j], arcs[j:]
+        conn = drawing._new_segment(entry, exit_)
         a_id = drawing.next_cycle_id
         b_id = drawing.next_cycle_id + 1
         drawing.next_cycle_id += 2
-        drawing._add_face(Cycle(a_id, tuple(path1) + ((exit_, entry),)))
-        drawing._add_face(Cycle(b_id, ((entry, exit_),) + tuple(path2)))
+        # a segment has two face slots, so the face goes before its halves
+        # take its segments
+        drawing._remove_face(fid)
+        drawing._add_face(Cycle(a_id, tuple(arcs[:j]) + ((exit_, entry),)), sids[:j] + [conn])
+        drawing._add_face(Cycle(b_id, ((entry, exit_),) + tuple(arcs[j:])), [conn] + sids[j:])
         tag = drawing.side.get(fid)
         if tag is not None:
             drawing.side[a_id] = tag
             drawing.side[b_id] = tag
-        drawing._remove_face(fid)
         drawing.side.pop(fid, None)
         if drawing.rim_id == fid:
             drawing.rim_id = None
-        drawing._carry(seg(entry, exit_), ("conn", chord_key))
-        drawing.banned.add(seg(entry, exit_))
+        drawing._carry(ends[conn], ("conn", chord_key))
+        drawing.banned[conn] = 1
     drawing.routed.append((s, t))
     return InsertionRecord(chord=(s, t), route=route, imaginary_ids=ws)
 
@@ -468,7 +535,6 @@ __all__ = [
     "MixedCycleGraph",
     "InsertionRecord",
     "RoutingError",
-    "conjugate_edge",
     "build_mixed_cycle_graph",
     "shortest_route",
     "route_from_conjugates",

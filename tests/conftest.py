@@ -75,6 +75,16 @@ def k16_unpinned_decomposition():
 
 
 @pytest.fixture(scope="session")
+def k18_unpinned_decomposition():
+    return decompose(complete_graph(18))
+
+
+@pytest.fixture(scope="session")
+def k20_unpinned_decomposition():
+    return decompose(complete_graph(20))
+
+
+@pytest.fixture(scope="session")
 def q4_decomposition():
     return decompose(graph_from_networkx(nx.hypercube_graph(4), name="Q4"))
 

@@ -45,26 +45,35 @@ every layer's arcs twice and the final layer's once more, and
 `check_connection_realization_ref` rebuilds that layer's segments.  The
 package versions must return exactly what these return.
 `graph_from_networkx` builds test inputs the way the benchmark corpus
-does.
+does.  `TupleDrawing` is `routing.Drawing` as it indexed faces by
+segment tuple, with dicts of sets and a set of banned segments;
+`shortest_route_tuple_ref`, `insert_connection_tuple_ref` and
+`conjugate_edge` are the search, insertion and shared-edge lookup that
+ran on it, before the drawing moved to integer segment ids.  The other
+references read a drawing's faces only, and rebuild its segment and
+vertex indexes with `face_indexes`; `banned_segments` names the segments
+its ban flags mark.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 from collections import deque
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
-from topolayers.cycles import Segment, canonical_ring, seg
+from topolayers.cycles import Cycle, Segment, canonical_ring, seg
 from topolayers.document import _check_cycle_ids
 from topolayers.graphs import Graph, parse_graph
 from topolayers.layering import DecompositionError
 from topolayers.planar import CycleSystem, PlanarizationError
 from topolayers.projection import Basis, ProjectionError, chords_cross, project_chord
 from topolayers.render import RenderError, _carrier_key, _carrier_paths
-from topolayers.routing import RoutingError, insert_connection
+from topolayers.routing import Carrier, InsertionRecord, RoutingError, insert_connection
 from topolayers.verify import (
     CheckResult,
     VerificationReport,
@@ -151,7 +160,7 @@ def mixed_cycle_graph_ref(
     if face_ids is None:
         face_ids = set(drawing.faces)
     if banned is None:
-        banned = drawing.banned
+        banned = banned_segments(drawing)
     avoid = set(avoid_vertices)
     by_seg: Dict[Segment, List[int]] = {}
     for fid in sorted(face_ids):
@@ -207,6 +216,7 @@ def shortest_route_ref(drawing, s: int, t: int, face_ids: Optional[Set[int]] = N
 
 def conjugate_links_ref(
     drawing,
+    by_seg: Dict[Segment, Set[int]],
     fid: int,
     face_ids: Optional[Set[int]],
     banned: Set[Segment],
@@ -214,11 +224,12 @@ def conjugate_links_ref(
 ) -> List[Tuple[int, Segment]]:
     """A fresh filtered list of face fid's sorted conjugate links, as
     routing built one for every face a query read before it filtered the
-    cached lists in place.  It leaves the drawing's link cache alone."""
+    cached lists in place.  `by_seg` is `face_indexes(drawing)[0]`; the
+    drawing's own tables and link cache are left alone."""
     face = drawing.faces[fid]
     links = []
     for s in face.segments:
-        who = drawing.segment_faces[s]
+        who = by_seg[s]
         if len(who) != 2:
             continue
         a, b = who
@@ -250,8 +261,10 @@ def shortest_route_copying_ref(
     if seg(s, t) in drawing.carrier:
         raise RoutingError(f"({s},{t}) is already an edge of the drawing")
     ids = None if face_ids is None else set(face_ids)
-    sources = {f for f in drawing.vertex_faces.get(s, ()) if ids is None or f in ids}
-    targets = {f for f in drawing.vertex_faces.get(t, ()) if ids is None or f in ids}
+    by_seg, by_vertex = face_indexes(drawing)
+    banned = banned_segments(drawing)
+    sources = {f for f in by_vertex.get(s, ()) if ids is None or f in ids}
+    targets = {f for f in by_vertex.get(t, ()) if ids is None or f in ids}
     if seen is None:
         seen = set()
     seen |= sources
@@ -262,7 +275,7 @@ def shortest_route_copying_ref(
 
     def links_of(fid: int) -> List[Tuple[int, Segment]]:
         if fid not in links:
-            links[fid] = conjugate_links_ref(drawing, fid, ids, drawing.banned, (s, t))
+            links[fid] = conjugate_links_ref(drawing, by_seg, fid, ids, banned, (s, t))
             seen.add(fid)
         return links[fid]
 
@@ -308,6 +321,11 @@ def route_greedy_ref(drawing, pool: Dict[int, Tuple[int, int]], side: Optional[s
         done.append(eid)
 
 
+def banned_segments(drawing) -> Set[Segment]:
+    """The segments a drawing's ban flags mark, by their ends."""
+    return {drawing.seg_ends[sid] for sid, flag in enumerate(drawing.banned) if flag}
+
+
 def face_indexes(drawing) -> Tuple[Dict[Segment, Set[int]], Dict[int, Set[int]]]:
     """Segment -> faces and vertex -> faces, rebuilt from drawing.faces."""
     by_seg: Dict[Segment, Set[int]] = {}
@@ -317,6 +335,281 @@ def face_indexes(drawing) -> Tuple[Dict[Segment, Set[int]], Dict[int, Set[int]]]
             by_seg.setdefault(seg(a, b), set()).add(fid)
             by_vertex.setdefault(a, set()).add(fid)
     return by_seg, by_vertex
+
+
+@dataclass
+class TupleDrawing:
+    """`routing.Drawing` as it indexed faces by segment tuple, before the
+    segment-id tables: `segment_faces` and `vertex_faces` are dicts of
+    sets, `links` a dict of (face, segment) lists and `banned` a set of
+    segments.  `from_drawing` copies a drawing's state into one, so the
+    tuple-keyed search and insertion below can run beside the package's."""
+
+    g: Graph
+    faces: Dict[int, Cycle]
+    rim_id: Optional[int]
+    carrier: Dict[Segment, Carrier]
+    side: Dict[int, str] = field(default_factory=dict)
+    banned: Set[Segment] = field(default_factory=set)
+    next_cycle_id: int = 0
+    next_vertex_id: int = 0
+    routed: List[Tuple[int, int]] = field(default_factory=list)
+    imaginary: Dict[int, dict] = field(default_factory=dict)
+    segment_faces: Dict[Segment, Set[int]] = field(init=False, repr=False, compare=False)
+    vertex_faces: Dict[int, Set[int]] = field(init=False, repr=False, compare=False)
+    links: Dict[int, List[Tuple[int, Segment]]] = field(init=False, repr=False, compare=False)
+    carried: Dict[Carrier, Set[Segment]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.segment_faces = {}
+        self.vertex_faces = {}
+        self.links = {}
+        self.carried = {}
+        for fid, c in self.faces.items():
+            self._index(fid, c)
+        for s, key in self.carrier.items():
+            self.carried.setdefault(key, set()).add(s)
+
+    @classmethod
+    def from_drawing(cls, d) -> "TupleDrawing":
+        return cls(
+            g=d.g,
+            faces=dict(d.faces),
+            rim_id=d.rim_id,
+            carrier=dict(d.carrier),
+            side=dict(d.side),
+            banned=banned_segments(d),
+            next_cycle_id=d.next_cycle_id,
+            next_vertex_id=d.next_vertex_id,
+            routed=list(d.routed),
+            imaginary=copy.deepcopy(d.imaginary),
+        )
+
+    def _index(self, fid: int, c: Cycle) -> None:
+        for s in c.segments:
+            self.segment_faces.setdefault(s, set()).add(fid)
+        for v in c.vertices:
+            self.vertex_faces.setdefault(v, set()).add(fid)
+
+    def _forget_links(self, c: Cycle) -> None:
+        """Drop the cached links of c and of every face sharing a segment with it."""
+        for s in c.segments:
+            for fid in self.segment_faces[s]:
+                self.links.pop(fid, None)
+
+    def _add_face(self, c: Cycle) -> None:
+        self.faces[c.id] = c
+        self._index(c.id, c)
+        self._forget_links(c)
+
+    def _remove_face(self, fid: int) -> None:
+        c = self.faces.pop(fid)
+        self._forget_links(c)
+        for index, keys in ((self.segment_faces, c.segments), (self.vertex_faces, c.vertices)):
+            for key in keys:
+                index[key].discard(fid)
+                if not index[key]:
+                    del index[key]
+
+    def _carry(self, s: Segment, key: Carrier) -> None:
+        self.carrier[s] = key
+        self.carried.setdefault(key, set()).add(s)
+
+    def _uncarry(self, s: Segment) -> Carrier:
+        key = self.carrier.pop(s)
+        self.carried[key].discard(s)
+        return key
+
+
+def conjugate_edge(c1: Cycle, c2: Cycle) -> Segment:
+    """The single shared edge of two conjugate cycles."""
+    shared = c1.segments & c2.segments
+    if len(shared) != 1:
+        raise RoutingError(
+            f"c{c1.id} and c{c2.id} share {len(shared)} edges, not conjugate"
+        )
+    return next(iter(shared))
+
+
+def _tuple_cached_links(drawing: TupleDrawing, fid: int) -> List[Tuple[int, Segment]]:
+    """Sorted (face, shared edge) for each face conjugate to face fid.
+
+    An edge counts when exactly two faces hold it and it is the only edge
+    the two faces share.  The list is the drawing's cached one, unfiltered:
+    callers test each link with `_tuple_usable` and must not change it.
+    """
+    links = drawing.links.get(fid)
+    if links is None:
+        face = drawing.faces[fid]
+        links = []
+        for s in face.segments:
+            who = drawing.segment_faces[s]
+            if len(who) != 2:
+                continue
+            a, b = who
+            nb = a if b == fid else b
+            if len(face.segments & drawing.faces[nb].segments) == 1:
+                links.append((nb, s))
+        links.sort()
+        drawing.links[fid] = links
+    return links
+
+
+def _tuple_usable(
+    nb: int,
+    s: Segment,
+    face_ids: Optional[Set[int]],
+    banned: Set[Segment],
+    avoid: Tuple[int, ...],
+) -> bool:
+    """A cached link to face nb over edge s may be crossed."""
+    return (
+        (face_ids is None or nb in face_ids)
+        and s not in banned
+        and s[0] not in avoid
+        and s[1] not in avoid
+    )
+
+
+def shortest_route_tuple_ref(
+    drawing: TupleDrawing,
+    s: int,
+    t: int,
+    face_ids: Optional[Set[int]] = None,
+    seen: Optional[Set[int]] = None,
+) -> Optional[List[int]]:
+    """`routing.shortest_route` on a TupleDrawing, as it was before the
+    segment-id tables."""
+    if s == t:
+        raise RoutingError("degenerate chord")
+    if seg(s, t) in drawing.carrier:
+        raise RoutingError(f"({s},{t}) is already an edge of the drawing")
+    ids = face_ids if face_ids is None or isinstance(face_ids, set) else set(face_ids)
+    sources = {f for f in drawing.vertex_faces.get(s, ()) if ids is None or f in ids}
+    targets = {f for f in drawing.vertex_faces.get(t, ()) if ids is None or f in ids}
+    if seen is None:
+        seen = set()
+    seen |= sources
+    seen |= targets
+    if not sources or not targets:
+        return None
+    banned = drawing.banned
+    avoid = (s, t)
+
+    level = 0 if sources & targets else None
+    dist = {fid: 0 for fid in targets}
+    q = deque(sorted(targets))
+    while q:
+        fid = q.popleft()
+        d = dist[fid]
+        if level is not None and d >= level:
+            break
+        seen.add(fid)
+        for nb, sg in _tuple_cached_links(drawing, fid):
+            if nb not in dist and _tuple_usable(nb, sg, ids, banned, avoid):
+                dist[nb] = d + 1
+                q.append(nb)
+                if level is None and nb in sources:
+                    level = d + 1
+    if level is None:
+        return None
+    cur = min(fid for fid in sources if dist.get(fid) == level)
+    route = [cur]
+    while dist[cur] > 0:
+        d = dist[cur] - 1
+        seen.add(cur)
+        cur = min(
+            nb
+            for nb, sg in _tuple_cached_links(drawing, cur)
+            if dist.get(nb) == d and _tuple_usable(nb, sg, ids, banned, avoid)
+        )
+        route.append(cur)
+    return route
+
+
+def insert_connection_tuple_ref(
+    drawing: TupleDrawing, s: int, t: int, route: Sequence[int]
+) -> InsertionRecord:
+    """`routing.insert_connection` on a TupleDrawing, as it was before the
+    segment-id tables: each route face's halves are added before the face
+    is removed."""
+    route = list(route)
+    if not route:
+        raise RoutingError("empty route")
+    if s == t:
+        raise RoutingError("degenerate chord")
+    if seg(s, t) in drawing.carrier:
+        raise RoutingError(f"({s},{t}) is already an edge of the drawing")
+    if len(set(route)) != len(route):
+        raise RoutingError("route revisits a face")
+    if s not in drawing.faces[route[0]].vertices:
+        raise RoutingError(f"v{s} is not on the first route face c{route[0]}")
+    if t not in drawing.faces[route[-1]].vertices:
+        raise RoutingError(f"v{t} is not on the last route face c{route[-1]}")
+    conjs = [
+        conjugate_edge(drawing.faces[a], drawing.faces[b])
+        for a, b in zip(route, route[1:])
+    ]
+    for cs in conjs:
+        if cs in drawing.banned:
+            raise RoutingError(f"conjugate edge ({cs[0]},{cs[1]}) is banned")
+        if s in cs or t in cs:
+            raise RoutingError("degenerate crossing")
+
+    chord_key = seg(s, t)
+    ws = []
+    for cs in conjs:
+        w = drawing.next_vertex_id
+        drawing.next_vertex_id += 1
+        ws.append(w)
+        drawing.imaginary[w] = {
+            "host": cs,
+            "carrier": drawing.carrier[cs],
+            "chord": chord_key,
+        }
+    work = {fid: list(drawing.faces[fid].arcs) for fid in route}
+    for i, cs in enumerate(conjs):
+        w = ws[i]
+        for fid in (route[i], route[i + 1]):
+            arcs = work[fid]
+            for k, (a, b) in enumerate(arcs):
+                if seg(a, b) == cs:
+                    arcs[k : k + 1] = [(a, w), (w, b)]
+                    break
+            else:
+                raise RoutingError("conjugate edge missing from route face")
+        ck = drawing._uncarry(cs)
+        drawing._carry(seg(cs[0], w), ck)
+        drawing._carry(seg(w, cs[1]), ck)
+        drawing.banned.discard(cs)
+
+    for k, fid in enumerate(route):
+        entry = s if k == 0 else ws[k - 1]
+        exit_ = ws[k] if k < len(ws) else t
+        if entry == exit_:
+            raise RoutingError("degenerate crossing")
+        arcs = work[fid]
+        verts = [a for a, _ in arcs]
+        arcs = arcs[verts.index(entry):] + arcs[: verts.index(entry)]
+        j = [a for a, _ in arcs].index(exit_)
+        path1, path2 = arcs[:j], arcs[j:]
+        a_id = drawing.next_cycle_id
+        b_id = drawing.next_cycle_id + 1
+        drawing.next_cycle_id += 2
+        drawing._add_face(Cycle(a_id, tuple(path1) + ((exit_, entry),)))
+        drawing._add_face(Cycle(b_id, ((entry, exit_),) + tuple(path2)))
+        tag = drawing.side.get(fid)
+        if tag is not None:
+            drawing.side[a_id] = tag
+            drawing.side[b_id] = tag
+        drawing._remove_face(fid)
+        drawing.side.pop(fid, None)
+        if drawing.rim_id == fid:
+            drawing.rim_id = None
+        drawing._carry(seg(entry, exit_), ("conn", chord_key))
+        drawing.banned.add(seg(entry, exit_))
+    drawing.routed.append((s, t))
+    return InsertionRecord(chord=(s, t), route=route, imaginary_ids=ws)
 
 
 def boundary_ring_ref(acc: Set[Segment]) -> Optional[List[int]]:
@@ -752,7 +1045,7 @@ def strip_imaginary_region_ref(
             x = parent[x]
         return x
 
-    for s, fids in drawing.segment_faces.items():
+    for s, fids in face_indexes(drawing)[0].items():
         who = [fid for fid in fids if fid in cands]
         if len(who) == 2 and u not in s and v not in s:
             a, b = find(who[0]), find(who[1])

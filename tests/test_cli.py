@@ -19,6 +19,7 @@ from topolayers.graphs import complete_graph, format_graph
 from topolayers.render import RenderError, render_svg
 
 from test_document import (
+    _carrier_refs_swapped,
     _carrier_row_dropped,
     _conn_carrier_off_the_graph,
     _imaginary_entry_dropped,
@@ -49,6 +50,25 @@ def k7_doc_file(runner, k7_file, tmp_path):
 def test_cli_import_loads_no_numpy():
     code = "import sys, topolayers.cli; assert 'numpy' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], check=True)
+
+
+def test_verify_and_render_load_no_networkx(k7_doc_file, tmp_path):
+    """Both read-path commands run on pinned K7 in a fresh interpreter,
+    which has not loaded networkx when they are done."""
+    svg = str(tmp_path / "k7.svg")
+    code = (
+        "import sys\n"
+        "from topolayers.cli import main\n"
+        "doc, svg = sys.argv[1:]\n"
+        "for args in (['verify', doc], ['render', doc, '--layer', '2', '-o', svg]):\n"
+        "    try:\n"
+        "        main(args)\n"
+        "    except SystemExit as exc:\n"
+        "        assert exc.code in (0, None), (args, exc.code)\n"
+        "assert 'networkx' not in sys.modules\n"
+    )
+    subprocess.run([sys.executable, "-c", code, k7_doc_file, svg], check=True)
+    assert open(svg).read().startswith("<svg")
 
 
 def test_cycles_k7(runner, k7_file):
@@ -182,8 +202,8 @@ def test_verify_bad_edge_or_ring_exits_1(runner, k7_doc_file, tmp_path, corrupt,
 
 @pytest.mark.parametrize(
     "corrupt",
-    [_conn_carrier_off_the_graph, _carrier_row_dropped, _imaginary_entry_dropped],
-    ids=["conn-carrier-off-graph", "carrier-row-dropped", "imaginary-entry-dropped"],
+    [_conn_carrier_off_the_graph, _carrier_row_dropped, _imaginary_entry_dropped, _carrier_refs_swapped],
+    ids=["conn-carrier-off-graph", "carrier-row-dropped", "imaginary-entry-dropped", "carrier-refs-swapped"],
 )
 def test_verify_bad_carrier_table_exits_1(runner, k10_decomposition, tmp_path, corrupt):
     doc = json.loads(serialize_document(decomposition_to_document(k10_decomposition)))

@@ -21,7 +21,9 @@ inner-only strategy replays none, so they must not move with it).  The
 documents and refusals of unpinned K10 and of the sparse benchmark's
 random regular graphs were recorded while the left-right planarity
 kernel still kept its per-edge state in dicts keyed by (tail, head)
-tuples.
+tuples.  Unpinned K18 and K20 (5 and 6 layers), past the benchmark's
+corpus, were recorded while the drawing still indexed its faces by
+segment tuple, before it moved to integer segment ids.
 """
 
 from __future__ import annotations
@@ -48,6 +50,8 @@ UNPINNED = {
     12: "5d5eaeffde3e2a9c2064559d5d23cbbd765999064371f66a3f4be22096c26191",
     14: "a9a86907049ee077bb73a0d405c791e8f49b393cef7ca1189113beee5b9c14dc",
     16: "6af1ff136de6f894528e09e5c93734398c9ba04d5dfaf5489d7dabb6613542bf",
+    18: "c04868606e891c8726be9753dd478bb0d2fe348b25bacaf4ce313642e83564d0",
+    20: "ae03bd5aca042aa8d4dc4aec503fe7015733c087cb780b8df01ea501bcd4ba08",
 }
 # strategy="inner-only": (fixture or None, n) -> sha256, with 5/6/7/6/9 layers.
 INNER_ONLY = {

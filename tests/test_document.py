@@ -346,6 +346,19 @@ def _carrier_row_dropped(doc):
     del doc["carrier"][5]
 
 
+def _carrier_refs_swapped(doc):
+    # pinned K10's rows (1,2) and (1,9) carry each other's edge, e8 and
+    # e1: every segment keeps one valid carrier, but neither edge's rows
+    # walk a path between its ends
+    for row in doc["carrier"]:
+        if row[:2] == [1, 2]:
+            assert row[2:] == ["edge", 1]
+            row[3] = 8
+        elif row[:2] == [1, 9]:
+            assert row[2:] == ["edge", 8]
+            row[3] = 1
+
+
 def _imaginary_entry_dropped(doc):
     # the entry of v16 in pinned K10
     del doc["imaginary"][5]
@@ -374,6 +387,7 @@ def _imaginary_entry_dropped(doc):
         (_conn_carrier_off_the_graph, "carrier-table", "carrier connection (5,50) is not a chord's ends"),
         (_carrier_row_dropped, "carrier-table", "segment (1,30) has no carrier row"),
         (_imaginary_entry_dropped, "carrier-table", "v16: no imaginary entry"),
+        (_carrier_refs_swapped, "carrier-table", "carrier edge 8 is not a path"),
     ],
     ids=[
         "edge-off-graph",
@@ -396,6 +410,7 @@ def _imaginary_entry_dropped(doc):
         "conn-carrier-off-graph",
         "carrier-row-dropped",
         "imaginary-entry-dropped",
+        "carrier-refs-swapped",
     ],
 )
 def test_verifier_names_bad_edges_and_rings(k10_decomposition, corrupt, check, detail):

@@ -6,8 +6,10 @@ links from the drawing's face index and link cache, testing each link in
 place.  `_route_greedy` keeps each chord's route until an insertion
 touches a face its query saw.  These tests require the same kept ids,
 removal order, routes, `seen` sets and greedy insertions as the loop
-versions in `oracles`, check the face and carrier indexes and the link
-cache after every insertion, and check that the reuse really happens.
+versions in `oracles`, check the segment-id tables, the vertex and
+carrier indexes and the link cache after every insertion, and check that
+the reuse really happens.  A run also steps a tuple-keyed twin drawing
+through the same queries and insertions and compares them one by one.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import copy
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,12 +40,17 @@ from topolayers.routing import (
 )
 
 from oracles import (
+    TupleDrawing,
+    banned_segments,
     face_indexes,
+    graph_from_networkx,
+    insert_connection_tuple_ref,
     mixed_cycle_graph_ref,
     route_greedy_ref,
     select_noncrossing_ref,
     shortest_route_copying_ref,
     shortest_route_ref,
+    shortest_route_tuple_ref,
 )
 
 
@@ -116,17 +124,30 @@ def test_shortest_route_matches_reference_on_random_insertions(n, rnd):
             assert shortest_route(d, s, t, faces) == shortest_route_ref(d, s, t, faces)
         route = shortest_route(d, s, t)
         if route is None:
-            d.banned.clear()
+            d.clear_bans()
             route = shortest_route(d, s, t)
             if route is None:
                 continue
         insert_connection(d, s, t, route)
 
 
-@pytest.mark.parametrize("n", [7, 8, 9, 10, 11, 12])
+# Unpinned K7-K12, and two sparse benchmark graphs whose drawings have
+# faces that share more than one segment and so are not conjugate.
+RUNS = [7, 8, 9, 10, 11, 12, "rr4_16_s0", "rr6_20_s0"]
+
+
+def _run_graph(which):
+    """K_n for an int, else the sparse benchmark graph rr{d}_{n}_s{seed}."""
+    if isinstance(which, int):
+        return complete_graph(which)
+    d, n, seed = (int(x.lstrip("rs")) for x in which.split("_"))
+    return graph_from_networkx(nx.random_regular_graph(d, n, seed=seed), name=which)
+
+
+@pytest.mark.parametrize("n", RUNS)
 def test_decompose_queries_match_reference(n, monkeypatch):
-    """Every pending chord, before every insertion of an unpinned K_n run."""
-    g = complete_graph(n)
+    """Every pending chord, before every insertion of an unpinned run."""
+    g = _run_graph(n)
     selections = []
 
     def checked_select(basis, chords):
@@ -146,6 +167,34 @@ def test_decompose_queries_match_reference(n, monkeypatch):
     assert len(d.drawing.routed) == len(d.chords)
 
 
+def _assert_tables_fresh(drawing):
+    """The segment-id tables and the vertex index equal ones rebuilt from
+    the faces, and `carried` equals a regrouping of the carrier table."""
+    by_seg, by_vertex = face_indexes(drawing)
+    assert set(drawing.seg_id) == set(by_seg)
+    for sg, fids in by_seg.items():
+        sid = drawing.seg_id[sg]
+        assert drawing.seg_ends[sid] == sg
+        slots = drawing.seg_faces[2 * sid : 2 * sid + 2]
+        assert sorted(f for f in slots if f >= 0) == sorted(fids), sg
+    live = set(drawing.seg_id.values())
+    for sid in range(len(drawing.seg_ends)):
+        if sid not in live:
+            assert drawing.seg_faces[2 * sid : 2 * sid + 2] == [-1, -1], sid
+            assert not drawing.banned[sid], sid
+    for fid, sids in enumerate(drawing.face_segs):
+        if fid in drawing.faces:
+            arcs = drawing.faces[fid].arcs
+            assert [drawing.seg_ends[sid] for sid in sids] == [seg(a, b) for a, b in arcs]
+        else:
+            assert sids is None, fid
+    assert drawing.vertex_faces == by_vertex
+    by_key = {}
+    for sg, key in drawing.carrier.items():
+        by_key.setdefault(key, set()).add(sg)
+    assert drawing.carried == by_key
+
+
 def test_face_index_tracks_every_insertion(monkeypatch):
     """The incremental indexes equal ones rebuilt from the faces and the
     carrier table, always."""
@@ -154,19 +203,72 @@ def test_face_index_tracks_every_insertion(monkeypatch):
 
     def checked_insert(drawing, s, t, route):
         record = insert_connection(drawing, s, t, route)
-        by_seg, by_vertex = face_indexes(drawing)
-        assert drawing.segment_faces == by_seg
-        assert drawing.vertex_faces == by_vertex
-        by_key = {}
-        for sg, key in drawing.carrier.items():
-            by_key.setdefault(key, set()).add(sg)
-        assert drawing.carried == by_key
+        _assert_tables_fresh(drawing)
         inserts.append(record)
         return record
 
     monkeypatch.setattr(layering, "insert_connection", checked_insert)
     d = decompose(g)
     assert len(inserts) == len(d.chords)
+
+
+def _tuple_state(d):
+    """Everything an insertion changes, dict orders included, with the
+    bans as segments."""
+    banned = d.banned if isinstance(d, TupleDrawing) else banned_segments(d)
+    return (
+        [(fid, c.arcs) for fid, c in d.faces.items()],
+        list(d.carrier.items()),
+        list(d.imaginary.items()),
+        list(d.side.items()),
+        banned,
+        d.rim_id,
+        d.routed,
+        d.next_cycle_id,
+        d.next_vertex_id,
+    )
+
+
+@pytest.mark.parametrize("n", RUNS)
+def test_id_tables_match_the_tuple_reference(n, monkeypatch):
+    """Every query and insertion of an unpinned run, against the
+    tuple-keyed search and insertion run on a twin drawing in step."""
+    twins = {}
+    counts = {"queries": 0, "inserts": 0}
+
+    def twin(drawing):
+        if id(drawing) not in twins:
+            twins[id(drawing)] = TupleDrawing.from_drawing(drawing)
+        return twins[id(drawing)]
+
+    real_clear = Drawing.clear_bans
+
+    def clear(drawing):
+        real_clear(drawing)
+        twin(drawing).banned.clear()
+
+    def checked_route(drawing, s, t, face_ids=None, seen=None):
+        seen_ref = None if seen is None else set(seen)
+        want = shortest_route_tuple_ref(twin(drawing), s, t, face_ids, seen_ref)
+        got = shortest_route(drawing, s, t, face_ids, seen)
+        assert got == want, (s, t)
+        assert seen == seen_ref, (s, t)
+        counts["queries"] += 1
+        return got
+
+    def checked_insert(drawing, s, t, route):
+        want = insert_connection_tuple_ref(twin(drawing), s, t, route)
+        got = insert_connection(drawing, s, t, route)
+        assert got == want
+        assert _tuple_state(drawing) == _tuple_state(twin(drawing)), (s, t)
+        counts["inserts"] += 1
+        return got
+
+    monkeypatch.setattr(Drawing, "clear_bans", clear)
+    monkeypatch.setattr(layering, "shortest_route", checked_route)
+    monkeypatch.setattr(layering, "insert_connection", checked_insert)
+    d = decompose(_run_graph(n))
+    assert counts["inserts"] == len(d.chords) and counts["queries"] > counts["inserts"]
 
 
 def test_selection_projects_each_candidate_once(monkeypatch):
@@ -255,11 +357,22 @@ def test_route_greedy_matches_reference_on_shuffled_pools(n, side, rnd):
     assert _drawn(d) == _drawn(twin)
 
 
+def _cached(drawing):
+    """The drawing's cached link lists by face id, segments by their ends."""
+    ends = drawing.seg_ends
+    return {
+        fid: [(nb, ends[sid]) for nb, sid in links]
+        for fid, links in enumerate(drawing.links)
+        if links is not None
+    }
+
+
 def _assert_links_fresh(drawing):
     """Every cached link list equals one computed from the faces alone."""
-    assert set(drawing.links) <= set(drawing.faces)
+    cached = _cached(drawing)
+    assert set(cached) <= set(drawing.faces)
     fresh, _ = mixed_cycle_graph_ref(drawing, banned=set())
-    for fid, links in drawing.links.items():
+    for fid, links in cached.items():
         assert links == fresh[fid], fid
 
 
@@ -270,7 +383,7 @@ def test_link_cache_tracks_every_insertion(monkeypatch):
     def checked_insert(drawing, s, t, route):
         record = insert_connection(drawing, s, t, route)
         _assert_links_fresh(drawing)
-        cached.append(len(drawing.links))
+        cached.append(len(_cached(drawing)))
         return record
 
     monkeypatch.setattr(layering, "insert_connection", checked_insert)
@@ -284,12 +397,12 @@ def test_link_cache_tracks_each_face_change():
     g = complete_graph(8)
     d = Drawing.from_system(g, select_planar_cycle_system(g))
     for fid in sorted(d.faces):
-        face = d.faces[fid]
+        face, sids = d.faces[fid], d.face_segs[fid]
         build_mixed_cycle_graph(d)
         d._remove_face(fid)
         _assert_links_fresh(d)
         build_mixed_cycle_graph(d)
-        d._add_face(face)
+        d._add_face(face, sids)
         _assert_links_fresh(d)
 
 

@@ -61,7 +61,7 @@ def run_random_insertions(target=200):
         for s, t in chords:
             route = shortest_route(d, s, t)
             if route is None:
-                d.banned.clear()
+                d.clear_bans()
                 route = shortest_route(d, s, t)
                 if route is None:
                     continue

@@ -9,12 +9,13 @@ from topolayers.routing import (
     Drawing,
     RoutingError,
     build_mixed_cycle_graph,
-    conjugate_edge,
     imaginary_sequence,
     insert_connection,
     shortest_route,
 )
 from topolayers.verify import verify_system
+
+from oracles import conjugate_edge
 
 
 @pytest.fixture()
@@ -117,9 +118,9 @@ def test_banned_segment_blocks_reuse(k7_drawing):
     d = k7_drawing
     insert_connection(d, 2, 4, shortest_route(d, 2, 4, _inner(d)))
     # the new connection arcs are banned as conjugate edges
-    assert any(seg in d.banned for seg in [(2, 8), (4, 8)])
+    assert any(d.banned[d.seg_id[seg]] for seg in [(2, 8), (4, 8)])
     mcg = build_mixed_cycle_graph(d)
     for fid, nbrs in mcg.links.items():
         for oid, cseg in nbrs:
             assert conjugate_edge(d.faces[fid], d.faces[oid]) == cseg
-            assert cseg not in d.banned
+            assert not d.banned[d.seg_id[cseg]]
