@@ -51,7 +51,6 @@ from .routing import (
     Drawing,
     RoutingError,
     build_mixed_cycle_graph,
-    connection_path,
     imaginary_sequence,
     insert_connection,
     shortest_route,
@@ -82,7 +81,6 @@ __all__ = [
     "canonical_ring",
     "chords_cross",
     "complete_graph",
-    "connection_path",
     "decompose",
     "decomposition_to_document",
     "edge_between",

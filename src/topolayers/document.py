@@ -25,7 +25,7 @@ from collections import Counter
 from functools import lru_cache
 from itertools import chain, compress, repeat
 from operator import itemgetter
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .cycles import walk
 from .layering import Decomposition
@@ -411,43 +411,72 @@ def _raw_system(sj: dict):
     return cycles, rim
 
 
-def _check_carrier_table(doc: dict, table: SegmentTable) -> CheckResult:
+def carrier_key(kind: object, ref: object) -> tuple:
+    """("edge", edge id) or ("conn", (u, v)) from a document carrier; the
+    type tests are written out, since this runs once per carrier row."""
+    if kind == "edge" and type(ref) is int:
+        return (kind, ref)
+    if kind == "conn" and isinstance(ref, list) and len(ref) == 2:
+        if type(ref[0]) is int and type(ref[1]) is int:
+            return (kind, (ref[0], ref[1]))
+    raise DocumentError(f"malformed carrier {[kind, ref]}")
+
+
+def carrier_name(key: tuple) -> str:
+    kind, ref = key
+    return f"edge {ref}" if kind == "edge" else f"connection ({ref[0]},{ref[1]})"
+
+
+def carrier_paths(
+    doc: dict, ends_of: Dict[int, Tuple[int, int]]
+) -> Dict[tuple, Optional[List[int]]]:
+    """Each carrier's path, keyed by `carrier_key` in the order of its
+    first row: its rows walked from the smaller end of its edge (ends from
+    `ends_of`) or connection to the larger.  None when the rows walk no
+    such path or leave a row off it, or the edge has no ends."""
+    groups: Dict[tuple, List[Tuple[int, int]]] = {}
+    for a, b, kind, ref in doc["carrier"]:
+        key = carrier_key(kind, ref)
+        segs = groups.get(key)
+        if segs is None:
+            groups[key] = [(a, b)]
+        else:
+            segs.append((a, b))
+    paths: Dict[tuple, Optional[List[int]]] = {}
+    for (kind, ref), segs in groups.items():
+        ends = ends_of.get(ref) if kind == "edge" else ref
+        path = None if ends is None else walk(segs, min(ends), max(ends))
+        paths[kind, ref] = path if path is not None and len(path) == len(segs) + 1 else None
+    return paths
+
+
+def _check_carrier_table(doc: dict, table: SegmentTable, ends_of: dict) -> CheckResult:
     """The carrier rows list each segment of the final layer's `table`
     once; every carrier, of a row or of an imaginary entry, is a graph
-    edge that is not a chord, or a chord's ends; the rows of each such
-    carrier walk one path between its ends, as the renderer walks them;
-    and the imaginary entries list each vertex above n of the final layer
-    once."""
+    edge that is not a chord, or a chord's ends; each such carrier has a
+    path (`carrier_paths`); and the imaginary entries list each vertex
+    above n of the final layer once."""
     chords = doc["chords"]
-    ends_of = {eid: (u, v) for eid, u, v in doc["graph"]["edges"]}
     plain = set(ends_of).difference([eid for eid, _, _ in chords])
     conns = {(u, v) if u < v else (v, u) for _, u, v in chords}
-    rows = doc["carrier"]
-    listed = Counter([(a, b) for a, b, _, _ in rows])
+    listed = Counter([(a, b) for a, b, _, _ in doc["carrier"]])
     bad = [f"segment ({a},{b}) has no carrier row" for a, b in sorted(table.keys() - listed.keys())]
     for a, b in sorted(s for s, k in listed.items() if k > 1 or s not in table):
         if (a, b) in table:
             bad.append(f"segment ({a},{b}) has {listed[a, b]} carrier rows")
         else:
             bad.append(f"carrier row ({a},{b}) is not a segment of the final layer")
-    groups: Dict[tuple, list] = {}
-    for a, b, kind, ref in rows:
-        groups.setdefault((kind, ref if kind == "edge" else tuple(ref)), []).append((a, b))
-    keys = set(groups).union(
-        (kind, ref if kind == "edge" else tuple(ref))
-        for kind, ref in (entry["carrier"] for entry in doc["imaginary"])
-    )
+    paths = carrier_paths(doc, ends_of)
+    keys = set(paths).union(carrier_key(*entry["carrier"]) for entry in doc["imaginary"])
     edges = {ref for kind, ref in keys if kind == "edge"}
     ends = {ref for kind, ref in keys if kind == "conn"}
     bad += [f"carrier edge {e} is not a graph edge outside the chords" for e in sorted(edges - plain)]
     bad += [f"carrier connection ({u},{v}) is not a chord's ends" for u, v in sorted(ends - conns)]
-    for (kind, ref), segs in sorted(groups.items()):
-        if ref in (plain if kind == "edge" else conns):
-            u, v = ends_of[ref] if kind == "edge" else ref
-            path = walk(segs, min(u, v), max(u, v))
-            if path is None or len(path) != len(segs) + 1:
-                name = f"edge {ref}" if kind == "edge" else f"connection ({u},{v})"
-                bad.append(f"carrier {name} is not a path")
+    bad += [
+        f"carrier {carrier_name(key)} is not a path"
+        for key, path in sorted(paths.items())
+        if path is None and key[1] in (plain if key[0] == "edge" else conns)
+    ]
     n = doc["graph"]["n"]
     ids = Counter([entry["id"] for entry in doc["imaginary"]])
     drawn = {v for v in chain.from_iterable(table) if v > n}
@@ -479,13 +508,13 @@ def verify_document(doc: dict) -> VerificationReport:
     checks["layer-indexes"] = CheckResult(not bad, bad)
     edges = doc["graph"]["edges"]
     checks["graph-edges"] = check_graph_edges(n, edges, doc["chords"])
-    edge_ids = [eid for eid, _, _ in edges]
+    ends_of = {eid: (u, v) for eid, u, v in edges}
     checks["edge-partition"] = check_edge_partition(
-        edge_ids, [layer["realized"] for layer in doc["layers"]]
+        list(ends_of), [layer["realized"] for layer in doc["layers"]]
     )
     checks["layer-rings"] = check_layer_rings(
         n,
-        {eid: (u, v) for eid, u, v in edges},
+        ends_of,
         [(k, layer.get("ring")) for k, layer in enumerate(doc["layers"], start=1)],
         doc["layers"][0]["realized"],
     )
@@ -495,7 +524,7 @@ def verify_document(doc: dict) -> VerificationReport:
     checks["connection-realization"] = check_connection_realization(
         n, chords, sequences, sub._table
     )
-    checks["carrier-table"] = _check_carrier_table(doc, sub._table)
+    checks["carrier-table"] = _check_carrier_table(doc, sub._table, ends_of)
     return VerificationReport(checks)
 
 

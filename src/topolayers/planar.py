@@ -21,7 +21,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .cycles import Cycle, Segment, canonical_ring, ring_cycle, seg
 from .graphs import Graph
-from .verify import trace_faces, verify_system
+from .verify import segment_table, trace_faces, verify_system
 
 
 class PlanarizationError(ValueError):
@@ -51,40 +51,35 @@ def _orient_cycles(
 
     The rim is oriented from its smallest vertex toward its larger
     neighbour; everything else is forced by the rule that a shared edge is
-    traversed oppositely by its two faces.  The fill needs every edge on
-    exactly two rings and every ring reached, so those are refused here;
+    traversed oppositely by its two faces, read off the verifier's
+    `segment_table` of the rings.  The fill needs every edge on exactly
+    two rings and every ring reached, so those are refused here;
     whether the result is a consistent orientation is left to the
     verifier (`verify_system`), which the caller runs next.
     """
     cands = {cid: ring_cycle(cid, canonical_ring(list(vs))) for cid, vs in rings.items()}
-    cov: Dict[Segment, List[int]] = {}
-    for c in cands.values():
-        for s in c.segments:
-            cov.setdefault(s, []).append(c.id)
-    for s, who in cov.items():
-        if len(who) != 2:
-            raise PlanarizationError(
-                f"edge ({s[0]},{s[1]}) lies on {len(who)} cycles, expected 2"
-            )
     # rim direction: min vertex toward its larger ring neighbor
     rim_ring = list(cands[rim_id].vertices)
     if rim_ring[1] < rim_ring[-1]:
         rim_ring = [rim_ring[0]] + rim_ring[:0:-1]
     cands[rim_id] = ring_cycle(rim_id, rim_ring)
+    table = segment_table([(cid, c.arcs) for cid, c in cands.items()])
+    for (a, b), row in table.items():
+        if len(row) != 2:
+            raise PlanarizationError(f"edge ({a},{b}) lies on {len(row)} cycles, expected 2")
 
     flip: Dict[int, bool] = {rim_id: False}
     q = deque([rim_id])
-    arcs_of = {cid: set(c.arcs) for cid, c in cands.items()}
     while q:
         cid = q.popleft()
         for s in cands[cid].segments:
-            other = [w for w in cov[s] if w != cid]
-            oid = other[0] if other else cid
+            (c1, arc1), (c2, arc2) = table[s]
+            # a ring that crosses s twice finds only itself there
+            oid = c2 if c1 == cid else c1
             if oid == cid or oid in flip:
                 continue
-            same_dir = (s in arcs_of[cid]) == (s in arcs_of[oid])
             # after flips the two traversal directions must differ
-            flip[oid] = flip[cid] != same_dir
+            flip[oid] = flip[cid] != (arc1 == arc2)
             q.append(oid)
     if len(flip) < len(cands):
         raise PlanarizationError("cycle system is not edge-connected")

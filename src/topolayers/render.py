@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Set, Tuple
 
-from .cycles import walk
+from .document import DocumentError, carrier_key, carrier_name, carrier_paths
 
 SIZE = 600.0
 MARGIN = 60.0
@@ -113,59 +113,6 @@ def _base_positions(doc: dict) -> Dict[int, Tuple[float, float]]:
     return pos
 
 
-def _carrier_key(kind: object, ref: object) -> tuple:
-    """("edge", edge id) or ("conn", (u, v)) from a document carrier."""
-    if kind == "edge" and type(ref) is int:
-        return (kind, ref)
-    if kind == "conn" and isinstance(ref, list) and len(ref) == 2 and all(type(x) is int for x in ref):
-        return (kind, tuple(ref))
-    raise RenderError(f"malformed carrier {[kind, ref]}")
-
-
-def _carrier_paths(doc: dict) -> Dict[tuple, List[int]]:
-    """Walk the final drawing segments of each carrier back into a path.
-
-    Each row's carrier is keyed as `_carrier_key` keys it, with the same
-    type tests written out here, since this runs once per drawn segment.
-    """
-    edges = {eid: (u, v) for eid, u, v in doc["graph"]["edges"]}
-    groups: Dict[tuple, List[Tuple[int, int]]] = {}
-    for a, b, kind, ref in doc["carrier"]:
-        if kind == "edge" and type(ref) is int:
-            key = (kind, ref)
-        elif (
-            kind == "conn"
-            and isinstance(ref, list)
-            and len(ref) == 2
-            and type(ref[0]) is int
-            and type(ref[1]) is int
-        ):
-            key = (kind, (ref[0], ref[1]))
-        else:
-            raise RenderError(f"malformed carrier {[kind, ref]}")
-        segs = groups.get(key)
-        if segs is None:
-            groups[key] = [(a, b)]
-        else:
-            segs.append((a, b))
-    paths: Dict[tuple, List[int]] = {}
-    for key, segs in groups.items():
-        kind, ref = key
-        if kind == "edge" and ref not in edges:
-            raise RenderError(f"carrier edge {ref} is not a graph edge")
-        u, v = edges[ref] if kind == "edge" else ref
-        path = walk(segs, min(u, v), max(u, v))
-        if path is None:
-            raise RenderError(f"carrier {_carrier_name(key)} is not a path")
-        paths[key] = path
-    return paths
-
-
-def _carrier_name(key: tuple) -> str:
-    kind, ref = key
-    return f"edge {ref}" if kind == "edge" else f"connection ({ref[0]},{ref[1]})"
-
-
 def _imaginary_positions(
     doc: dict, pos: Dict[int, Tuple[float, float]], drawn: Set[int]
 ) -> Dict[int, Tuple[float, float]]:
@@ -179,16 +126,25 @@ def _imaginary_positions(
     other marker is ever read by these, so each goes through the same
     float operations, in the same order, as in a sweep over all of them.
     """
-    paths = _carrier_paths(doc)
+    edges = {eid: (u, v) for eid, u, v in doc["graph"]["edges"]}
+    try:
+        paths = carrier_paths(doc, edges)
+        keys = [carrier_key(*entry["carrier"]) for entry in doc["imaginary"]]
+    except DocumentError as exc:
+        raise RenderError(str(exc)) from None
+    for key, path in paths.items():
+        if path is None:
+            if key[0] == "edge" and key[1] not in edges:
+                raise RenderError(f"carrier edge {key[1]} is not a graph edge")
+            raise RenderError(f"carrier {carrier_name(key)} is not a path")
     n = doc["graph"]["n"]
     # each vertex's index on each carrier path; walk's paths are simple
     index_on = {key: {v: i for i, v in enumerate(path)} for key, path in paths.items()}
     out: Dict[int, Tuple[float, float]] = {}
     pending: List[Tuple[int, int, int]] = []  # (vertex, path neighbours)
-    for entry in doc["imaginary"]:
+    for entry, key in zip(doc["imaginary"], keys):
         w = entry["id"]
-        kind, ref = entry["carrier"]
-        key = _carrier_key(kind, ref)
+        kind = key[0]
         path = paths.get(key)
         if path is None:
             raise RenderError(f"imaginary vertex {w} has a carrier with no path")
@@ -197,7 +153,7 @@ def _imaginary_positions(
             raise RenderError(f"imaginary vertex {w} is not inside its carrier's path")
         u, v = (path[0], path[-1]) if kind == "edge" else key[1]
         if u not in pos or v not in pos:
-            raise RenderError(f"carrier {_carrier_name(key)} names a vertex outside 1..{n}")
+            raise RenderError(f"carrier {carrier_name(key)} names a vertex outside 1..{n}")
         p, q = pos[u], pos[v]
         if kind == "edge":
             t = i / (len(path) - 1)

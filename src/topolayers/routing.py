@@ -14,13 +14,14 @@ has two slots, a split face is removed before its two halves are added.
 The drawing also caches each face's conjugate links, sorted (face,
 segment id) pairs, unfiltered, in `links`; adding or removing a face
 drops the entries of every face that shares a segment with it, so an
-entry always equals a fresh computation.  A route query copies the ban
-flags once, flags the segments at the chord's ends, and labels faces by
+entry always equals a fresh computation.  A route query labels faces by
 distance in a list indexed by face id.  It reads the cached lists in
-place, tests each link as it reaches it, and stops once the search has
-reached the nearest face holding the source vertex, so it never builds
-the whole mixed cycle graph.  Code outside this module reads the tables
-only through Drawing's methods.
+place, tests each link's ban flag as it reaches it, and stops once the
+search has reached the nearest face holding the source vertex, so it
+never builds the whole mixed cycle graph.  It neither copies the ban
+flags nor flags the segments at the chord's ends: a link over such a
+segment could never change its answer (see `shortest_route`).  Code
+outside this module reads the tables only through Drawing's methods.
 
 `shortest_route` can report in `seen` every face whose links it read,
 with the faces holding the chord's endpoints.  Its answer depends on
@@ -512,8 +513,9 @@ def carrier_path(
     return walk(drawing.carried.get(key, ()), *ends)
 
 
-def connection_path(drawing: Drawing, chord: Tuple[int, int]) -> List[int]:
-    """Vertices along the realized chord from its smaller endpoint.
+def imaginary_sequence(drawing: Drawing, chord: Tuple[int, int]) -> List[int]:
+    """Imaginary vertices crossed by the realized chord, ordered from its
+    smaller endpoint.
 
     Includes crossings inserted by later layers, since subdivided
     connection arcs inherit the chord as their carrier.
@@ -522,12 +524,7 @@ def connection_path(drawing: Drawing, chord: Tuple[int, int]) -> List[int]:
     path = carrier_path(drawing, ("conn", key), key)
     if path is None:
         raise RoutingError(f"connection of ({key[0]},{key[1]}) is not a path")
-    return path
-
-
-def imaginary_sequence(drawing: Drawing, chord: Tuple[int, int]) -> List[int]:
-    """Imaginary vertices crossed by the chord, ordered from min(u,v)."""
-    return connection_path(drawing, chord)[1:-1]
+    return path[1:-1]
 
 
 __all__ = [
@@ -540,6 +537,5 @@ __all__ = [
     "route_from_conjugates",
     "insert_connection",
     "carrier_path",
-    "connection_path",
     "imaginary_sequence",
 ]

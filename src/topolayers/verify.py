@@ -19,11 +19,16 @@ would give back the members themselves (see `check_face_trace`), so
 one implementation, and callers read it by name from the report's
 `checks`.
 
-The planar stage shares two things with this module: it traces the
-faces of its final embedding with `trace_faces`, and it checks the
-system it built with `verify_system` instead of keeping its own Euler
-and GF(2) checks.  This module imports nothing from the package, so
-sharing them leaves the checkers independent of the producer.
+The planar stage shares three things with this module: it traces the
+faces of its final embedding with `trace_faces`, orients a pin's rings
+by a flood fill over their `segment_table`, and checks the system it
+built with `verify_system` instead of keeping its own Euler and GF(2)
+checks.  This module imports nothing from the package, so sharing them
+leaves the checkers independent of the producer.
+
+A document's carrier rows also have one reader: `document.carrier_paths`
+walks each carrier's rows into its path, and both the document's
+`carrier-table` check and the renderer call it.
 """
 
 from __future__ import annotations
@@ -74,7 +79,7 @@ def _members(cycles: Dict[int, Tuple[Arc, ...]], rim) -> List[RawMember]:
     return out
 
 
-def _segment_table(members: Sequence[RawMember]) -> SegmentTable:
+def segment_table(members: Sequence[RawMember]) -> SegmentTable:
     """segment -> [(member id, arc), ...] in member order, arc order."""
     table: SegmentTable = {}
     for cid, arcs in members:
@@ -255,7 +260,7 @@ def verify_raw(
     rim: Optional[RawMember] = None,
 ) -> VerificationReport:
     members = _members(cycles, rim)
-    table = _segment_table(members)
+    table = segment_table(members)
     checks = {
         "walks": _walks(members),
         "maclane": _maclane(table),
@@ -397,6 +402,7 @@ __all__ = [
     "check_graph_edges",
     "check_layer_rings",
     "check_connection_realization",
+    "segment_table",
     "trace_faces",
     "verify_raw",
     "verify_system",

@@ -31,7 +31,8 @@ with `boundary_ring_ref`; the package's flood-fill version of it had no
 caller and is gone.
 `imaginary_positions_ref` relaxes every
 connection-hosted crossing marker of the document, whichever layer is
-drawn.  `shortest_route_copying_ref` copies a filtered list of each
+drawn, on the paths of the shared carrier reader
+(`document.carrier_paths`).  `shortest_route_copying_ref` copies a filtered list of each
 face's links through `conjugate_links_ref` instead of testing the cached
 links in place, and `serialize_ref` is the canonical document text as
 `json.dumps` writes it.  `nonseparable_ref` is the input gate by brute
@@ -67,12 +68,12 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import networkx as nx
 
 from topolayers.cycles import Cycle, Segment, canonical_ring, seg
-from topolayers.document import _check_cycle_ids
+from topolayers.document import _check_cycle_ids, carrier_key, carrier_paths
 from topolayers.graphs import Graph, parse_graph
 from topolayers.layering import DecompositionError
 from topolayers.planar import CycleSystem, PlanarizationError
 from topolayers.projection import Basis, ProjectionError, chords_cross, project_chord
-from topolayers.render import RenderError, _carrier_key, _carrier_paths
+from topolayers.render import RenderError
 from topolayers.routing import Carrier, InsertionRecord, RoutingError, insert_connection
 from topolayers.verify import (
     CheckResult,
@@ -1070,13 +1071,13 @@ def strip_imaginary_region_ref(
 def imaginary_positions_ref(
     doc: dict, pos: Dict[int, Tuple[float, float]]
 ) -> Dict[int, Tuple[float, float]]:
-    paths = _carrier_paths(doc)
+    paths = carrier_paths(doc, {eid: (u, v) for eid, u, v in doc["graph"]["edges"]})
     out: Dict[int, Tuple[float, float]] = {}
     pending: List[Tuple[int, int, int]] = []  # (vertex, path neighbours)
     for entry in doc["imaginary"]:
         w = entry["id"]
         kind, ref = entry["carrier"]
-        key = _carrier_key(kind, ref)
+        key = carrier_key(kind, ref)
         path = paths.get(key)
         if path is None:
             raise RenderError(f"imaginary vertex {w} has a carrier with no path")

@@ -9,7 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import imaginary_positions_ref
-from topolayers.document import decomposition_to_document, parse_document, serialize_document
+from topolayers.document import (
+    decomposition_to_document,
+    parse_document,
+    serialize_document,
+    verify_document,
+)
 from topolayers.graphs import complete_graph
 from topolayers.layering import decompose
 from topolayers.render import RenderError, _base_positions, _imaginary_positions, render_svg
@@ -188,3 +193,62 @@ def test_vertex_off_the_graph_renders_or_is_a_render_error(pinned_documents, dat
             assert render_svg(doc, k).startswith("<svg")
         except RenderError:
             pass
+
+
+# Carrier-table corruptions of pinned K7, each returning the carrier it
+# breaks as the verifier and the renderer both name it.
+
+
+def _stray_row(doc):
+    # a row on no segment of the drawing, off the path of edge 2's rows
+    doc["carrier"].append([900, 901, "edge", 2])
+    return "edge 2"
+
+
+def _edge_refs_swapped(doc):
+    # rows (1,3) and (2,3) carry each other's edge, e7 and e2
+    for row in doc["carrier"]:
+        if row[:2] == [1, 3]:
+            assert row[2:] == ["edge", 2]
+            row[3] = 7
+        elif row[:2] == [2, 3]:
+            assert row[2:] == ["edge", 7]
+            row[3] = 2
+    return "edge 7"
+
+
+def _connection_to_v50(doc):
+    # the first connection carrier, (1,4), ends at v50 in its rows and in
+    # every imaginary entry on it
+    key = next(row[2:] for row in doc["carrier"] if row[2] == "conn")
+    moved = ["conn", [key[1][0], 50]]
+    for row in doc["carrier"]:
+        if row[2:] == key:
+            row[2:] = moved
+    for entry in doc["imaginary"]:
+        if entry["carrier"] == key:
+            entry["carrier"] = moved
+    return f"connection ({key[1][0]},50)"
+
+
+def _row_at_imaginary_dropped(doc):
+    # the row of segment (2,8), where connection (2,4) crosses at v8
+    i = doc["carrier"].index([2, 8, "conn", [2, 4]])
+    del doc["carrier"][i]
+    return "connection (2,4)"
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_stray_row, _edge_refs_swapped, _connection_to_v50, _row_at_imaginary_dropped],
+    ids=["stray-row", "edge-refs-swapped", "connection-to-v50", "row-at-imaginary-dropped"],
+)
+def test_render_refuses_what_verify_rejects_in_the_carrier_table(k7_document, corrupt):
+    doc = parse_document(serialize_document(k7_document))
+    assert verify_document(doc).checks["carrier-table"].ok
+    name = corrupt(doc)
+    check = verify_document(doc).checks["carrier-table"]
+    assert not check.ok and any(f"carrier {name} " in d for d in check.details), check.details
+    for k in range(1, len(doc["layers"]) + 1):
+        with pytest.raises(RenderError, match=re.escape(f"carrier {name} ")):
+            render_svg(doc, k)
