@@ -455,7 +455,9 @@ def _check_carrier_table(doc: dict, table: SegmentTable, ends_of: dict) -> Check
     once; every carrier, of a row or of an imaginary entry, is a graph
     edge that is not a chord, or a chord's ends; each such carrier has a
     path (`carrier_paths`); and the imaginary entries list each vertex
-    above n of the final layer once."""
+    above n of the final layer once.  Each entry's `chord` is the ends of
+    a chord whose sequence holds the entry's vertex, and both ends of its
+    `host` lie on its carrier's path, with the vertex between them."""
     chords = doc["chords"]
     plain = set(ends_of).difference([eid for eid, _, _ in chords])
     conns = {(u, v) if u < v else (v, u) for _, u, v in chords}
@@ -467,7 +469,8 @@ def _check_carrier_table(doc: dict, table: SegmentTable, ends_of: dict) -> Check
         else:
             bad.append(f"carrier row ({a},{b}) is not a segment of the final layer")
     paths = carrier_paths(doc, ends_of)
-    keys = set(paths).union(carrier_key(*entry["carrier"]) for entry in doc["imaginary"])
+    entry_keys = [carrier_key(*entry["carrier"]) for entry in doc["imaginary"]]
+    keys = set(paths).union(entry_keys)
     edges = {ref for kind, ref in keys if kind == "edge"}
     ends = {ref for kind, ref in keys if kind == "conn"}
     bad += [f"carrier edge {e} is not a graph edge outside the chords" for e in sorted(edges - plain)]
@@ -477,6 +480,23 @@ def _check_carrier_table(doc: dict, table: SegmentTable, ends_of: dict) -> Check
         for key, path in sorted(paths.items())
         if path is None and key[1] in (plain if key[0] == "edge" else conns)
     ]
+    sequences = doc["sequences"]
+    crossed = {
+        (w, (u, v) if u < v else (v, u))
+        for eid, u, v in chords
+        for w in sequences.get(str(eid), ())
+    }
+    index_on: Dict[tuple, Dict[int, int]] = {}
+    for entry, key in zip(doc["imaginary"], entry_keys):
+        w, (a, b), (u, v) = entry["id"], entry["host"], entry["chord"]
+        if (w, (u, v) if u < v else (v, u)) not in crossed:
+            bad.append(f"v{w}: ({u},{v}) is not a chord whose sequence holds v{w}")
+        at = index_on.get(key)
+        if at is None:
+            at = index_on[key] = {x: i for i, x in enumerate(paths.get(key) or ())}
+        i, j, k = at.get(a, -1), at.get(b, -1), at.get(w, -1)
+        if not (0 <= i < k < j or 0 <= j < k < i):
+            bad.append(f"v{w}: host ({a},{b}) does not hold v{w} on its carrier's path")
     n = doc["graph"]["n"]
     ids = Counter([entry["id"] for entry in doc["imaginary"]])
     drawn = {v for v in chain.from_iterable(table) if v > n}

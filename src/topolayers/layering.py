@@ -12,6 +12,7 @@ inside only.  What is left opens the next layer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -114,34 +115,95 @@ def _route_greedy(
     """Route chords shortest-first until none fits; returns routed edge ids.
 
     Each pass routes in the faces tagged `side` as they are at that pass,
-    or in every face when side is None.  A chord's route is kept across
-    passes until an insertion touches a face its query saw: a route face,
-    or a face sharing a segment with one.  Faces elsewhere keep their
-    segments, neighbours and tag, and newly banned segments lie only on
-    new faces, so a kept route is what a fresh query would return.
+    or in every face when side is None.  Each round inserts the route of
+    the chord with the fewest route faces, the lowest edge id on a tie:
+    what querying every pending chord afresh would pick.  Three rules
+    spare most of those queries.
+
+    - A query's answer is kept until an insertion touches a face it saw:
+      a route face, or a face sharing a segment with one.  Faces elsewhere
+      keep their segments, neighbours and tag, and newly banned segments
+      lie only on new faces, so a kept answer is what a fresh query would
+      return.  The answer is a route, None, or, for a bounded query, that
+      no route has fewer than its `limit` faces.
+    - A round starts from the best kept route and visits the other chords
+      in edge-id order, asking each only for a route that would beat the
+      best so far: under its length, or under one more when the chord's
+      id is lower.  A chord whose kept answer already rules that out is
+      not queried.
+    - An unbounded query that finds no route has read every face its
+      target faces reach over usable links: a closed union of components.
+      Its faces stay labelled until an insertion touches one.  A chord
+      whose target faces all lie in labelled floods holding none of its
+      source faces has no route, nor has one with the two sides swapped,
+      and is not queried.
     """
     done: List[int] = []
-    routes: Dict[int, Tuple[Optional[List[int]], Set[int]]] = {}
+    pending = sorted(pool)
+    # edge id -> (route, no route has fewer faces than this, faces seen)
+    kept: Dict[int, Tuple[Optional[List[int]], float, Set[int]]] = {}
+    flood_of: Dict[int, int] = {}  # face id -> the failed flood it lies in
+    floods: List[Optional[Set[int]]] = []  # each flood's faces, None once dropped
     while True:
-        best = None
         faces = None if side is None else _side_faces(drawing, side)
-        for eid in sorted(set(pool) - set(done)):
-            if eid not in routes:
-                seen: Set[int] = set()
-                u, v = pool[eid]
-                routes[eid] = (shortest_route(drawing, u, v, faces, seen), seen)
-            r = routes[eid][0]
-            if r is not None and (best is None or len(r) < len(best[1])):
-                best = (eid, r)
+        best = min(
+            ((len(r), eid, r) for eid, (r, _, _) in kept.items() if r is not None),
+            default=None,
+        )
+        for eid in pending:
+            # with nothing kept, all that is known is that a route has a face
+            r, floor, _ = kept.get(eid, (None, 1, None))
+            if r is not None:
+                continue  # the best route, or no better than it
+            limit = None if best is None else best[0] + (eid < best[1])
+            if floor >= (math.inf if limit is None else limit):
+                continue
+            u, v = pool[eid]
+            if flood_of:
+                sources, targets = drawing.faces_at(u, faces), drawing.faces_at(v, faces)
+                if _apart(flood_of, targets, sources) or _apart(flood_of, sources, targets):
+                    continue
+            seen: Set[int] = set()
+            r = shortest_route(drawing, u, v, faces, seen, limit=limit)
+            if r is not None:
+                best = (len(r), eid, r)
+                kept[eid] = (r, len(r), seen)
+            elif limit is not None:
+                kept[eid] = (None, limit, seen)
+            else:
+                kept[eid] = (None, math.inf, seen)
+                # seen holds the flood and the faces at u, which it never reached
+                flood = seen - drawing.faces_at(u, faces)
+                for fid in flood:
+                    flood_of[fid] = len(floods)
+                floods.append(flood)
         if best is None:
             return done
-        eid, r = best
+        _, eid, r = best
         dirty = set(r)
         for fid in r:
             dirty.update(drawing.neighbours(fid))
         insert_connection(drawing, *pool[eid], r)
         done.append(eid)
-        routes = {k: q for k, q in routes.items() if k != eid and q[1].isdisjoint(dirty)}
+        pending.remove(eid)
+        kept = {k: a for k, a in kept.items() if k != eid and a[2].isdisjoint(dirty)}
+        for label in {flood_of[fid] for fid in dirty if fid in flood_of}:
+            for fid in floods[label]:
+                if flood_of.get(fid) == label:
+                    del flood_of[fid]
+            floods[label] = None
+
+
+def _apart(flood_of: Dict[int, int], near: Set[int], far: Set[int]) -> bool:
+    """Every face in `near` lies in a labelled flood, and no face in `far`
+    lies in one of those floods: no usable link path joins the two sets."""
+    labels = set()
+    for fid in near:
+        label = flood_of.get(fid)
+        if label is None:
+            return False
+        labels.add(label)
+    return all(flood_of.get(fid) not in labels for fid in far)
 
 
 def _replay_layer(

@@ -2,8 +2,11 @@
 
 Geometry is a convenience projection only: ring vertices sit on a regular
 polygon, interior original vertices at Tutte barycentric positions, and
-every imaginary vertex at the straight-line intersection of its host
-segment with its own chord.  No randomness, no timestamps.
+every imaginary vertex on its carrier's path: spaced evenly along an edge
+carrier, or relaxed between its path neighbours on a connection carrier
+(`_imaginary_positions`).  Each drawn chord is a polyline through its
+sequence, which must be the interior of its connection carrier's path.
+No randomness, no timestamps.
 """
 
 from __future__ import annotations
@@ -113,10 +116,29 @@ def _base_positions(doc: dict) -> Dict[int, Tuple[float, float]]:
     return pos
 
 
+def _carrier_paths(doc: dict, edges: Dict[int, Tuple[int, int]]) -> Dict[tuple, List[int]]:
+    """Each carrier's path (`document.carrier_paths`); RenderError when a
+    carrier has none."""
+    try:
+        paths = carrier_paths(doc, edges)
+    except DocumentError as exc:
+        raise RenderError(str(exc)) from None
+    for key, path in paths.items():
+        if path is None:
+            if key[0] == "edge" and key[1] not in edges:
+                raise RenderError(f"carrier edge {key[1]} is not a graph edge")
+            raise RenderError(f"carrier {carrier_name(key)} is not a path")
+    return paths
+
+
 def _imaginary_positions(
-    doc: dict, pos: Dict[int, Tuple[float, float]], drawn: Set[int]
+    doc: dict,
+    paths: Dict[tuple, List[int]],
+    pos: Dict[int, Tuple[float, float]],
+    drawn: Set[int],
 ) -> Dict[int, Tuple[float, float]]:
-    """Positions of the `drawn` crossing markers.
+    """Positions of the `drawn` crossing markers, on the carrier `paths`
+    that `_carrier_paths` read.
 
     Markers are spaced along an edge host by subdivision order; a marker
     on a connection host relaxes to the midpoint of its path neighbours,
@@ -126,17 +148,10 @@ def _imaginary_positions(
     other marker is ever read by these, so each goes through the same
     float operations, in the same order, as in a sweep over all of them.
     """
-    edges = {eid: (u, v) for eid, u, v in doc["graph"]["edges"]}
     try:
-        paths = carrier_paths(doc, edges)
         keys = [carrier_key(*entry["carrier"]) for entry in doc["imaginary"]]
     except DocumentError as exc:
         raise RenderError(str(exc)) from None
-    for key, path in paths.items():
-        if path is None:
-            if key[0] == "edge" and key[1] not in edges:
-                raise RenderError(f"carrier edge {key[1]} is not a graph edge")
-            raise RenderError(f"carrier {carrier_name(key)} is not a path")
     n = doc["graph"]["n"]
     # each vertex's index on each carrier path; walk's paths are simple
     index_on = {key: {v: i for i, v in enumerate(path)} for key, path in paths.items()}
@@ -204,7 +219,8 @@ def render_svg(doc: dict, layer_index: int) -> str:
         if eid not in edges:
             raise RenderError(f"layer {layer_index} realizes {eid}, which is not a graph edge")
     drawn = {w for eid in realized for w in sequences.get(eid, [])}
-    ipos = _imaginary_positions(doc, pos, drawn)
+    paths = _carrier_paths(doc, edges)
+    ipos = _imaginary_positions(doc, paths, pos, drawn)
     lines: List[Tuple[Tuple[float, float], Tuple[float, float]]] = []
     polylines: List[List[Tuple[float, float]]] = []
     if layer_index == 1:
@@ -227,8 +243,14 @@ def render_svg(doc: dict, layer_index: int) -> str:
             u, v = edges[eid]
             if u not in pos or v not in pos:
                 raise RenderError(f"edge {eid} ({u},{v}) names a vertex outside 1..{n}")
+            sequence = sequences.get(eid, [])
+            path = paths.get(("conn", (min(u, v), max(u, v))))
+            if path is None or path[1:-1] != sequence:
+                raise RenderError(
+                    f"edge {eid}'s sequence is not the interior of its connection's path"
+                )
             pts = [pos[min(u, v)]]
-            pts.extend(ipos[w] for w in sequences.get(eid, []))
+            pts.extend(ipos[w] for w in sequence)
             pts.append(pos[max(u, v)])
             polylines.append(pts)
     body: List[str] = []

@@ -26,7 +26,15 @@ outside this module reads the tables only through Drawing's methods.
 `shortest_route` can report in `seen` every face whose links it read,
 with the faces holding the chord's endpoints.  Its answer depends on
 nothing else, so a caller that routes many chords keeps a route until an
-insertion removes, or changes a neighbour of, one of those faces.
+insertion removes, or changes a neighbour of, one of those faces.  Given
+a `limit`, the search stops before it reads the links of any face at
+distance limit - 2 from the target side, and answers None when no route
+has fewer than `limit` faces; `layering._route_greedy` asks each chord
+only for a route that beats the best one of its round.  An unbounded
+search that finds no route has read a closed union of components of the
+usable links.  `_route_greedy` labels those faces and answers a later
+chord with no search when all its target faces lie in labelled floods
+that hold none of its source faces, or the same with the sides swapped.
 
 Each subdivided graph edge and each realized chord is recovered from the
 segments that carry it by `carrier_path`, which walks them with
@@ -155,6 +163,11 @@ class Drawing:
             here.discard(fid)
             if not here:
                 del self.vertex_faces[v]
+
+    def faces_at(self, v: int, ids: Optional[Set[int]] = None) -> Set[int]:
+        """Ids of the faces holding vertex v, only those in `ids` when given."""
+        here = self.vertex_faces.get(v, set())
+        return set(here) if ids is None else here & ids
 
     def neighbours(self, fid: int, cut: Set[Segment] = frozenset()) -> List[int]:
         """The faces across each segment of face fid that is not in `cut`."""
@@ -290,12 +303,17 @@ def shortest_route(
     t: int,
     face_ids: Optional[Set[int]] = None,
     seen: Optional[Set[int]] = None,
+    limit: Optional[int] = None,
 ) -> Optional[List[int]]:
     """Fewest faces from a face holding s to a face holding t.
 
     Conjugate links over banned edges or edges touching s/t are unusable.
     Ties resolve to the lexicographically smallest face-id sequence.
-    Returns None when the chord cannot be routed in the given face set.
+    Returns None when the chord cannot be routed in the given face set,
+    or, with a `limit`, when no route has fewer than `limit` faces: then
+    the search stops before it reads the links of any face at distance
+    limit - 2 from t, since every face nearer has been labelled and none
+    holds s.  A route it returns is the one an unbounded search returns.
     face_ids is only read.  When given, `seen` receives the counted faces
     holding s or t and every face whose links the search read: the answer
     depends on these alone.
@@ -305,19 +323,20 @@ def shortest_route(
     if seg(s, t) in drawing.carrier:
         raise RoutingError(f"({s},{t}) is already an edge of the drawing")
     ids = face_ids if face_ids is None or isinstance(face_ids, set) else set(face_ids)
-    sources = {f for f in drawing.vertex_faces.get(s, ()) if ids is None or f in ids}
-    targets = {f for f in drawing.vertex_faces.get(t, ()) if ids is None or f in ids}
+    sources = drawing.faces_at(s, ids)
+    targets = drawing.faces_at(t, ids)
     if seen is None:
         seen = set()
     seen |= sources
     seen |= targets
-    if not sources or not targets:
+    if not sources or not targets or (limit is not None and limit < 2):
         return None
     banned, cache = drawing.banned, drawing.links
 
     # Backward BFS from the target faces, then a greedy lex-smallest
     # forward walk.  The walk reads distances up to that of the nearest
-    # source face only, so the search stops once that level is complete.
+    # source face only, so the search stops once that level is complete,
+    # or at the `horizon` a bounded search may not read.
     # A link over an edge at s or t joins two faces that both hold that
     # vertex.  At t both are targets, at distance 0 from the start, so
     # neither search step crosses it.  At s both are sources: the BFS
@@ -325,13 +344,14 @@ def shortest_route(
     # source and steps only to faces nearer t, none of them a source.
     # So testing the ban flag is enough.
     level = 0 if sources & targets else None
+    horizon = None if limit is None else limit - 2
     dist = [-1] * drawing.next_cycle_id
     q = sorted(targets)
     for fid in q:
         dist[fid] = 0
     for fid in q:
         d = dist[fid]
-        if d == level:
+        if d == level or d == horizon:
             break
         links = cache[fid]
         if links is None:
@@ -342,12 +362,12 @@ def shortest_route(
                 q.append(nb)
                 if level is None and nb in sources:
                     level = d + 1
+    # q runs in order of distance; the faces before the first one at the
+    # distance the search stopped at had their links read
+    stop = horizon if level is None else level
+    seen.update(q if stop is None else q[: bisect_left(q, stop, key=dist.__getitem__)])
     if level is None:
-        seen.update(q)
         return None
-    # q runs in order of distance; the faces before the first one at
-    # `level` had their links read
-    seen.update(q[: bisect_left(q, level, key=dist.__getitem__)])
     cur = min(fid for fid in sources if dist[fid] == level)
     route = [cur]
     while dist[cur] > 0:

@@ -364,6 +364,17 @@ def _imaginary_entry_dropped(doc):
     del doc["imaginary"][5]
 
 
+def _imaginary_chord_not_a_chord(doc):
+    # pinned K10's first entry, v11, crosses chord (1,3); (1,2) is a
+    # layer-1 edge
+    doc["imaginary"][0]["chord"] = [1, 2]
+
+
+def _imaginary_host_off_its_path(doc):
+    # v11 subdivides (2,10) on edge 17's path, which never reaches v1
+    doc["imaginary"][0]["host"] = [1, 2]
+
+
 @pytest.mark.parametrize(
     "corrupt,check,detail",
     [
@@ -388,6 +399,8 @@ def _imaginary_entry_dropped(doc):
         (_carrier_row_dropped, "carrier-table", "segment (1,30) has no carrier row"),
         (_imaginary_entry_dropped, "carrier-table", "v16: no imaginary entry"),
         (_carrier_refs_swapped, "carrier-table", "carrier edge 8 is not a path"),
+        (_imaginary_chord_not_a_chord, "carrier-table", "v11: (1,2) is not a chord whose sequence holds v11"),
+        (_imaginary_host_off_its_path, "carrier-table", "v11: host (1,2) does not hold v11 on its carrier's path"),
     ],
     ids=[
         "edge-off-graph",
@@ -411,6 +424,8 @@ def _imaginary_entry_dropped(doc):
         "carrier-row-dropped",
         "imaginary-entry-dropped",
         "carrier-refs-swapped",
+        "imaginary-chord-not-a-chord",
+        "imaginary-host-off-its-path",
     ],
 )
 def test_verifier_names_bad_edges_and_rings(k10_decomposition, corrupt, check, detail):

@@ -17,7 +17,13 @@ from topolayers.document import (
 )
 from topolayers.graphs import complete_graph
 from topolayers.layering import decompose
-from topolayers.render import RenderError, _base_positions, _imaginary_positions, render_svg
+from topolayers.render import (
+    RenderError,
+    _base_positions,
+    _carrier_paths,
+    _imaginary_positions,
+    render_svg,
+)
 
 
 def _lines(svg):
@@ -117,11 +123,12 @@ def _assert_markers_match_full_relaxation(doc):
     of the document puts them."""
     pos = _base_positions(doc)
     ref = imaginary_positions_ref(doc, pos)
+    paths = _carrier_paths(doc, {eid: (u, v) for eid, u, v in doc["graph"]["edges"]})
     sequences = {int(k): v for k, v in doc["sequences"].items()}
     for layer in doc["layers"]:
         realized = [] if layer["index"] == 1 else layer["realized"]
         drawn = {w for eid in realized for w in sequences.get(eid, [])}
-        assert _imaginary_positions(doc, pos, drawn) == {w: ref[w] for w in drawn}
+        assert _imaginary_positions(doc, paths, pos, drawn) == {w: ref[w] for w in drawn}
 
 
 @pytest.mark.parametrize("n", range(7, 17))
@@ -147,6 +154,18 @@ def test_k7_realized_edge_off_the_graph_is_a_render_error(k7_document):
             row[2] = 50
     assert render_svg(doc, 1).startswith("<svg")
     with pytest.raises(RenderError, match=re.escape(f"edge {eid} (1,50) names a vertex outside 1..7")):
+        render_svg(doc, 2)
+
+
+def test_k7_sequence_off_its_connection_path_is_a_render_error(k7_document):
+    """Pinned K7's e9 crosses v9 then v10 from its smaller end; listed the
+    other way round, the polyline would not follow its connection."""
+    doc = copy.deepcopy(k7_document)
+    assert doc["sequences"]["9"] == [9, 10]
+    doc["sequences"]["9"] = [10, 9]
+    assert not verify_document(doc).checks["connection-realization"].ok
+    assert render_svg(doc, 1).startswith("<svg")
+    with pytest.raises(RenderError, match=re.escape("edge 9's sequence is not the interior")):
         render_svg(doc, 2)
 
 
