@@ -43,7 +43,6 @@ from .projection import (
     ProjectionError,
     basis_from_ring,
     chords_cross,
-    project_chord,
     select_noncrossing,
 )
 from .render import RenderError, render_svg
@@ -91,7 +90,6 @@ __all__ = [
     "insert_connection",
     "parse_document",
     "parse_graph",
-    "project_chord",
     "render_svg",
     "ring_cycle",
     "select_noncrossing",

@@ -5,9 +5,9 @@ faces in two: one flood fill from the rim face, stopped at ring segments,
 finds the outer side, and every other face is inner (split_regions).
 Each further layer, with a fresh ban set, replays its entry of a pinned
 route log or runs its strategy's passes (_PASSES): `thickness` routes the
-chords re-projected on the ring inside, then outside, then any chord through
-conjugate faces that avoid the layer's connections; `inner-only` routes
-inside only.  What is left opens the next layer.
+chords kept non-crossing on the ring inside, then outside, then any chord
+through conjugate faces that avoid the layer's connections; `inner-only`
+routes inside only.  What is left opens the next layer.
 """
 
 from __future__ import annotations
@@ -74,19 +74,12 @@ def split_regions(drawing: Drawing, ring: Sequence[int]) -> Tuple[Set[int], Set[
 
     The ring is a closed curve on the sphere, so the outer faces are those
     reached from the rim face without crossing a ring segment, and the
-    rest are inner.  The inner faces' segments must sum over GF(2) to the
-    ring's own segment set; the ring is a simple cycle, so that holds
-    exactly when the inner side is bounded by the ring.  Returns (inner,
-    outer) face ids.
+    rest are inner.  A simple cycle's dual edges form a bond, so that one
+    flood reaches exactly one side.  Returns (inner, outer) face ids.
     """
     cut = {seg(a, b) for a, b in zip(ring, [*ring[1:], ring[0]])}
     outer = _flood(drawing, drawing.rim_id, cut)
     inner = set(drawing.faces) - outer
-    boundary: Set[Segment] = set()
-    for fid in inner:
-        boundary.symmetric_difference_update(drawing.faces[fid].segments)
-    if boundary != cut:
-        raise DecompositionError("the faces inside the Hamiltonian ring do not sum to it")
     for fid in drawing.faces:
         drawing.side[fid] = "inner" if fid in inner else "outer"
     return inner, outer
@@ -103,10 +96,6 @@ def expanded_ring(drawing: Drawing, ring: Sequence[int]) -> List[int]:
             raise DecompositionError(f"ring edge e{eid} is not a path")
         out.extend(path[:-1])
     return out
-
-
-def _side_faces(drawing: Drawing, side: str) -> Set[int]:
-    return {fid for fid, s in drawing.side.items() if s == side}
 
 
 def _route_greedy(
@@ -144,8 +133,9 @@ def _route_greedy(
     kept: Dict[int, Tuple[Optional[List[int]], float, Set[int]]] = {}
     flood_of: Dict[int, int] = {}  # face id -> the failed flood it lies in
     floods: List[Optional[Set[int]]] = []  # each flood's faces, None once dropped
+    # an insertion replaces its route faces by halves that keep their tag
+    faces = None if side is None else {fid for fid, s in drawing.side.items() if s == side}
     while True:
-        faces = None if side is None else _side_faces(drawing, side)
         best = min(
             ((len(r), eid, r) for eid, (r, _, _) in kept.items() if r is not None),
             default=None,
@@ -183,7 +173,11 @@ def _route_greedy(
         dirty = set(r)
         for fid in r:
             dirty.update(drawing.neighbours(fid))
+        first = drawing.next_cycle_id
         insert_connection(drawing, *pool[eid], r)
+        if faces is not None:
+            faces.difference_update(r)
+            faces.update(range(first, drawing.next_cycle_id))
         done.append(eid)
         pending.remove(eid)
         kept = {k: a for k, a in kept.items() if k != eid and a[2].isdisjoint(dirty)}

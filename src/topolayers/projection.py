@@ -1,12 +1,14 @@
-"""Chord projections on a coordinate basis and the crossing relation.
+"""Chord positions on a coordinate basis and the crossing relation.
 
 The coordinate basis is an ordered ring of vertices (usually a
-Hamiltonian ring of the planar subgraph).  A chord projects onto the
-shorter of the two rim arcs between its endpoints; two chords cross
-exactly when their projections intersect properly (non-empty, neither
-contains the other).
+Hamiltonian ring of the planar subgraph).  A chord is the ring positions
+i < j of its ends and the length of the shorter arc between them,
+min(j - i, k - (j - i)) on a ring of k vertices.  Two chords cross
+exactly when their ends interleave strictly on the ring: one end of one
+lies strictly inside the other's interval and its other end strictly
+outside.  Chords that share an end never cross.
 
-`select_noncrossing` projects each candidate once, builds the crossing
+`select_noncrossing` places each candidate once, builds the crossing
 neighbour sets once, and on each removal updates only the victim's
 neighbours; the ring positions of a basis are computed once per basis.
 """
@@ -16,9 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
-
-from .graphs import Graph, edge_between
+from typing import Dict, List, Sequence, Set, Tuple
 
 
 class ProjectionError(ValueError):
@@ -28,7 +28,6 @@ class ProjectionError(ValueError):
 @dataclass(frozen=True)
 class Basis:
     ring: Tuple[int, ...]
-    labels: Tuple[int, ...]  # label of ring edge i = (ring[i], ring[i+1])
 
     @cached_property
     def pos(self) -> Dict[int, int]:
@@ -38,24 +37,12 @@ class Basis:
         return len(self.ring)
 
 
-def basis_from_ring(ring: Sequence[int], g: Optional[Graph] = None) -> Basis:
-    """Basis over a vertex ring; ring edges labelled by graph edge id when
-    available, otherwise by position."""
-    labels = []
-    k = len(ring)
-    for i in range(k):
-        a, b = ring[i], ring[(i + 1) % k]
-        eid = edge_between(g, a, b) if g is not None else None
-        labels.append(eid if eid is not None else -(i + 1))
-    return Basis(tuple(ring), tuple(labels))
+def basis_from_ring(ring: Sequence[int]) -> Basis:
+    return Basis(tuple(ring))
 
 
-def project_chord(basis: Basis, chord: Tuple[int, int]) -> FrozenSet[int]:
-    """Labels of the shorter rim arc between the chord endpoints.
-
-    Equal arcs tie-break to the lexicographically smaller sorted label
-    list.
-    """
+def _span(basis: Basis, chord: Tuple[int, int]) -> Tuple[int, int, int]:
+    """The chord's end positions i < j and its shorter arc's length."""
     pos = basis.pos
     u, v = chord
     if u not in pos or v not in pos:
@@ -64,26 +51,18 @@ def project_chord(basis: Basis, chord: Tuple[int, int]) -> FrozenSet[int]:
     if u == v:
         raise ProjectionError("degenerate chord")
     i, j = sorted((pos[u], pos[v]))
-    k = len(basis)
-    arc1 = [basis.labels[t] for t in range(i, j)]
-    arc2 = [basis.labels[t % k] for t in range(j, i + k)]
-    if len(arc1) != len(arc2):
-        pick = arc1 if len(arc1) < len(arc2) else arc2
-    else:
-        pick = arc1 if sorted(arc1) <= sorted(arc2) else arc2
-    return frozenset(pick)
+    return i, j, min(j - i, len(basis) - (j - i))
+
+
+def _interleave(a: Tuple[int, int, int], b: Tuple[int, int, int]) -> bool:
+    return a[0] < b[0] < a[1] < b[1] or b[0] < a[0] < b[1] < a[1]
 
 
 def chords_cross(
     basis: Basis, c1: Tuple[int, int], c2: Tuple[int, int]
 ) -> bool:
-    """Proper intersection of the two projections."""
-    return _proper(project_chord(basis, c1), project_chord(basis, c2))
-
-
-def _proper(p1: FrozenSet[int], p2: FrozenSet[int]) -> bool:
-    inter = p1 & p2
-    return bool(inter) and inter != p1 and inter != p2
+    """The two chords' ends interleave strictly on the ring."""
+    return _interleave(_span(basis, c1), _span(basis, c2))
 
 
 def select_noncrossing(
@@ -91,15 +70,15 @@ def select_noncrossing(
 ) -> Tuple[List[int], List[int]]:
     """Iteratively drop the worst-crossing chord until none cross.
 
-    Ties: larger crossing count, then larger projection, then smaller
+    Ties: larger crossing count, then longer shorter arc, then smaller
     edge id.  Returns (kept ids sorted, removal order).
     """
-    if len(chords) < 2:  # a lone chord crosses nothing and is not projected
+    if len(chords) < 2:  # a lone chord crosses nothing and is not placed
         return sorted(chords), []
-    proj = {cid: project_chord(basis, uv) for cid, uv in chords.items()}
+    span = {cid: _span(basis, uv) for cid, uv in chords.items()}
     crosses: Dict[int, Set[int]] = {cid: set() for cid in chords}
     for a, b in combinations(sorted(chords), 2):
-        if _proper(proj[a], proj[b]):
+        if _interleave(span[a], span[b]):
             crosses[a].add(b)
             crosses[b].add(a)
     removed: List[int] = []
@@ -109,7 +88,7 @@ def select_noncrossing(
             break
         victim = min(
             (cid for cid, others in crosses.items() if len(others) == worst),
-            key=lambda cid: (-len(proj[cid]), cid),
+            key=lambda cid: (-span[cid][2], cid),
         )
         removed.append(victim)
         for other in crosses.pop(victim):
@@ -121,7 +100,6 @@ __all__ = [
     "Basis",
     "ProjectionError",
     "basis_from_ring",
-    "project_chord",
     "chords_cross",
     "select_noncrossing",
 ]

@@ -435,6 +435,8 @@ def insert_connection(drawing: Drawing, s: int, t: int, route: Sequence[int]) ->
 
     Each conjugate edge along the route gets a fresh imaginary vertex of
     degree 4; each route face splits into two at its entry/exit pair.
+    Those halves, which keep the split face's side tag, are the only faces
+    it issues ids to.
     """
     route = list(route)
     if not route:

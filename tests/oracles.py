@@ -1,10 +1,14 @@
 """Loop versions of chord selection, routing and segment walks, kept as
 test references, and helpers the package no longer ships.
 
-`crossing_counts` counts each chord's crossings pair by pair, and
-`brute_force_max_noncrossing` finds a maximum non-crossing chord subset
-exhaustively; both moved here from `projection`, where nothing called
-them.  These recompute everything on every query: `select_noncrossing_ref`
+`project_chord_ref` projects a chord onto the shorter arc of labelled
+ring edges, and `chords_cross_ref` decides a crossing by the proper
+intersection of two projections: `projection` did both before it moved
+to ring positions.  `crossing_counts` counts each chord's crossings pair
+by pair, and `brute_force_max_noncrossing` finds a maximum non-crossing
+chord subset exhaustively; both moved here from `projection`, where
+nothing called them, and both decide crossings with `chords_cross_ref`.
+These recompute everything on every query: `select_noncrossing_ref`
 recounts all pairwise crossings after each removal, and
 `shortest_route_ref` builds the whole mixed cycle graph from the face
 dictionary and runs a full breadth-first search.  `boundary_ring_ref`
@@ -69,10 +73,10 @@ import networkx as nx
 
 from topolayers.cycles import Cycle, Segment, canonical_ring, seg
 from topolayers.document import _check_cycle_ids, carrier_key, carrier_paths
-from topolayers.graphs import Graph, parse_graph
+from topolayers.graphs import Graph, edge_between, parse_graph
 from topolayers.layering import DecompositionError
 from topolayers.planar import CycleSystem, PlanarizationError
-from topolayers.projection import Basis, ProjectionError, chords_cross, project_chord
+from topolayers.projection import Basis, ProjectionError
 from topolayers.render import RenderError
 from topolayers.routing import Carrier, InsertionRecord, RoutingError, insert_connection
 from topolayers.verify import (
@@ -84,13 +88,52 @@ from topolayers.verify import (
 )
 
 
+def project_chord_ref(
+    ring: Sequence[int], chord: Tuple[int, int], g: Optional[Graph] = None
+) -> frozenset:
+    """Labels of the shorter ring arc between the chord's ends.
+
+    Ring edge i, (ring[i], ring[i+1]), is labelled by its edge id in g
+    when g is given and has it, else by -(i + 1).  Equal arcs tie-break
+    to the lexicographically smaller sorted label list.
+    """
+    k = len(ring)
+    labels = []
+    for i in range(k):
+        eid = edge_between(g, ring[i], ring[(i + 1) % k]) if g is not None else None
+        labels.append(eid if eid is not None else -(i + 1))
+    pos = {v: i for i, v in enumerate(ring)}
+    u, v = chord
+    if u not in pos or v not in pos:
+        missing = u if u not in pos else v
+        raise ProjectionError(f"chord endpoint v{missing} is not on the basis ring")
+    if u == v:
+        raise ProjectionError("degenerate chord")
+    i, j = sorted((pos[u], pos[v]))
+    arc1 = [labels[t] for t in range(i, j)]
+    arc2 = [labels[t % k] for t in range(j, i + k)]
+    if len(arc1) != len(arc2):
+        pick = arc1 if len(arc1) < len(arc2) else arc2
+    else:
+        pick = arc1 if sorted(arc1) <= sorted(arc2) else arc2
+    return frozenset(pick)
+
+
+def chords_cross_ref(ring: Sequence[int], c1: Tuple[int, int], c2: Tuple[int, int]) -> bool:
+    """The two chords' projections intersect properly: they meet, and
+    neither contains the other."""
+    p1, p2 = project_chord_ref(ring, c1), project_chord_ref(ring, c2)
+    inter = p1 & p2
+    return bool(inter) and inter != p1 and inter != p2
+
+
 def crossing_counts(
     basis: Basis, chords: Dict[int, Tuple[int, int]]
 ) -> Dict[int, int]:
     """Number of crossings per chord (keyed like the input)."""
     counts = {cid: 0 for cid in chords}
     for a, b in combinations(sorted(chords), 2):
-        if chords_cross(basis, chords[a], chords[b]):
+        if chords_cross_ref(basis.ring, chords[a], chords[b]):
             counts[a] += 1
             counts[b] += 1
     return counts
@@ -111,7 +154,7 @@ def brute_force_max_noncrossing(
         cid: {
             oid
             for oid in ids
-            if oid != cid and chords_cross(basis, chords[cid], chords[oid])
+            if oid != cid and chords_cross_ref(basis.ring, chords[cid], chords[oid])
         }
         for cid in ids
     }
@@ -144,7 +187,7 @@ def select_noncrossing_ref(basis, chords: Dict[int, Tuple[int, int]]) -> Tuple[L
             break
         victim = min(
             (cid for cid in alive if counts[cid] == worst),
-            key=lambda cid: (-len(project_chord(basis, alive[cid])), cid),
+            key=lambda cid: (-len(project_chord_ref(basis.ring, alive[cid])), cid),
         )
         removed.append(victim)
         del alive[victim]

@@ -1,7 +1,7 @@
 """Incremental selection and routing against their loop references.
 
 `select_noncrossing` and `shortest_route` reuse work across queries: each
-projection is computed once per selection, and routes read conjugate
+chord's ring positions are found once per selection, and routes read conjugate
 links from the drawing's face index and link cache, testing each link in
 place.  `_route_greedy` keeps each chord's answer until an insertion
 touches a face its query saw, bounds each query by the route it must
@@ -60,7 +60,7 @@ from oracles import (
 
 @st.composite
 def rings_and_chords(draw):
-    k = draw(st.integers(4, 14))
+    k = draw(st.integers(3, 20))
     ring = draw(st.permutations(list(range(1, k + 1))))
     pairs = draw(
         st.lists(
@@ -284,7 +284,7 @@ def test_id_tables_match_the_tuple_reference(n, monkeypatch):
 
 def test_selection_projects_each_candidate_once(monkeypatch):
     calls = []
-    real = projection.project_chord
+    real = projection._span
 
     def counted(basis, chord):
         calls.append(chord)
@@ -297,7 +297,7 @@ def test_selection_projects_each_candidate_once(monkeypatch):
             assert len(calls) == len(chords)
         return got
 
-    monkeypatch.setattr(projection, "project_chord", counted)
+    monkeypatch.setattr(projection, "_span", counted)
     monkeypatch.setattr(layering, "select_noncrossing", checked_select)
     rng = random.Random(7)
     ring = list(range(1, 13))
