@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .cycles import Cycle, Segment, canonical_ring, ring_cycle, seg
 from .graphs import Graph
@@ -499,23 +499,30 @@ def hamiltonian_rim(
     # path needs two of them to lie on the closing cycle.
     free = [len(ns) for ns in adj]
     path: List[int] = [1]
-    used: Set[int] = {1}
-    # steps[i]: the untried successors of path[i], kept on an explicit
-    # stack so that a ring may be longer than Python's recursion limit.
-    # Vertex 1 is an end of the path, never interior, so every neighbour
-    # of it is a step.
-    steps: List[Iterator[int]] = [iter(adj[1])]
+    used = [False] * (g.n + 1)
+    used[1] = True
+    # steps[i] lists the successors of path[i] and nxt[i] indexes the
+    # first one untried; an explicit stack, so that a ring may be longer
+    # than Python's recursion limit.  Vertex 1 is an end of the path,
+    # never interior, so every neighbour of it is a step.
+    steps: List[Sequence[int]] = [adj[1]]
+    nxt = [0]
     tried = 0
     while steps:
-        w = next((x for x in steps[-1] if x not in used), None)
-        if w is None:
+        top, i = steps[-1], nxt[-1]
+        while i < len(top) and used[top[i]]:
+            i += 1
+        if i == len(top):
             steps.pop()
+            nxt.pop()
             if steps:
                 end = path.pop()
-                used.discard(end)
+                used[end] = False
                 for x in adj[end]:
                     free[x] += 1
             continue
+        w = top[i]
+        nxt[-1] = i + 1
         tried += 1
         if tried > budget:
             raise PlanarizationError("Hamiltonian ring search budget exhausted")
@@ -524,13 +531,14 @@ def hamiltonian_rim(
                 return canonical_ring([*path, w])
             continue
         path.append(w)
-        used.add(w)
+        used[w] = True
         # every step from here makes w interior
         for x in adj[w]:
             free[x] -= 1
-        short = [x for x in adj[w] if x not in used and free[x] < 2]
+        short = [x for x in adj[w] if not used[x] and free[x] < 2]
         # a short vertex can only be the next end, so two end the branch
-        steps.append(iter((short or adj[w]) if len(short) < 2 else ()))
+        steps.append((short or adj[w]) if len(short) < 2 else ())
+        nxt.append(0)
     raise PlanarizationError("no Hamiltonian ring found in the planar subgraph")
 
 

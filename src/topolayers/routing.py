@@ -9,19 +9,21 @@ rim face, each a simple oriented cycle, every edge on exactly two faces.
 A Drawing numbers each segment when it is created and keeps its face
 index in tables indexed by that id: two face slots per segment, each
 face's segment ids aligned with its arcs, and a ban flag per segment.
-`insert_connection` keeps them in step as faces split.  Since a segment
-has two slots, a split face is removed before its two halves are added.
-The drawing also caches each face's conjugate links, sorted (face,
-segment id) pairs, unfiltered, in `links`; adding or removing a face
-drops the entries of every face that shares a segment with it, so an
-entry always equals a fresh computation.  A route query labels faces by
-distance in a list indexed by face id.  It reads the cached lists in
-place, tests each link's ban flag as it reaches it, and stops once the
-search has reached the nearest face holding the source vertex, so it
-never builds the whole mixed cycle graph.  It neither copies the ban
-flags nor flags the segments at the chord's ends: a link over such a
-segment could never change its answer (see `shortest_route`).  Code
-outside this module reads the tables only through Drawing's methods.
+`insert_connection` keeps them in step: `Drawing._split_face` splits
+each route face in place, moving each of its segment slots to the half
+that takes the segment over.  The drawing also caches each face's
+conjugate links, sorted (face, segment id) pairs, unfiltered, in
+`links`; splitting a face drops its entry and those of the faces
+sharing a segment with it, once each, so an entry always equals a fresh
+computation.  A
+route query labels faces by distance in a list indexed by face id.  It
+reads the cached lists in place, tests each link's ban flag as it
+reaches it, and stops once the search has reached the nearest face
+holding the source vertex, so it never builds the whole mixed cycle
+graph.  It neither copies the ban flags nor flags the segments at the
+chord's ends: a link over such a segment could never change its answer
+(see `shortest_route`).  Code outside this module reads the tables only
+through Drawing's methods.
 
 `shortest_route` can report in `seen` every face whose links it read,
 with the faces holding the chord's endpoints.  Its answer depends on
@@ -84,13 +86,12 @@ class Drawing:
     face_segs: List[Optional[List[int]]] = field(init=False, repr=False, compare=False)
     # Face ids at each vertex.  insert_connection, the only code that
     # changes faces, keeps this and the tables above in step through
-    # _remove_face and _add_face.
+    # _split_face.
     vertex_faces: Dict[int, Set[int]] = field(init=False, repr=False, compare=False)
     # Indexed by face id: the face's conjugate links as sorted (face,
     # segment id) pairs, unfiltered, or None until _cached_links fills
     # it.  An entry depends only on the face and the faces sharing its
-    # segments, so _add_face and _remove_face drop the entries of those
-    # faces.
+    # segments, so _split_face drops the entries of those faces.
     links: List[Optional[List[Tuple[int, int]]]] = field(init=False, repr=False, compare=False)
     # The segments each carrier key holds: `carrier` inverted, kept in
     # step by _carry and _uncarry.
@@ -101,16 +102,25 @@ class Drawing:
         self.seg_ends = []
         self.seg_faces = []
         self.banned = bytearray()
-        self.face_segs = []
+        self.face_segs = [None] * (max(self.faces, default=-1) + 1)
+        self.links = list(self.face_segs)
         self.vertex_faces = {}
-        self.links = []
         self.carried = {}
-        for c in list(self.faces.values()):
+        sf = self.seg_faces
+        for c in self.faces.values():
             sids = []
             for a, b in c.arcs:
                 sid = self.seg_id.get(seg(a, b))
-                sids.append(self._new_segment(a, b) if sid is None else sid)
-            self._add_face(c, sids)
+                if sid is None:
+                    sid = self._new_segment(a, b)
+                k = 2 * sid if sf[2 * sid] < 0 else 2 * sid + 1
+                if sf[k] >= 0:
+                    x, y = self.seg_ends[sid]
+                    raise RoutingError(f"segment ({x},{y}) would lie on three faces")
+                sf[k] = c.id
+                sids.append(sid)
+                self.vertex_faces.setdefault(a, set()).add(c.id)
+            self.face_segs[c.id] = sids
         for s, key in self.carrier.items():
             self.carried.setdefault(key, set()).add(s)
 
@@ -123,46 +133,93 @@ class Drawing:
         self.banned.append(0)
         return sid
 
-    def _forget_links(self, fid: int) -> None:
-        """Drop the cached links of face fid and of every face sharing a segment with it."""
-        sf = self.seg_faces
-        for sid in self.face_segs[fid]:
-            for other in sf[2 * sid], sf[2 * sid + 1]:
-                if other >= 0:
-                    self.links[other] = None
+    def _split_face(
+        self,
+        fid: int,
+        entry: int,
+        exit_: int,
+        cuts: Dict[int, Tuple[int, int, int]],
+        key: Carrier,
+    ) -> None:
+        """Split face fid in two by a new segment from entry to exit_.
 
-    def _add_face(self, c: Cycle, sids: List[int]) -> None:
-        """Draw face c, whose arcs lie on segments `sids` in order."""
-        fid = c.id
-        self.faces[fid] = c
-        if fid >= len(self.face_segs):
-            grow = fid + 1 - len(self.face_segs)
-            self.face_segs += [None] * grow
-            self.links += [None] * grow
-        self.face_segs[fid] = sids
-        sf = self.seg_faces
-        for sid in sids:
-            k = 2 * sid if sf[2 * sid] < 0 else 2 * sid + 1
-            if sf[k] >= 0:
-                a, b = self.seg_ends[sid]
-                raise RoutingError(f"segment ({a},{b}) would lie on three faces")
-            sf[k] = fid
-        for v, _ in c.arcs:
-            self.vertex_faces.setdefault(v, set()).add(fid)
-        self._forget_links(fid)
-
-    def _remove_face(self, fid: int) -> None:
+        `cuts` maps each segment id a new vertex w subdivides to (w, lo,
+        hi), lo and hi running from its smaller and its larger end to w;
+        entry and exit_ are vertices of the face or such new vertices.
+        One pass over the face's arcs subdivides its cut segments, empties
+        their slots, finds entry and exit_, and drops the cached links of
+        fid and of each face sharing a segment with it, the only ones a
+        split changes.  A second moves each arc's slot and its tail's
+        `vertex_faces` entry to its half: the next face id runs from entry
+        to exit_, the one after back.  Both halves keep fid's side tag,
+        fid stops being the rim, and the new segment is carried by `key`
+        and banned.
+        """
         c = self.faces.pop(fid)
-        self._forget_links(fid)
-        sf = self.seg_faces
-        for sid in self.face_segs[fid]:
-            sf[2 * sid if sf[2 * sid] == fid else 2 * sid + 1] = -1
+        sf, links, vf = self.seg_faces, self.links, self.vertex_faces
+        arcs: List[Tuple[int, int]] = []
+        sids: List[int] = []
+        i = j = 0
+        for (a, b), sid in zip(c.arcs, self.face_segs[fid]):
+            k = 2 * sid
+            for other in sf[k], sf[k + 1]:
+                if other >= 0:
+                    links[other] = None
+            if a == entry:
+                i = len(arcs)
+            elif a == exit_:
+                j = len(arcs)
+            cut = cuts.get(sid)
+            if cut is None:
+                arcs.append((a, b))
+                sids.append(sid)
+                continue
+            w, lo, hi = cut
+            sf[k] = sf[k + 1] = -1
+            if w == entry:
+                i = len(arcs) + 1
+            elif w == exit_:
+                j = len(arcs) + 1
+            if w not in vf:
+                vf[w] = set()
+            arcs += (a, w), (w, b)
+            sids += (lo, hi) if a < b else (hi, lo)
         self.face_segs[fid] = None
-        for v, _ in c.arcs:
-            here = self.vertex_faces[v]
-            here.discard(fid)
-            if not here:
-                del self.vertex_faces[v]
+        # from entry round to it again: the first j arcs run to exit_
+        arcs, sids, j = arcs[i:] + arcs[:i], sids[i:] + sids[:i], (j - i) % len(arcs)
+        a_id = self.next_cycle_id
+        b_id = a_id + 1
+        self.next_cycle_id += 2
+        grow = b_id + 1 - len(self.face_segs)
+        if grow > 0:
+            self.face_segs += [None] * grow
+            links += [None] * grow
+        for half, part in (a_id, range(j)), (b_id, range(j, len(arcs))):
+            for x in part:
+                # a kept segment's slot holds fid; a new one fills its first free slot
+                k = 2 * sids[x]
+                if sf[k] != fid and sf[k] >= 0:
+                    k += 1
+                sf[k] = half
+                here = vf[arcs[x][0]]
+                here.discard(fid)
+                here.add(half)
+        vf[entry].add(b_id)
+        vf[exit_].add(a_id)
+        conn = self._new_segment(entry, exit_)
+        sf[2 * conn] = a_id
+        sf[2 * conn + 1] = b_id
+        self.face_segs[a_id] = sids[:j] + [conn]
+        self.face_segs[b_id] = [conn] + sids[j:]
+        self.faces[a_id] = Cycle(a_id, tuple(arcs[:j]) + ((exit_, entry),))
+        self.faces[b_id] = Cycle(b_id, ((entry, exit_),) + tuple(arcs[j:]))
+        tag = self.side.pop(fid, None)
+        if tag is not None:
+            self.side[a_id] = self.side[b_id] = tag
+        if self.rim_id == fid:
+            self.rim_id = None
+        self._carry(self.seg_ends[conn], key)
+        self.banned[conn] = 1
 
     def faces_at(self, v: int, ids: Optional[Set[int]] = None) -> Set[int]:
         """Ids of the faces holding vertex v, only those in `ids` when given."""
@@ -263,8 +320,17 @@ def _cached_links(drawing: Drawing, fid: int) -> List[Tuple[int, int]]:
             for sid in drawing.face_segs[fid]
         ]
         across.sort()
-        nbs = [nb for nb, _ in across]
-        links = [p for p in across if p[0] >= 0 and nbs.count(p[0]) == 1]
+        # sorted, a face's pairs are adjacent: keep a pair while its face
+        # is new, drop it when the next pair repeats the face.  Empty
+        # slots (-1) sort first, and start as the face already seen.
+        links = []
+        last = -1
+        for p in across:
+            if p[0] != last:
+                links.append(p)
+                last = p[0]
+            elif links and links[-1][0] == last:
+                links.pop()
         drawing.links[fid] = links
     return links
 
@@ -434,9 +500,11 @@ def insert_connection(drawing: Drawing, s: int, t: int, route: Sequence[int]) ->
     """Realize chord (s,t) along a face route, splitting every route face.
 
     Each conjugate edge along the route gets a fresh imaginary vertex of
-    degree 4; each route face splits into two at its entry/exit pair.
-    Those halves, which keep the split face's side tag, are the only faces
-    it issues ids to.
+    degree 4 that subdivides it.  Then each route face splits into two at
+    its entry/exit pair (`Drawing._split_face`), which also subdivides
+    its crossed edges and drops each neighbour's cached links once.
+    Those halves, which keep the split face's side tag, are the only
+    faces it issues ids to.
     """
     route = list(route)
     if not route:
@@ -466,8 +534,9 @@ def insert_connection(drawing: Drawing, s: int, t: int, route: Sequence[int]) ->
 
     chord_key = seg(s, t)
     ws = []
+    cuts: Dict[int, Tuple[int, int, int]] = {}
     for sid in conjs:
-        cs = ends[sid]
+        x, y = cs = ends[sid]
         w = drawing.next_vertex_id
         drawing.next_vertex_id += 1
         ws.append(w)
@@ -476,51 +545,19 @@ def insert_connection(drawing: Drawing, s: int, t: int, route: Sequence[int]) ->
             "carrier": drawing.carrier[cs],
             "chord": chord_key,
         }
-    # Each route face's arcs and their segment ids, split in step.
-    work = {fid: (list(faces[fid].arcs), list(drawing.face_segs[fid])) for fid in route}
-    for i, sid in enumerate(conjs):
-        w = ws[i]
-        x, y = cs = ends[sid]
         lo, hi = drawing._new_segment(x, w), drawing._new_segment(w, y)
-        for fid in (route[i], route[i + 1]):
-            arcs, sids = work[fid]
-            k = sids.index(sid)
-            a, b = arcs[k]
-            arcs[k : k + 1] = [(a, w), (w, b)]
-            sids[k : k + 1] = [lo, hi] if a == x else [hi, lo]
+        cuts[sid] = (w, lo, hi)
         ck = drawing._uncarry(cs)
         drawing._carry(ends[lo], ck)
         drawing._carry(ends[hi], ck)
-        # the subdivided segment's slots empty as its two faces are removed
+        # its two faces empty its slots as they split
         del drawing.seg_id[cs]
-
     for k, fid in enumerate(route):
         entry = s if k == 0 else ws[k - 1]
         exit_ = ws[k] if k < len(ws) else t
         if entry == exit_:
             raise RoutingError("degenerate crossing")
-        arcs, sids = work[fid]
-        i = [a for a, _ in arcs].index(entry)
-        arcs, sids = arcs[i:] + arcs[:i], sids[i:] + sids[:i]
-        j = [a for a, _ in arcs].index(exit_)
-        conn = drawing._new_segment(entry, exit_)
-        a_id = drawing.next_cycle_id
-        b_id = drawing.next_cycle_id + 1
-        drawing.next_cycle_id += 2
-        # a segment has two face slots, so the face goes before its halves
-        # take its segments
-        drawing._remove_face(fid)
-        drawing._add_face(Cycle(a_id, tuple(arcs[:j]) + ((exit_, entry),)), sids[:j] + [conn])
-        drawing._add_face(Cycle(b_id, ((entry, exit_),) + tuple(arcs[j:])), [conn] + sids[j:])
-        tag = drawing.side.get(fid)
-        if tag is not None:
-            drawing.side[a_id] = tag
-            drawing.side[b_id] = tag
-        drawing.side.pop(fid, None)
-        if drawing.rim_id == fid:
-            drawing.rim_id = None
-        drawing._carry(ends[conn], ("conn", chord_key))
-        drawing.banned[conn] = 1
+        drawing._split_face(fid, entry, exit_, cuts, ("conn", chord_key))
     drawing.routed.append((s, t))
     return InsertionRecord(chord=(s, t), route=route, imaginary_ids=ws)
 

@@ -15,7 +15,9 @@ dictionary and runs a full breadth-first search.  `boundary_ring_ref`
 turns a region's segment set into its ring; the package no longer does
 (`layering.split_regions` compares segment sets).  `connection_path_ref`
 is the chord walk that `cycles.walk` replaced.
-`route_greedy_ref` re-queries every pending chord after each insertion.
+`route_greedy_ref` re-queries every pending chord after each insertion,
+and `cached_links_count_ref` counts each pair's face among all of a
+face's pairs, as the link cache did before it scanned them once.
 `greedy_planar_subgraph_ref` runs a full planarity test for every edge,
 and `hamiltonian_rim_ref` is the unpruned depth-first search that copies
 its path at every step; it keeps the first ring that `_solve_gf2_subset`,
@@ -289,6 +291,19 @@ def conjugate_links_ref(
         and s[0] not in avoid
         and s[1] not in avoid
     ]
+
+
+def cached_links_count_ref(drawing, fid: int) -> List[Tuple[int, int]]:
+    """Face fid's sorted (face, segment id) links as `routing._cached_links`
+    built them before its one scan: a pair is kept when `list.count`
+    finds its face once among all the pairs.  The cache is left alone."""
+    sf = drawing.seg_faces
+    across = sorted(
+        (sf[2 * sid + 1] if sf[2 * sid] == fid else sf[2 * sid], sid)
+        for sid in drawing.face_segs[fid]
+    )
+    nbs = [nb for nb, _ in across]
+    return [p for p in across if p[0] >= 0 and nbs.count(p[0]) == 1]
 
 
 def shortest_route_copying_ref(

@@ -44,6 +44,22 @@ def test_cycle_arc_chaining_checked():
         Cycle(1, ((1, 2), (3, 1)))
 
 
+@pytest.mark.parametrize(
+    "arcs, where",
+    [
+        # only the wrap-around pair breaks
+        (((1, 2), (2, 3), (3, 4)), 4),
+        # two breaks, the wrap-around pair's met first by a pass that
+        # starts from the last head
+        (((1, 2), (2, 3), (4, 5)), 3),
+        (((1, 2), (3, 4), (5, 1)), 2),
+    ],
+)
+def test_cycle_names_the_first_break_in_arc_order(arcs, where):
+    with pytest.raises(ValueError, match=rf"^cycle c9: arcs do not chain at v{where}$"):
+        Cycle(9, arcs)
+
+
 def test_ring_cycle_and_reverse():
     c = ring_cycle(4, [1, 5, 3])
     assert c.arcs == ((1, 5), (5, 3), (3, 1))

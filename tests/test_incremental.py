@@ -46,6 +46,7 @@ from topolayers.routing import (
 from oracles import (
     TupleDrawing,
     banned_segments,
+    cached_links_count_ref,
     face_indexes,
     graph_from_networkx,
     insert_connection_tuple_ref,
@@ -360,6 +361,47 @@ def test_route_queries_are_bounded_and_memoised(monkeypatch):
     assert any(limit is not None for limit in calls)
 
 
+def test_a_memo_answer_is_dropped_with_the_flood_it_relied_on(monkeypatch):
+    """Chord 2's target face 11 lies in chord 1's failed flood {10, 11},
+    so chord 2 fails with no search.  Inserting chord 3 touches face 10
+    of that flood but no face at either end of chord 2, and joins the
+    flood to chord 2's source face 20.  Only the dropped flood tells that
+    chord 2 must be asked again.  The drawing and search are stand-ins
+    that play this out face by face."""
+
+    class Faces:
+        next_cycle_id = 40
+        at = {1: {5}, 2: {10}, 3: {20}, 4: {11}, 5: {30}, 6: {31}}
+
+        def faces_at(self, v, ids=None):
+            return set(self.at[v])
+
+        def neighbours(self, fid):
+            return [10] if fid == 31 else []
+
+    inserted, asked = [], []
+
+    def search(drawing, u, v, faces, seen, limit=None):
+        asked.append((u, v))
+        joined = (5, 6) in inserted
+        route, read = {
+            (1, 2): (None, {5, 10, 11, 20} if joined else {5, 10, 11}),
+            (3, 4): ([20, 11], {20, 11}),
+            (5, 6): ([30, 31], {30, 31}),
+        }[(u, v)]
+        seen |= read
+        return route if limit is None or route is None or len(route) < limit else None
+
+    def insert(drawing, u, v, route):
+        inserted.append((u, v))
+
+    monkeypatch.setattr(layering, "shortest_route", search)
+    monkeypatch.setattr(layering, "insert_connection", insert)
+    pool = {1: (1, 2), 2: (3, 4), 3: (5, 6)}
+    assert layering._route_greedy(Faces(), pool, None) == [3, 2]
+    assert asked == [(1, 2), (5, 6), (1, 2), (3, 4), (1, 2)]
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     st.integers(6, 10),
@@ -419,19 +461,68 @@ def test_link_cache_tracks_every_insertion(monkeypatch):
     assert len(cached) == len(d.chords) and sum(cached) > 0
 
 
-def test_link_cache_tracks_each_face_change():
-    """_remove_face and _add_face each keep the cache exact on their own;
-    insert_connection always pairs them, which would hide a lapse in one."""
-    g = complete_graph(8)
-    d = Drawing.from_system(g, select_planar_cycle_system(g))
-    for fid in sorted(d.faces):
-        face, sids = d.faces[fid], d.face_segs[fid]
-        build_mixed_cycle_graph(d)
-        d._remove_face(fid)
-        _assert_links_fresh(d)
-        build_mixed_cycle_graph(d)
-        d._add_face(face, sids)
-        _assert_links_fresh(d)
+def test_link_cache_tracks_each_face_change(monkeypatch):
+    """_split_face keeps the cache exact after each split of an unpinned
+    K8 run, every entry filled before each insertion.  Checking only once
+    an insertion has split all its route faces would hide a lapse in one
+    split, since a later split drops the entries of its own neighbours."""
+    real_split = Drawing._split_face
+    split = []
+
+    def filled(drawing, s, t, route):
+        build_mixed_cycle_graph(drawing)
+        return insert_connection(drawing, s, t, route)
+
+    def checked(drawing, fid, *args):
+        real_split(drawing, fid, *args)
+        _assert_links_fresh(drawing)
+        split.append(fid)
+
+    monkeypatch.setattr(layering, "insert_connection", filled)
+    monkeypatch.setattr(Drawing, "_split_face", checked)
+    d = decompose(complete_graph(8))
+    # some insertion split more than one face
+    assert len(split) > len(d.chords)
+
+
+# Hexagon 1 and, outside it, face 2 sharing two of its segments, face 3
+# three and face 4 one.
+HEXAGON = {
+    1: ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1)),
+    2: ((2, 1), (1, 6), (6, 7), (7, 2)),
+    3: ((6, 5), (5, 4), (4, 3), (3, 7), (7, 6)),
+    4: ((3, 2), (2, 7), (7, 3)),
+}
+
+
+def _link_lists(drawing, links_of):
+    ends = drawing.seg_ends
+    return {fid: [(nb, ends[sid]) for nb, sid in links_of(drawing, fid)] for fid in drawing.faces}
+
+
+def test_link_lists_match_the_counting_reference():
+    """One scan of the sorted pairs keeps the links `list.count` does: on
+    faces sharing one, two and three segments, with a face missing so
+    that some segments have one face, and on a sparse graph's first
+    drawing, where faces share more than one segment."""
+    sphere = {fid: cycles.Cycle(fid, arcs) for fid, arcs in HEXAGON.items()}
+    holed = {fid: c for fid, c in sphere.items() if fid != 4}
+    g = _run_graph("rr4_16_s0")
+    drawings = [
+        Drawing(g=complete_graph(7), faces=sphere, rim_id=None, carrier={}),
+        Drawing(g=complete_graph(7), faces=holed, rim_id=None, carrier={}),
+        Drawing.from_system(g, select_planar_cycle_system(g)),
+    ]
+    for d in drawings:
+        assert _link_lists(d, routing._cached_links) == _link_lists(d, cached_links_count_ref)
+    assert _link_lists(drawings[0], routing._cached_links) == {
+        1: [(4, (2, 3))],
+        2: [(3, (6, 7)), (4, (2, 7))],
+        3: [(2, (6, 7)), (4, (3, 7))],
+        4: [(1, (2, 3)), (2, (2, 7)), (3, (3, 7))],
+    }
+    run = drawings[2]
+    assert any(len(set(nbs)) < len(nbs) for nbs in map(run.neighbours, run.faces))
 
 
 def test_pool_is_enumerated_only_for_pins(monkeypatch, k7):
