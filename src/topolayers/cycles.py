@@ -32,19 +32,14 @@ class Cycle:
     arcs: Tuple[Arc, ...]
 
     def __post_init__(self) -> None:
-        # one forward pass, each tail against the head before it; the
-        # loop below runs only to name the first break in arc order
         if self.arcs:
-            _, head = self.arcs[-1]
-        for a, b in self.arcs:
-            if a != head:
-                break
-            head = b
-        else:
-            return
-        for (a, b), (c, d) in zip(self.arcs, self.arcs[1:] + self.arcs[:1]):
-            if b != c:
-                raise ValueError(f"cycle c{self.id}: arcs do not chain at v{b}")
+            head = self.arcs[0][0]
+            for a, b in self.arcs:
+                if a != head:
+                    raise ValueError(f"cycle c{self.id}: arcs do not chain at v{head}")
+                head = b
+            if head != self.arcs[0][0]:
+                raise ValueError(f"cycle c{self.id}: arcs do not chain at v{head}")
 
     # Cached per instance: a Cycle is immutable, and routing reads these
     # on every conjugate-link lookup.

@@ -98,10 +98,6 @@ def expanded_ring(drawing: Drawing, ring: Sequence[int]) -> List[int]:
     return out
 
 
-# the faces a searched answer needs labelled
-_NO_FACES: Set[int] = frozenset()
-
-
 def _route_greedy(
     drawing: Drawing, pool: Dict[int, Tuple[int, int]], side: Optional[str]
 ) -> List[int]:
@@ -129,28 +125,24 @@ def _route_greedy(
       Its faces stay labelled until an insertion touches one.  A chord
       whose target faces all lie in labelled floods holding none of its
       source faces has no route, nor has one with the two sides swapped,
-      and is not queried.  That answer is kept like a query's, its seen
-      faces being those at either end, and also only while the faces on
-      its labelled side stay labelled: an insertion that drops the flood
-      one of them lies in drops it.
+      and is not queried.
     """
     done: List[int] = []
     pending = sorted(pool)
-    # edge id -> (route, no route has fewer faces than this, faces seen,
-    # faces that must stay labelled)
-    kept: Dict[int, Tuple[Optional[List[int]], float, Set[int], Set[int]]] = {}
+    # edge id -> (route, no route has fewer faces than this, faces seen)
+    kept: Dict[int, Tuple[Optional[List[int]], float, Set[int]]] = {}
     flood_of: Dict[int, int] = {}  # face id -> the failed flood it lies in
     floods: List[Optional[Set[int]]] = []  # each flood's faces, None once dropped
     # an insertion replaces its route faces by halves that keep their tag
     faces = None if side is None else {fid for fid, s in drawing.side.items() if s == side}
     while True:
         best = min(
-            ((len(r), eid, r) for eid, (r, *_) in kept.items() if r is not None),
+            ((len(r), eid, r) for eid, (r, _, _) in kept.items() if r is not None),
             default=None,
         )
         for eid in pending:
             # with nothing kept, all that is known is that a route has a face
-            r, floor, *_ = kept.get(eid, (None, 1))
+            r, floor, _ = kept.get(eid, (None, 1, None))
             if r is not None:
                 continue  # the best route, or no better than it
             limit = None if best is None else best[0] + (eid < best[1])
@@ -159,23 +151,17 @@ def _route_greedy(
             u, v = pool[eid]
             if flood_of:
                 sources, targets = drawing.faces_at(u, faces), drawing.faces_at(v, faces)
-                near = (
-                    targets if _apart(flood_of, targets, sources)
-                    else sources if _apart(flood_of, sources, targets)
-                    else None
-                )
-                if near is not None:
-                    kept[eid] = (None, math.inf, sources | targets, near)
+                if _apart(flood_of, targets, sources) or _apart(flood_of, sources, targets):
                     continue
             seen: Set[int] = set()
             r = shortest_route(drawing, u, v, faces, seen, limit=limit)
             if r is not None:
                 best = (len(r), eid, r)
-                kept[eid] = (r, len(r), seen, _NO_FACES)
+                kept[eid] = (r, len(r), seen)
             elif limit is not None:
-                kept[eid] = (None, limit, seen, _NO_FACES)
+                kept[eid] = (None, limit, seen)
             else:
-                kept[eid] = (None, math.inf, seen, _NO_FACES)
+                kept[eid] = (None, math.inf, seen)
                 # seen holds the flood and the faces at u, which it never reached
                 flood = seen - drawing.faces_at(u, faces)
                 for fid in flood:
@@ -194,16 +180,12 @@ def _route_greedy(
             faces.update(range(first, drawing.next_cycle_id))
         done.append(eid)
         pending.remove(eid)
+        kept = {k: a for k, a in kept.items() if k != eid and a[2].isdisjoint(dirty)}
         for label in {flood_of[fid] for fid in dirty if fid in flood_of}:
             for fid in floods[label]:
                 if flood_of.get(fid) == label:
                     del flood_of[fid]
             floods[label] = None
-        kept = {
-            k: a
-            for k, a in kept.items()
-            if k != eid and a[2].isdisjoint(dirty) and flood_of.keys() >= a[3]
-        }
 
 
 def _apart(flood_of: Dict[int, int], near: Set[int], far: Set[int]) -> bool:

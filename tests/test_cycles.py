@@ -49,8 +49,8 @@ def test_cycle_arc_chaining_checked():
     [
         # only the wrap-around pair breaks
         (((1, 2), (2, 3), (3, 4)), 4),
-        # two breaks, the wrap-around pair's met first by a pass that
-        # starts from the last head
+        # two breaks, with and without the wrap-around pair: the one
+        # earlier in arc order is named
         (((1, 2), (2, 3), (4, 5)), 3),
         (((1, 2), (3, 4), (5, 1)), 2),
     ],

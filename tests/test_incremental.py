@@ -361,47 +361,6 @@ def test_route_queries_are_bounded_and_memoised(monkeypatch):
     assert any(limit is not None for limit in calls)
 
 
-def test_a_memo_answer_is_dropped_with_the_flood_it_relied_on(monkeypatch):
-    """Chord 2's target face 11 lies in chord 1's failed flood {10, 11},
-    so chord 2 fails with no search.  Inserting chord 3 touches face 10
-    of that flood but no face at either end of chord 2, and joins the
-    flood to chord 2's source face 20.  Only the dropped flood tells that
-    chord 2 must be asked again.  The drawing and search are stand-ins
-    that play this out face by face."""
-
-    class Faces:
-        next_cycle_id = 40
-        at = {1: {5}, 2: {10}, 3: {20}, 4: {11}, 5: {30}, 6: {31}}
-
-        def faces_at(self, v, ids=None):
-            return set(self.at[v])
-
-        def neighbours(self, fid):
-            return [10] if fid == 31 else []
-
-    inserted, asked = [], []
-
-    def search(drawing, u, v, faces, seen, limit=None):
-        asked.append((u, v))
-        joined = (5, 6) in inserted
-        route, read = {
-            (1, 2): (None, {5, 10, 11, 20} if joined else {5, 10, 11}),
-            (3, 4): ([20, 11], {20, 11}),
-            (5, 6): ([30, 31], {30, 31}),
-        }[(u, v)]
-        seen |= read
-        return route if limit is None or route is None or len(route) < limit else None
-
-    def insert(drawing, u, v, route):
-        inserted.append((u, v))
-
-    monkeypatch.setattr(layering, "shortest_route", search)
-    monkeypatch.setattr(layering, "insert_connection", insert)
-    pool = {1: (1, 2), 2: (3, 4), 3: (5, 6)}
-    assert layering._route_greedy(Faces(), pool, None) == [3, 2]
-    assert asked == [(1, 2), (5, 6), (1, 2), (3, 4), (1, 2)]
-
-
 @settings(max_examples=25, deadline=None)
 @given(
     st.integers(6, 10),
