@@ -25,7 +25,7 @@ from collections import Counter
 from functools import lru_cache
 from itertools import chain, compress, repeat
 from operator import itemgetter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .cycles import walk
 from .layering import Decomposition
@@ -34,7 +34,6 @@ from .verify import (
     CheckResult,
     SegmentTable,
     VerificationReport,
-    check_connection_realization,
     check_edge_partition,
     check_graph_edges,
     check_layer_rings,
@@ -450,46 +449,38 @@ def carrier_paths(
     return paths
 
 
-def _check_carrier_table(doc: dict, table: SegmentTable, ends_of: dict) -> CheckResult:
-    """The carrier rows list each segment of the final layer's `table`
-    once; every carrier, of a row or of an imaginary entry, is a graph
-    edge that is not a chord, or a chord's ends; each such carrier has a
-    path (`carrier_paths`); and the imaginary entries list each vertex
-    above n of the final layer once.  Each entry's `chord` is the ends of
-    a chord whose sequence holds the entry's vertex, and both ends of its
-    `host` lie on its carrier's path, with the vertex between them."""
+def _check_carriers(doc: dict, ends_of: dict, paths: dict) -> Tuple[CheckResult, List[tuple]]:
+    """The half of `carrier-table` that reads no segment table: every
+    carrier, of a row or of an imaginary entry, is a graph edge that is
+    not a chord, or a chord's ends; each such carrier has a path
+    (`carrier_paths`); each entry's `chord` is the ends of a chord whose
+    sequence holds the entry's vertex, and both ends of its `host` lie on
+    its carrier's path, with the vertex between them.  Also each entry's
+    place: its carrier key and its vertex's index on that path, -1 when
+    off it."""
     chords = doc["chords"]
     plain = set(ends_of).difference([eid for eid, _, _ in chords])
     conns = {(u, v) if u < v else (v, u) for _, u, v in chords}
-    listed = Counter([(a, b) for a, b, _, _ in doc["carrier"]])
-    bad = [f"segment ({a},{b}) has no carrier row" for a, b in sorted(table.keys() - listed.keys())]
-    for a, b in sorted(s for s, k in listed.items() if k > 1 or s not in table):
-        if (a, b) in table:
-            bad.append(f"segment ({a},{b}) has {listed[a, b]} carrier rows")
-        else:
-            bad.append(f"carrier row ({a},{b}) is not a segment of the final layer")
-    paths = carrier_paths(doc, ends_of)
     entry_keys = [carrier_key(*entry["carrier"]) for entry in doc["imaginary"]]
     keys = set(paths).union(entry_keys)
     edges = {ref for kind, ref in keys if kind == "edge"}
     ends = {ref for kind, ref in keys if kind == "conn"}
-    bad += [f"carrier edge {e} is not a graph edge outside the chords" for e in sorted(edges - plain)]
+    bad = [f"carrier edge {e} is not a graph edge outside the chords" for e in sorted(edges - plain)]
     bad += [f"carrier connection ({u},{v}) is not a chord's ends" for u, v in sorted(ends - conns)]
     bad += [
         f"carrier {carrier_name(key)} is not a path"
-        for key, path in sorted(paths.items())
-        if path is None and key[1] in (plain if key[0] == "edge" else conns)
+        for key in sorted(key for key, path in paths.items() if path is None)
+        if key[1] in (plain if key[0] == "edge" else conns)
     ]
     sequences = doc["sequences"]
-    crossed = {
-        (w, (u, v) if u < v else (v, u))
-        for eid, u, v in chords
-        for w in sequences.get(str(eid), ())
-    }
+    crossing: Dict[tuple, list] = {}  # chord ends -> the vertices its sequences hold
+    for eid, u, v in chords:
+        crossing.setdefault((u, v) if u < v else (v, u), []).extend(sequences.get(str(eid), ()))
     index_on: Dict[tuple, Dict[int, int]] = {}
+    places = []
     for entry, key in zip(doc["imaginary"], entry_keys):
         w, (a, b), (u, v) = entry["id"], entry["host"], entry["chord"]
-        if (w, (u, v) if u < v else (v, u)) not in crossed:
+        if w not in crossing.get((u, v) if u < v else (v, u), ()):
             bad.append(f"v{w}: ({u},{v}) is not a chord whose sequence holds v{w}")
         at = index_on.get(key)
         if at is None:
@@ -497,54 +488,122 @@ def _check_carrier_table(doc: dict, table: SegmentTable, ends_of: dict) -> Check
         i, j, k = at.get(a, -1), at.get(b, -1), at.get(w, -1)
         if not (0 <= i < k < j or 0 <= j < k < i):
             bad.append(f"v{w}: host ({a},{b}) does not hold v{w} on its carrier's path")
+        places.append((key, k))
+    return CheckResult(not bad, bad), places
+
+
+def _check_connections(doc: dict, paths: dict) -> CheckResult:
+    """Each chord's sequence is the interior of its connection carrier's
+    path, every vertex of it above n, and every sequence belongs to a
+    chord."""
     n = doc["graph"]["n"]
-    ids = Counter([entry["id"] for entry in doc["imaginary"]])
-    drawn = {v for v in chain.from_iterable(table) if v > n}
-    bad += [f"v{w}: no imaginary entry" for w in sorted(drawn - ids.keys())]
-    for w in sorted(w for w, k in ids.items() if k > 1 or w not in drawn):
-        if w in drawn:
-            bad.append(f"v{w}: {ids[w]} imaginary entries")
-        else:
-            bad.append(f"imaginary entry v{w} is not a vertex of the final layer")
+    chords = {eid: (u, v) for eid, u, v in doc["chords"]}
+    sequences = doc["sequences"]
+    bad = []
+    for eid, (u, v) in sorted(chords.items()):
+        sequence = sequences.get(str(eid))
+        if sequence is None:
+            bad.append(f"e{eid}: chord has no realized connection")
+            continue
+        ends = (u, v) if u < v else (v, u)
+        path = paths.get(("conn", ends))
+        if path is None:
+            bad.append(f"e{eid}: connection ({ends[0]},{ends[1]}) has no carrier path")
+        elif path[1:-1] != sequence:
+            bad.append(f"e{eid}: sequence is not the interior of its connection's path")
+        bad += [f"e{eid}: crossing vertex v{w} is not imaginary" for w in sequence if w <= n]
+    bad += [f"e{eid}: sequence names no chord" for eid in sorted(map(int, sequences)) if eid not in chords]
     return CheckResult(not bad, bad)
 
 
+class DocumentChecks(NamedTuple):
+    """What `document_checks` found and read."""
+
+    checks: Dict[str, CheckResult]
+    ends_of: Dict[int, Tuple[int, int]]  # edge id -> the graph edge's ends
+    paths: Dict[tuple, Optional[List[int]]]  # carrier key -> `carrier_paths`
+    places: List[tuple]  # per imaginary entry: (carrier key, index on its path)
+
+
+def document_checks(doc: dict) -> DocumentChecks:
+    """The checks of a parsed document that read no segment table, in the
+    order `render_svg` names the first that fails, with the graph's edge
+    ends by id, the carrier paths (`carrier_paths`) and the imaginary
+    entries' places on them that they read.
+
+    Layers are named by position and read with the graph's n, so layer k
+    must carry index k and that n.  Carriers come before connections, so
+    that a broken carrier is named as one.
+    """
+    n = doc["graph"]["n"]
+    layers = doc["layers"]
+    bad = []
+    for k, layer in enumerate(layers, start=1):
+        if layer["index"] != k:
+            bad.append(f"layer {k} has index {layer['index']}")
+        if layer["system"]["n"] != n:
+            bad.append(f"layer {k} has system n {layer['system']['n']}, not the graph's {n}")
+    edges = doc["graph"]["edges"]
+    ends_of = {eid: (u, v) for eid, u, v in edges}
+    paths = carrier_paths(doc, ends_of)
+    carriers, places = _check_carriers(doc, ends_of, paths)
+    checks = {
+        "layer-indexes": CheckResult(not bad, bad),
+        "graph-edges": check_graph_edges(n, edges, doc["chords"]),
+        "edge-partition": check_edge_partition(list(ends_of), [layer["realized"] for layer in layers]),
+        "layer-rings": check_layer_rings(
+            n,
+            ends_of,
+            [(k, layer.get("ring")) for k, layer in enumerate(layers, start=1)],
+            layers[0]["realized"],
+        ),
+        "carrier-table": carriers,
+        "connection-realization": _check_connections(doc, paths),
+    }
+    return DocumentChecks(checks, ends_of, paths, places)
+
+
+def _check_carrier_rows(doc: dict, table: SegmentTable) -> Tuple[List[str], List[str]]:
+    """The half of `carrier-table` that reads the final layer's `table`:
+    the details of its carrier rows, which must list each of its segments
+    once, and of the imaginary entries, which must list each of its
+    vertices above n once."""
+    listed = Counter([(a, b) for a, b, _, _ in doc["carrier"]])
+    rows = [f"segment ({a},{b}) has no carrier row" for a, b in sorted(table.keys() - listed.keys())]
+    for a, b in sorted(s for s, k in listed.items() if k > 1 or s not in table):
+        if (a, b) in table:
+            rows.append(f"segment ({a},{b}) has {listed[a, b]} carrier rows")
+        else:
+            rows.append(f"carrier row ({a},{b}) is not a segment of the final layer")
+    n = doc["graph"]["n"]
+    ids = Counter([entry["id"] for entry in doc["imaginary"]])
+    drawn = {v for v in chain.from_iterable(table) if v > n}
+    entries = [f"v{w}: no imaginary entry" for w in sorted(drawn - ids.keys())]
+    for w in sorted(w for w, k in ids.items() if k > 1 or w not in drawn):
+        if w in drawn:
+            entries.append(f"v{w}: {ids[w]} imaginary entries")
+        else:
+            entries.append(f"imaginary entry v{w} is not a vertex of the final layer")
+    return rows, entries
+
+
 def verify_document(doc: dict) -> VerificationReport:
-    """Full re-check of a parsed document, layer by layer."""
+    """Full re-check of a parsed document: each layer's system
+    (`verify_raw`), then `document_checks`, with the final layer's
+    segments checked against the carrier rows and imaginary entries under
+    `carrier-table`."""
     checks: Dict[str, CheckResult] = {}
     n = doc["graph"]["n"]
-    # layers are named by position and read with the graph's n; layer k
-    # must also carry index k and that n
-    bad = []
     for k, layer in enumerate(doc["layers"], start=1):
         sub = verify_raw(n, *_raw_system(layer["system"]))
         for name, res in sub.checks.items():
             checks[f"layer-{k}/{name}"] = res
         checks[f"layer-{k}/cycle-ids"] = _check_cycle_ids(layer["system"])
-        if layer["index"] != k:
-            bad.append(f"layer {k} has index {layer['index']}")
-        if layer["system"]["n"] != n:
-            bad.append(f"layer {k} has system n {layer['system']['n']}, not the graph's {n}")
-    checks["layer-indexes"] = CheckResult(not bad, bad)
-    edges = doc["graph"]["edges"]
-    checks["graph-edges"] = check_graph_edges(n, edges, doc["chords"])
-    ends_of = {eid: (u, v) for eid, u, v in edges}
-    checks["edge-partition"] = check_edge_partition(
-        list(ends_of), [layer["realized"] for layer in doc["layers"]]
-    )
-    checks["layer-rings"] = check_layer_rings(
-        n,
-        ends_of,
-        [(k, layer.get("ring")) for k, layer in enumerate(doc["layers"], start=1)],
-        doc["layers"][0]["realized"],
-    )
-    chords = {eid: (u, v) for eid, u, v in doc["chords"]}
-    sequences = {int(k): list(v) for k, v in doc["sequences"].items()}
+    checks.update(document_checks(doc).checks)
     # sub is the final layer's report; its segments are the final drawing's
-    checks["connection-realization"] = check_connection_realization(
-        n, chords, sequences, sub._table
-    )
-    checks["carrier-table"] = _check_carrier_table(doc, sub._table, ends_of)
+    rows, entries = _check_carrier_rows(doc, sub._table)
+    bad = rows + checks["carrier-table"].details + entries
+    checks["carrier-table"] = CheckResult(not bad, bad)
     return VerificationReport(checks)
 
 
@@ -554,5 +613,6 @@ __all__ = [
     "decomposition_to_document",
     "serialize_document",
     "parse_document",
+    "document_checks",
     "verify_document",
 ]

@@ -5,16 +5,19 @@ polygon, interior original vertices at Tutte barycentric positions, and
 every imaginary vertex on its carrier's path: spaced evenly along an edge
 carrier, or relaxed between its path neighbours on a connection carrier
 (`_imaginary_positions`).  Each drawn chord is a polyline through its
-sequence, which must be the interior of its connection carrier's path.
-No randomness, no timestamps.
+sequence.  Before drawing, `render_svg` runs the verifier's document
+checks (`document.document_checks`) and refuses a document that fails
+one, naming the check; so every ring, edge, carrier path and sequence it
+draws has passed the checks `verify` makes of it.  No randomness, no
+timestamps.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
-from .document import DocumentError, carrier_key, carrier_name, carrier_paths
+from .document import DocumentError, document_checks
 
 SIZE = 600.0
 MARGIN = 60.0
@@ -26,18 +29,6 @@ class RenderError(ValueError):
 
 def _fmt(x: float) -> str:
     return f"{x:.2f}"
-
-
-def _ring(layer: dict, n: int) -> List[int]:
-    """The layer's ring, [] when it has none; its entries must be distinct
-    vertices 1..n."""
-    ring = layer.get("ring") or []
-    for v in ring:
-        if not 1 <= v <= n:
-            raise RenderError(f"layer {layer['index']} ring names v{v}, outside 1..{n}")
-    if len(set(ring)) != len(ring):
-        raise RenderError(f"layer {layer['index']} ring repeats a vertex")
-    return ring
 
 
 def _solve(rows: List[List[float]]) -> List[Tuple[float, float]]:
@@ -64,11 +55,7 @@ def _solve(rows: List[List[float]]) -> List[Tuple[float, float]]:
 def _base_positions(doc: dict) -> Dict[int, Tuple[float, float]]:
     layers = doc["layers"]
     n = doc["graph"]["n"]
-    ring: Optional[List[int]] = None
-    for layer in layers:
-        if layer.get("ring"):
-            ring = _ring(layer, n)
-            break
+    ring = next((layer["ring"] for layer in layers if layer.get("ring")), None)
     if ring is None:
         rim = layers[0]["system"].get("rim")
         if rim is None:
@@ -116,74 +103,44 @@ def _base_positions(doc: dict) -> Dict[int, Tuple[float, float]]:
     return pos
 
 
-def _carrier_paths(doc: dict, edges: Dict[int, Tuple[int, int]]) -> Dict[tuple, List[int]]:
-    """Each carrier's path (`document.carrier_paths`); RenderError when a
-    carrier has none."""
-    try:
-        paths = carrier_paths(doc, edges)
-    except DocumentError as exc:
-        raise RenderError(str(exc)) from None
-    for key, path in paths.items():
-        if path is None:
-            if key[0] == "edge" and key[1] not in edges:
-                raise RenderError(f"carrier edge {key[1]} is not a graph edge")
-            raise RenderError(f"carrier {carrier_name(key)} is not a path")
-    return paths
-
-
 def _imaginary_positions(
     doc: dict,
     paths: Dict[tuple, List[int]],
+    places: List[Tuple[tuple, int]],
     pos: Dict[int, Tuple[float, float]],
     drawn: Set[int],
 ) -> Dict[int, Tuple[float, float]]:
     """Positions of the `drawn` crossing markers, on the carrier `paths`
-    that `_carrier_paths` read.
+    at the `places` that `document_checks` read.  Its carrier check puts
+    each entry's vertex strictly inside its carrier's path, whose ends
+    are graph vertices.
 
     Markers are spaced along an edge host by subdivision order; a marker
     on a connection host relaxes to the midpoint of its path neighbours,
     in 64 sweeps over the steps in document order, so it sits on both
-    polylines through it.  Every entry is checked, but only the drawn
-    markers and the markers they read, transitively, are relaxed: no
-    other marker is ever read by these, so each goes through the same
-    float operations, in the same order, as in a sweep over all of them.
+    polylines through it.  Every entry's path neighbours are checked, but
+    only the drawn markers and the markers they read, transitively, are
+    placed and relaxed: no other marker is ever read by these, so each
+    goes through the same float operations, in the same order, as in a
+    sweep over all of them.
     """
-    try:
-        keys = [carrier_key(*entry["carrier"]) for entry in doc["imaginary"]]
-    except DocumentError as exc:
-        raise RenderError(str(exc)) from None
-    n = doc["graph"]["n"]
-    # each vertex's index on each carrier path; walk's paths are simple
-    index_on = {key: {v: i for i, v in enumerate(path)} for key, path in paths.items()}
-    out: Dict[int, Tuple[float, float]] = {}
+    place_of: Dict[int, Tuple[tuple, int]] = {}
     pending: List[Tuple[int, int, int]] = []  # (vertex, path neighbours)
-    for entry, key in zip(doc["imaginary"], keys):
+    for entry, place in zip(doc["imaginary"], places):
         w = entry["id"]
-        kind = key[0]
-        path = paths.get(key)
-        if path is None:
-            raise RenderError(f"imaginary vertex {w} has a carrier with no path")
-        i = index_on[key].get(w, 0)
-        if not 0 < i < len(path) - 1:
-            raise RenderError(f"imaginary vertex {w} is not inside its carrier's path")
-        u, v = (path[0], path[-1]) if kind == "edge" else key[1]
-        if u not in pos or v not in pos:
-            raise RenderError(f"carrier {carrier_name(key)} names a vertex outside 1..{n}")
-        p, q = pos[u], pos[v]
-        if kind == "edge":
-            t = i / (len(path) - 1)
-            out[w] = (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
-        else:
-            out[w] = ((p[0] + q[0]) / 2, (p[1] + q[1]) / 2)
+        place_of[w] = place
+        key, i = place
+        if key[0] == "conn":
+            path = paths[key]
             pending.append((w, path[i - 1], path[i + 1]))
     reads: Dict[int, List[int]] = {}
     for w, a, b in pending:
         for x in (a, b):
-            if x not in out and x not in pos:
+            if x not in place_of and x not in pos:
                 raise RenderError(f"imaginary vertex {w} has path neighbour {x}, not a vertex")
         reads.setdefault(w, []).extend((a, b))
     for w in drawn:
-        if w not in out:
+        if w not in place_of:
             raise RenderError(f"drawn sequence vertex {w} has no imaginary entry")
     needed, stack = set(drawn), list(drawn)
     while stack:
@@ -192,9 +149,22 @@ def _imaginary_positions(
                 needed.add(x)
                 stack.append(x)
     index = {v: k for k, v in enumerate(needed)}
-    start = [out[v] if v in out else pos[v] for v in needed]
-    xs = [p[0] for p in start]
-    ys = [p[1] for p in start]
+    xs: List[float] = []
+    ys: List[float] = []
+    for v in needed:
+        if v not in place_of:
+            x, y = pos[v]
+        else:
+            key, i = place_of[v]
+            path = paths[key]
+            p, q = pos[path[0]], pos[path[-1]]
+            if key[0] == "edge":
+                t = i / (len(path) - 1)
+                x, y = p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])
+            else:
+                x, y = (p[0] + q[0]) / 2, (p[1] + q[1]) / 2
+        xs.append(x)
+        ys.append(y)
     steps = [(index[w], index[a], index[b]) for w, a, b in pending if w in needed]
     for _ in range(64):
         for k, i, j in steps:
@@ -204,23 +174,31 @@ def _imaginary_positions(
 
 
 def render_svg(doc: dict, layer_index: int) -> str:
-    indexes = [layer["index"] for layer in doc["layers"]]
-    if indexes != list(range(1, len(indexes) + 1)):
-        raise RenderError(f"layer indexes {indexes} are not 1..{len(indexes)} in order")
-    if not 1 <= layer_index <= len(indexes):
+    """Layer `layer_index` of a parsed document as SVG text.
+
+    RenderError("<check>: <first detail>") names the first document check
+    (`document_checks`) the document fails, whichever layer is asked for.
+    """
+    try:
+        checks, edges, paths, places = document_checks(doc)
+    except DocumentError as exc:
+        raise RenderError(str(exc)) from None
+    for name, result in checks.items():
+        if not result.ok:
+            raise RenderError(f"{name}: {result.details[0]}")
+    if not 1 <= layer_index <= len(doc["layers"]):
         raise RenderError(f"document has no layer {layer_index}")
     layer = doc["layers"][layer_index - 1]
     pos = _base_positions(doc)
-    edges = {eid: (u, v) for eid, u, v in doc["graph"]["edges"]}
-    sequences = {int(k): v for k, v in doc["sequences"].items()}
+    # past the checks, the chords are the edges with a sequence, and each
+    # sequence is the interior of its connection's path
     realized = [] if layer_index == 1 else layer["realized"]
-    n = doc["graph"]["n"]
-    for eid in realized:
-        if eid not in edges:
-            raise RenderError(f"layer {layer_index} realizes {eid}, which is not a graph edge")
-    drawn = {w for eid in realized for w in sequences.get(eid, [])}
-    paths = _carrier_paths(doc, edges)
-    ipos = _imaginary_positions(doc, paths, pos, drawn)
+    sequences = [doc["sequences"].get(str(eid)) for eid in realized]
+    if None in sequences:
+        eid = realized[sequences.index(None)]
+        raise RenderError(f"layer {layer_index} realizes e{eid}, which is not a chord")
+    drawn = {w for sequence in sequences for w in sequence}
+    ipos = _imaginary_positions(doc, paths, places, pos, drawn)
     lines: List[Tuple[Tuple[float, float], Tuple[float, float]]] = []
     polylines: List[List[Tuple[float, float]]] = []
     if layer_index == 1:
@@ -235,20 +213,12 @@ def render_svg(doc: dict, layer_index: int) -> str:
         for a, b in segs:
             lines.append((pos[a], pos[b]))
     else:
-        ring = _ring(layer, n)
+        ring = layer["ring"] or []
         for i in range(len(ring)):
             a, b = ring[i], ring[(i + 1) % len(ring)]
             lines.append((pos[a], pos[b]))
-        for eid in realized:
+        for eid, sequence in zip(realized, sequences):
             u, v = edges[eid]
-            if u not in pos or v not in pos:
-                raise RenderError(f"edge {eid} ({u},{v}) names a vertex outside 1..{n}")
-            sequence = sequences.get(eid, [])
-            path = paths.get(("conn", (min(u, v), max(u, v))))
-            if path is None or path[1:-1] != sequence:
-                raise RenderError(
-                    f"edge {eid}'s sequence is not the interior of its connection's path"
-                )
             pts = [pos[min(u, v)]]
             pts.extend(ipos[w] for w in sequence)
             pts.append(pos[max(u, v)])

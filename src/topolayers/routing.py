@@ -66,12 +66,16 @@ class Drawing:
     g: Graph
     faces: Dict[int, Cycle]
     rim_id: Optional[int]  # id of the face playing the drawing rim, if intact
-    carrier: Dict[Segment, Carrier]
-    side: Dict[int, str] = field(default_factory=dict)  # "inner" / "outer"
-    next_cycle_id: int = 0
-    next_vertex_id: int = 0
-    routed: List[Tuple[int, int]] = field(default_factory=list)
-    imaginary: Dict[int, dict] = field(default_factory=dict)
+    # Built from the faces, each of whose segments must be a graph edge,
+    # so no face vertex is above g.n: each segment's carrier, its edge;
+    # the side tags ("inner" / "outer") `split_regions` writes; the
+    # imaginary vertices `insert_connection` adds; and the next free face
+    # and vertex ids, above every face id and above g.n.
+    carrier: Dict[Segment, Carrier] = field(init=False)
+    side: Dict[int, str] = field(init=False)
+    imaginary: Dict[int, dict] = field(init=False)
+    next_cycle_id: int = field(init=False)
+    next_vertex_id: int = field(init=False)
     # Segment ids, given once when a segment is created and never reused:
     # `seg_id` maps each live segment to its id, `seg_ends[sid]` is the
     # segment, and `seg_faces[2*sid : 2*sid + 2]` holds the ids of the at
@@ -98,11 +102,16 @@ class Drawing:
     carried: Dict[Carrier, Set[Segment]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        self.carrier = {}
+        self.side = {}
+        self.imaginary = {}
+        self.next_vertex_id = self.g.n + 1
         self.seg_id = {}
         self.seg_ends = []
         self.seg_faces = []
         self.banned = bytearray()
         self.face_segs = [None] * (max(self.faces, default=-1) + 1)
+        self.next_cycle_id = len(self.face_segs)
         self.links = list(self.face_segs)
         self.vertex_faces = {}
         self.carried = {}
@@ -113,6 +122,13 @@ class Drawing:
                 sid = self.seg_id.get(seg(a, b))
                 if sid is None:
                     sid = self._new_segment(a, b)
+                    x, y = self.seg_ends[sid]
+                    eid = edge_between(self.g, x, y)
+                    if eid is None:
+                        raise RoutingError(f"drawing edge ({x},{y}) is not a graph edge")
+                    key = ("edge", eid)
+                    self.carrier[x, y] = key
+                    self.carried[key] = {(x, y)}
                 k = 2 * sid if sf[2 * sid] < 0 else 2 * sid + 1
                 if sf[k] >= 0:
                     x, y = self.seg_ends[sid]
@@ -121,8 +137,6 @@ class Drawing:
                 sids.append(sid)
                 self.vertex_faces.setdefault(a, set()).add(c.id)
             self.face_segs[c.id] = sids
-        for s, key in self.carrier.items():
-            self.carried.setdefault(key, set()).add(s)
 
     def _new_segment(self, a: int, b: int) -> int:
         s = seg(a, b)
@@ -273,22 +287,7 @@ class Drawing:
         if sys_.rim is not None:
             faces[sys_.rim.id] = sys_.rim
             rim_id = sys_.rim.id
-        carrier: Dict[Segment, Carrier] = {}
-        for c in faces.values():
-            for a, b in c.arcs:
-                s = seg(a, b)
-                eid = edge_between(g, *s)
-                if eid is None:
-                    raise RoutingError(f"drawing edge ({s[0]},{s[1]}) is not a graph edge")
-                carrier[s] = ("edge", eid)
-        return cls(
-            g=g,
-            faces=faces,
-            rim_id=rim_id,
-            carrier=carrier,
-            next_cycle_id=max(faces) + 1,
-            next_vertex_id=g.n + 1,
-        )
+        return cls(g=g, faces=faces, rim_id=rim_id)
 
     def snapshot(self) -> CycleSystem:
         faces = dict(self.faces)
@@ -558,7 +557,6 @@ def insert_connection(drawing: Drawing, s: int, t: int, route: Sequence[int]) ->
         if entry == exit_:
             raise RoutingError("degenerate crossing")
         drawing._split_face(fid, entry, exit_, cuts, ("conn", chord_key))
-    drawing.routed.append((s, t))
     return InsertionRecord(chord=(s, t), route=route, imaginary_ids=ws)
 
 

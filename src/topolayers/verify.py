@@ -10,7 +10,7 @@ segment table, segment -> [(member id, arc), ...], in a single pass over
 the arcs.  The double cover, orientation, Euler and imaginary-degree
 checks read that table; the walk, GF(2) and rotation checks read the
 converted members.  The report keeps the table, so a document's
-connection check reads its final layer's segments from there.  The face
+`carrier-table` check reads its final layer's segments from there.  The face
 check runs once walks, double cover and orientation pass; it rebuilds
 each vertex's rotation from the members' dart successors and requires
 it to close into one cycle.  Re-tracing the faces of those rotations
@@ -26,16 +26,16 @@ built with `verify_system` instead of keeping its own Euler and GF(2)
 checks.  This module imports nothing from the package, so sharing them
 leaves the checkers independent of the producer.
 
-A document's carrier rows also have one reader: `document.carrier_paths`
-walks each carrier's rows into its path, and both the document's
-`carrier-table` check and the renderer call it.
+The graph, partition and ring checks below are document checks: they
+run in `document.document_checks`, the one set of checks that both
+`verify_document` and the renderer run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import eq
-from typing import Collection, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 Arc = Tuple[int, int]
 RawMember = Tuple[int, Tuple[Arc, ...]]  # (id, arcs)
@@ -149,20 +149,15 @@ def _orientation(table: SegmentTable) -> CheckResult:
     return CheckResult(not bad, bad)
 
 
-def _imaginary_degrees(n: int, segments: Iterable[Tuple[int, int]]) -> Dict[int, int]:
-    """Incident segments of each imaginary vertex (id > n); a self-loop
+def _imaginary_degree(n: int, table: SegmentTable) -> CheckResult:
+    """Each imaginary vertex (id > n) has 4 incident segments; a self-loop
     segment (v, v) is one incident segment of v."""
     deg: Dict[int, int] = {}
-    for a, b in segments:
+    for a, b in table:
         if a > n:
             deg[a] = deg.get(a, 0) + 1
         if b > n and b != a:
             deg[b] = deg.get(b, 0) + 1
-    return deg
-
-
-def _imaginary_degree(n: int, table: SegmentTable) -> CheckResult:
-    deg = _imaginary_degrees(n, table)
     bad = [f"v{v}: degree {d} != 4" for v, d in sorted(deg.items()) if d != 4]
     return CheckResult(not bad, bad)
 
@@ -366,34 +361,6 @@ def check_layer_rings(
     return CheckResult(not bad, bad)
 
 
-def check_connection_realization(
-    n: int,
-    chords: Dict[int, Tuple[int, int]],
-    sequences: Dict[int, List[int]],
-    segments: Collection[Tuple[int, int]],
-) -> CheckResult:
-    """Each routed chord's connection is a path s -> ... -> t of drawing
-    segments, each (min, max), whose interior vertices are imaginary and
-    of degree 4; and every sequence belongs to a chord."""
-    deg = _imaginary_degrees(n, segments)
-    bad = []
-    for eid, (u, v) in sorted(chords.items()):
-        if eid not in sequences:
-            bad.append(f"e{eid}: chord has no realized connection")
-            continue
-        path = [min(u, v)] + list(sequences[eid]) + [max(u, v)]
-        for a, b in zip(path, path[1:]):
-            if _seg(a, b) not in segments:
-                bad.append(f"e{eid}: connection segment ({a},{b}) missing")
-        for w in sequences[eid]:
-            if w <= n:
-                bad.append(f"e{eid}: crossing vertex v{w} is not imaginary")
-            elif deg.get(w, 0) != 4:
-                bad.append(f"e{eid}: imaginary v{w} has degree {deg.get(w, 0)}")
-    bad.extend(f"e{eid}: sequence names no chord" for eid in sorted(set(sequences) - set(chords)))
-    return CheckResult(not bad, bad)
-
-
 __all__ = [
     "CheckResult",
     "VerificationReport",
@@ -401,7 +368,6 @@ __all__ = [
     "check_edge_partition",
     "check_graph_edges",
     "check_layer_rings",
-    "check_connection_realization",
     "segment_table",
     "trace_faces",
     "verify_raw",

@@ -48,9 +48,14 @@ way it was written before `verify.verify_raw` shared one segment table:
 every check copies the arcs and walks them again, and face tracing
 (`trace_faces_ref`, from every dart in sorted order) rotates each face
 to its smallest arc before comparing.  `verify_document_ref` converts
-every layer's arcs twice and the final layer's once more, and
-`check_connection_realization_ref` rebuilds that layer's segments.  The
-package versions must return exactly what these return.
+every layer's arcs twice, and its connection check
+(`check_connections_ref`) walks each chord's raw carrier rows itself.
+The package versions must return exactly what these return.
+`check_connection_realization_ref` is the connection check as it was
+before it read carrier paths: each sequence walked over the final
+layer's segments, with the degree of each vertex on it.  The carrier-table
+and imaginary-degree checks together must still reject every document
+it rejects.
 `graph_from_networkx` builds test inputs the way the benchmark corpus
 does.  `TupleDrawing` is `routing.Drawing` as it indexed faces by
 segment tuple, with dicts of sets and a set of banned segments;
@@ -412,7 +417,6 @@ class TupleDrawing:
     banned: Set[Segment] = field(default_factory=set)
     next_cycle_id: int = 0
     next_vertex_id: int = 0
-    routed: List[Tuple[int, int]] = field(default_factory=list)
     imaginary: Dict[int, dict] = field(default_factory=dict)
     segment_faces: Dict[Segment, Set[int]] = field(init=False, repr=False, compare=False)
     vertex_faces: Dict[int, Set[int]] = field(init=False, repr=False, compare=False)
@@ -440,7 +444,6 @@ class TupleDrawing:
             banned=banned_segments(d),
             next_cycle_id=d.next_cycle_id,
             next_vertex_id=d.next_vertex_id,
-            routed=list(d.routed),
             imaginary=copy.deepcopy(d.imaginary),
         )
 
@@ -667,7 +670,6 @@ def insert_connection_tuple_ref(
             drawing.rim_id = None
         drawing._carry(seg(entry, exit_), ("conn", chord_key))
         drawing.banned.add(seg(entry, exit_))
-    drawing.routed.append((s, t))
     return InsertionRecord(chord=(s, t), route=route, imaginary_ids=ws)
 
 
@@ -1423,10 +1425,57 @@ def check_connection_realization_ref(
     return CheckResult(not bad, bad)
 
 
+def _carrier_path_ref(rows: List[Tuple[int, int]], start: int, stop: int) -> Optional[List[int]]:
+    """The simple path from start to stop that uses every row exactly
+    once, stepping to a neighbour not yet visited; None when there is no
+    such path."""
+    adj: Dict[int, List[int]] = {}
+    for a, b in rows:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    path = [start]
+    while path[-1] != stop:
+        onward = [w for w in adj.get(path[-1], ()) if w not in path]
+        if len(onward) != 1:
+            return None
+        path.append(onward[0])
+    return path if len(path) == len(rows) + 1 else None
+
+
+def check_connections_ref(doc: dict) -> CheckResult:
+    """The connection check: each chord's sequence is the interior of the
+    path its raw ("conn", ends) carrier rows walk, every vertex of it above
+    n, and every sequence names a chord."""
+    n = doc["graph"]["n"]
+    rows: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+    for a, b, kind, ref in doc["carrier"]:
+        if kind == "conn":
+            rows.setdefault(tuple(ref), []).append((a, b))
+    chords = {eid: (u, v) for eid, u, v in doc["chords"]}
+    sequences = {int(k): list(v) for k, v in doc["sequences"].items()}
+    bad = []
+    for eid, (u, v) in sorted(chords.items()):
+        if eid not in sequences:
+            bad.append(f"e{eid}: chord has no realized connection")
+            continue
+        lo, hi = min(u, v), max(u, v)
+        path = _carrier_path_ref(rows[lo, hi], lo, hi) if (lo, hi) in rows else None
+        if path is None:
+            bad.append(f"e{eid}: connection ({lo},{hi}) has no carrier path")
+        elif path[1:-1] != sequences[eid]:
+            bad.append(f"e{eid}: sequence is not the interior of its connection's path")
+        for w in sequences[eid]:
+            if w <= n:
+                bad.append(f"e{eid}: crossing vertex v{w} is not imaginary")
+    for eid in sorted(sequences):
+        if eid not in chords:
+            bad.append(f"e{eid}: sequence names no chord")
+    return CheckResult(not bad, bad)
+
+
 def verify_document_ref(doc: dict) -> VerificationReport:
-    """`verify_document` with every layer's system converted twice, the
-    final layer's once more, and its segments rebuilt for the connection
-    check."""
+    """`verify_document` with every layer's system converted twice, and
+    the connection check walking the raw carrier rows itself."""
     checks: Dict[str, CheckResult] = {}
     n = doc["graph"]["n"]
     bad = []
@@ -1451,13 +1500,5 @@ def verify_document_ref(doc: dict) -> VerificationReport:
         [(k, layer.get("ring")) for k, layer in enumerate(doc["layers"], start=1)],
         doc["layers"][0]["realized"],
     )
-    chords = {eid: (u, v) for eid, u, v in doc["chords"]}
-    sequences = {int(k): list(v) for k, v in doc["sequences"].items()}
-    _, final_cycles, final_rim = _raw_system_ref(doc["layers"][-1]["system"])
-    if final_rim is not None:
-        final_cycles = dict(final_cycles)
-        final_cycles[final_rim[0]] = final_rim[1]
-    checks["connection-realization"] = check_connection_realization_ref(
-        n, chords, sequences, final_cycles
-    )
+    checks["connection-realization"] = check_connections_ref(doc)
     return VerificationReport(checks)

@@ -12,10 +12,12 @@ from topolayers.cli import main
 from topolayers.document import (
     DocumentError,
     decomposition_to_document,
+    document_checks,
     parse_document,
     serialize_document,
 )
 from topolayers.graphs import complete_graph, format_graph
+from topolayers.layering import decompose
 from topolayers.render import RenderError, render_svg
 
 from test_document import (
@@ -326,6 +328,17 @@ def _interior_triangle_off_the_ring(doc):
     doc["layers"][0]["system"]["cycles"].append({"id": 999, "arcs": arcs})
 
 
+def _path_neighbour_entry_dropped(doc):
+    # v13 neighbours v56 on the path of v56's connection carrier
+    doc["imaginary"] = [e for e in doc["imaginary"] if e["id"] != 13]
+
+
+def _drawn_vertex_entry_dropped(doc):
+    # v67 lies on a chord of layer 2, and on no connection carrier's path
+    # beside a vertex whose entry names that carrier
+    doc["imaginary"] = [e for e in doc["imaginary"] if e["id"] != 67]
+
+
 def _path_neighbour_not_a_vertex(doc):
     # Imaginary vertex 13 lies on the path of 56's carrier but has another
     # host; renamed in that carrier's rows only, the path stays whole.
@@ -357,30 +370,42 @@ def _edge_carrier_off_the_graph(doc):
 @pytest.mark.parametrize(
     "corrupt,layer,message",
     [
-        (_realizes_unknown_edge, 2, "realizes 9999, which is not a graph edge"),
-        (_sequence_vertex_without_entry, 2, "vertex 999 has no imaginary entry"),
+        (_realizes_unknown_edge, 2, "edge-partition: unknown edges [9999]"),
+        (
+            _sequence_vertex_without_entry,
+            2,
+            "connection-realization: e2: sequence is not the interior of its connection's path",
+        ),
+        (_drawn_vertex_entry_dropped, 2, "drawn sequence vertex 67 has no imaginary entry"),
         (_layer1_arc_off_the_graph, 1, "arc (1,500) names a vertex outside 1..10"),
-        (_vertices_without_edges, 1, "vertex 11 is neither on the ring nor on a layer-1 arc"),
-        (_vertices_without_edges, 2, "vertex 11 is neither on the ring nor on a layer-1 arc"),
-        (_interior_triangle_off_the_ring, 1, "arcs leave interior vertices unconnected to the ring"),
-        (_path_neighbour_not_a_vertex, 1, "vertex 56 has path neighbour 777, not a vertex"),
-        (_ring_off_the_graph, 2, "layer 2 ring names v500, outside 1..10"),
-        (_ring_off_the_graph, 1, "layer 2 ring names v500, outside 1..10"),
-        (_ring_repeats_a_vertex, 3, "layer 3 ring repeats a vertex"),
-        (_layer_index_seven, 2, "layer indexes [1, 7, 3] are not 1..3 in order"),
-        (_layer_index_seven, 1, "layer indexes [1, 7, 3] are not 1..3 in order"),
-        (_realized_edge_off_the_graph, 2, "edge 2 (1,50) names a vertex outside 1..10"),
-        (_edge_carrier_off_the_graph, 1, "carrier edge 17 names a vertex outside 1..10"),
-        (_conn_carrier_off_the_graph, 2, "carrier connection (5,50) names a vertex outside 1..10"),
+        (_vertices_without_edges, 1, "layer-indexes: layer 1 has system n 10, not the graph's 20"),
+        (_vertices_without_edges, 2, "layer-indexes: layer 1 has system n 10, not the graph's 20"),
+        (_interior_triangle_off_the_ring, 1, "layer-indexes: layer 1 has system n 10, not the graph's 13"),
+        (
+            _path_neighbour_not_a_vertex,
+            1,
+            "carrier-table: v56: host (5,13) does not hold v56 on its carrier's path",
+        ),
+        (_path_neighbour_entry_dropped, 1, "vertex 56 has path neighbour 13, not a vertex"),
+        (_ring_off_the_graph, 2, "layer-rings: layer 2: ring does not list 1..10 once each"),
+        (_ring_off_the_graph, 1, "layer-rings: layer 2: ring does not list 1..10 once each"),
+        (_ring_repeats_a_vertex, 3, "layer-rings: layer 3: ring does not list 1..10 once each"),
+        (_layer_index_seven, 2, "layer-indexes: layer 2 has index 7"),
+        (_layer_index_seven, 1, "layer-indexes: layer 2 has index 7"),
+        (_realized_edge_off_the_graph, 2, "graph-edges: e2: (1,50) names a vertex outside 1..10"),
+        (_edge_carrier_off_the_graph, 1, "graph-edges: e17: (2,50) names a vertex outside 1..10"),
+        (_conn_carrier_off_the_graph, 2, "carrier-table: carrier connection (5,50) is not a chord's ends"),
     ],
     ids=[
         "unknown-edge",
         "no-imaginary-entry",
+        "drawn-vertex-entry-dropped",
         "arc-off-graph",
         "n-20-layer-1",
         "n-20-layer-2",
         "interior-off-the-ring",
         "neighbour-not-a-vertex",
+        "path-neighbour-entry-dropped",
         "ring-off-graph-layer-2",
         "ring-off-graph-layer-1",
         "ring-repeats-layer-3",
@@ -402,6 +427,42 @@ def test_render_malformed_document_exits_2(
     bad.write_text(json.dumps(doc))
     out = str(tmp_path / "x.svg")
     res = runner.invoke(main, ["render", str(bad), "--layer", str(layer), "-o", out])
+    assert res.exit_code == 2, res.output
+    assert res.output.startswith("error: ") and message in res.output, res.output
+
+
+# A planar input's one layer has no ring and K4 has no chords, so raising
+# n leaves every document check passing: render reaches its own checks of
+# layer 1's arcs.
+
+
+def _k4_vertices_without_edges(doc):
+    doc["graph"]["n"] = doc["layers"][0]["system"]["n"] = 6
+
+
+def _k4_interior_triangle_off_the_ring(doc):
+    doc["graph"]["n"] = doc["layers"][0]["system"]["n"] = 7
+    arcs = [[5, 6], [6, 7], [7, 5]]
+    doc["layers"][0]["system"]["cycles"].append({"id": 999, "arcs": arcs})
+
+
+@pytest.mark.parametrize(
+    "corrupt,message",
+    [
+        (_k4_vertices_without_edges, "vertex 5 is neither on the ring nor on a layer-1 arc"),
+        (_k4_interior_triangle_off_the_ring, "arcs leave interior vertices unconnected to the ring"),
+    ],
+    ids=["n-6", "interior-off-the-ring"],
+)
+def test_render_bad_planar_layer_exits_2(runner, tmp_path, corrupt, message):
+    doc = json.loads(serialize_document(decomposition_to_document(decompose(complete_graph(4)))))
+    corrupt(doc)
+    assert all(check.ok for check in document_checks(doc).checks.values())
+    with pytest.raises(RenderError, match=re.escape(message)):
+        render_svg(doc, 1)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    res = runner.invoke(main, ["render", str(bad), "--layer", "1", "-o", str(tmp_path / "x.svg")])
     assert res.exit_code == 2, res.output
     assert res.output.startswith("error: ") and message in res.output, res.output
 

@@ -81,10 +81,16 @@ def test_select_noncrossing_matches_reference(case):
     assert select_noncrossing(basis, chords) == select_noncrossing_ref(basis, chords)
 
 
+def _routed(drawing):
+    """The ends of each chord the drawing has routed: its ("conn", ends)
+    carriers."""
+    return {ref for kind, ref in drawing.carrier.values() if kind == "conn"}
+
+
 def _pending(drawing, g):
     """Chords of g that are neither drawing edges nor routed yet."""
     drawn = {ck[1] for ck in drawing.carrier.values() if ck[0] == "edge"}
-    routed = {seg(*uv) for uv in drawing.routed}
+    routed = _routed(drawing)
     return [uv for eid, uv in sorted(g.edges.items()) if eid not in drawn and seg(*uv) not in routed]
 
 
@@ -169,7 +175,7 @@ def test_decompose_queries_match_reference(n, monkeypatch):
     monkeypatch.setattr(layering, "insert_connection", checked_insert)
     d = decompose(g)
     assert selections
-    assert len(d.drawing.routed) == len(d.chords)
+    assert len(_routed(d.drawing)) == len(d.chords)
 
 
 def _assert_tables_fresh(drawing):
@@ -228,7 +234,6 @@ def _tuple_state(d):
         list(d.side.items()),
         banned,
         d.rim_id,
-        d.routed,
         d.next_cycle_id,
         d.next_vertex_id,
     )
@@ -314,13 +319,13 @@ def test_routing_never_builds_the_mixed_cycle_graph(monkeypatch):
 
     monkeypatch.setattr(routing, "build_mixed_cycle_graph", forbidden)
     d = decompose(complete_graph(10))
-    assert d.drawing.routed
+    assert _routed(d.drawing)
 
 
 def _drawn(drawing):
     """Everything a greedy routing pass changes in a drawing."""
     faces = {fid: c.arcs for fid, c in drawing.faces.items()}
-    return faces, drawing.carrier, drawing.side, drawing.banned, drawing.routed
+    return faces, drawing.carrier, drawing.side, drawing.banned
 
 
 @pytest.mark.parametrize("n", RUNS)
@@ -342,7 +347,7 @@ def test_route_greedy_matches_reference(n, monkeypatch):
     monkeypatch.setattr(layering, "_route_greedy", checked)
     d = decompose(_run_graph(n))
     assert sides == {"inner", "outer", None} if isinstance(n, int) else {"inner", "outer"} <= sides
-    assert len(d.drawing.routed) == len(d.chords)
+    assert len(_routed(d.drawing)) == len(d.chords)
 
 
 def test_route_queries_are_bounded_and_memoised(monkeypatch):
@@ -378,7 +383,7 @@ def test_route_greedy_matches_reference_on_shuffled_pools(n, side, rnd):
         route = shortest_route(d, s, t)
         if route is not None:
             insert_connection(d, s, t, route)
-    rest = [uv for uv in chords if seg(*uv) not in {seg(*r) for r in d.routed}]
+    rest = [uv for uv in chords if seg(*uv) not in _routed(d)]
     rest = rest[: rnd.randrange(len(rest) + 1)]
     pool = dict(zip(rnd.sample(range(1, 1000), len(rest)), rest))
     twin = copy.deepcopy(d)
@@ -468,8 +473,8 @@ def test_link_lists_match_the_counting_reference():
     holed = {fid: c for fid, c in sphere.items() if fid != 4}
     g = _run_graph("rr4_16_s0")
     drawings = [
-        Drawing(g=complete_graph(7), faces=sphere, rim_id=None, carrier={}),
-        Drawing(g=complete_graph(7), faces=holed, rim_id=None, carrier={}),
+        Drawing(g=complete_graph(7), faces=sphere, rim_id=None),
+        Drawing(g=complete_graph(7), faces=holed, rim_id=None),
         Drawing.from_system(g, select_planar_cycle_system(g)),
     ]
     for d in drawings:
@@ -482,6 +487,23 @@ def test_link_lists_match_the_counting_reference():
     }
     run = drawings[2]
     assert any(len(set(nbs)) < len(nbs) for nbs in map(run.neighbours, run.faces))
+
+
+def test_hand_built_drawing_numbers_fresh_ids():
+    """A drawing built from K7's faces 1-4 alone numbers its new faces
+    above every face id and its imaginary vertices above n: chord (1,4)
+    splits face 1, and chord (5,7), in the next layer, crosses (1,4) and
+    (2,3)."""
+    faces = {fid: cycles.Cycle(fid, arcs) for fid, arcs in HEXAGON.items()}
+    d = Drawing(g=complete_graph(7), faces=faces, rim_id=None)
+    assert (d.next_cycle_id, d.next_vertex_id) == (5, 8)
+    assert insert_connection(d, 1, 4, [1]).imaginary_ids == []
+    assert sorted(d.faces) == [2, 3, 4, 5, 6]
+    d.clear_bans()  # a new layer may cross the first chord
+    assert insert_connection(d, 5, 7, [6, 5, 4]).imaginary_ids == [8, 9]
+    assert sorted(d.faces) == [2, 3, 7, 8, 9, 10, 11, 12]
+    assert sorted(d.imaginary) == [8, 9]
+    assert [d.imaginary[w]["host"] for w in (8, 9)] == [(1, 4), (2, 3)]
 
 
 def test_pool_is_enumerated_only_for_pins(monkeypatch, k7):

@@ -16,7 +16,8 @@ from click.testing import CliRunner
 
 from topolayers.cli import main
 from topolayers.document import decomposition_to_document, serialize_document, verify_document
-from topolayers.graphs import Graph
+from topolayers.graphs import Graph, complete_graph
+from topolayers.layering import decompose
 from topolayers.planar import PlanarizationError, hamiltonian_rim
 from topolayers.render import RenderError, render_svg
 
@@ -59,9 +60,18 @@ def test_verify_compares_ring_length_with_n_first(big_k7_document):
 
 
 def test_render_finds_the_smallest_uncovered_vertex_without_scanning_n(big_k7_document):
+    """K7's layers fail the layer-index check, which compares their n
+    with the graph's; planar K4's one layer has no ring and K4 no chord,
+    so its document with n raised passes every document check, and render
+    reaches its own check of layer 1's vertices."""
+    k4 = json.loads(serialize_document(decomposition_to_document(decompose(complete_graph(4)))))
+    k4["graph"]["n"] = k4["layers"][0]["system"]["n"] = BIG
+
     def render():
-        with pytest.raises(RenderError, match="vertex 8 is neither on the ring nor on a layer-1 arc"):
+        with pytest.raises(RenderError, match=f"^layer-indexes: layer 1 has system n 7, not the graph's {BIG}"):
             render_svg(big_k7_document, 2)
+        with pytest.raises(RenderError, match="vertex 5 is neither on the ring nor on a layer-1 arc"):
+            render_svg(k4, 1)
 
     assert _peak(render)[1] < PEAK_BYTES
 

@@ -157,15 +157,35 @@ def test_decompose_deterministic(k7, k7_decomposition):
     ]
 
 
-def _route_log(d):
-    """The plan that replays d: for each layer from 2, every chord in
-    insertion order with its own rows of the imaginary table."""
+def _logged_decompose(monkeypatch, g, **kwargs):
+    """decompose(g, **kwargs) and its chords (s, t) as it inserted them, in
+    order; the same chords, in the same order, as the drawing's ("conn",
+    ends) carriers, which keep no orientation."""
+    inserted = []
+    real = layering.insert_connection
+
+    def recorded(drawing, s, t, route):
+        inserted.append((s, t))
+        return real(drawing, s, t, route)
+
+    with monkeypatch.context() as m:
+        m.setattr(layering, "insert_connection", recorded)
+        d = decompose(g, **kwargs)
+    conns = [ref for kind, ref in d.drawing.carried if kind == "conn"]
+    assert [seg(s, t) for s, t in inserted] == conns
+    return d, inserted
+
+
+def _route_log(d, inserted):
+    """The plan that replays d, whose chords were inserted as `inserted`:
+    for each layer from 2, every chord in insertion order with its own
+    rows of the imaginary table."""
     layer_of = {seg(*d.chords[eid]): layer.index for layer in d.layers[1:] for eid in layer.realized}
     rows = {}
     for w, info in sorted(d.drawing.imaginary.items()):
         rows.setdefault(info["chord"], []).append([w, *info["host"]])
     log = [[] for _ in d.layers[1:]]
-    for s, t in d.drawing.routed:
+    for s, t in inserted:
         log[layer_of[seg(s, t)] - 2].append({"chord": [s, t], "crossings": rows.get(seg(s, t), [])})
     return log
 
@@ -184,18 +204,20 @@ def _hypercube(dim):
     [complete_graph(n, name=f"K{n}") for n in range(7, 13)] + [_hypercube(4)],
     ids=lambda g: g.name,
 )
-def test_route_log_replays_unpinned_drawing(g):
-    d = decompose(g)
+def test_route_log_replays_unpinned_drawing(g, monkeypatch):
+    d, inserted = _logged_decompose(monkeypatch, g)
     assert len(d.layers) >= 2
-    replayed = decompose(g, pin={"plan": {"layers": _route_log(d)}})
+    replayed = decompose(g, pin={"plan": {"layers": _route_log(d, inserted)}})
     assert _text(replayed) == _text(d)
 
 
 @pytest.mark.parametrize("which", ["k7", "k8", "k10"])
-def test_pinned_fixture_is_its_own_route_log(which, request):
-    d = request.getfixturevalue(f"{which}_decomposition")
+def test_pinned_fixture_is_its_own_route_log(which, request, monkeypatch):
     pin = load_fixture(which)
-    assert _route_log(d) == pin["plan"]["layers"]
+    n = int(which[1:])
+    d, inserted = _logged_decompose(monkeypatch, complete_graph(n, name=f"K{n}"), pin=pin)
+    assert _text(d) == _text(request.getfixturevalue(f"{which}_decomposition"))
+    assert _route_log(d, inserted) == pin["plan"]["layers"]
     assert [layer.ring for layer in d.layers[1:]] == [pin["hamiltonian"]] * len(pin["plan"]["layers"])
 
 

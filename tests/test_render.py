@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from oracles import imaginary_positions_ref
 from topolayers.document import (
     decomposition_to_document,
+    document_checks,
     parse_document,
     serialize_document,
     verify_document,
@@ -20,7 +21,6 @@ from topolayers.layering import decompose
 from topolayers.render import (
     RenderError,
     _base_positions,
-    _carrier_paths,
     _imaginary_positions,
     render_svg,
 )
@@ -123,12 +123,12 @@ def _assert_markers_match_full_relaxation(doc):
     of the document puts them."""
     pos = _base_positions(doc)
     ref = imaginary_positions_ref(doc, pos)
-    paths = _carrier_paths(doc, {eid: (u, v) for eid, u, v in doc["graph"]["edges"]})
+    _, _, paths, places = document_checks(doc)
     sequences = {int(k): v for k, v in doc["sequences"].items()}
     for layer in doc["layers"]:
         realized = [] if layer["index"] == 1 else layer["realized"]
         drawn = {w for eid in realized for w in sequences.get(eid, [])}
-        assert _imaginary_positions(doc, paths, pos, drawn) == {w: ref[w] for w in drawn}
+        assert _imaginary_positions(doc, paths, places, pos, drawn) == {w: ref[w] for w in drawn}
 
 
 @pytest.mark.parametrize("n", range(7, 17))
@@ -152,9 +152,9 @@ def test_k7_realized_edge_off_the_graph_is_a_render_error(k7_document):
     for row in doc["graph"]["edges"] + doc["chords"]:
         if row[0] == eid:
             row[2] = 50
-    assert render_svg(doc, 1).startswith("<svg")
-    with pytest.raises(RenderError, match=re.escape(f"edge {eid} (1,50) names a vertex outside 1..7")):
-        render_svg(doc, 2)
+    for k in (1, 2):
+        with pytest.raises(RenderError, match="^" + re.escape(f"graph-edges: e{eid}: (1,50) names a vertex outside 1..7")):
+            render_svg(doc, k)
 
 
 def test_k7_sequence_off_its_connection_path_is_a_render_error(k7_document):
@@ -164,8 +164,21 @@ def test_k7_sequence_off_its_connection_path_is_a_render_error(k7_document):
     assert doc["sequences"]["9"] == [9, 10]
     doc["sequences"]["9"] = [10, 9]
     assert not verify_document(doc).checks["connection-realization"].ok
-    assert render_svg(doc, 1).startswith("<svg")
-    with pytest.raises(RenderError, match=re.escape("edge 9's sequence is not the interior")):
+    message = "connection-realization: e9: sequence is not the interior of its connection's path"
+    for k in (1, 2):
+        with pytest.raises(RenderError, match="^" + re.escape(message)):
+            render_svg(doc, k)
+
+
+def test_k7_layer_realizing_a_non_chord_is_a_render_error(k7_document):
+    """e21 = (6,7), a layer-1 edge off the ring, listed in layer 2: no
+    document check reads which layer realizes a chord, and layer 2 has no
+    sequence to draw it by."""
+    doc = copy.deepcopy(k7_document)
+    first, second = doc["layers"]
+    assert first["realized"][-1] == 21
+    second["realized"].append(first["realized"].pop())
+    with pytest.raises(RenderError, match=re.escape("layer 2 realizes e21, which is not a chord")):
         render_svg(doc, 2)
 
 
@@ -225,7 +238,8 @@ def _stray_row(doc):
 
 
 def _edge_refs_swapped(doc):
-    # rows (1,3) and (2,3) carry each other's edge, e7 and e2
+    # rows (1,3) and (2,3) carry each other's edge, e7 and e2; neither
+    # walks a path, and the smaller is named first
     for row in doc["carrier"]:
         if row[:2] == [1, 3]:
             assert row[2:] == ["edge", 2]
@@ -233,7 +247,7 @@ def _edge_refs_swapped(doc):
         elif row[:2] == [2, 3]:
             assert row[2:] == ["edge", 7]
             row[3] = 2
-    return "edge 7"
+    return "edge 2"
 
 
 def _connection_to_v50(doc):
@@ -269,5 +283,56 @@ def test_render_refuses_what_verify_rejects_in_the_carrier_table(k7_document, co
     check = verify_document(doc).checks["carrier-table"]
     assert not check.ok and any(f"carrier {name} " in d for d in check.details), check.details
     for k in range(1, len(doc["layers"]) + 1):
-        with pytest.raises(RenderError, match=re.escape(f"carrier {name} ")):
+        with pytest.raises(RenderError, match="^" + re.escape(f"carrier-table: carrier {name} ")):
+            render_svg(doc, k)
+
+
+# Documents verify rejects by a document check, each with that check's
+# name.  Render refuses each of them, for every layer, naming the same
+# check: it runs the same document checks first.
+
+
+def _k7_ring_entries_swapped(doc):
+    ring = doc["layers"][1]["ring"]
+    ring[0], ring[2] = ring[2], ring[0]
+    return "layer-rings"
+
+
+def _k10_chord_in_two_layers(doc):
+    doc["layers"][1]["realized"].append(doc["layers"][2]["realized"][0])
+    return "edge-partition"
+
+
+def _k10_chord_in_no_layer(doc):
+    del doc["layers"][2]["realized"][0]
+    return "edge-partition"
+
+
+def _k7_sequence_padded(doc):
+    # e3 = (1,4) crosses v23 alone; v24 is a neighbour of v23 in the final
+    # drawing, so each consecutive pair of the padded sequence is a segment
+    assert doc["sequences"]["3"] == [23]
+    doc["sequences"]["3"] = [23, 24, 23]
+    return "connection-realization"
+
+
+@pytest.mark.parametrize(
+    "which,corrupt",
+    [
+        ("k7", _k7_ring_entries_swapped),
+        ("k10", _k10_chord_in_two_layers),
+        ("k7", _k7_sequence_padded),
+        ("k10", _k10_chord_in_no_layer),
+    ],
+    ids=["k7-ring-entries-swapped", "k10-chord-in-two-layers", "k7-sequence-padded", "k10-chord-in-no-layer"],
+)
+def test_render_refuses_what_verify_rejects_by_name(which, corrupt, request):
+    d = request.getfixturevalue(f"{which}_decomposition")
+    doc = parse_document(serialize_document(decomposition_to_document(d)))
+    assert verify_document(doc).ok
+    check = corrupt(doc)
+    report = verify_document(doc)
+    assert not report.checks[check].ok, report.lines()
+    for k in range(1, len(doc["layers"]) + 1):
+        with pytest.raises(RenderError, match="^" + re.escape(f"{check}: {report.checks[check].details[0]}")):
             render_svg(doc, k)

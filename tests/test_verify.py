@@ -6,11 +6,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import verify_document_ref, verify_raw_ref
+from oracles import check_connection_realization_ref, verify_document_ref, verify_raw_ref
 from topolayers import verify
 from topolayers.document import decomposition_to_document, verify_document
 from topolayers.verify import (
-    check_connection_realization,
     check_edge_partition,
     check_face_trace,
     check_graph_edges,
@@ -92,14 +91,14 @@ def test_edge_partition_checker():
     assert not check_edge_partition([1], [[1, 9]]).ok
 
 
-def test_connection_realization_unrouted_chord_fails(k7_decomposition):
-    d = k7_decomposition
-    final = d.layers[-1].system.segments()
-    assert check_connection_realization(7, d.chords, d.sequences, final).ok
-    broken = dict(d.sequences)
-    some = next(iter(broken))
-    del broken[some]
-    assert not check_connection_realization(7, d.chords, broken, final).ok
+def test_connection_realization_unrouted_chord_fails(k7_document):
+    doc = copy.deepcopy(k7_document)
+    assert verify_document(doc).checks["connection-realization"].ok
+    some = next(iter(doc["sequences"]))
+    del doc["sequences"][some]
+    check = verify_document(doc).checks["connection-realization"]
+    assert not check.ok
+    assert check.details == [f"e{some}: chord has no realized connection"]
 
 
 def test_graph_edges_checker():
@@ -300,9 +299,9 @@ def test_verify_raw_matches_oracle_on_mutated_systems(mutable_layers, data, muta
         assert (result.ok, result.details) == traced
 
 
-# verify_document reads each layer's arcs once and the final layer's
-# segments from the table verify_raw built; the oracle converts every
-# layer twice, the final one once more, and rebuilds its segments.
+# verify_document reads each layer's arcs once and each chord's
+# connection from its carrier path; the oracle converts every layer
+# twice and walks each chord's raw carrier rows itself.
 
 
 @pytest.mark.parametrize("fixture", DIGESTED)
@@ -334,7 +333,18 @@ def test_verify_document_matches_oracle_on_mutated_layers(mutable_documents, dat
     sj["cycles"] = [{"id": cid, "arcs": [list(a) for a in arcs]} for cid, arcs in cycles.items()]
     sj["rim"] = None if rim is None else {"id": rim[0], "arcs": [list(a) for a in rim[1]]}
     want = verify_document_ref(doc).checks
-    assert _oracle_pairs(verify_document(doc).checks, want) == _as_pairs(want)
+    report = verify_document(doc)
+    assert _oracle_pairs(report.checks, want) == _as_pairs(want)
+    # the connection check no longer reads the final layer's segments; the
+    # carrier-table and imaginary-degree checks still reject whatever the
+    # segment walk of the old rule rejects
+    _, final_cycles, final_rim = _layer_systems(doc)[-1]
+    if final_rim is not None:
+        final_cycles = {**final_cycles, final_rim[0]: final_rim[1]}
+    chords = {eid: (u, v) for eid, u, v in doc["chords"]}
+    sequences = {int(k): v for k, v in doc["sequences"].items()}
+    old_rule = check_connection_realization_ref(doc["graph"]["n"], chords, sequences, final_cycles)
+    assert old_rule.ok or not report.ok
 
 
 @st.composite
