@@ -339,14 +339,14 @@ def _check_schema(doc: dict) -> None:
             type(sj) is dict
             and type(sj.get("n")) is int
             and _all(sj.get("cycles"), dict)
-            and "rim" in sj,
+            and "rim" in sj
+            and (sj["rim"] is None or type(sj["rim"]) is dict),
             f"system of layer {k}",
         )
         members = sj["cycles"] + ([] if sj["rim"] is None else [sj["rim"]])
         arcs = [c.get("arcs") for c in members]
         need(
-            _all(members, dict)
-            and _all([c.get("id") for c in members], int)
+            _all([c.get("id") for c in members], int)
             and _all(arcs, list)
             and _rows(list(chain.from_iterable(arcs)), 2),
             f"cycle of layer {k}",

@@ -22,11 +22,10 @@ class Graph:
     n: int
     edges: Dict[int, Tuple[int, int]]  # edge id -> (u, v) with u < v
     name: str = ""
-    _by_pair: Dict[Tuple[int, int], int] = field(default_factory=dict, repr=False)
+    _by_pair: Dict[Tuple[int, int], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self._by_pair:
-            self._by_pair = {uv: eid for eid, uv in self.edges.items()}
+        self._by_pair = {uv: eid for eid, uv in self.edges.items()}
 
     @property
     def vertices(self) -> List[int]:

@@ -1,7 +1,8 @@
 """Deterministic SVG pictures of decomposition layers.
 
 Geometry is a convenience projection only: ring vertices sit on a regular
-polygon, interior original vertices at Tutte barycentric positions, and
+polygon, interior original vertices at Tutte barycentric positions
+(`_base_positions`, by eliminating vertices from layer 1's graph), and
 every imaginary vertex on its carrier's path: spaced evenly along an edge
 carrier, or relaxed between its path neighbours on a connection carrier
 (`_imaginary_positions`).  Each drawn chord is a polyline through its
@@ -14,9 +15,11 @@ timestamps.
 
 from __future__ import annotations
 
+import heapq
 import math
 from typing import Dict, List, Set, Tuple
 
+from .cycles import seg
 from .document import DocumentError, document_checks
 
 SIZE = 600.0
@@ -31,76 +34,77 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
-def _solve(rows: List[List[float]]) -> List[Tuple[float, float]]:
-    """Solve the square system whose rows end in two right-hand-side
-    columns, by Gaussian elimination with partial pivoting; the rows are
-    overwritten."""
-    n = len(rows)
-    for k in range(n):
-        p = max(range(k, n), key=lambda i: abs(rows[i][k]))
-        rows[k], rows[p] = rows[p], rows[k]
-        if rows[k][k] == 0:
-            raise RenderError("layer-1 arcs leave interior vertices unconnected to the ring")
-        for i in range(k + 1, n):
-            f = rows[i][k] / rows[k][k]
-            for j in range(k, n + 2):
-                rows[i][j] -= f * rows[k][j]
-    for i in reversed(range(n)):
-        for c in (n, n + 1):
-            acc = rows[i][c] - sum(rows[i][j] * rows[j][c] for j in range(i + 1, n))
-            rows[i][c] = acc / rows[i][i]
-    return [(row[n], row[n + 1]) for row in rows]
+def _base_positions(
+    doc: dict,
+) -> Tuple[Dict[int, Tuple[float, float]], List[Tuple[int, int]]]:
+    """Each graph vertex's position, and layer 1's segments in order.
 
-
-def _base_positions(doc: dict) -> Dict[int, Tuple[float, float]]:
+    The ring (the first layer's that has one, else layer 1's rim) sits on
+    a regular polygon, and every other vertex at the average of its
+    layer-1 neighbours (Tutte 1963), found from layer 1's own graph, not
+    a matrix (Kron reduction).  The interior vertices leave one at a time,
+    fewest remaining neighbours first, and each leaving vertex joins its
+    neighbours with weights wa·wb/total, so every remaining vertex keeps
+    its average.  They are placed in reverse order, each at the weighted
+    average of the neighbours it had when it left; one left with none
+    cannot reach the ring.
+    """
     layers = doc["layers"]
     n = doc["graph"]["n"]
+    system = layers[0]["system"]
     ring = next((layer["ring"] for layer in layers if layer.get("ring")), None)
     if ring is None:
-        rim = layers[0]["system"].get("rim")
-        if rim is None:
+        if system["rim"] is None:
             raise RenderError("document has neither a ring nor a rim to anchor")
-        ring = [a for a, _ in rim["arcs"]]
-    system = layers[0]["system"]
+        ring = [a for a, _ in system["rim"]["arcs"]]
     members = system["cycles"] + ([system["rim"]] if system["rim"] else [])
     arcs = [arc for c in members for arc in c["arcs"]]
     for a, b in arcs:
         if not (1 <= a <= n and 1 <= b <= n):
             raise RenderError(f"layer 1 arc ({a},{b}) names a vertex outside 1..{n}")
+    segs = sorted({seg(a, b) for a, b in arcs})
     r = SIZE / 2 - MARGIN
     pos: Dict[int, Tuple[float, float]] = {}
     for i, v in enumerate(ring):
         ang = 2 * math.pi * i / len(ring) - math.pi / 2
         pos[v] = (SIZE / 2 + r * math.cos(ang), SIZE / 2 + r * math.sin(ang))
     # every vertex named is in 1..n, so one is missing below len(covered) + 2
-    covered = set(pos).union(*arcs)
+    covered = set(pos).union(*segs)
     if len(covered) < n:
         v = next(v for v in range(1, len(covered) + 2) if v not in covered)
         raise RenderError(f"vertex {v} is neither on the ring nor on a layer-1 arc")
-    interior = [v for v in range(1, n + 1) if v not in pos]
-    if interior:
-        # Tutte: each interior vertex at the average of its layer-1 neighbours
-        nbrs: Dict[int, List[int]] = {v: [] for v in interior}
-        for a, b in arcs:
+    # interior vertex -> {neighbour: weight}, ring neighbours included
+    nbrs: Dict[int, Dict[int, float]] = {v: {} for v in range(1, n + 1) if v not in pos}
+    for a, b in segs:
+        for x, y in ((a, b), (b, a)):
+            if x in nbrs and x != y:
+                nbrs[x][y] = 1.0
+    heap = [(len(ws), v) for v, ws in nbrs.items()]
+    heapq.heapify(heap)
+    left: List[Tuple[int, Dict[int, float], float]] = []
+    while heap:
+        d, v = heapq.heappop(heap)
+        if v not in nbrs or d != len(nbrs[v]):
+            continue  # an entry from before v's neighbours changed
+        ws = nbrs.pop(v)
+        if not ws:
+            raise RenderError("layer-1 arcs leave interior vertices unconnected to the ring")
+        total = sum(ws.values())
+        for a, wa in ws.items():
             if a in nbrs:
-                nbrs[a].append(b)
-            if b in nbrs:
-                nbrs[b].append(a)
-        ix = {v: i for i, v in enumerate(interior)}
-        # one row per interior vertex: its Laplacian row, then the x and y
-        # sums of its ring neighbours
-        rows = [[0.0] * (len(interior) + 2) for _ in interior]
-        for v in interior:
-            row = rows[ix[v]]
-            row[ix[v]] = len(set(nbrs[v]))
-            for w in set(nbrs[v]):
-                if w in ix:
-                    row[ix[w]] -= 1.0
-                else:
-                    row[-2] += pos[w][0]
-                    row[-1] += pos[w][1]
-        pos.update(zip(interior, _solve(rows)))
-    return pos
+                row = nbrs[a]
+                del row[v]
+                for b, wb in ws.items():
+                    if b != a:
+                        row[b] = row.get(b, 0.0) + wa * wb / total
+                heapq.heappush(heap, (len(row), a))
+        left.append((v, ws, total))
+    for v, ws, total in reversed(left):
+        pos[v] = (
+            sum(w * pos[a][0] for a, w in ws.items()) / total,
+            sum(w * pos[a][1] for a, w in ws.items()) / total,
+        )
+    return pos, segs
 
 
 def _imaginary_positions(
@@ -189,7 +193,7 @@ def render_svg(doc: dict, layer_index: int) -> str:
     if not 1 <= layer_index <= len(doc["layers"]):
         raise RenderError(f"document has no layer {layer_index}")
     layer = doc["layers"][layer_index - 1]
-    pos = _base_positions(doc)
+    pos, segs = _base_positions(doc)
     # past the checks, the chords are the edges with a sequence, and each
     # sequence is the interior of its connection's path
     realized = [] if layer_index == 1 else layer["realized"]
@@ -202,16 +206,7 @@ def render_svg(doc: dict, layer_index: int) -> str:
     lines: List[Tuple[Tuple[float, float], Tuple[float, float]]] = []
     polylines: List[List[Tuple[float, float]]] = []
     if layer_index == 1:
-        segs = sorted(
-            {
-                tuple(sorted((a, b)))
-                for c in layer["system"]["cycles"]
-                + ([layer["system"]["rim"]] if layer["system"]["rim"] else [])
-                for a, b in c["arcs"]
-            }
-        )
-        for a, b in segs:
-            lines.append((pos[a], pos[b]))
+        lines.extend((pos[a], pos[b]) for a, b in segs)
     else:
         ring = layer["ring"] or []
         for i in range(len(ring)):

@@ -111,6 +111,8 @@ def _walks(members: Sequence[RawMember]) -> CheckResult:
             bad.append(f"c{cid}: revisits a vertex")
         if any(map(eq, heads, tails)):
             bad.append(f"c{cid}: self-loop arc")
+        if min(heads) < 1:
+            bad.append(f"c{cid}: vertex {min(heads)} is below 1")
     return CheckResult(not bad, bad)
 
 

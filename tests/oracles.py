@@ -35,6 +35,9 @@ refuses a graph of more than 3k - 6 edges before its search.
 faces free of imaginary vertices by union-find, and each region's ring
 with `boundary_ring_ref`; the package's flood-fill version of it had no
 caller and is gone.
+`tutte_positions_ref` places a ringless layer 1's interior vertices by
+the dense pivoting solve `render` ran before it eliminated vertices from
+layer 1's graph; the two must agree to far below the SVG's 0.01 px.
 `imaginary_positions_ref` relaxes every
 connection-hosted crossing marker of the document, whichever layer is
 drawn, on the paths of the shared carrier reader
@@ -1128,6 +1131,52 @@ def strip_imaginary_region_ref(
     return min(hits, key=lambda t: sorted(seg(a, b) for a, b in zip(t[1], t[1][1:] + t[1][:1])))
 
 
+def tutte_positions_ref(
+    doc: dict, anchored: Dict[int, Tuple[float, float]]
+) -> Dict[int, Tuple[float, float]]:
+    """Each vertex not `anchored` at the average of its layer-1 neighbours,
+    by the dense solve the renderer ran before it eliminated vertices from
+    layer 1's graph: one Laplacian row per interior vertex, ending in the
+    x and y sums of its anchored neighbours, then Gaussian elimination
+    with partial pivoting."""
+    system = doc["layers"][0]["system"]
+    members = system["cycles"] + ([system["rim"]] if system["rim"] else [])
+    interior = [v for v in range(1, doc["graph"]["n"] + 1) if v not in anchored]
+    nbrs: Dict[int, Set[int]] = {v: set() for v in interior}
+    for c in members:
+        for a, b in c["arcs"]:
+            if a != b:
+                for x, y in ((a, b), (b, a)):
+                    if x in nbrs:
+                        nbrs[x].add(y)
+    ix = {v: i for i, v in enumerate(interior)}
+    k = len(interior)
+    rows = [[0.0] * (k + 2) for _ in interior]
+    for v in interior:
+        row = rows[ix[v]]
+        row[ix[v]] = len(nbrs[v])
+        for w in nbrs[v]:
+            if w in ix:
+                row[ix[w]] -= 1.0
+            else:
+                row[-2] += anchored[w][0]
+                row[-1] += anchored[w][1]
+    for col in range(k):
+        p = max(range(col, k), key=lambda i: abs(rows[i][col]))
+        rows[col], rows[p] = rows[p], rows[col]
+        if rows[col][col] == 0:
+            raise RenderError("layer-1 arcs leave interior vertices unconnected to the ring")
+        for i in range(col + 1, k):
+            f = rows[i][col] / rows[col][col]
+            for j in range(col, k + 2):
+                rows[i][j] -= f * rows[col][j]
+    for i in reversed(range(k)):
+        for c in (k, k + 1):
+            acc = rows[i][c] - sum(rows[i][j] * rows[j][c] for j in range(i + 1, k))
+            rows[i][c] = acc / rows[i][i]
+    return {v: (row[k], row[k + 1]) for v, row in zip(interior, rows)}
+
+
 def imaginary_positions_ref(
     doc: dict, pos: Dict[int, Tuple[float, float]]
 ) -> Dict[int, Tuple[float, float]]:
@@ -1236,6 +1285,9 @@ def _walks_ref(cycles, rim) -> CheckResult:
                 bad.append(f"c{cid}: revisits a vertex")
             if any(a == b for a, b in arcs):
                 bad.append(f"c{cid}: self-loop arc")
+            low = [a for a in heads if a < 1]
+            if low:
+                bad.append(f"c{cid}: vertex {min(low)} is below 1")
     return CheckResult(not bad, bad)
 
 

@@ -491,6 +491,14 @@ def _padded_sequence_key(doc):
     doc["sequences"]["03"] = doc["sequences"].pop("3")
 
 
+def _number_rim(doc):
+    doc["layers"][1]["system"]["rim"] = 5
+
+
+def _list_rim(doc):
+    doc["layers"][1]["system"]["rim"] = [1]
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -500,6 +508,8 @@ def _padded_sequence_key(doc):
         _letter_sequence_key,
         _padded_sequence_key_beside_the_real_one,
         _padded_sequence_key,
+        _number_rim,
+        _list_rim,
     ],
     ids=[
         "no-system",
@@ -508,6 +518,8 @@ def _padded_sequence_key(doc):
         "letter-sequence-key",
         "padded-sequence-key-beside-real",
         "padded-sequence-key",
+        "number-rim",
+        "list-rim",
     ],
 )
 def test_verify_malformed_document_exits_2(runner, k7_doc_file, tmp_path, corrupt):

@@ -14,7 +14,10 @@ hypercubes were recorded while every layer still relaxed all of the
 document's crossing markers; K16 has 541 on connection hosts.  The
 layer-1 SVG digests of the planar inputs, whose documents have no ring,
 so that interior vertices take Tutte positions from a linear solve, were
-recorded while numpy's solver ran it.  The inner-only digests were
+recorded while numpy's solver ran it; those of the wheel W40 and the
+prisms C50×K2 and C200×K2 while a dense Gaussian elimination with partial
+pivoting did, before the renderer eliminated vertices from layer 1's
+graph.  The inner-only digests were
 recorded while `decompose` still spelled out each strategy's passes as
 its own branch, and before pinned K10 carried a route log (the
 inner-only strategy replays none, so they must not move with it).  The
@@ -144,6 +147,18 @@ PLANAR = {
     "dodecahedron": (
         lambda: graph_from_networkx(nx.dodecahedral_graph()),
         "213552711c778441f3c8e73622c737f3a062775364b063ad4ae4be4e3d3cb1c2",
+    ),
+    "w40": (
+        lambda: graph_from_networkx(nx.wheel_graph(41)),
+        "99ef3eb0fce4270dec58ea0166b5c4578463421e8471e4a8d50045adb65de530",
+    ),
+    "c50xk2": (
+        lambda: graph_from_networkx(nx.circular_ladder_graph(50)),
+        "00f471ee8613698bf22a915d418f9230053ded28751ea9e018e9f1fba94c1e53",
+    ),
+    "c200xk2": (
+        lambda: graph_from_networkx(nx.circular_ladder_graph(200)),
+        "c427d17647947b9297f11a0048462a07c8c5e7f8af2bb3d04c4d8c60a650751b",
     ),
 }
 

@@ -375,6 +375,19 @@ def _imaginary_host_off_its_path(doc):
     doc["imaginary"][0]["host"] = [1, 2]
 
 
+def _final_edge_through_vertex_0(doc):
+    # subdivide e1 = (1,2), a final-layer segment of pinned K10, by v0 in
+    # both faces that hold it and in its carrier rows
+    sj = doc["layers"][-1]["system"]
+    for member in sj["cycles"] + ([sj["rim"]] if sj["rim"] else []):
+        for x, y in ((1, 2), (2, 1)):
+            if [x, y] in member["arcs"]:
+                i = member["arcs"].index([x, y])
+                member["arcs"][i : i + 1] = [[x, 0], [0, y]]
+    row = doc["carrier"].index([1, 2, "edge", 1])
+    doc["carrier"][row : row + 1] = [[0, 1, "edge", 1], [0, 2, "edge", 1]]
+
+
 @pytest.mark.parametrize(
     "corrupt,check,detail",
     [
@@ -401,6 +414,7 @@ def _imaginary_host_off_its_path(doc):
         (_carrier_refs_swapped, "carrier-table", "carrier edge 8 is not a path"),
         (_imaginary_chord_not_a_chord, "carrier-table", "v11: (1,2) is not a chord whose sequence holds v11"),
         (_imaginary_host_off_its_path, "carrier-table", "v11: host (1,2) does not hold v11 on its carrier's path"),
+        (_final_edge_through_vertex_0, "layer-3/walks", "vertex 0 is below 1"),
     ],
     ids=[
         "edge-off-graph",
@@ -426,6 +440,7 @@ def _imaginary_host_off_its_path(doc):
         "carrier-refs-swapped",
         "imaginary-chord-not-a-chord",
         "imaginary-host-off-its-path",
+        "final-edge-through-vertex-0",
     ],
 )
 def test_verifier_names_bad_edges_and_rings(k10_decomposition, corrupt, check, detail):

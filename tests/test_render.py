@@ -2,13 +2,15 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import re
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import imaginary_positions_ref
+from oracles import graph_from_networkx, imaginary_positions_ref, tutte_positions_ref
 from topolayers.document import (
     decomposition_to_document,
     document_checks,
@@ -118,10 +120,50 @@ def test_interior_vertices_via_tutte():
     assert svg.count("<line") == 6 and svg.count('class="vertex"') == 4
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: nx.hypercube_graph(3),
+        nx.icosahedral_graph,
+        nx.dodecahedral_graph,
+        lambda: nx.wheel_graph(41),
+        lambda: nx.circular_ladder_graph(51),
+        nx.truncated_tetrahedron_graph,
+    ],
+    ids=["q3", "icosahedron", "dodecahedron", "w40", "c51xk2", "truncated-tetrahedron"],
+)
+def test_tutte_positions_match_the_dense_solve(make):
+    """Eliminating vertices from layer 1's graph places each interior
+    vertex where the dense solve does, to within 1e-6 px (the SVG writes
+    0.01 px); the arithmetic differs, so the floats may not be equal."""
+    doc = decomposition_to_document(decompose(graph_from_networkx(make())))
+    assert [layer["ring"] for layer in doc["layers"]] == [None]
+    pos, _ = _base_positions(doc)
+    rim = {a for a, _ in doc["layers"][0]["system"]["rim"]["arcs"]}
+    ref = tutte_positions_ref(doc, {v: pos[v] for v in rim})
+    assert ref.keys() == pos.keys() - rim
+    assert max(math.dist(pos[v], ref[v]) for v in ref) < 1e-6
+
+
+def test_ringless_self_loop_arc_moves_no_vertex():
+    """An arc (4,4) in a face of ringless K4's layer 1 draws one more,
+    empty line at v4 and moves no vertex: v4 is not its own neighbour."""
+    doc = decomposition_to_document(decompose(complete_graph(4)))
+    clean = render_svg(doc, 1).splitlines()
+    face = next(c for c in doc["layers"][0]["system"]["cycles"] if [2, 4] in c["arcs"])
+    face["arcs"].insert(face["arcs"].index([2, 4]) + 1, [4, 4])
+    svg = render_svg(doc, 1).splitlines()
+    x, y = _base_positions(doc)[0][4]
+    assert [line for line in svg if line not in clean] == [
+        f'<line x1="{x:.2f}" y1="{y:.2f}" x2="{x:.2f}" y2="{y:.2f}" stroke="black" stroke-width="1.2"/>'
+    ]
+    assert len(svg) == len(clean) + 1
+
+
 def _assert_markers_match_full_relaxation(doc):
     """Each layer's drawn markers sit exactly where relaxing every marker
     of the document puts them."""
-    pos = _base_positions(doc)
+    pos, _ = _base_positions(doc)
     ref = imaginary_positions_ref(doc, pos)
     _, _, paths, places = document_checks(doc)
     sequences = {int(k): v for k, v in doc["sequences"].items()}
