@@ -435,7 +435,7 @@ def carrier_paths(
     such path or leave a row off it, or the edge has no ends."""
     groups: Dict[tuple, List[Tuple[int, int]]] = {}
     for a, b, kind, ref in doc["carrier"]:
-        key = carrier_key(kind, ref)
+        key = (kind, ref) if kind == "edge" and type(ref) is int else carrier_key(kind, ref)
         segs = groups.get(key)
         if segs is None:
             groups[key] = [(a, b)]
@@ -461,7 +461,10 @@ def _check_carriers(doc: dict, ends_of: dict, paths: dict) -> Tuple[CheckResult,
     chords = doc["chords"]
     plain = set(ends_of).difference([eid for eid, _, _ in chords])
     conns = {(u, v) if u < v else (v, u) for _, u, v in chords}
-    entry_keys = [carrier_key(*entry["carrier"]) for entry in doc["imaginary"]]
+    entry_keys = [
+        (c[0], c[1]) if len(c) == 2 and c[0] == "edge" and type(c[1]) is int else carrier_key(*c)
+        for c in map(itemgetter("carrier"), doc["imaginary"])
+    ]
     keys = set(paths).union(entry_keys)
     edges = {ref for kind, ref in keys if kind == "edge"}
     ends = {ref for kind, ref in keys if kind == "conn"}

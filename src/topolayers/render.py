@@ -7,10 +7,10 @@ every imaginary vertex on its carrier's path: spaced evenly along an edge
 carrier, or relaxed between its path neighbours on a connection carrier
 (`_imaginary_positions`).  Each drawn chord is a polyline through its
 sequence.  Before drawing, `render_svg` runs the verifier's document
-checks (`document.document_checks`) and refuses a document that fails
-one, naming the check; so every ring, edge, carrier path and sequence it
-draws has passed the checks `verify` makes of it.  No randomness, no
-timestamps.
+checks (`document.document_checks`) and layer 1's walk check, and refuses
+a document that fails one, naming the check; so every ring, edge, carrier
+path, sequence and layer-1 member it draws from has passed the checks
+`verify` makes of it.  No randomness, no timestamps.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ import math
 from typing import Dict, List, Set, Tuple
 
 from .cycles import seg
-from .document import DocumentError, document_checks
+from .document import DocumentError, _raw_system, document_checks
+from .verify import _members, _walks
 
 SIZE = 600.0
 MARGIN = 60.0
@@ -28,10 +29,6 @@ MARGIN = 60.0
 
 class RenderError(ValueError):
     pass
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.2f}"
 
 
 def _base_positions(
@@ -172,8 +169,8 @@ def _imaginary_positions(
     steps = [(index[w], index[a], index[b]) for w, a, b in pending if w in needed]
     for _ in range(64):
         for k, i, j in steps:
-            xs[k] = (xs[i] + xs[j]) / 2
-            ys[k] = (ys[i] + ys[j]) / 2
+            xs[k] = (xs[i] + xs[j]) * 0.5
+            ys[k] = (ys[i] + ys[j]) * 0.5
     return {w: (xs[index[w]], ys[index[w]]) for w in drawn}
 
 
@@ -181,7 +178,8 @@ def render_svg(doc: dict, layer_index: int) -> str:
     """Layer `layer_index` of a parsed document as SVG text.
 
     RenderError("<check>: <first detail>") names the first document check
-    (`document_checks`) the document fails, whichever layer is asked for.
+    (`document_checks`) the document fails, or layer 1's walk check after
+    the layer-1 placement checks, whichever layer is asked for.
     """
     try:
         checks, edges, paths, places = document_checks(doc)
@@ -194,6 +192,9 @@ def render_svg(doc: dict, layer_index: int) -> str:
         raise RenderError(f"document has no layer {layer_index}")
     layer = doc["layers"][layer_index - 1]
     pos, segs = _base_positions(doc)
+    walks = _walks(_members(*_raw_system(doc["layers"][0]["system"])))
+    if not walks.ok:
+        raise RenderError(f"layer-1/walks: {walks.details[0]}")
     # past the checks, the chords are the edges with a sequence, and each
     # sequence is the interior of its connection's path
     realized = [] if layer_index == 1 else layer["realized"]
@@ -221,24 +222,24 @@ def render_svg(doc: dict, layer_index: int) -> str:
     body: List[str] = []
     for (x1, y1), (x2, y2) in lines:
         body.append(
-            f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
+            f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
             f'stroke="black" stroke-width="1.2"/>'
         )
     for pts in polylines:
-        coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
+        coords = " ".join([f"{x:.2f},{y:.2f}" for x, y in pts])
         body.append(
             f'<polyline points="{coords}" fill="none" stroke="crimson" stroke-width="1.2"/>'
         )
     for v in sorted(pos):
         x, y = pos[v]
-        body.append(f'<circle class="vertex" cx="{_fmt(x)}" cy="{_fmt(y)}" r="4" fill="black"/>')
+        body.append(f'<circle class="vertex" cx="{x:.2f}" cy="{y:.2f}" r="4" fill="black"/>')
         body.append(
-            f'<text x="{_fmt(x + 6)}" y="{_fmt(y - 6)}" font-size="11">v{v}</text>'
+            f'<text x="{x + 6:.2f}" y="{y - 6:.2f}" font-size="11">v{v}</text>'
         )
     for w in sorted(drawn):
         x, y = ipos[w]
         body.append(
-            f'<circle class="imaginary" cx="{_fmt(x)}" cy="{_fmt(y)}" r="2.5" fill="crimson"/>'
+            f'<circle class="imaginary" cx="{x:.2f}" cy="{y:.2f}" r="2.5" fill="crimson"/>'
         )
     head = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{int(SIZE)}" '

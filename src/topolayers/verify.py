@@ -5,19 +5,24 @@ the router cannot hide behind shared code: MacLane double cover, GF(2)
 rim sum, Euler count, orientation coherence, imaginary degrees, and the
 rotation at each vertex.
 
-`verify_raw` converts a system's members to tuples once and builds one
-segment table, segment -> [(member id, arc), ...], in a single pass over
-the arcs.  The double cover, orientation, Euler and imaginary-degree
-checks read that table; the walk, GF(2) and rotation checks read the
-converted members.  The report keeps the table, so a document's
-`carrier-table` check reads its final layer's segments from there.  The face
-check runs once walks, double cover and orientation pass; it rebuilds
-each vertex's rotation from the members' dart successors and requires
-it to close into one cycle.  Re-tracing the faces of those rotations
-would give back the members themselves (see `check_face_trace`), so
-`verify_raw` stops there and never calls `trace_faces`.  Each check has
-one implementation, and callers read it by name from the report's
-`checks`.
+`verify_raw` reads a system's members' arcs as the caller holds them,
+sorted by id with the rim last, and builds one segment table, segment ->
+[(member id, arc), ...], in a single pass over the arcs.  The double
+cover, orientation, Euler and imaginary-degree checks read that table;
+the walk and rotation checks read the members.  `gf2-sum` is summed only
+when `walks` or `maclane` fails.  Past both, each member is a closed walk
+of at least 3 arcs with distinct heads, so it holds no segment twice, and
+each segment has exactly two arc rows, so it lies on two distinct
+members: the GF(2) sum of all members is empty, so the members other
+than the rim sum to the rim (Mac Lane 1937).  The report keeps the
+table, so a document's `carrier-table` check reads its final layer's
+segments from there.  The face check runs once walks, double cover and
+orientation pass; it rebuilds each vertex's rotation from the members'
+dart successors and requires it to close into one cycle.  Re-tracing the
+faces of those rotations would give back the members themselves (see
+`check_face_trace`), so `verify_raw` stops there and never calls
+`trace_faces`.  Each check has one implementation, and callers read it
+by name from the report's `checks`.
 
 The planar stage shares three things with this module: it traces the
 faces of its final embedding with `trace_faces`, orients a pin's rings
@@ -28,7 +33,8 @@ leaves the checkers independent of the producer.
 
 The graph, partition and ring checks below are document checks: they
 run in `document.document_checks`, the one set of checks that both
-`verify_document` and the renderer run.
+`verify_document` and the renderer run; the renderer also runs `_walks`
+on layer 1, the one system it draws from.
 """
 
 from __future__ import annotations
@@ -73,9 +79,10 @@ def _seg(a: int, b: int) -> Tuple[int, int]:
 
 
 def _members(cycles: Dict[int, Tuple[Arc, ...]], rim) -> List[RawMember]:
-    out = [(cid, tuple(map(tuple, arcs))) for cid, arcs in sorted(cycles.items())]
+    """The members by id, the rim last, with arcs as the caller holds them."""
+    out = sorted(cycles.items())
     if rim is not None:
-        out.append((rim[0], tuple(map(tuple, rim[1]))))
+        out.append(rim)
     return out
 
 
@@ -147,7 +154,7 @@ def _euler(table: SegmentTable, nf: int) -> CheckResult:
 
 def _orientation(table: SegmentTable) -> CheckResult:
     same = sorted(s for s, row in table.items() if len(row) == 2 and row[0][1] == row[1][1])
-    bad = [f"edge ({a},{b}) traversed {[arc for _, arc in table[a, b]]}" for a, b in same]
+    bad = [f"edge ({a},{b}) traversed {[tuple(arc) for _, arc in table[a, b]]}" for a, b in same]
     return CheckResult(not bad, bad)
 
 
@@ -202,8 +209,10 @@ def _rotations(members: Sequence[RawMember]) -> Tuple[Dict[int, List[int]], List
     after: Dict[int, Dict[int, int]] = {}  # at v: incoming-from u -> outgoing-to w
     for cid, arcs in members:
         for (a, b), (_, d) in zip(arcs, arcs[1:] + arcs[:1]):
-            tbl = after.setdefault(b, {})
-            if a in tbl:
+            tbl = after.get(b)
+            if tbl is None:
+                tbl = after[b] = {}
+            elif a in tbl:
                 return {}, [f"v{b}: two successors for dart from v{a}"]
             tbl[a] = d
     rotation: Dict[int, List[int]] = {}
@@ -241,7 +250,7 @@ def check_face_trace(cycles, rim=None) -> CheckResult:
     if bad:
         return CheckResult(False, bad)
     traced = trace_faces(rotation)
-    want = {frozenset(arcs) for _, arcs in members}
+    want = {frozenset(map(tuple, arcs)) for _, arcs in members}
     got = {frozenset(f) for f in traced}
     if want != got or len(traced) != len(members):
         bad.append(
@@ -258,10 +267,13 @@ def verify_raw(
 ) -> VerificationReport:
     members = _members(cycles, rim)
     table = segment_table(members)
+    walks, maclane = _walks(members), _maclane(table)
+    # past both, each segment lies on two distinct members (module docstring)
+    covered = walks.ok and maclane.ok
     checks = {
-        "walks": _walks(members),
-        "maclane": _maclane(table),
-        "gf2-sum": _gf2_sum(members, rim is not None),
+        "walks": walks,
+        "maclane": maclane,
+        "gf2-sum": CheckResult(True) if covered else _gf2_sum(members, rim is not None),
         "euler": _euler(table, len(members)),
         "orientation": _orientation(table),
         "imaginary-degree": _imaginary_degree(n, table),

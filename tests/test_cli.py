@@ -446,13 +446,19 @@ def _k4_interior_triangle_off_the_ring(doc):
     doc["layers"][0]["system"]["cycles"].append({"id": 999, "arcs": arcs})
 
 
+def _k4_self_loop_arc(doc):
+    face = next(c for c in doc["layers"][0]["system"]["cycles"] if [2, 4] in c["arcs"])
+    face["arcs"].insert(face["arcs"].index([2, 4]) + 1, [4, 4])
+
+
 @pytest.mark.parametrize(
     "corrupt,message",
     [
         (_k4_vertices_without_edges, "vertex 5 is neither on the ring nor on a layer-1 arc"),
         (_k4_interior_triangle_off_the_ring, "arcs leave interior vertices unconnected to the ring"),
+        (_k4_self_loop_arc, "layer-1/walks: c2: revisits a vertex"),
     ],
-    ids=["n-6", "interior-off-the-ring"],
+    ids=["n-6", "interior-off-the-ring", "self-loop-arc"],
 )
 def test_render_bad_planar_layer_exits_2(runner, tmp_path, corrupt, message):
     doc = json.loads(serialize_document(decomposition_to_document(decompose(complete_graph(4)))))

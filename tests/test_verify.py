@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from oracles import check_connection_realization_ref, verify_document_ref, verify_raw_ref
 from topolayers import verify
 from topolayers.document import decomposition_to_document, verify_document
+from topolayers.graphs import complete_graph
+from topolayers.layering import decompose
 from topolayers.verify import (
     check_edge_partition,
     check_face_trace,
@@ -297,6 +299,61 @@ def test_verify_raw_matches_oracle_on_mutated_systems(mutable_layers, data, muta
     if traced[1] != ["skipped: structural checks failed"]:
         result = check_face_trace(cycles, rim)
         assert (result.ok, result.details) == traced
+
+
+def _gf2_direct(cycles, rim):
+    """`_gf2_sum` itself, on the members in `verify_raw`'s order, rim last."""
+    members = sorted(cycles.items()) + ([] if rim is None else [rim])
+    return verify._gf2_sum(members, rim is not None)
+
+
+@pytest.mark.parametrize("which", ["k7", "k8", "k10", 12, 13, 14, 15, 16])
+def test_gf2_sum_shortcut_matches_the_sum_on_every_layer(which, request):
+    """Past walks and maclane, `verify_raw` passes `gf2-sum` without
+    summing; the sum itself agrees on every layer of these documents."""
+    if isinstance(which, str):
+        d = request.getfixturevalue(f"{which}_decomposition")
+    elif which % 2 == 0:  # conftest decomposes these once
+        d = request.getfixturevalue(f"k{which}_unpinned_decomposition")
+    else:
+        d = decompose(complete_graph(which))
+    for n, cycles, rim in _layer_systems(decomposition_to_document(d)):
+        got, want = verify_raw(n, cycles, rim).checks["gf2-sum"], _gf2_direct(cycles, rim)
+        assert want.ok and (got.ok, got.details) == (want.ok, want.details)
+
+
+GF2_MUTATIONS = ["drop-arc", "reverse-arc", "duplicate-arc", "swap-members", "drop-member", "spur"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), mutation=st.sampled_from(GF2_MUTATIONS))
+def test_gf2_sum_shortcut_matches_the_sum_on_mutated_systems(mutable_layers, data, mutation):
+    n, cycles, rim = data.draw(st.sampled_from(mutable_layers))
+    members = [(cid, [tuple(a) for a in arcs]) for cid, arcs in sorted(cycles.items())]
+    if rim is not None:
+        members.append((rim[0], [tuple(a) for a in rim[1]]))
+    m = data.draw(st.integers(0, len(members) - 1))
+    cid, arcs = members[m]
+    at = data.draw(st.integers(0, len(arcs) - 1))
+    if mutation == "drop-arc":
+        members[m] = (cid, arcs[:at] + arcs[at + 1:])
+    elif mutation == "reverse-arc":
+        members[m] = (cid, arcs[:at] + [arcs[at][::-1]] + arcs[at + 1:])
+    elif mutation == "duplicate-arc":
+        members[m] = (cid, arcs[:at + 1] + arcs[at:])
+    elif mutation == "swap-members":
+        o = data.draw(st.integers(0, len(members) - 1))
+        assume(o != m)
+        members[m], members[o] = (cid, members[o][1]), (members[o][0], arcs)
+    elif mutation == "drop-member":
+        del members[m]
+    else:
+        # out to a new vertex and back: maclane passes, walks does not
+        v, x = arcs[at][0], max(w for _, a in members for arc in a for w in arc) + 1
+        members[m] = (cid, arcs[:at] + [(v, x), (x, v)] + arcs[at:])
+    cycles, rim = _split(members, rim is not None)
+    got, want = verify_raw(n, cycles, rim).checks["gf2-sum"], _gf2_direct(cycles, rim)
+    assert (got.ok, got.details) == (want.ok, want.details)
 
 
 # verify_document reads each layer's arcs once and each chord's
