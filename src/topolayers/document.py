@@ -453,11 +453,11 @@ def _check_carriers(doc: dict, ends_of: dict, paths: dict) -> Tuple[CheckResult,
     """The half of `carrier-table` that reads no segment table: every
     carrier, of a row or of an imaginary entry, is a graph edge that is
     not a chord, or a chord's ends; each such carrier has a path
-    (`carrier_paths`); each entry's `chord` is the ends of a chord whose
-    sequence holds the entry's vertex, and both ends of its `host` lie on
-    its carrier's path, with the vertex between them.  Also each entry's
-    place: its carrier key and its vertex's index on that path, -1 when
-    off it."""
+    (`carrier_paths`); no vertex has two imaginary entries; each entry's
+    `chord` is the ends of a chord whose sequence holds the entry's
+    vertex, and both ends of its `host` lie on its carrier's path, with
+    the vertex between them.  Also each entry's place: its carrier key
+    and its vertex's index on that path, -1 when off it."""
     chords = doc["chords"]
     plain = set(ends_of).difference([eid for eid, _, _ in chords])
     conns = {(u, v) if u < v else (v, u) for _, u, v in chords}
@@ -475,6 +475,8 @@ def _check_carriers(doc: dict, ends_of: dict, paths: dict) -> Tuple[CheckResult,
         for key in sorted(key for key, path in paths.items() if path is None)
         if key[1] in (plain if key[0] == "edge" else conns)
     ]
+    ids = Counter(map(itemgetter("id"), doc["imaginary"]))
+    bad += [f"v{w}: {k} imaginary entries" for w, k in sorted(ids.items()) if k > 1]
     sequences = doc["sequences"]
     crossing: Dict[tuple, list] = {}  # chord ends -> the vertices its sequences hold
     for eid, u, v in chords:
@@ -570,7 +572,7 @@ def _check_carrier_rows(doc: dict, table: SegmentTable) -> Tuple[List[str], List
     """The half of `carrier-table` that reads the final layer's `table`:
     the details of its carrier rows, which must list each of its segments
     once, and of the imaginary entries, which must list each of its
-    vertices above n once."""
+    vertices above n and no other vertex (`_check_carriers` counts them)."""
     listed = Counter([(a, b) for a, b, _, _ in doc["carrier"]])
     rows = [f"segment ({a},{b}) has no carrier row" for a, b in sorted(table.keys() - listed.keys())]
     for a, b in sorted(s for s, k in listed.items() if k > 1 or s not in table):
@@ -579,14 +581,10 @@ def _check_carrier_rows(doc: dict, table: SegmentTable) -> Tuple[List[str], List
         else:
             rows.append(f"carrier row ({a},{b}) is not a segment of the final layer")
     n = doc["graph"]["n"]
-    ids = Counter([entry["id"] for entry in doc["imaginary"]])
+    ids = set(map(itemgetter("id"), doc["imaginary"]))
     drawn = {v for v in chain.from_iterable(table) if v > n}
-    entries = [f"v{w}: no imaginary entry" for w in sorted(drawn - ids.keys())]
-    for w in sorted(w for w, k in ids.items() if k > 1 or w not in drawn):
-        if w in drawn:
-            entries.append(f"v{w}: {ids[w]} imaginary entries")
-        else:
-            entries.append(f"imaginary entry v{w} is not a vertex of the final layer")
+    entries = [f"v{w}: no imaginary entry" for w in sorted(drawn - ids)]
+    entries += [f"imaginary entry v{w} is not a vertex of the final layer" for w in sorted(ids - drawn)]
     return rows, entries
 
 

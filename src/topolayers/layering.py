@@ -12,7 +12,6 @@ routes inside only.  What is left opens the next layer.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -122,17 +121,20 @@ def _route_greedy(
       not queried.
     - An unbounded query that finds no route has read every face its
       target faces reach over usable links: a closed union of components.
-      Its faces stay labelled until an insertion touches one.  A chord
-      whose target faces all lie in labelled floods holding none of its
+      That flood is kept, as one set, until an insertion touches one of
+      its faces; the rest of the drawing may change around it, but no new
+      segment lies on its faces, so it stays closed.  A chord whose
+      target faces all lie in one kept flood that holds none of its
       source faces has no route, nor has one with the two sides swapped,
-      and is not queried.
+      and is not queried.  That holds for the chord whose query made the
+      flood, too.
     """
     done: List[int] = []
     pending = sorted(pool)
-    # edge id -> (route, no route has fewer faces than this, faces seen)
-    kept: Dict[int, Tuple[Optional[List[int]], float, Set[int]]] = {}
-    flood_of: Dict[int, int] = {}  # face id -> the failed flood it lies in
-    floods: List[Optional[Set[int]]] = []  # each flood's faces, None once dropped
+    # edge id -> (route, no route has fewer faces than this, faces seen),
+    # for each query that found a route or was cut off at its limit
+    kept: Dict[int, Tuple[Optional[List[int]], int, Set[int]]] = {}
+    floods: List[Set[int]] = []  # the faces of each failed unbounded query
     # an insertion replaces its route faces by halves that keep their tag
     faces = None if side is None else {fid for fid, s in drawing.side.items() if s == side}
     while True:
@@ -146,12 +148,16 @@ def _route_greedy(
             if r is not None:
                 continue  # the best route, or no better than it
             limit = None if best is None else best[0] + (eid < best[1])
-            if floor >= (math.inf if limit is None else limit):
+            if limit is not None and floor >= limit:
                 continue
             u, v = pool[eid]
-            if flood_of:
+            if floods:
                 sources, targets = drawing.faces_at(u, faces), drawing.faces_at(v, faces)
-                if _apart(flood_of, targets, sources) or _apart(flood_of, sources, targets):
+                if any(
+                    (targets <= f and f.isdisjoint(sources))
+                    or (sources <= f and f.isdisjoint(targets))
+                    for f in floods
+                ):
                     continue
             seen: Set[int] = set()
             r = shortest_route(drawing, u, v, faces, seen, limit=limit)
@@ -161,12 +167,8 @@ def _route_greedy(
             elif limit is not None:
                 kept[eid] = (None, limit, seen)
             else:
-                kept[eid] = (None, math.inf, seen)
                 # seen holds the flood and the faces at u, which it never reached
-                flood = seen - drawing.faces_at(u, faces)
-                for fid in flood:
-                    flood_of[fid] = len(floods)
-                floods.append(flood)
+                floods.append(seen - drawing.faces_at(u, faces))
         if best is None:
             return done
         _, eid, r = best
@@ -181,23 +183,7 @@ def _route_greedy(
         done.append(eid)
         pending.remove(eid)
         kept = {k: a for k, a in kept.items() if k != eid and a[2].isdisjoint(dirty)}
-        for label in {flood_of[fid] for fid in dirty if fid in flood_of}:
-            for fid in floods[label]:
-                if flood_of.get(fid) == label:
-                    del flood_of[fid]
-            floods[label] = None
-
-
-def _apart(flood_of: Dict[int, int], near: Set[int], far: Set[int]) -> bool:
-    """Every face in `near` lies in a labelled flood, and no face in `far`
-    lies in one of those floods: no usable link path joins the two sets."""
-    labels = set()
-    for fid in near:
-        label = flood_of.get(fid)
-        if label is None:
-            return False
-        labels.add(label)
-    return all(flood_of.get(fid) not in labels for fid in far)
+        floods = [f for f in floods if f.isdisjoint(dirty)]
 
 
 def _replay_layer(

@@ -34,9 +34,10 @@ distance limit - 2 from the target side, and answers None when no route
 has fewer than `limit` faces; `layering._route_greedy` asks each chord
 only for a route that beats the best one of its round.  An unbounded
 search that finds no route has read a closed union of components of the
-usable links.  `_route_greedy` labels those faces and answers a later
-chord with no search when all its target faces lie in labelled floods
-that hold none of its source faces, or the same with the sides swapped.
+usable links.  `_route_greedy` keeps that flood as one set and answers a
+later chord with no search when all its target faces lie in one kept
+flood that holds none of its source faces, or the same with the sides
+swapped.
 
 Each subdivided graph edge and each realized chord is recovered from the
 segments that carry it by `carrier_path`, which walks them with
@@ -69,12 +70,11 @@ class Drawing:
     # Built from the faces, each of whose segments must be a graph edge,
     # so no face vertex is above g.n: each segment's carrier, its edge;
     # the side tags ("inner" / "outer") `split_regions` writes; the
-    # imaginary vertices `insert_connection` adds; and the next free face
-    # and vertex ids, above every face id and above g.n.
+    # imaginary vertices `insert_connection` adds; and the next free
+    # vertex id, above g.n.
     carrier: Dict[Segment, Carrier] = field(init=False)
     side: Dict[int, str] = field(init=False)
     imaginary: Dict[int, dict] = field(init=False)
-    next_cycle_id: int = field(init=False)
     next_vertex_id: int = field(init=False)
     # Segment ids, given once when a segment is created and never reused:
     # `seg_id` maps each live segment to its id, `seg_ends[sid]` is the
@@ -111,7 +111,6 @@ class Drawing:
         self.seg_faces = []
         self.banned = bytearray()
         self.face_segs = [None] * (max(self.faces, default=-1) + 1)
-        self.next_cycle_id = len(self.face_segs)
         self.links = list(self.face_segs)
         self.vertex_faces = {}
         self.carried = {}
@@ -137,6 +136,11 @@ class Drawing:
                 sids.append(sid)
                 self.vertex_faces.setdefault(a, set()).add(c.id)
             self.face_segs[c.id] = sids
+
+    @property
+    def next_cycle_id(self) -> int:
+        """The next free face id, above every face id ever drawn."""
+        return len(self.face_segs)
 
     def _new_segment(self, a: int, b: int) -> int:
         s = seg(a, b)
@@ -203,11 +207,8 @@ class Drawing:
         arcs, sids, j = arcs[i:] + arcs[:i], sids[i:] + sids[:i], (j - i) % len(arcs)
         a_id = self.next_cycle_id
         b_id = a_id + 1
-        self.next_cycle_id += 2
-        grow = b_id + 1 - len(self.face_segs)
-        if grow > 0:
-            self.face_segs += [None] * grow
-            links += [None] * grow
+        self.face_segs += None, None
+        links += None, None
         for half, part in (a_id, range(j)), (b_id, range(j, len(arcs))):
             for x in part:
                 # a kept segment's slot holds fid; a new one fills its first free slot

@@ -505,6 +505,10 @@ def _list_rim(doc):
     doc["layers"][1]["system"]["rim"] = [1]
 
 
+def _three_cell_entry_carrier(doc):
+    doc["imaginary"][0]["carrier"] = ["edge", 1, 2]
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -516,6 +520,7 @@ def _list_rim(doc):
         _padded_sequence_key,
         _number_rim,
         _list_rim,
+        _three_cell_entry_carrier,
     ],
     ids=[
         "no-system",
@@ -526,6 +531,7 @@ def _list_rim(doc):
         "padded-sequence-key",
         "number-rim",
         "list-rim",
+        "three-cell-entry-carrier",
     ],
 )
 def test_verify_malformed_document_exits_2(runner, k7_doc_file, tmp_path, corrupt):
@@ -538,6 +544,22 @@ def test_verify_malformed_document_exits_2(runner, k7_doc_file, tmp_path, corrup
     res = runner.invoke(main, ["verify", str(bad)])
     assert res.exit_code == 2, res.output
     assert res.output.startswith("error: malformed")
+
+
+def test_render_without_ring_or_rim_exits_2(runner, k7_doc_file, tmp_path):
+    """Pinned K7 with layer 1's rim listed among its cycles and layer 2's
+    ring dropped leaves render no polygon to place layer 1 on."""
+    doc = json.loads(open(k7_doc_file).read())
+    system = doc["layers"][0]["system"]
+    system["cycles"].append(system["rim"])
+    system["rim"] = None
+    doc["layers"][1]["ring"] = None
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    for layer in ("1", "2"):
+        res = runner.invoke(main, ["render", str(bad), "--layer", layer, "-o", str(tmp_path / "x.svg")])
+        assert res.exit_code == 2, res.output
+        assert res.output == "error: document has neither a ring nor a rim to anchor\n"
 
 
 def _args(command, path, tmp_path):
@@ -732,3 +754,45 @@ def test_decompose_malformed_plan_exits_2(runner, k7_file, tmp_path, corrupt):
     res = runner.invoke(main, ["decompose", k7_file, "--pin", str(path), "-o", str(tmp_path / "out.json")])
     assert res.exit_code == 2, res.output
     assert res.output.startswith(("error: malformed plan", "error: planned chord")), res.output
+
+
+# Plans that parse but whose routes the pinned drawing cannot follow; each
+# edit names the row it changes in K7's packaged plan, where the first
+# entry routes (2,4) across conjugate (3,7) and the second routes (2,5).
+
+
+def _set_first_row(entry, row):
+    def corrupt(plan):
+        plan["layers"][0][entry]["crossings"][0] = row
+
+    return corrupt
+
+
+def _no_crossing_for_2_4(plan):
+    plan["layers"][0][0]["crossings"] = []
+
+
+@pytest.mark.parametrize(
+    "corrupt,message",
+    [
+        (_no_crossing_for_2_4, "pinned zero-crossing route for (2,4) is ambiguous: []"),
+        (_set_first_row(0, [8, 1, 4]), "pinned conjugate (1,4) lies on 0 faces"),
+        (_set_first_row(0, [8, 1, 2]), "pinned route for (2,4): cannot anchor at v2"),
+        (_set_first_row(0, [8, 1, 3]), "pinned route for (2,4) does not reach v4"),
+        (
+            _set_first_row(1, [9, 1, 3]),
+            "pinned route for (2,5): conjugate (4,7) does not continue from c7",
+        ),
+    ],
+    ids=["ambiguous", "conjugate-on-no-face", "no-anchor", "misses-target", "broken-chain"],
+)
+def test_decompose_unfollowable_plan_exits_2(runner, k7_file, tmp_path, corrupt, message):
+    from topolayers.fixtures import load_fixture
+
+    pin = load_fixture("k7")
+    corrupt(pin["plan"])
+    path = tmp_path / "pin.json"
+    path.write_text(json.dumps(pin))
+    res = runner.invoke(main, ["decompose", k7_file, "--pin", str(path), "-o", str(tmp_path / "out.json")])
+    assert res.exit_code == 2, res.output
+    assert res.output == f"error: {message}\n"

@@ -388,6 +388,10 @@ def _final_edge_through_vertex_0(doc):
     doc["carrier"][row : row + 1] = [[0, 1, "edge", 1], [0, 2, "edge", 1]]
 
 
+def _carrier_row_twice(doc):
+    doc["carrier"].append([1, 2, "edge", 1])
+
+
 @pytest.mark.parametrize(
     "corrupt,check,detail",
     [
@@ -415,6 +419,7 @@ def _final_edge_through_vertex_0(doc):
         (_imaginary_chord_not_a_chord, "carrier-table", "v11: (1,2) is not a chord whose sequence holds v11"),
         (_imaginary_host_off_its_path, "carrier-table", "v11: host (1,2) does not hold v11 on its carrier's path"),
         (_final_edge_through_vertex_0, "layer-3/walks", "vertex 0 is below 1"),
+        (_carrier_row_twice, "carrier-table", "segment (1,2) has 2 carrier rows"),
     ],
     ids=[
         "edge-off-graph",
@@ -441,6 +446,7 @@ def _final_edge_through_vertex_0(doc):
         "imaginary-chord-not-a-chord",
         "imaginary-host-off-its-path",
         "final-edge-through-vertex-0",
+        "carrier-row-twice",
     ],
 )
 def test_verifier_names_bad_edges_and_rings(k10_decomposition, corrupt, check, detail):

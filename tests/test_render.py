@@ -360,6 +360,15 @@ def _k7_sequence_padded(doc):
     return "connection-realization"
 
 
+def _imaginary_entry_twice(w):
+    # counting the entries needs no segment table, so render counts them too
+    def corrupt(doc):
+        doc["imaginary"].append(dict(next(e for e in doc["imaginary"] if e["id"] == w)))
+        return "carrier-table"
+
+    return corrupt
+
+
 @pytest.mark.parametrize(
     "which,corrupt",
     [
@@ -367,8 +376,17 @@ def _k7_sequence_padded(doc):
         ("k10", _k10_chord_in_two_layers),
         ("k7", _k7_sequence_padded),
         ("k10", _k10_chord_in_no_layer),
+        ("k7", _imaginary_entry_twice(8)),
+        ("k10", _imaginary_entry_twice(16)),
     ],
-    ids=["k7-ring-entries-swapped", "k10-chord-in-two-layers", "k7-sequence-padded", "k10-chord-in-no-layer"],
+    ids=[
+        "k7-ring-entries-swapped",
+        "k10-chord-in-two-layers",
+        "k7-sequence-padded",
+        "k10-chord-in-no-layer",
+        "k7-v8-entry-twice",
+        "k10-v16-entry-twice",
+    ],
 )
 def test_render_refuses_what_verify_rejects_by_name(which, corrupt, request):
     d = request.getfixturevalue(f"{which}_decomposition")
