@@ -16,6 +16,10 @@ emitter's own text for a skeleton row whose int holes it writes as a raw
 NUL, which no real str can produce; a list that does not fit its shape
 exactly, down to every cell being an int and not a bool or float, is
 written item by item instead.
+
+`verify_document` and `render_svg` read a parsed or freshly built
+document, whose shapes `_check_schema` has proved, so the carrier keys
+("edge", ref) and ("conn", (ref[0], ref[1])) test no shape again.
 """
 
 from __future__ import annotations
@@ -331,6 +335,7 @@ def _check_schema(doc: dict) -> None:
         need(
             type(layer.get("index")) is int
             and _all(layer.get("realized"), int)
+            and "ring" in layer
             and (ring is None or _all(ring, int)),
             f"layer {k}",
         )
@@ -410,17 +415,6 @@ def _raw_system(sj: dict):
     return cycles, rim
 
 
-def carrier_key(kind: object, ref: object) -> tuple:
-    """("edge", edge id) or ("conn", (u, v)) from a document carrier; the
-    type tests are written out, since this runs once per carrier row."""
-    if kind == "edge" and type(ref) is int:
-        return (kind, ref)
-    if kind == "conn" and isinstance(ref, list) and len(ref) == 2:
-        if type(ref[0]) is int and type(ref[1]) is int:
-            return (kind, (ref[0], ref[1]))
-    raise DocumentError(f"malformed carrier {[kind, ref]}")
-
-
 def carrier_name(key: tuple) -> str:
     kind, ref = key
     return f"edge {ref}" if kind == "edge" else f"connection ({ref[0]},{ref[1]})"
@@ -429,13 +423,13 @@ def carrier_name(key: tuple) -> str:
 def carrier_paths(
     doc: dict, ends_of: Dict[int, Tuple[int, int]]
 ) -> Dict[tuple, Optional[List[int]]]:
-    """Each carrier's path, keyed by `carrier_key` in the order of its
-    first row: its rows walked from the smaller end of its edge (ends from
-    `ends_of`) or connection to the larger.  None when the rows walk no
-    such path or leave a row off it, or the edge has no ends."""
+    """Each carrier's path, keyed ("edge", id) or ("conn", (u, v)) in the
+    order of its first row: its rows walked from the smaller end of its
+    edge (ends from `ends_of`) or connection to the larger.  None when the
+    rows walk no such path or leave a row off it, or the edge has no ends."""
     groups: Dict[tuple, List[Tuple[int, int]]] = {}
     for a, b, kind, ref in doc["carrier"]:
-        key = (kind, ref) if kind == "edge" and type(ref) is int else carrier_key(kind, ref)
+        key = (kind, ref) if kind == "edge" else (kind, (ref[0], ref[1]))
         segs = groups.get(key)
         if segs is None:
             groups[key] = [(a, b)]
@@ -457,13 +451,14 @@ def _check_carriers(doc: dict, ends_of: dict, paths: dict) -> Tuple[CheckResult,
     `chord` is the ends of a chord whose sequence holds the entry's
     vertex, and both ends of its `host` lie on its carrier's path, with
     the vertex between them.  Also each entry's place: its carrier key
-    and its vertex's index on that path, -1 when off it."""
+    and its vertex's index on that path, -1 when off it.  Every vertex
+    above n in a sequence has an entry."""
     chords = doc["chords"]
     plain = set(ends_of).difference([eid for eid, _, _ in chords])
     conns = {(u, v) if u < v else (v, u) for _, u, v in chords}
     entry_keys = [
-        (c[0], c[1]) if len(c) == 2 and c[0] == "edge" and type(c[1]) is int else carrier_key(*c)
-        for c in map(itemgetter("carrier"), doc["imaginary"])
+        (kind, ref) if kind == "edge" else (kind, (ref[0], ref[1]))
+        for kind, ref in map(itemgetter("carrier"), doc["imaginary"])
     ]
     keys = set(paths).union(entry_keys)
     edges = {ref for kind, ref in keys if kind == "edge"}
@@ -478,6 +473,9 @@ def _check_carriers(doc: dict, ends_of: dict, paths: dict) -> Tuple[CheckResult,
     ids = Counter(map(itemgetter("id"), doc["imaginary"]))
     bad += [f"v{w}: {k} imaginary entries" for w, k in sorted(ids.items()) if k > 1]
     sequences = doc["sequences"]
+    n = doc["graph"]["n"]
+    crossed = set(chain.from_iterable(sequences.values())).difference(ids)
+    bad += [f"v{w}: no imaginary entry" for w in sorted(crossed) if w > n]
     crossing: Dict[tuple, list] = {}  # chord ends -> the vertices its sequences hold
     for eid, u, v in chords:
         crossing.setdefault((u, v) if u < v else (v, u), []).extend(sequences.get(str(eid), ()))
@@ -531,14 +529,16 @@ class DocumentChecks(NamedTuple):
 
 
 def document_checks(doc: dict) -> DocumentChecks:
-    """The checks of a parsed document that read no segment table, in the
-    order `render_svg` names the first that fails, with the graph's edge
-    ends by id, the carrier paths (`carrier_paths`) and the imaginary
-    entries' places on them that they read.
+    """The checks of a parsed or freshly built document that read no
+    segment table, in the order `render_svg` names the first that fails,
+    with the graph's edge ends by id, the carrier paths (`carrier_paths`)
+    and the imaginary entries' places on them that they read.
 
     Layers are named by position and read with the graph's n, so layer k
-    must carry index k and that n.  Carriers come before connections, so
-    that a broken carrier is named as one.
+    must carry index k and that n, and layer 1's arcs, which place every
+    vertex, name each of 1..n and no other vertex.  Some layer has a ring,
+    or layer 1 a rim, to place layer 1 on.  Carriers come before
+    connections, so that a broken carrier is named as one.
     """
     n = doc["graph"]["n"]
     layers = doc["layers"]
@@ -548,20 +548,32 @@ def document_checks(doc: dict) -> DocumentChecks:
             bad.append(f"layer {k} has index {layer['index']}")
         if layer["system"]["n"] != n:
             bad.append(f"layer {k} has system n {layer['system']['n']}, not the graph's {n}")
+    system = layers[0]["system"]
+    members = system["cycles"] if system["rim"] is None else system["cycles"] + [system["rim"]]
+    arcs = list(chain.from_iterable(map(itemgetter("arcs"), members)))
+    named = set(chain.from_iterable(arcs))
+    outside = {v for v in named if not 1 <= v <= n}
+    for a, b in arcs:
+        if a in outside or b in outside:
+            bad.append(f"layer 1 arc ({a},{b}) names a vertex outside 1..{n}")
+    if len(named) - len(outside) < n:
+        # the k vertices named in 1..n miss one below k + 2: no scan of 1..n
+        v = next(v for v in range(1, len(named) - len(outside) + 2) if v not in named)
+        bad.append(f"vertex {v} is on no layer-1 arc")
     edges = doc["graph"]["edges"]
     ends_of = {eid: (u, v) for eid, u, v in edges}
+    rings = check_layer_rings(
+        n, ends_of, [(k, layer["ring"]) for k, layer in enumerate(layers, start=1)], layers[0]["realized"]
+    )
+    if system["rim"] is None and not any(layer["ring"] for layer in layers):
+        rings = CheckResult(False, rings.details + ["no layer has a ring, and layer 1 has no rim"])
     paths = carrier_paths(doc, ends_of)
     carriers, places = _check_carriers(doc, ends_of, paths)
     checks = {
         "layer-indexes": CheckResult(not bad, bad),
         "graph-edges": check_graph_edges(n, edges, doc["chords"]),
         "edge-partition": check_edge_partition(list(ends_of), [layer["realized"] for layer in layers]),
-        "layer-rings": check_layer_rings(
-            n,
-            ends_of,
-            [(k, layer.get("ring")) for k, layer in enumerate(layers, start=1)],
-            layers[0]["realized"],
-        ),
+        "layer-rings": rings,
         "carrier-table": carriers,
         "connection-realization": _check_connections(doc, paths),
     }
@@ -572,7 +584,8 @@ def _check_carrier_rows(doc: dict, table: SegmentTable) -> Tuple[List[str], List
     """The half of `carrier-table` that reads the final layer's `table`:
     the details of its carrier rows, which must list each of its segments
     once, and of the imaginary entries, which must list each of its
-    vertices above n and no other vertex (`_check_carriers` counts them)."""
+    vertices above n and no other vertex (`_check_carriers` counts them,
+    and names each sequence vertex that has none)."""
     listed = Counter([(a, b) for a, b, _, _ in doc["carrier"]])
     rows = [f"segment ({a},{b}) has no carrier row" for a, b in sorted(table.keys() - listed.keys())]
     for a, b in sorted(s for s, k in listed.items() if k > 1 or s not in table):
@@ -583,14 +596,15 @@ def _check_carrier_rows(doc: dict, table: SegmentTable) -> Tuple[List[str], List
     n = doc["graph"]["n"]
     ids = set(map(itemgetter("id"), doc["imaginary"]))
     drawn = {v for v in chain.from_iterable(table) if v > n}
-    entries = [f"v{w}: no imaginary entry" for w in sorted(drawn - ids)]
+    crossed = set(chain.from_iterable(doc["sequences"].values()))
+    entries = [f"v{w}: no imaginary entry" for w in sorted(drawn - ids - crossed)]
     entries += [f"imaginary entry v{w} is not a vertex of the final layer" for w in sorted(ids - drawn)]
     return rows, entries
 
 
 def verify_document(doc: dict) -> VerificationReport:
-    """Full re-check of a parsed document: each layer's system
-    (`verify_raw`), then `document_checks`, with the final layer's
+    """Full re-check of a parsed or freshly built document: each layer's
+    system (`verify_raw`), then `document_checks`, with the final layer's
     segments checked against the carrier rows and imaginary entries under
     `carrier-table`."""
     checks: Dict[str, CheckResult] = {}

@@ -23,6 +23,8 @@ from .cycles import Cycle, Segment, canonical_ring, ring_cycle, seg
 from .graphs import Graph
 from .verify import segment_table, trace_faces, verify_system
 
+RING_SEARCH_BUDGET = 200_000  # steps of `hamiltonian_rim`'s unpinned search
+
 
 class PlanarizationError(ValueError):
     pass
@@ -458,12 +460,7 @@ def _insert_in_shared_face(rot: List[List[int]], u: int, v: int) -> bool:
     return False
 
 
-def hamiltonian_rim(
-    sys_: CycleSystem,
-    g: Graph,
-    pin_ring: Optional[Sequence[int]] = None,
-    budget: int = 200_000,
-) -> List[int]:
+def hamiltonian_rim(sys_: CycleSystem, g: Graph, pin_ring: Optional[Sequence[int]] = None) -> List[int]:
     """A Hamiltonian ring of the system's edges, in canonical order.
 
     A pinned ring must list 1..n once each, every cyclic pair an edge of
@@ -475,8 +472,8 @@ def hamiltonian_rim(
     ascending order and returns the first Hamiltonian cycle it reaches.
     It skips any step that leaves a vertex off the path with fewer than
     two neighbours outside the path's interior: such a vertex cannot lie
-    on a closing cycle.  `budget` bounds the search steps taken, so it
-    counts steps of this pruned search; past it the search raises.
+    on a closing cycle.  `RING_SEARCH_BUDGET` bounds the steps of this
+    pruned search; past it the search raises.
     """
     segs = sys_.segments()
     if pin_ring is not None:
@@ -524,7 +521,7 @@ def hamiltonian_rim(
         w = top[i]
         nxt[-1] = i + 1
         tried += 1
-        if tried > budget:
+        if tried > RING_SEARCH_BUDGET:
             raise PlanarizationError("Hamiltonian ring search budget exhausted")
         if len(path) + 1 == g.n:
             if 1 in adj[w]:

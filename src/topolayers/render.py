@@ -7,10 +7,15 @@ every imaginary vertex on its carrier's path: spaced evenly along an edge
 carrier, or relaxed between its path neighbours on a connection carrier
 (`_imaginary_positions`).  Each drawn chord is a polyline through its
 sequence.  Before drawing, `render_svg` runs the verifier's document
-checks (`document.document_checks`) and layer 1's walk check, and refuses
-a document that fails one, naming the check; so every ring, edge, carrier
-path, sequence and layer-1 member it draws from has passed the checks
-`verify` makes of it.  No randomness, no timestamps.
+checks (`document.document_checks`) and refuses a document that fails
+one, naming the check; so every ring, rim, edge, carrier path, sequence
+and imaginary entry it draws from has passed the checks `verify` makes
+of it.  Render refuses a document by no rule of its own but four: a
+layer index the document does not have; layer 1 failing `verify`'s walk
+check (`layer-1/walks`); layer-1 arcs that leave interior vertices
+unconnected to the ring, so Tutte's averages have no solution; and a
+layer that realizes an edge which is not a chord, so has no sequence to
+draw it by.  No randomness, no timestamps.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import math
 from typing import Dict, List, Set, Tuple
 
 from .cycles import seg
-from .document import DocumentError, _raw_system, document_checks
+from .document import _raw_system, document_checks
 from .verify import _members, _walks
 
 SIZE = 600.0
@@ -44,32 +49,22 @@ def _base_positions(
     neighbours with weights wa·wb/total, so every remaining vertex keeps
     its average.  They are placed in reverse order, each at the weighted
     average of the neighbours it had when it left; one left with none
-    cannot reach the ring.
+    cannot reach the ring.  The document checks have made sure that a
+    ring or rim exists and that layer 1's arcs name each of 1..n.
     """
     layers = doc["layers"]
     n = doc["graph"]["n"]
     system = layers[0]["system"]
-    ring = next((layer["ring"] for layer in layers if layer.get("ring")), None)
+    ring = next((layer["ring"] for layer in layers if layer["ring"]), None)
     if ring is None:
-        if system["rim"] is None:
-            raise RenderError("document has neither a ring nor a rim to anchor")
         ring = [a for a, _ in system["rim"]["arcs"]]
     members = system["cycles"] + ([system["rim"]] if system["rim"] else [])
-    arcs = [arc for c in members for arc in c["arcs"]]
-    for a, b in arcs:
-        if not (1 <= a <= n and 1 <= b <= n):
-            raise RenderError(f"layer 1 arc ({a},{b}) names a vertex outside 1..{n}")
-    segs = sorted({seg(a, b) for a, b in arcs})
+    segs = sorted({seg(a, b) for c in members for a, b in c["arcs"]})
     r = SIZE / 2 - MARGIN
     pos: Dict[int, Tuple[float, float]] = {}
     for i, v in enumerate(ring):
         ang = 2 * math.pi * i / len(ring) - math.pi / 2
         pos[v] = (SIZE / 2 + r * math.cos(ang), SIZE / 2 + r * math.sin(ang))
-    # every vertex named is in 1..n, so one is missing below len(covered) + 2
-    covered = set(pos).union(*segs)
-    if len(covered) < n:
-        v = next(v for v in range(1, len(covered) + 2) if v not in covered)
-        raise RenderError(f"vertex {v} is neither on the ring nor on a layer-1 arc")
     # interior vertex -> {neighbour: weight}, ring neighbours included
     nbrs: Dict[int, Dict[int, float]] = {v: {} for v in range(1, n + 1) if v not in pos}
     for a, b in segs:
@@ -112,18 +107,19 @@ def _imaginary_positions(
     drawn: Set[int],
 ) -> Dict[int, Tuple[float, float]]:
     """Positions of the `drawn` crossing markers, on the carrier `paths`
-    at the `places` that `document_checks` read.  Its carrier check puts
-    each entry's vertex strictly inside its carrier's path, whose ends
-    are graph vertices.
+    at the `places` that `document_checks` read.  Its checks put each
+    entry's vertex strictly inside its carrier's path, whose ends are
+    graph vertices and whose interior vertices, on a connection, are its
+    chord's sequence, each with an entry; so every drawn vertex and every
+    path neighbour is placed.
 
     Markers are spaced along an edge host by subdivision order; a marker
     on a connection host relaxes to the midpoint of its path neighbours,
     in 64 sweeps over the steps in document order, so it sits on both
-    polylines through it.  Every entry's path neighbours are checked, but
-    only the drawn markers and the markers they read, transitively, are
-    placed and relaxed: no other marker is ever read by these, so each
-    goes through the same float operations, in the same order, as in a
-    sweep over all of them.
+    polylines through it.  Only the drawn markers and the markers they
+    read, transitively, are placed and relaxed: no other marker is ever
+    read by these, so each goes through the same float operations, in the
+    same order, as in a sweep over all of them.
     """
     place_of: Dict[int, Tuple[tuple, int]] = {}
     pending: List[Tuple[int, int, int]] = []  # (vertex, path neighbours)
@@ -134,15 +130,7 @@ def _imaginary_positions(
         if key[0] == "conn":
             path = paths[key]
             pending.append((w, path[i - 1], path[i + 1]))
-    reads: Dict[int, List[int]] = {}
-    for w, a, b in pending:
-        for x in (a, b):
-            if x not in place_of and x not in pos:
-                raise RenderError(f"imaginary vertex {w} has path neighbour {x}, not a vertex")
-        reads.setdefault(w, []).extend((a, b))
-    for w in drawn:
-        if w not in place_of:
-            raise RenderError(f"drawn sequence vertex {w} has no imaginary entry")
+    reads = {w: (a, b) for w, a, b in pending}
     needed, stack = set(drawn), list(drawn)
     while stack:
         for x in reads.get(stack.pop(), ()):
@@ -175,16 +163,14 @@ def _imaginary_positions(
 
 
 def render_svg(doc: dict, layer_index: int) -> str:
-    """Layer `layer_index` of a parsed document as SVG text.
+    """Layer `layer_index` of a parsed or freshly built document as SVG
+    text.
 
     RenderError("<check>: <first detail>") names the first document check
     (`document_checks`) the document fails, or layer 1's walk check after
-    the layer-1 placement checks, whichever layer is asked for.
+    the Tutte placement, whichever layer is asked for.
     """
-    try:
-        checks, edges, paths, places = document_checks(doc)
-    except DocumentError as exc:
-        raise RenderError(str(exc)) from None
+    checks, edges, paths, places = document_checks(doc)
     for name, result in checks.items():
         if not result.ok:
             raise RenderError(f"{name}: {result.details[0]}")

@@ -34,7 +34,9 @@ leaves the checkers independent of the producer.
 The graph, partition and ring checks below are document checks: they
 run in `document.document_checks`, the one set of checks that both
 `verify_document` and the renderer run; the renderer also runs `_walks`
-on layer 1, the one system it draws from.
+on layer 1, the one system it draws from.  Both read a parsed or freshly
+built document, whose shapes `document._check_schema` has proved, so
+the document checks key each carrier without testing its shape again.
 """
 
 from __future__ import annotations

@@ -51,8 +51,9 @@ way it was written before `verify.verify_raw` shared one segment table:
 every check copies the arcs and walks them again, and face tracing
 (`trace_faces_ref`, from every dart in sorted order) rotates each face
 to its smallest arc before comparing.  `verify_document_ref` converts
-every layer's arcs twice, and its connection check
-(`check_connections_ref`) walks each chord's raw carrier rows itself.
+every layer's arcs twice, looks for each of 1..n on layer 1's arcs in
+turn, and its carrier and connection checks (`check_carrier_table_ref`,
+`check_connections_ref`) walk the raw carrier rows themselves.
 The package versions must return exactly what these return.
 `check_connection_realization_ref` is the connection check as it was
 before it read carrier paths: each sequence walked over the final
@@ -82,7 +83,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import networkx as nx
 
 from topolayers.cycles import Cycle, Segment, canonical_ring, seg
-from topolayers.document import _check_cycle_ids, carrier_key, carrier_paths
+from topolayers.document import _check_cycle_ids, carrier_paths
 from topolayers.graphs import Graph, edge_between, parse_graph
 from topolayers.layering import DecompositionError
 from topolayers.planar import CycleSystem, PlanarizationError
@@ -1186,7 +1187,7 @@ def imaginary_positions_ref(
     for entry in doc["imaginary"]:
         w = entry["id"]
         kind, ref = entry["carrier"]
-        key = carrier_key(kind, ref)
+        key = (kind, ref if kind == "edge" else tuple(ref))
         path = paths.get(key)
         if path is None:
             raise RenderError(f"imaginary vertex {w} has a carrier with no path")
@@ -1525,9 +1526,68 @@ def check_connections_ref(doc: dict) -> CheckResult:
     return CheckResult(not bad, bad)
 
 
+def check_carrier_table_ref(doc: dict) -> CheckResult:
+    """The carrier-table check, its details in `verify_document`'s order:
+    carrier rows against the final layer's segments; carrier refs and
+    paths, each path walked from the raw rows; repeated entries and
+    sequence vertices above n without one; each entry's chord and host;
+    then the final layer's vertices above n against the entries."""
+    n = doc["graph"]["n"]
+    edges = {eid: (u, v) for eid, u, v in doc["graph"]["edges"]}
+    chord_ids = {eid for eid, _, _ in doc["chords"]}
+    plain = {eid for eid in edges if eid not in chord_ids}
+    conns = {seg(u, v) for _, u, v in doc["chords"]}
+    _, cycles, rim = _raw_system_ref(doc["layers"][-1]["system"])
+    final = list(cycles.values()) + ([rim[1]] if rim is not None else [])
+    table = {seg(a, b) for arcs in final for a, b in arcs}
+    listed = [(a, b) for a, b, _, _ in doc["carrier"]]
+    bad = [f"segment ({a},{b}) has no carrier row" for a, b in sorted(table - set(listed))]
+    for a, b in sorted(set(listed)):
+        if (a, b) not in table:
+            bad.append(f"carrier row ({a},{b}) is not a segment of the final layer")
+        elif listed.count((a, b)) > 1:
+            bad.append(f"segment ({a},{b}) has {listed.count((a, b))} carrier rows")
+    rows: Dict[tuple, List[Tuple[int, int]]] = {}
+    for a, b, kind, ref in doc["carrier"]:
+        rows.setdefault((kind, ref if kind == "edge" else tuple(ref)), []).append((a, b))
+    entries = doc["imaginary"]
+    entry_keys = [(kind, ref if kind == "edge" else tuple(ref)) for kind, ref in (e["carrier"] for e in entries)]
+    keys = set(rows) | set(entry_keys)
+    for e in sorted(ref for kind, ref in keys if kind == "edge" and ref not in plain):
+        bad.append(f"carrier edge {e} is not a graph edge outside the chords")
+    for u, v in sorted(ref for kind, ref in keys if kind == "conn" and ref not in conns):
+        bad.append(f"carrier connection ({u},{v}) is not a chord's ends")
+    paths = {}
+    for (kind, ref), segs in rows.items():
+        ends = edges.get(ref) if kind == "edge" else ref
+        paths[kind, ref] = None if ends is None else _carrier_path_ref(segs, min(ends), max(ends))
+    for kind, ref in sorted(paths):
+        if paths[kind, ref] is None and ref in (plain if kind == "edge" else conns):
+            name = f"edge {ref}" if kind == "edge" else f"connection ({ref[0]},{ref[1]})"
+            bad.append(f"carrier {name} is not a path")
+    ids = [e["id"] for e in entries]
+    bad += [f"v{w}: {ids.count(w)} imaginary entries" for w in sorted(set(ids)) if ids.count(w) > 1]
+    crossed = {w for sequence in doc["sequences"].values() for w in sequence}
+    bad += [f"v{w}: no imaginary entry" for w in sorted(crossed - set(ids)) if w > n]
+    for entry, key in zip(entries, entry_keys):
+        w, (a, b), (u, v) = entry["id"], entry["host"], entry["chord"]
+        holders = [str(eid) for eid, x, y in doc["chords"] if seg(x, y) == seg(u, v)]
+        if not any(w in doc["sequences"].get(eid, []) for eid in holders):
+            bad.append(f"v{w}: ({u},{v}) is not a chord whose sequence holds v{w}")
+        path = paths.get(key) or []
+        at = [path.index(x) if x in path else -1 for x in (a, w, b)]
+        if -1 in at or not (at[0] < at[1] < at[2] or at[2] < at[1] < at[0]):
+            bad.append(f"v{w}: host ({a},{b}) does not hold v{w} on its carrier's path")
+    drawn = {v for s in table for v in s if v > n}
+    bad += [f"v{w}: no imaginary entry" for w in sorted(drawn - set(ids) - crossed)]
+    bad += [f"imaginary entry v{w} is not a vertex of the final layer" for w in sorted(set(ids) - drawn)]
+    return CheckResult(not bad, bad)
+
+
 def verify_document_ref(doc: dict) -> VerificationReport:
-    """`verify_document` with every layer's system converted twice, and
-    the connection check walking the raw carrier rows itself."""
+    """`verify_document` with every layer's system converted twice, every
+    vertex 1..n looked for on layer 1's arcs in turn, and the carrier and
+    connection checks walking the raw carrier rows themselves."""
     checks: Dict[str, CheckResult] = {}
     n = doc["graph"]["n"]
     bad = []
@@ -1540,6 +1600,13 @@ def verify_document_ref(doc: dict) -> VerificationReport:
             bad.append(f"layer {k} has index {layer['index']}")
         if ln != n:
             bad.append(f"layer {k} has system n {ln}, not the graph's {n}")
+    first = doc["layers"][0]["system"]
+    arcs = [tuple(arc) for c in first["cycles"] + [first["rim"]] if c is not None for arc in c["arcs"]]
+    for a, b in arcs:
+        if not (1 <= a <= n and 1 <= b <= n):
+            bad.append(f"layer 1 arc ({a},{b}) names a vertex outside 1..{n}")
+    uncovered = [v for v in range(1, n + 1) if not any(v in arc for arc in arcs)]
+    bad += [f"vertex {v} is on no layer-1 arc" for v in uncovered[:1]]
     checks["layer-indexes"] = CheckResult(not bad, bad)
     edges = doc["graph"]["edges"]
     checks["graph-edges"] = check_graph_edges(n, edges, doc["chords"])
@@ -1552,5 +1619,9 @@ def verify_document_ref(doc: dict) -> VerificationReport:
         [(k, layer.get("ring")) for k, layer in enumerate(doc["layers"], start=1)],
         doc["layers"][0]["realized"],
     )
+    if first["rim"] is None and not any(layer["ring"] for layer in doc["layers"]):
+        details = checks["layer-rings"].details + ["no layer has a ring, and layer 1 has no rim"]
+        checks["layer-rings"] = CheckResult(False, details)
+    checks["carrier-table"] = check_carrier_table_ref(doc)
     checks["connection-realization"] = check_connections_ref(doc)
     return VerificationReport(checks)

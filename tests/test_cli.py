@@ -284,16 +284,22 @@ def _imaginary_carrier_without_path(doc):
     entry["carrier"][1] = doc["chords"][0][0]
 
 
+# render_svg reads a parsed document, so a carrier of the wrong shape is
+# refused by parse_document, as the CLI reads it, and never reaches render.
 @pytest.mark.parametrize(
-    "corrupt",
-    [_imaginary_off_its_path, _imaginary_list_edge_ref, _imaginary_carrier_without_path],
+    "corrupt,error",
+    [
+        (_imaginary_off_its_path, RenderError),
+        (_imaginary_list_edge_ref, DocumentError),
+        (_imaginary_carrier_without_path, RenderError),
+    ],
     ids=["off-path-id", "list-edge-ref", "no-path"],
 )
-def test_render_bad_imaginary_exits_2(runner, k7_doc_file, tmp_path, corrupt):
+def test_render_bad_imaginary_exits_2(runner, k7_doc_file, tmp_path, corrupt, error):
     doc = json.loads(open(k7_doc_file).read())
     corrupt(doc)
-    with pytest.raises(RenderError):
-        render_svg(doc, 2)
+    with pytest.raises(error):
+        render_svg(parse_document(json.dumps(doc)), 2)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     res = runner.invoke(main, ["render", str(bad), "--layer", "2", "-o", str(tmp_path / "x.svg")])
@@ -371,13 +377,9 @@ def _edge_carrier_off_the_graph(doc):
     "corrupt,layer,message",
     [
         (_realizes_unknown_edge, 2, "edge-partition: unknown edges [9999]"),
-        (
-            _sequence_vertex_without_entry,
-            2,
-            "connection-realization: e2: sequence is not the interior of its connection's path",
-        ),
-        (_drawn_vertex_entry_dropped, 2, "drawn sequence vertex 67 has no imaginary entry"),
-        (_layer1_arc_off_the_graph, 1, "arc (1,500) names a vertex outside 1..10"),
+        (_sequence_vertex_without_entry, 2, "carrier-table: v999: no imaginary entry"),
+        (_drawn_vertex_entry_dropped, 2, "carrier-table: v67: no imaginary entry"),
+        (_layer1_arc_off_the_graph, 1, "layer-indexes: layer 1 arc (1,500) names a vertex outside 1..10"),
         (_vertices_without_edges, 1, "layer-indexes: layer 1 has system n 10, not the graph's 20"),
         (_vertices_without_edges, 2, "layer-indexes: layer 1 has system n 10, not the graph's 20"),
         (_interior_triangle_off_the_ring, 1, "layer-indexes: layer 1 has system n 10, not the graph's 13"),
@@ -386,7 +388,7 @@ def _edge_carrier_off_the_graph(doc):
             1,
             "carrier-table: v56: host (5,13) does not hold v56 on its carrier's path",
         ),
-        (_path_neighbour_entry_dropped, 1, "vertex 56 has path neighbour 13, not a vertex"),
+        (_path_neighbour_entry_dropped, 1, "carrier-table: v13: no imaginary entry"),
         (_ring_off_the_graph, 2, "layer-rings: layer 2: ring does not list 1..10 once each"),
         (_ring_off_the_graph, 1, "layer-rings: layer 2: ring does not list 1..10 once each"),
         (_ring_repeats_a_vertex, 3, "layer-rings: layer 3: ring does not list 1..10 once each"),
@@ -432,8 +434,9 @@ def test_render_malformed_document_exits_2(
 
 
 # A planar input's one layer has no ring and K4 has no chords, so raising
-# n leaves every document check passing: render reaches its own checks of
-# layer 1's arcs.
+# n with a face over the new vertices leaves every document check passing:
+# render reaches its own checks of layer 1's arcs.  Raising n alone leaves
+# v5 on no layer-1 arc, which the layer-index check names.
 
 
 def _k4_vertices_without_edges(doc):
@@ -454,7 +457,7 @@ def _k4_self_loop_arc(doc):
 @pytest.mark.parametrize(
     "corrupt,message",
     [
-        (_k4_vertices_without_edges, "vertex 5 is neither on the ring nor on a layer-1 arc"),
+        (_k4_vertices_without_edges, "layer-indexes: vertex 5 is on no layer-1 arc"),
         (_k4_interior_triangle_off_the_ring, "arcs leave interior vertices unconnected to the ring"),
         (_k4_self_loop_arc, "layer-1/walks: c2: revisits a vertex"),
     ],
@@ -463,7 +466,8 @@ def _k4_self_loop_arc(doc):
 def test_render_bad_planar_layer_exits_2(runner, tmp_path, corrupt, message):
     doc = json.loads(serialize_document(decomposition_to_document(decompose(complete_graph(4)))))
     corrupt(doc)
-    assert all(check.ok for check in document_checks(doc).checks.values())
+    failed = [name for name, check in document_checks(doc).checks.items() if not check.ok]
+    assert failed == [name for name in ["layer-indexes"] if message.startswith(f"{name}: ")]
     with pytest.raises(RenderError, match=re.escape(message)):
         render_svg(doc, 1)
     bad = tmp_path / "bad.json"
@@ -475,6 +479,10 @@ def test_render_bad_planar_layer_exits_2(runner, tmp_path, corrupt, message):
 
 def _layer_without_system(doc):
     del doc["layers"][1]["system"]
+
+
+def _layer_without_ring(doc):
+    del doc["layers"][1]["ring"]
 
 
 def _string_arcs(doc):
@@ -513,6 +521,7 @@ def _three_cell_entry_carrier(doc):
     "corrupt",
     [
         _layer_without_system,
+        _layer_without_ring,
         _string_arcs,
         _empty_layers,
         _letter_sequence_key,
@@ -524,6 +533,7 @@ def _three_cell_entry_carrier(doc):
     ],
     ids=[
         "no-system",
+        "no-ring",
         "string-arcs",
         "empty-layers",
         "letter-sequence-key",
@@ -548,7 +558,8 @@ def test_verify_malformed_document_exits_2(runner, k7_doc_file, tmp_path, corrup
 
 def test_render_without_ring_or_rim_exits_2(runner, k7_doc_file, tmp_path):
     """Pinned K7 with layer 1's rim listed among its cycles and layer 2's
-    ring dropped leaves render no polygon to place layer 1 on."""
+    ring dropped leaves no polygon to place layer 1 on: verify fails the
+    ring check, and render names it."""
     doc = json.loads(open(k7_doc_file).read())
     system = doc["layers"][0]["system"]
     system["cycles"].append(system["rim"])
@@ -556,10 +567,13 @@ def test_render_without_ring_or_rim_exits_2(runner, k7_doc_file, tmp_path):
     doc["layers"][1]["ring"] = None
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
+    res = runner.invoke(main, ["verify", str(bad)])
+    assert res.exit_code == 1, res.output
+    assert "layer-rings: FAIL\n  - no layer has a ring, and layer 1 has no rim\n" in res.output
     for layer in ("1", "2"):
         res = runner.invoke(main, ["render", str(bad), "--layer", layer, "-o", str(tmp_path / "x.svg")])
         assert res.exit_code == 2, res.output
-        assert res.output == "error: document has neither a ring nor a rim to anchor\n"
+        assert res.output == "error: layer-rings: no layer has a ring, and layer 1 has no rim\n"
 
 
 def _args(command, path, tmp_path):

@@ -62,18 +62,23 @@ def test_verify_compares_ring_length_with_n_first(big_k7_document):
 def test_render_finds_the_smallest_uncovered_vertex_without_scanning_n(big_k7_document):
     """K7's layers fail the layer-index check, which compares their n
     with the graph's; planar K4's one layer has no ring and K4 no chord,
-    so its document with n raised passes every document check, and render
-    reaches its own check of layer 1's vertices."""
+    so its document with n raised in the graph and the layer fails only
+    the layer-index check's look for a vertex on no layer-1 arc, in verify
+    and in render alike."""
     k4 = json.loads(serialize_document(decomposition_to_document(decompose(complete_graph(4)))))
     k4["graph"]["n"] = k4["layers"][0]["system"]["n"] = BIG
 
-    def render():
+    def check():
         with pytest.raises(RenderError, match=f"^layer-indexes: layer 1 has system n 7, not the graph's {BIG}"):
             render_svg(big_k7_document, 2)
-        with pytest.raises(RenderError, match="vertex 5 is neither on the ring nor on a layer-1 arc"):
+        with pytest.raises(RenderError, match="^layer-indexes: vertex 5 is on no layer-1 arc$"):
             render_svg(k4, 1)
+        return verify_document(k4)
 
-    assert _peak(render)[1] < PEAK_BYTES
+    report, peak = _peak(check)
+    assert [name for name, result in report.checks.items() if not result.ok] == ["layer-indexes"]
+    assert report.checks["layer-indexes"].details == ["vertex 5 is on no layer-1 arc"]
+    assert peak < PEAK_BYTES
 
 
 def test_pinned_ring_length_is_compared_with_n_first(k7, k7_system):

@@ -420,11 +420,13 @@ def test_plane_rotation_check_catches_a_wrong_angle(g):
     assert not all(_accepts_checked(g, _wrong_angle))
 
 
-def test_hamiltonian_search_budget_exhausts():
+def test_hamiltonian_search_budget_exhausts(monkeypatch):
     g = graph_from_networkx(nx.hypercube_graph(5))
     sys_ = select_planar_cycle_system(g)
-    with pytest.raises(PlanarizationError, match="^Hamiltonian ring search budget exhausted$"):
-        hamiltonian_rim(sys_, g, budget=10)
+    with monkeypatch.context() as patch:
+        patch.setattr(planar, "RING_SEARCH_BUDGET", 10)
+        with pytest.raises(PlanarizationError, match="^Hamiltonian ring search budget exhausted$"):
+            hamiltonian_rim(sys_, g)
     assert len(hamiltonian_rim(sys_, g)) == 32
 
 
@@ -434,12 +436,12 @@ def test_hamiltonian_search_budget_exhausts():
 @pytest.mark.parametrize(
     "G", [nx.hypercube_graph(5), nx.petersen_graph()], ids=["Q5", "petersen"]
 )
-def test_hamiltonian_search_counts_steps_as_the_recursion_did(G, budget):
+def test_hamiltonian_search_counts_steps_as_the_recursion_did(G, budget, monkeypatch):
     g = graph_from_networkx(G)
     sys_ = select_planar_cycle_system(g)
-    search = lambda s, h: hamiltonian_rim(s, h, budget=budget)
+    monkeypatch.setattr(planar, "RING_SEARCH_BUDGET", budget)
     recursive = lambda s, h: hamiltonian_rim_recursive_ref(s, h, budget)
-    assert _rim_outcome(search, sys_, g) == _rim_outcome(recursive, sys_, g)
+    assert _rim_outcome(hamiltonian_rim, sys_, g) == _rim_outcome(recursive, sys_, g)
 
 
 def test_hamiltonian_ring_longer_than_the_recursion_limit():

@@ -227,6 +227,11 @@ def test_k7_layer_realizing_a_non_chord_is_a_render_error(k7_document):
 
 
 @pytest.fixture(scope="module")
+def k4_decomposition():
+    return decompose(complete_graph(4))
+
+
+@pytest.fixture(scope="module")
 def pinned_documents(k7_decomposition, k8_decomposition, k10_decomposition):
     return [
         serialize_document(decomposition_to_document(d))
@@ -234,12 +239,23 @@ def pinned_documents(k7_decomposition, k8_decomposition, k10_decomposition):
     ]
 
 
+# The refusals render makes by rules of its own; every other refusal names
+# a document check that verify fails too.
+RENDER_OWN = re.compile(
+    r"document has no layer -?\d+"
+    r"|layer-1/walks: .*"
+    r"|layer-1 arcs leave interior vertices unconnected to the ring"
+    r"|layer \d+ realizes e\d+, which is not a chord"
+)
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), part=st.sampled_from(["edge", "carrier", "conn"]))
 def test_vertex_off_the_graph_renders_or_is_a_render_error(pinned_documents, data, part):
     """A vertex outside 1..n written into a graph edge (and its chord), a
     carrier row or a connection carrier's ends still parses; rendering
-    any layer returns an SVG or raises RenderError."""
+    any layer returns an SVG or raises RenderError, and unless render
+    refuses by a rule of its own, the document fails verify."""
     doc = json.loads(data.draw(st.sampled_from(pinned_documents)))
     n = doc["graph"]["n"]
     x = n + data.draw(st.integers(1, 50))
@@ -267,8 +283,9 @@ def test_vertex_off_the_graph_renders_or_is_a_render_error(pinned_documents, dat
     for k in range(1, len(doc["layers"]) + 1):
         try:
             assert render_svg(doc, k).startswith("<svg")
-        except RenderError:
-            pass
+        except RenderError as exc:
+            if not RENDER_OWN.fullmatch(str(exc)):
+                assert not verify_document(doc).ok, str(exc)
 
 
 # Carrier-table corruptions of pinned K7, each returning the carrier it
@@ -360,6 +377,34 @@ def _k7_sequence_padded(doc):
     return "connection-realization"
 
 
+def _k7_rim_into_cycles_ring_dropped(doc):
+    # nothing is left to place layer 1 on
+    system = doc["layers"][0]["system"]
+    system["cycles"].append(system["rim"])
+    system["rim"] = None
+    doc["layers"][1]["ring"] = None
+    return "layer-rings"
+
+
+def _k4_n_raised_to_6(doc):
+    # v5 and v6 lie on no layer-1 arc
+    doc["graph"]["n"] = doc["layers"][0]["system"]["n"] = 6
+    return "layer-indexes"
+
+
+def _k10_layer1_arc_to_v500(doc):
+    doc["layers"][0]["system"]["cycles"][0]["arcs"].append([1, 500])
+    return "layer-indexes"
+
+
+def _imaginary_entry_dropped(w):
+    def corrupt(doc):
+        doc["imaginary"] = [e for e in doc["imaginary"] if e["id"] != w]
+        return "carrier-table"
+
+    return corrupt
+
+
 def _imaginary_entry_twice(w):
     # counting the entries needs no segment table, so render counts them too
     def corrupt(doc):
@@ -378,6 +423,13 @@ def _imaginary_entry_twice(w):
         ("k10", _k10_chord_in_no_layer),
         ("k7", _imaginary_entry_twice(8)),
         ("k10", _imaginary_entry_twice(16)),
+        ("k7", _k7_rim_into_cycles_ring_dropped),
+        ("k4", _k4_n_raised_to_6),
+        # v13 neighbours v56 on a connection's path; v67 lies on a chord
+        # of layer 2
+        ("k10", _imaginary_entry_dropped(13)),
+        ("k10", _imaginary_entry_dropped(67)),
+        ("k10", _k10_layer1_arc_to_v500),
     ],
     ids=[
         "k7-ring-entries-swapped",
@@ -386,6 +438,11 @@ def _imaginary_entry_twice(w):
         "k10-chord-in-no-layer",
         "k7-v8-entry-twice",
         "k10-v16-entry-twice",
+        "k7-rimless-ringless",
+        "k4-n-6",
+        "k10-v13-entry-dropped",
+        "k10-v67-entry-dropped",
+        "k10-layer-1-arc-to-v500",
     ],
 )
 def test_render_refuses_what_verify_rejects_by_name(which, corrupt, request):

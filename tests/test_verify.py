@@ -358,7 +358,7 @@ def test_gf2_sum_shortcut_matches_the_sum_on_mutated_systems(mutable_layers, dat
 
 # verify_document reads each layer's arcs once and each chord's
 # connection from its carrier path; the oracle converts every layer
-# twice and walks each chord's raw carrier rows itself.
+# twice and walks the raw carrier rows itself.
 
 
 @pytest.mark.parametrize("fixture", DIGESTED)
