@@ -101,35 +101,117 @@ def walk(segs: Iterable[Segment], start: int, stop: int) -> Optional[List[int]]:
     return path
 
 
-def _is_isometric(ring: List[int], dist: Dict[int, Dict[int, int]]) -> bool:
-    k = len(ring)
-    for i in range(k):
-        for j in range(i + 1, k):
-            on_cycle = min(j - i, k - (j - i))
-            if dist[ring[i]].get(ring[j]) != on_cycle:
-                return False
-    return True
+def _distances(adj: List[List[int]], s: int) -> List[int]:
+    """BFS distance from s to every vertex id; -1 where unreachable."""
+    dist = [-1] * len(adj)
+    dist[s] = 0
+    frontier = [s]
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for v in frontier:
+            for w in adj[v]:
+                if dist[w] < 0:
+                    dist[w] = d
+                    nxt.append(w)
+        frontier = nxt
+    return dist
+
+
+# A shortest path from s: its vertices, and a bitmask of them all but s.
+_Path = Tuple[Tuple[int, ...], int]
+
+
+def _is_isometric(ring: List[int], dist: List[List[int]]) -> bool:
+    """Whether every vertex of ring is as far in the graph from the
+    vertex k = len(ring) // 2 steps on as along the ring.
+
+    That suffices: were some pair x, y nearer in the graph than along the
+    ring, then so would x be to the antipode x' with y on a shortest arc
+    from x to x', since d(x, x') <= d(x, y) + d(y, x').
+    """
+    k = len(ring) // 2
+    return all(dist[ring[i]][ring[i - k]] == k for i in range(len(ring)))
 
 
 def enumerate_isometric_cycles(g: Graph) -> List[Cycle]:
     """All isometric cycles, ids assigned in (length, lex edge-id set) order.
 
-    An isometric cycle is never longer than 2*diam(G)+1, which bounds the
-    simple-cycle enumeration.
-    """
-    import networkx as nx  # here, so `verify` and `render` never load it
+    On an isometric cycle whose least vertex is s, the two arcs from s to
+    its antipode (even length 2k), or to the two ends of its antipodal
+    edge (odd length 2k+1), are shortest paths of the graph through
+    vertices above s.  So for each s the shortest paths from s are grown
+    through vertices above s, each step one farther from s.  A candidate
+    is two such paths to one vertex that meet nowhere else, or two
+    disjoint ones to the ends of an edge at equal distance from s, and it
+    is kept when the BFS distance tables show it isometric.  Each cycle
+    is found once, from its least vertex.
 
-    G = nx.Graph()
-    G.add_nodes_from(g.vertices)
-    G.add_edges_from(g.edges.values())
-    dist = dict(nx.all_pairs_shortest_path_length(G))
-    diam = max(max(d.values()) for d in dist.values())
-    found = []
-    for ring in nx.simple_cycles(G, length_bound=2 * diam + 1):
-        if len(ring) < 3:
-            continue
+    Paths are paired group by group, a group being the paths to one
+    vertex with one second and one last-but-one vertex: on an isometric
+    cycle each path's second vertex lies k from the other path's
+    last-but-one vertex (and, odd, from the other path's end), so most
+    pairs of groups are passed over unread.  The loops are iterative: no
+    recursion on path length.
+    """
+    n = g.n
+    adj: List[List[int]] = [[] for _ in range(n + 1)]
+    for u, v in g.edges.values():
+        adj[u].append(v)
+        adj[v].append(u)
+    dist = [_distances(adj, s) for s in range(n + 1)]  # row 0 unused
+    found: List[List[int]] = []
+
+    def _keep(ring: List[int]) -> None:
         if _is_isometric(ring, dist):
             found.append(canonical_ring(ring))
+
+    for s in range(1, n + 1):
+        ds = dist[s]
+        # vertex -> every shortest path from s to it through vertices
+        # above s; `order` lists the reached vertices by distance from s,
+        # so a vertex's paths are complete before any is extended
+        paths: Dict[int, List[_Path]] = {s: [((s,), 0)]}
+        order = [s]
+        for v in order:
+            step = ds[v] + 1
+            for w in adj[v]:
+                if w > s and ds[w] == step:
+                    if w not in paths:
+                        paths[w] = []
+                        order.append(w)
+                    bit = 1 << w
+                    paths[w].extend((p + (w,), m | bit) for p, m in paths[v])
+        # the paths to each vertex by (vertex after s, vertex before the end)
+        groups: Dict[int, List[Tuple[int, int, List[_Path]]]] = {}
+        for t in order[1:]:
+            by_ends: Dict[Tuple[int, int], List[_Path]] = {}
+            for p, m in paths[t]:
+                by_ends.setdefault((p[1], p[-2]), []).append((p, m))
+            groups[t] = [(f, l, ps) for (f, l), ps in by_ends.items()]
+        for t in order[1:]:
+            k = ds[t]
+            at_t = groups[t]
+            bit = 1 << t
+            for i, (f1, l1, ps) in enumerate(at_t):
+                for f2, l2, qs in at_t[i + 1 :]:
+                    if dist[f1][l2] == k and dist[f2][l1] == k:
+                        for p, pm in ps:
+                            for q, qm in qs:
+                                if pm & qm == bit:
+                                    _keep([*p, *q[-2:0:-1]])
+            for b in adj[t]:
+                if b > t and ds[b] == k and b in groups:
+                    for f1, l1, ps in at_t:
+                        if dist[f1][b] != k:
+                            continue
+                        for f2, l2, qs in groups[b]:
+                            if dist[f2][t] == k and dist[f1][l2] == k and dist[f2][l1] == k:
+                                for p, pm in ps:
+                                    for q, qm in qs:
+                                        if not pm & qm:
+                                            _keep([*p, *q[:0:-1]])
     keyed = []
     for ring in found:
         eids = tuple(

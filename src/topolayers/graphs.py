@@ -3,8 +3,8 @@
 Vertices are positive integers 1..n; edges get 1-based ids in input order.
 Imaginary vertices introduced later by routing always receive ids above n,
 so "is this vertex original" is just an id comparison.  The gate
-(connected, minimum degree 3, no cut vertex, no bridge) is read off
-networkx's connectivity and biconnected-component routines.
+(connected, minimum degree 3, no cut vertex, no bridge) is read off one
+lowpoint depth-first search (Hopcroft-Tarjan 1973).
 """
 
 from __future__ import annotations
@@ -135,24 +135,66 @@ class NonseparabilityReport:
 def validate_nonseparable(g: Graph) -> NonseparabilityReport:
     """Check connectivity, min degree 3, and absence of cut vertices/bridges.
 
-    networkx decides each part on the graph of vertices 1..n; a bridge is
-    an edge that forms a biconnected component on its own.  Violations
-    are reported, not raised; pipeline entry points decide.
+    One iterative lowpoint DFS per component of the graph on vertices
+    1..n, over integer adjacency lists: a tree edge p-v whose subtree
+    reaches no higher than p (low[v] >= disc[p]) makes p a cut vertex,
+    unless p is a root, which is one when it has two tree children; one
+    whose subtree cannot reach p itself (low[v] > disc[p]) is a bridge.
+    Violations are reported, not raised; pipeline entry points decide.
     """
-    import networkx as nx  # here, so `verify` and `render` never load it
-
-    G = nx.Graph()
-    G.add_nodes_from(g.vertices)
-    G.add_edges_from(g.edges.values())
-    bridges = [
-        edge_between(g, *comp[0])
-        for comp in nx.biconnected_component_edges(G)
-        if len(comp) == 1
-    ]
+    n = g.n
+    adj: List[List[Tuple[int, int]]] = [[] for _ in range(n + 1)]
+    for eid, (u, v) in g.edges.items():
+        adj[u].append((v, eid))
+        adj[v].append((u, eid))
+    disc = [0] * (n + 1)  # DFS discovery time, 0 while unvisited
+    low = [0] * (n + 1)
+    cut = [False] * (n + 1)
+    bridges: List[int] = []
+    components = 0
+    clock = 0
+    for root in range(1, n + 1):
+        if disc[root]:
+            continue
+        components += 1
+        clock += 1
+        disc[root] = low[root] = clock
+        root_children = 0
+        # (vertex, id of the tree edge it was entered by, its unread edges)
+        stack = [(root, 0, iter(adj[root]))]
+        while stack:
+            v, entered, unread = stack[-1]
+            for w, eid in unread:
+                if eid == entered:
+                    continue
+                if disc[w]:
+                    if disc[w] < low[v]:
+                        low[v] = disc[w]
+                    continue
+                clock += 1
+                disc[w] = low[w] = clock
+                stack.append((w, eid, iter(adj[w])))
+                break
+            else:
+                stack.pop()
+                if not stack:
+                    break
+                p = stack[-1][0]
+                if low[v] < low[p]:
+                    low[p] = low[v]
+                if low[v] >= disc[p]:
+                    if p == root:
+                        root_children += 1
+                    else:
+                        cut[p] = True
+                    if low[v] > disc[p]:
+                        bridges.append(entered)
+        if root_children >= 2:
+            cut[root] = True
     return NonseparabilityReport(
-        connected=nx.is_connected(G),
-        min_degree=min(d for _, d in G.degree),
-        cut_vertices=sorted(nx.articulation_points(G)),
+        connected=components == 1,
+        min_degree=min(len(adj[v]) for v in range(1, n + 1)),
+        cut_vertices=[v for v in range(1, n + 1) if cut[v]],
         bridges=sorted(bridges),
     )
 

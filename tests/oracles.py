@@ -46,7 +46,10 @@ face's links through `conjugate_links_ref` instead of testing the cached
 links in place, and `serialize_ref` is the canonical document text as
 `json.dumps` writes it.  `nonseparable_ref` is the input gate by brute
 force: a cut vertex or bridge is one whose removal leaves more
-components.  `verify_raw_ref` runs each per-layer verifier check the
+components.  `isometric_cycles_ref` is the isometric-cycle pool as
+networkx found it, before `cycles.enumerate_isometric_cycles` paired
+shortest paths: every simple cycle up to length 2*diam+1, kept when all
+its vertex pairs are as far apart in the graph as along it.  `verify_raw_ref` runs each per-layer verifier check the
 way it was written before `verify.verify_raw` shared one segment table:
 every check copies the arcs and walks them again, and face tracing
 (`trace_faces_ref`, from every dart in sorted order) rotates each face
@@ -82,7 +85,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
-from topolayers.cycles import Cycle, Segment, canonical_ring, seg
+from topolayers.cycles import Cycle, Segment, canonical_ring, ring_cycle, seg
 from topolayers.document import _check_cycle_ids, carrier_paths
 from topolayers.graphs import Graph, edge_between, parse_graph
 from topolayers.layering import DecompositionError
@@ -1219,6 +1222,30 @@ def graph_from_networkx(G: nx.Graph, name: str = "") -> Graph:
     label = {v: i for i, v in enumerate(sorted(G.nodes()), start=1)}
     pairs = sorted(tuple(sorted((label[a], label[b]))) for a, b in G.edges())
     return parse_graph("".join(f"{u} {v}\n" for u, v in pairs), name=name)
+
+
+def isometric_cycles_ref(g: Graph) -> List[Cycle]:
+    """The isometric cycles of g, ids in (length, edge-id set) order, by
+    listing every simple cycle no longer than 2*diam+1 and testing each
+    of its vertex pairs."""
+    G = nx.Graph()
+    G.add_nodes_from(g.vertices)
+    G.add_edges_from(g.edges.values())
+    dist = dict(nx.all_pairs_shortest_path_length(G))
+    diam = max(max(d.values()) for d in dist.values())
+    keyed = []
+    for ring in nx.simple_cycles(G, length_bound=2 * diam + 1):
+        k = len(ring)
+        if k < 3 or any(
+            dist[ring[i]].get(ring[j]) != min(j - i, k - (j - i))
+            for i, j in combinations(range(k), 2)
+        ):
+            continue
+        ring = canonical_ring(ring)
+        eids = tuple(sorted(edge_between(g, ring[i], ring[(i + 1) % k]) for i in range(k)))
+        keyed.append(((k, eids), ring))
+    keyed.sort(key=lambda t: t[0])
+    return [ring_cycle(i, ring) for i, (_, ring) in enumerate(keyed, start=1)]
 
 
 def _components(vertices: Set[int], pairs: Sequence[Tuple[int, int]]) -> int:

@@ -54,23 +54,36 @@ def test_cli_import_loads_no_numpy():
     subprocess.run([sys.executable, "-c", code], check=True)
 
 
-def test_verify_and_render_load_no_networkx(k7_doc_file, tmp_path):
-    """Both read-path commands run on pinned K7 in a fresh interpreter,
-    which has not loaded networkx when they are done."""
-    svg = str(tmp_path / "k7.svg")
+def test_verify_and_render_load_no_networkx(k7_file, tmp_path):
+    """Pinned and unpinned `decompose`, `planarize` and `cycles` run on K7,
+    and `verify` and `render` on the pinned document, in one fresh
+    interpreter, which has not loaded networkx when they are done."""
+    doc, plain, svg = (str(tmp_path / name) for name in ("k7.json", "k7-plain.json", "k7.svg"))
     code = (
         "import sys\n"
         "from topolayers.cli import main\n"
-        "doc, svg = sys.argv[1:]\n"
-        "for args in (['verify', doc], ['render', doc, '--layer', '2', '-o', svg]):\n"
+        "k7, doc, plain, svg = sys.argv[1:]\n"
+        "for args in (\n"
+        "    ['decompose', k7, '--pin', 'k7', '-o', doc],\n"
+        "    ['decompose', k7, '-o', plain],\n"
+        "    ['planarize', k7],\n"
+        "    ['cycles', k7],\n"
+        "    ['verify', doc],\n"
+        "    ['render', doc, '--layer', '2', '-o', svg],\n"
+        "):\n"
         "    try:\n"
         "        main(args)\n"
         "    except SystemExit as exc:\n"
         "        assert exc.code in (0, None), (args, exc.code)\n"
         "assert 'networkx' not in sys.modules\n"
     )
-    subprocess.run([sys.executable, "-c", code, k7_doc_file, svg], check=True)
+    res = subprocess.run(
+        [sys.executable, "-c", code, k7_file, doc, plain, svg], capture_output=True, text=True
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines().count("total: 35") == 1
     assert open(svg).read().startswith("<svg")
+    assert json.load(open(plain))["layers"]
 
 
 def test_cycles_k7(runner, k7_file):

@@ -15,9 +15,11 @@ from topolayers.cycles import (
     seg,
     walk,
 )
-from topolayers.graphs import complete_graph, parse_graph
+from topolayers.graphs import Graph, complete_graph, parse_graph
 
-from oracles import connection_path_ref, graph_from_networkx
+from oracles import connection_path_ref, graph_from_networkx, isometric_cycles_ref
+from test_graphs import small_graphs
+from test_planar import nonseparable_graphs
 
 
 def _isometric_oracle(g):
@@ -111,6 +113,70 @@ def test_isometric_oracle_petersen():
     got = {tuple(canonical_ring(list(c.vertices))) for c in pool}
     assert got == _isometric_oracle(g)
     assert sorted(len(r) for r in got) == [5] * 12
+
+
+def _pool(cycles):
+    return [(c.id, c.arcs) for c in cycles]
+
+
+def _union(*graphs, isolated=0):
+    """The disjoint union of graphs, relabelled in turn, then `isolated`
+    vertices on no edge; edge ids follow."""
+    edges, n = {}, 0
+    for g in graphs:
+        for u, v in g.edges.values():
+            edges[len(edges) + 1] = (u + n, v + n)
+        n += g.n
+    return Graph(n=n + isolated, edges=edges)
+
+
+def _reference_corpus():
+    graphs = [(f"K{n}", complete_graph(n)) for n in range(4, 11)]
+    named = [
+        ("petersen", nx.petersen_graph()),
+        ("K3,3", nx.complete_bipartite_graph(3, 3)),
+        ("K4,5", nx.complete_bipartite_graph(4, 5)),
+        ("Q3", nx.hypercube_graph(3)),
+        ("Q4", nx.hypercube_graph(4)),
+    ]
+    named += [(f"C{k}xK2", nx.circular_ladder_graph(k)) for k in (3, 4, 5, 8, 11)]
+    for d, n in ((3, 12), (3, 30), (4, 16), (5, 20), (6, 20), (8, 20)):
+        named += [(f"rr{d}_{n}_s{s}", nx.random_regular_graph(d, n, seed=s)) for s in range(2)]
+    graphs += [(name, graph_from_networkx(G)) for name, G in named]
+    petersen = graph_from_networkx(nx.petersen_graph())
+    q3 = graph_from_networkx(nx.hypercube_graph(3))
+    graphs += [
+        ("K4+petersen", _union(complete_graph(4), petersen)),
+        ("Q3+K5+3 isolated", _union(q3, complete_graph(5), isolated=3)),
+        ("isolated+C5xK2", _union(Graph(n=2, edges={}), graph_from_networkx(nx.circular_ladder_graph(5)))),
+    ]
+    return [pytest.param(g, id=name) for name, g in graphs]
+
+
+@pytest.mark.parametrize("g", _reference_corpus())
+def test_isometric_cycles_match_the_networkx_listing(g):
+    assert _pool(enumerate_isometric_cycles(g)) == _pool(isometric_cycles_ref(g))
+
+
+def test_isometric_cycles_q5_match_the_networkx_listing():
+    """Q5 has 5! shortest paths between antipodal vertices."""
+    g = graph_from_networkx(nx.hypercube_graph(5))
+    pool = _pool(enumerate_isometric_cycles(g))
+    assert len(pool) == 672
+    assert pool == _pool(isometric_cycles_ref(g))
+
+
+@settings(max_examples=200, deadline=None)
+@given(nonseparable_graphs())
+def test_isometric_cycles_of_ear_built_graphs(g):
+    assert _pool(enumerate_isometric_cycles(g)) == _pool(isometric_cycles_ref(g))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs())
+def test_isometric_cycles_of_any_small_graph(g):
+    """Isolated vertices, pendant edges and several components included."""
+    assert _pool(enumerate_isometric_cycles(g)) == _pool(isometric_cycles_ref(g))
 
 
 def _ring_segs(vs):

@@ -111,3 +111,16 @@ def small_graphs(draw):
 def test_nonseparable_matches_brute_force(g):
     rep = validate_nonseparable(g)
     assert (rep.connected, rep.min_degree, rep.cut_vertices, rep.bridges) == nonseparable_ref(g)
+
+
+def test_nonseparable_runs_deeper_than_the_recursion_limit():
+    """A cycle and a path of 5000 vertices: depth-first search from v1
+    runs 4999 deep in both."""
+    n = 5000
+    ring = Graph(n=n, edges={i: (i, i % n + 1) if i < n else (1, n) for i in range(1, n + 1)})
+    rep = validate_nonseparable(ring)
+    assert (rep.connected, rep.min_degree, rep.cut_vertices, rep.bridges) == (True, 2, [], [])
+    path = Graph(n=n, edges={i: (i, i + 1) for i in range(1, n)})
+    rep = validate_nonseparable(path)
+    assert (rep.connected, rep.min_degree) == (True, 1)
+    assert rep.cut_vertices == list(range(2, n)) and rep.bridges == list(range(1, n))
