@@ -5,16 +5,20 @@ cycles plus one distinguished rim (the face everything else is drawn
 inside of).  Every covered edge lies on exactly two members, traversed in
 opposite directions.
 
-Without a pin, the maximal planar subgraph is grown greedily.  Its
-planarity tests and its final embedding, whose faces become the cycle
-system, all run on `_lr_rotation`, an in-package left-right test.  Every
-per-vertex table of the stage is a list indexed by vertex id, so nothing
-is relabelled.  A pin's rings are oriented by one flood fill.  Pinned or
-not, the system is checked with the verifier's `verify_system`.
+Without a pin, the maximal planar subgraph is grown greedily, block by
+block: the blocks of the kept graph are kept on-line, each with its own
+rotation, and an edge is kept without a planarity test when it joins two
+components or can be drawn into a face of the blocks it closes into one.
+The remaining planarity tests, each on one block plus one edge, and the
+final embedding of the whole kept graph, whose faces become the cycle
+system, run on `_lr_rotation`, an in-package left-right test.  A pin's
+rings are oriented by one flood fill.  Pinned or not, the system is
+checked with the verifier's `verify_system`.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -99,15 +103,13 @@ def select_planar_cycle_system(g: Graph, pin: Optional[dict] = None) -> CycleSys
     enumerated, and the listed rings are taken verbatim from them and
     oriented (`_orient_cycles`); a pin that lists one ring twice, or its
     rim among its cycles too, is refused.  Without one, no cycles are
-    enumerated: edges are tried in edge-id order, and an edge whose ends
-    share a face of the kept graph's current embedding (or that has an
-    isolated end) is kept without a test, any other edge runs the full
-    left-right test of `_lr_rotation` (`_greedy_planar_subgraph`).  `trace_faces` traces
-    the faces of the resulting subgraph's counter-clockwise rotation,
-    each from its smallest vertex.  A face that walks both sides of an
-    edge means the edge is a bridge, and one that passes a vertex twice
-    means the vertex is a cut vertex; the smallest bridge, or else the
-    smallest cut vertex, is named in the refusal.
+    enumerated: edges are tried in edge-id order and kept while the kept
+    graph stays planar, block by block (`_greedy_planar_subgraph`).  A
+    kept graph with a bridge or a cut vertex has faces that are not simple
+    cycles, so it is refused naming the smallest bridge, or else the
+    smallest cut vertex, read off its blocks.  Otherwise `trace_faces`
+    traces the faces of the kept graph's counter-clockwise rotation, each
+    from its smallest vertex.
 
     Either way, `verify_system` then checks the system itself; the first
     check it fails is named in the refusal with that check's first
@@ -134,30 +136,8 @@ def select_planar_cycle_system(g: Graph, pin: Optional[dict] = None) -> CycleSys
             rings[cid] = vs
         cycles, rim = _orient_cycles(rings, cid)  # the rim is listed last
     else:
-        rot = _greedy_planar_subgraph(g)
+        rot = _greedy_planar_subgraph(g, biconnected=True)
         faces = trace_faces({v: ns[::-1] for v, ns in enumerate(rot)})
-        # a face walks both sides of an edge exactly when it is a bridge,
-        # and passes a vertex twice exactly when it is a cut vertex
-        bridges, cuts = [], []
-        for arcs in faces:
-            walked, passed = set(), set()
-            for a, b in arcs:
-                s = seg(a, b)
-                if s in walked:
-                    bridges.append(s)
-                if a in passed:
-                    cuts.append(a)
-                walked.add(s)
-                passed.add(a)
-        if bridges:
-            a, b = min(bridges)
-            raise PlanarizationError(
-                f"the planar subgraph has a bridge ({a},{b}), so its faces are not simple cycles"
-            )
-        if cuts:
-            raise PlanarizationError(
-                f"the planar subgraph has a cut vertex v{min(cuts)}, so its faces are not simple cycles"
-            )
         faces.sort(key=lambda arcs: (len(arcs), tuple(canonical_ring([a for a, _ in arcs]))))
         cycles = {cid: Cycle(cid, arcs) for cid, arcs in enumerate(faces, start=1)}
         rim = cycles.pop(1)  # smallest face doubles as the rim; the sphere has no outside
@@ -168,42 +148,280 @@ def select_planar_cycle_system(g: Graph, pin: Optional[dict] = None) -> CycleSys
     return sys_
 
 
-def _greedy_planar_subgraph(g: Graph) -> List[List[int]]:
+def _greedy_planar_subgraph(g: Graph, biconnected: bool = False) -> List[List[int]]:
     """Clockwise rotation of the maximal planar subgraph kept by trying
     the edges in edge-id order, indexed by vertex id (slot 0 empty).
 
-    `rot` is a planar rotation system of the kept graph: each vertex's
-    neighbours in cyclic order.  `rot` and `adj` are lists indexed by
-    vertex id, as the kernel reads them; slot 0 stays empty, an isolated
-    vertex to the kernel.  An edge with an isolated end, or whose
-    ends share a face of `rot`, is drawn into that face and kept without
-    a test; it cannot break planarity.  Any other edge runs the full
-    left-right test of `_lr_rotation` on `adj`, the kept adjacency in
-    edge-id order: a refused edge is dropped again, and an accepted one
-    replaces `rot` with the test's embedding.  The returned rotation is
-    one last test on the kept (low, high) pairs stably sorted by low end,
-    the order networkx's `LRPlanarity` copies them in, so it is the
-    embedding networkx's planarity test gives the kept graph.
+    The loop keeps the blocks of the kept graph on-line (`_Blocks`), each
+    with a plane rotation of its own, and decides each edge exactly, since
+    a graph is planar iff each of its blocks is.  An edge with an isolated
+    end, or whose ends lie in different components, becomes a bridge
+    block.  An edge inside one block is drawn into a shared face of that
+    block's rotation, or else `_lr_rotation` tests the block plus the
+    edge.  An edge between different blocks of one component closes the
+    blocks on its block-cut path into one block, which is planar iff each
+    of them plus the edge between its two attachment vertices is: each of
+    those is a minor of the whole.  A block whose attachment vertices
+    share no face is tested so by the kernel and re-embedded from the
+    test's rotation less that edge, where they do.  Then the blocks'
+    rotations are spliced at each cut vertex and the edge is drawn into
+    the merged face.  A refused edge leaves every block's edges as they
+    were.
+
+    With `biconnected`, a kept graph with a bridge (a single-edge block)
+    or a cut vertex (a vertex in two or more blocks) is refused naming
+    the smallest bridge, or else the smallest cut vertex, before anything
+    is embedded.  The returned rotation is one last test on the kept
+    (low, high) pairs stably sorted by low end, the order networkx's
+    `LRPlanarity` copies them in, so it is the embedding networkx's
+    planarity test gives the kept graph.
     """
+    blocks = _Blocks(g.n)
+    pairs = [(u, v) for _, (u, v) in sorted(g.edges.items()) if blocks.add(u, v)]
+    if biconnected:
+        live = [vs for vs in blocks.verts if vs is not None]
+        bridges = [tuple(sorted(vs)) for vs in live if len(vs) == 2]
+        if bridges:
+            raise PlanarizationError(
+                "the planar subgraph has a bridge (%d,%d), so its faces are not simple cycles"
+                % min(bridges)
+            )
+        seen: Set[int] = set()
+        cuts: Set[int] = set()
+        for vs in live:
+            for x in vs:
+                (cuts if x in seen else seen).add(x)
+        if cuts:
+            raise PlanarizationError(
+                f"the planar subgraph has a cut vertex v{min(cuts)}, so its faces are not simple cycles"
+            )
     adj: List[List[int]] = [[] for _ in range(g.n + 1)]
-    rot: List[List[int]] = [[] for _ in range(g.n + 1)]
-    pairs = []
-    for _, (u, v) in sorted(g.edges.items()):
-        adj[u].append(v)
-        adj[v].append(u)
-        if not _insert_in_shared_face(rot, u, v):
-            tested = _lr_rotation(adj)
-            if tested is None:
-                adj[u].pop()
-                adj[v].pop()
-                continue
-            rot = tested
-        pairs.append((u, v))
-    adj = [[] for _ in range(g.n + 1)]
     for u, v in sorted(pairs, key=lambda p: p[0]):
         adj[u].append(v)
         adj[v].append(u)
     return _lr_rotation(adj)
+
+
+class _Blocks:
+    """The blocks of a growing plane graph, each with its own rotation.
+
+    Blocks are kept on-line over a rooted spanning forest (Westbrook and
+    Tarjan 1992): `blk[x]` is the block holding the tree edge from x to
+    its parent, -1 at a root, and `head[b]` is block b's vertex nearest
+    the root, the one vertex of b whose tree edge lies outside it.  So
+    stepping from x to `head[blk[x]]` climbs one block of the block-cut
+    tree.  Block b numbers its vertices locally: `verts[b]` lists them
+    and `index[b]` maps them back.  In those ids, `rot[b]` is its plane
+    rotation and `adj[b]` its adjacency, each of whose lists is sorted by
+    vertex, the order of edge ids in a graph read from sorted pairs: the
+    kernel refuses sooner, and embeds with fewer later tests, reading
+    that order than the rotation's.  A retired block's slots are None.  Two
+    components are joined by re-rooting the smaller tree at its end of
+    the new bridge, and blocks are merged into the largest of them, so
+    every vertex is moved O(log n) times.
+    """
+
+    def __init__(self, n: int) -> None:
+        self.parent = [-1] * (n + 1)
+        self.depth = [0] * (n + 1)
+        self.blk = [-1] * (n + 1)
+        self.comp = list(range(n + 1))
+        self.members: List[Optional[List[int]]] = [[v] for v in range(n + 1)]
+        self.verts: List[Optional[List[int]]] = []
+        self.index: List[Optional[Dict[int, int]]] = []
+        self.rot: List[Optional[List[List[int]]]] = []
+        self.adj: List[Optional[List[List[int]]]] = []
+        self.head: List[int] = []
+
+    def add(self, u: int, v: int) -> bool:
+        """Keep the edge (u, v) if the graph stays planar; say whether it did."""
+        if self.comp[u] != self.comp[v]:
+            self._join(u, v)
+            return True
+        # one block holds both ends when their tree edges lie in it, or
+        # when one end is the head of the other's block
+        blk, head = self.blk, self.head
+        bu, bv = blk[u], blk[v]
+        b = bv if bu == bv or (bv >= 0 and head[bv] == u) else bu if bu >= 0 and head[bu] == v else -1
+        if b >= 0:
+            I = self.index[b]
+            if not _insert_in_shared_face(self.rot[b], I[u], I[v]):
+                tested = self._test(b, u, v)
+                if tested is None:
+                    return False
+                self.rot[b] = tested
+            self._link(b, u, v)
+            return True
+        # The blocks on the path plus (u, v) are planar iff each of them
+        # plus the edge between its two attachment vertices is: each of
+        # those is a minor of the whole, and the splice embeds the whole.
+        chain, z = self._path(u, v)
+        angles = []
+        for b, a, c in chain:
+            I = self.index[b]
+            angle = _shared_face(self.rot[b], I[a], I[c])
+            if angle is None:
+                tested = self._test(b, a, c)
+                if tested is None:
+                    return False
+                # without (a, c), the two faces beside it are one
+                tested[I[a]].remove(I[c])
+                tested[I[c]].remove(I[a])
+                self.rot[b] = tested
+                angle = _shared_face(tested, I[a], I[c])
+            angles.append(angle)
+        self._splice(chain, z, angles, u, v)
+        return True
+
+    def _test(self, b: int, a: int, c: int) -> Optional[List[List[int]]]:
+        """The kernel's rotation of block b plus the edge (a, c), or None
+        when that is not planar."""
+        V, I, A = self.verts[b], self.index[b], self.adj[b]
+        ia, ic = I[a], I[c]
+        insort(A[ia], ic, key=V.__getitem__)
+        insort(A[ic], ia, key=V.__getitem__)
+        tested = _lr_rotation(A)
+        A[ia].remove(ic)
+        A[ic].remove(ia)
+        return tested
+
+    def _link(self, b: int, u: int, v: int) -> None:
+        """Add the edge (u, v) to block b's adjacency."""
+        V, I, A = self.verts[b], self.index[b], self.adj[b]
+        insort(A[I[u]], I[v], key=V.__getitem__)
+        insort(A[I[v]], I[u], key=V.__getitem__)
+
+    def _path(self, u: int, v: int) -> Tuple[List[Tuple[int, int, int]], int]:
+        """The blocks from u to v on the block-cut tree, each as (block,
+        vertex it is entered at, vertex it is left at), and the vertex
+        nearest the root of their union."""
+        depth, blk, head = self.depth, self.blk, self.head
+        x, y = u, v
+        xs: List[int] = []
+        ys: List[int] = []
+        # climb the deeper side one block at a time to the first common
+        # vertex; a root is never deeper, so it never climbs
+        while x != y:
+            if depth[x] >= depth[y]:
+                xs.append(x)
+                x = head[blk[x]]
+            else:
+                ys.append(y)
+                y = head[blk[y]]
+        chain = [(blk[a], a, c) for a, c in zip(xs, xs[1:] + [x])]
+        down = [(blk[a], c, a) for a, c in zip(ys, ys[1:] + [x])][::-1]
+        if xs and ys and blk[xs[-1]] == blk[ys[-1]]:
+            # both sides climbed out of one block: the path crosses it
+            chain[-1] = (chain[-1][0], xs[-1], ys[-1])
+            del down[0]
+        return chain + down, x
+
+    def _join(self, u: int, v: int) -> None:
+        """Add the bridge (u, v) between two components."""
+        comp, members, parent, blk, depth, head = (
+            self.comp, self.members, self.parent, self.blk, self.depth, self.head
+        )
+        if len(members[comp[u]]) < len(members[comp[v]]):
+            u, v = v, u
+        b = len(self.verts)
+        self.verts.append([u, v])
+        self.index.append({u: 0, v: 1})
+        self.rot.append([[1], [0]])
+        self.adj.append([[1], [0]])
+        head.append(u)
+        # re-root v's (smaller) tree at v, hung from u
+        small = members[comp[v]]
+        members[comp[v]] = None
+        tree: Dict[int, List[Tuple[int, int]]] = {x: [] for x in small}
+        for x in small:
+            p = parent[x]
+            if p >= 0:
+                tree[x].append((p, blk[x]))
+                tree[p].append((x, blk[x]))
+        cu = comp[u]
+        for x in small:
+            comp[x] = cu
+        members[cu].extend(small)
+        parent[v], blk[v], depth[v] = u, b, depth[u] + 1
+        topped = set()
+        stack = [v]
+        while stack:
+            x = stack.pop()
+            for y, c in tree[x]:
+                if y != parent[x]:
+                    parent[y], blk[y], depth[y] = x, c, depth[x] + 1
+                    if c not in topped:  # a block is first met at its head
+                        topped.add(c)
+                        head[c] = x
+                    stack.append(y)
+
+    def _splice(
+        self,
+        chain: List[Tuple[int, int, int]],
+        z: int,
+        angles: List[Tuple[int, int]],
+        u: int,
+        v: int,
+    ) -> None:
+        """Merge the chain's blocks into the largest, s, and draw (u, v)
+        into the face the merge makes.
+
+        `angles[i]` is `_shared_face` of chain block i's two attachment
+        vertices, in that block's local ids.  The other blocks are
+        renumbered into s's tables outward from s, so each shares one
+        vertex, its cut vertex, with what is merged already, and its other
+        vertices are new.  At the cut vertex its adjacency list is merged
+        in, and its rotation is opened into the angle where the face its
+        neighbour on the chain passes, so that their two faces, each
+        holding the two attachment vertices of its block, become one.
+        """
+        verts, index, rot, adj = self.verts, self.index, self.rot, self.adj
+        s = max((b for b, _, _ in chain), key=lambda b: len(verts[b]))
+        V, I, R, A = verts[s], index[s], rot[s], adj[s]
+        k = next(i for i, (b, _, _) in enumerate(chain) if b == s)
+        for i in [*range(k - 1, -1, -1), *range(k + 1, len(chain))]:
+            b, entry, exit_ = chain[i]
+            Vb = verts[b]
+            cut = exit_ if i < k else entry
+            for x in Vb:
+                if x != cut:
+                    I[x] = len(V)
+                    V.append(x)
+            m = [I[x] for x in Vb]
+            ic, lc = I[cut], index[b][cut]
+            A.extend([m[y] for y in ns] for x, ns in zip(Vb, adj[b]) if x != cut)
+            A[ic] = sorted(A[ic] + [m[y] for y in adj[b][lc]], key=V.__getitem__)
+            R.extend([m[y] for y in ns] for x, ns in zip(Vb, rot[b]) if x != cut)
+            # the block before the cut vertex on the chain enters it from
+            # p, the one after leaves it toward x, so the later block's
+            # list, opened at x, goes in right after p
+            mine = [m[y] for y in rot[b][lc]]
+            if i < k:
+                near = chain[i + 1][0]
+                left, p = mine, m[angles[i][1]]
+                right, x = R[ic], I[verts[near][angles[i + 1][0]]]
+            else:
+                near = chain[i - 1][0]
+                left, p = R[ic], I[verts[near][angles[i - 1][1]]]
+                right, x = mine, m[angles[i][0]]
+            j, h = left.index(p) + 1, right.index(x)
+            R[ic] = left[:j] + right[h:] + right[:h] + left[j:]
+        _insert_in_shared_face(R, I[u], I[v])  # the merged face holds both
+        self._link(s, u, v)
+        self._retire(chain, s, z)
+
+    def _retire(self, chain: List[Tuple[int, int, int]], s: int, z: int) -> None:
+        """Point the tree edges of the chain's other blocks at s, whose
+        head becomes z, and drop their tables."""
+        verts, blk = self.verts, self.blk
+        for b, _, _ in chain:
+            if b != s:
+                hb = self.head[b]
+                for x in verts[b]:
+                    if x != hb:
+                        blk[x] = s
+                verts[b] = self.index[b] = self.rot[b] = self.adj[b] = None
+        self.head[s] = z
 
 
 def _lr_rotation(adj: List[List[int]]) -> Optional[List[List[int]]]:
@@ -431,22 +649,15 @@ def _lr_rotation(adj: List[List[int]]) -> Optional[List[List[int]]]:
     return rot
 
 
-def _insert_in_shared_face(rot: List[List[int]], u: int, v: int) -> bool:
-    """Draw the new edge (u, v) into `rot` if that keeps it planar.
+def _shared_face(rot: List[List[int]], u: int, v: int) -> Optional[Tuple[int, int]]:
+    """A face of `rot` that holds both u and v, as (x, a): it leaves u
+    toward x and enters v from a.  None when no face holds both.
 
-    That holds when u or v is isolated, or when some face holds both.  A
-    face is an orbit of the dart step (a, b) -> (b, c), c following a in
-    the rotation of b.  The face entered at u through the angle before
-    neighbour x receives v before x at u, and u after a at v, where (a, v)
-    is its first dart into v; it splits in two.  Returns False, leaving
-    `rot` as it was, when no face holds both ends.
+    A face is an orbit of the dart step (a, b) -> (b, c), c following a
+    in the rotation of b; the faces tried are those leaving u toward each
+    of its neighbours in turn.
     """
-    ru, rv = rot[u], rot[v]
-    if not ru or not rv:
-        ru.append(v)
-        rv.append(u)
-        return True
-    for x in ru:
+    for x in rot[u]:
         a, b = u, x
         while b != v:
             nb = rot[b]
@@ -454,10 +665,24 @@ def _insert_in_shared_face(rot: List[List[int]], u: int, v: int) -> bool:
             if a == u and b == x:
                 break
         else:
-            ru.insert(ru.index(x), v)
-            rv.insert(rv.index(a) + 1, u)
-            return True
-    return False
+            return x, a
+    return None
+
+
+def _insert_in_shared_face(rot: List[List[int]], u: int, v: int) -> bool:
+    """Draw the new edge (u, v) into a face of `rot` that holds both ends.
+
+    The face found by `_shared_face`, leaving u toward x and entering v
+    from a, receives v before x at u and u after a at v; it splits in
+    two.  Returns False, leaving `rot` as it was, when no face holds both.
+    """
+    angle = _shared_face(rot, u, v)
+    if angle is None:
+        return False
+    x, a = angle
+    rot[u].insert(rot[u].index(x), v)
+    rot[v].insert(rot[v].index(a) + 1, u)
+    return True
 
 
 def hamiltonian_rim(sys_: CycleSystem, g: Graph, pin_ring: Optional[Sequence[int]] = None) -> List[int]:

@@ -6,7 +6,7 @@ import sys
 import networkx as nx
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -22,7 +22,7 @@ from topolayers import planar
 from topolayers.cli import main
 from topolayers.document import decomposition_to_document, verify_document
 from topolayers.cycles import ring_cycle, seg
-from topolayers.graphs import complete_graph, format_graph, parse_graph, validate_nonseparable
+from topolayers.graphs import Graph, complete_graph, format_graph, parse_graph, validate_nonseparable
 from topolayers.layering import decompose, split_regions
 from topolayers.planar import (
     PlanarizationError,
@@ -309,6 +309,92 @@ def test_planar_stage_matches_loops_on_generated_graphs(g):
     _assert_planar_stage_matches_loops(g)
 
 
+# The greedy loop's on-line blocks against networkx: after every edge, the
+# same decision as networkx's planarity test, and the blocks of
+# `biconnected_components` of the kept graph, each with a plane rotation
+# and an adjacency (sorted by vertex) that list exactly its edges.
+
+
+@st.composite
+def gnp_graphs(draw):
+    """A G(n, p) draw on 2 to 12 vertices, isolated and disconnected ones
+    included, with at least one edge, its edges in a drawn order."""
+    n = draw(st.integers(2, 12))
+    p = draw(st.sampled_from([0.2, 0.35, 0.5, 0.8]))
+    G = nx.gnp_random_graph(n, p, seed=draw(st.integers(0, 2**32 - 1)))
+    assume(G.number_of_edges())
+    order = draw(st.permutations(sorted(G.edges())))
+    return Graph(n, {i: (u + 1, v + 1) for i, (u, v) in enumerate(order, start=1)})
+
+
+@st.composite
+def cactus_graphs(draw):
+    """K4s glued at cut vertices or standing apart, pendant paths, and a
+    few extra edges, in a drawn order: the extra edges close block-cut
+    paths through several K4 blocks, and a K4 built apart is re-rooted
+    when an edge joins it to the rest."""
+    pairs, n = set(), 0
+    for _ in range(draw(st.integers(1, 4))):
+        ring = [draw(st.integers(1, n))] if n and draw(st.booleans()) else []
+        ring += range(n + 1, n + 5 - len(ring))
+        n = max(n, *ring)
+        pairs.update((min(a, b), max(a, b)) for a in ring for b in ring if a != b)
+    for _ in range(draw(st.integers(0, 3))):
+        path = [draw(st.integers(1, n)), *range(n + 1, n + draw(st.integers(1, 3)) + 1)]
+        n = path[-1]
+        pairs.update(zip(path, path[1:]))
+    for _ in range(draw(st.integers(0, 4))):
+        a, b = draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
+        pairs.add((min(a, b), max(a, b)))
+    order = draw(st.permutations(sorted(pairs)))
+    return Graph(n, dict(enumerate(order, start=1)))
+
+
+def _assert_blocks_follow_networkx(g):
+    blocks = planar._Blocks(g.n)
+    kept = nx.Graph()
+    for _, (u, v) in sorted(g.edges.items()):
+        kept.add_edge(u, v)
+        planar_ = nx.check_planarity(kept)[0]
+        assert blocks.add(u, v) == planar_
+        if not planar_:
+            kept.remove_edge(u, v)
+        live = [(vs, r, a) for vs, r, a in zip(blocks.verts, blocks.rot, blocks.adj) if vs is not None]
+        assert sorted(sorted(vs) for vs, _, _ in live) == sorted(
+            sorted(c) for c in nx.biconnected_components(kept)
+        )
+        for vs, rot, adj in live:
+            assert _is_plane_rotation(rot)
+            edges = {frozenset(e) for e in kept.subgraph(vs).edges()}
+            assert {frozenset((vs[a], vs[b])) for a, ns in enumerate(rot) for b in ns} == edges
+            assert [[vs[b] for b in ns] for ns in adj] == [sorted(vs[b] for b in ns) for ns in rot]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(nonseparable_graphs(), gnp_graphs(), cactus_graphs()))
+def test_blocks_follow_networkx_after_every_edge(g):
+    _assert_blocks_follow_networkx(g)
+    _assert_planar_stage_matches_loops(g)
+
+
+def test_blocks_merge_two_k4s_through_a_re_rooted_tree():
+    """Two K4s joined by (4, 6): 6's K4, rooted at 5, is re-rooted at 6.
+    Then (1, 8) closes the path K4 - bridge - K4 into one block, spliced
+    without a kernel call."""
+    k4 = lambda vs: [(a, b) for a in vs for b in vs if a < b]
+    edges = k4([1, 2, 3, 4]) + k4([5, 6, 7, 8]) + [(4, 6), (1, 8)]
+    g = Graph(8, dict(enumerate(edges, start=1)))
+    _assert_blocks_follow_networkx(g)
+    per_edge = _kernel_calls_per_edge(g)
+    assert per_edge[-2:] == [(True, 0), (False, 0)]
+    blocks = planar._Blocks(8)
+    for u, v in edges[:-1]:
+        blocks.add(u, v)
+    assert blocks.parent[5] == 6 and blocks.parent[6] == 4
+    blocks.add(1, 8)
+    assert [sorted(vs) for vs in blocks.verts if vs is not None] == [list(range(1, 9))]
+
+
 def _oracle_refusal(kept):
     """The planar stage's refusal of a kept subgraph that is not
     biconnected: its smallest bridge, or else its smallest cut vertex."""
@@ -537,6 +623,65 @@ def test_kernel_matches_networkx_on_every_greedy_test(g):
     assert calls
     for adj, rot in calls:
         _assert_kernel_matches_networkx(adj, rot)
+
+
+# Kernel calls per benchmark input, the final embedding included.  Before
+# the loop kept blocks, every edge that shared no face with the one
+# rotation of the kept graph ran the kernel on the whole kept graph: 216
+# calls on K10-K16 and 517 on the sparse family.
+KERNEL_CALLS = {
+    "K10": 26, "K12": 42, "K14": 62, "K16": 86,
+    "rr4_16_s0": 8, "rr4_16_s1": 10, "rr4_16_s2": 8,
+    "rr5_20_s0": 18, "rr5_20_s1": 17, "rr5_20_s2": 19,
+    "rr6_20_s0": 24, "rr6_20_s1": 23, "rr6_20_s2": 24,
+    "rr5_30_s0": 29, "rr5_30_s1": 30, "rr5_30_s2": 29,
+    "rr8_20_s0": 44, "rr8_20_s1": 43, "rr8_20_s2": 39,
+    "Q4": 6, "Q5": 23,
+}
+
+
+def test_kernel_calls_per_benchmark_input():
+    calls = {p.id: _kernel_calls(p.values[0]) for p in _benchmark_graphs()}
+    assert {name: len(c) for name, c in calls.items()} == KERNEL_CALLS
+    complete = sum(n for name, n in KERNEL_CALLS.items() if name.startswith("K"))
+    assert complete <= 216
+    assert sum(KERNEL_CALLS.values()) - complete <= 517 - 100
+    # only the final embedding reads the whole kept graph, slot 0 and all;
+    # the loop tests one block plus one edge, where no vertex is isolated
+    for p in _benchmark_graphs():
+        (*loop, (final, _)) = calls[p.id]
+        assert len(final) == p.values[0].n + 1
+        assert all(ns for adj, _ in loop for ns in adj)
+
+
+def _kernel_calls_per_edge(g):
+    """For each edge in edge-id order: whether it joined two components of
+    the kept graph, and how many kernel calls the loop made for it."""
+    calls = []
+
+    def counted(adj):
+        calls.append(adj)
+        return _lr_rotation(adj)
+
+    blocks = planar._Blocks(g.n)
+    kept = nx.Graph()
+    kept.add_nodes_from(g.vertices)
+    out = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(planar, "_lr_rotation", counted)
+        for _, (u, v) in sorted(g.edges.items()):
+            joins, before = not nx.has_path(kept, u, v), len(calls)
+            if blocks.add(u, v):
+                kept.add_edge(u, v)
+            out.append((joins, len(calls) - before))
+    return out
+
+
+@pytest.mark.parametrize("g", _benchmark_graphs())
+def test_no_kernel_call_for_an_edge_that_joins_two_components(g):
+    per_edge = _kernel_calls_per_edge(g)
+    assert any(joins for joins, _ in per_edge)
+    assert all(n == 0 for joins, n in per_edge if joins)
 
 
 def _deep_graph(n, planar_end):
