@@ -136,7 +136,7 @@ def select_planar_cycle_system(g: Graph, pin: Optional[dict] = None) -> CycleSys
             rings[cid] = vs
         cycles, rim = _orient_cycles(rings, cid)  # the rim is listed last
     else:
-        rot = _greedy_planar_subgraph(g, biconnected=True)
+        rot = _greedy_planar_subgraph(g)
         faces = trace_faces({v: ns[::-1] for v, ns in enumerate(rot)})
         faces.sort(key=lambda arcs: (len(arcs), tuple(canonical_ring([a for a, _ in arcs]))))
         cycles = {cid: Cycle(cid, arcs) for cid, arcs in enumerate(faces, start=1)}
@@ -148,7 +148,7 @@ def select_planar_cycle_system(g: Graph, pin: Optional[dict] = None) -> CycleSys
     return sys_
 
 
-def _greedy_planar_subgraph(g: Graph, biconnected: bool = False) -> List[List[int]]:
+def _greedy_planar_subgraph(g: Graph) -> List[List[int]]:
     """Clockwise rotation of the maximal planar subgraph kept by trying
     the edges in edge-id order, indexed by vertex id (slot 0 empty).
 
@@ -168,33 +168,32 @@ def _greedy_planar_subgraph(g: Graph, biconnected: bool = False) -> List[List[in
     the merged face.  A refused edge leaves every block's edges as they
     were.
 
-    With `biconnected`, a kept graph with a bridge (a single-edge block)
-    or a cut vertex (a vertex in two or more blocks) is refused naming
-    the smallest bridge, or else the smallest cut vertex, before anything
-    is embedded.  The returned rotation is one last test on the kept
-    (low, high) pairs stably sorted by low end, the order networkx's
-    `LRPlanarity` copies them in, so it is the embedding networkx's
-    planarity test gives the kept graph.
+    A kept graph with a bridge (a single-edge block) or a cut vertex (a
+    vertex in two or more blocks) is refused naming the smallest bridge,
+    or else the smallest cut vertex, before anything is embedded.  The
+    returned rotation is one last test on the kept (low, high) pairs
+    stably sorted by low end, the order networkx's `LRPlanarity` copies
+    them in, so it is the embedding networkx's planarity test gives the
+    kept graph.
     """
     blocks = _Blocks(g.n)
     pairs = [(u, v) for _, (u, v) in sorted(g.edges.items()) if blocks.add(u, v)]
-    if biconnected:
-        live = [vs for vs in blocks.verts if vs is not None]
-        bridges = [tuple(sorted(vs)) for vs in live if len(vs) == 2]
-        if bridges:
-            raise PlanarizationError(
-                "the planar subgraph has a bridge (%d,%d), so its faces are not simple cycles"
-                % min(bridges)
-            )
-        seen: Set[int] = set()
-        cuts: Set[int] = set()
-        for vs in live:
-            for x in vs:
-                (cuts if x in seen else seen).add(x)
-        if cuts:
-            raise PlanarizationError(
-                f"the planar subgraph has a cut vertex v{min(cuts)}, so its faces are not simple cycles"
-            )
+    live = [vs for vs in blocks.verts if vs is not None]
+    bridges = [tuple(sorted(vs)) for vs in live if len(vs) == 2]
+    if bridges:
+        raise PlanarizationError(
+            "the planar subgraph has a bridge (%d,%d), so its faces are not simple cycles"
+            % min(bridges)
+        )
+    seen: Set[int] = set()
+    cuts: Set[int] = set()
+    for vs in live:
+        for x in vs:
+            (cuts if x in seen else seen).add(x)
+    if cuts:
+        raise PlanarizationError(
+            f"the planar subgraph has a cut vertex v{min(cuts)}, so its faces are not simple cycles"
+        )
     adj: List[List[int]] = [[] for _ in range(g.n + 1)]
     for u, v in sorted(pairs, key=lambda p: p[0]):
         adj[u].append(v)
