@@ -39,7 +39,6 @@ from .planar import (
     select_planar_cycle_system,
 )
 from .projection import (
-    Basis,
     ProjectionError,
     basis_from_ring,
     chords_cross,
@@ -59,7 +58,6 @@ from .verify import VerificationReport, trace_faces, verify_system
 __version__ = "0.1.0"
 
 __all__ = [
-    "Basis",
     "Cycle",
     "CycleSystem",
     "Decomposition",

@@ -1,13 +1,14 @@
 """Layer construction: regions and the decomposition loop.
 
-Layer 1 is the maximal planar subgraph.  Its Hamiltonian ring splits the
-faces in two: one flood fill from the rim face, stopped at ring segments,
-finds the outer side, and every other face is inner (split_regions).
-Each further layer, with a fresh ban set, replays its entry of a pinned
-route log or runs its strategy's passes (_PASSES): `thickness` routes the
-chords kept non-crossing on the ring inside, then outside, then any chord
-through conjugate faces that avoid the layer's connections; `inner-only`
-routes inside only.  What is left opens the next layer.
+Layer 1 is the maximal planar subgraph.  When layer 2 opens, layer 1's
+Hamiltonian ring is found and splits the faces in two: one flood fill
+from the rim face, stopped at ring segments, finds the outer side, and
+every other face is inner (split_regions).  Each further layer, with a
+fresh ban set, replays its entry of a pinned route log or runs its
+strategy's passes (_PASSES): `thickness` routes the chords kept
+non-crossing on the ring inside, then outside, then any chord through
+conjugate faces that avoid the layer's connections; `inner-only` routes
+inside only.  What is left opens the next layer.
 """
 
 from __future__ import annotations
@@ -277,7 +278,9 @@ def decompose(
     """Full layered drawing of a nonseparable graph.
 
     A pin may fix the planar `system`, the `hamiltonian` ring and a `plan`,
-    a route log replayed for the layers it lists (see _replay_layer).
+    a route log replayed for the layers it lists (see _replay_layer).  A
+    pinned ring is checked on every input; an unpinned one is searched for
+    only when layer 2 opens, so a planar input is one ringless layer.
     """
     if strategy not in _PASSES:
         raise DecompositionError(f"unknown strategy {strategy!r}")
@@ -290,9 +293,10 @@ def decompose(
         _check_pin(pin)
     pin = pin or {}
     sys_ = select_planar_cycle_system(g, pin.get("system"))
-    ring = hamiltonian_rim(sys_, g, pin.get("hamiltonian"))
+    ring = pin.get("hamiltonian")
+    if ring is not None:  # checked even when no second layer opens
+        ring = hamiltonian_rim(sys_, g, ring)
     drawing = Drawing.from_system(g, sys_)
-    split_regions(drawing, ring)
 
     planar = {edge_between(g, *s) for s in sys_.segments()}
     chords = {eid: uv for eid, uv in g.edges.items() if eid not in planar}
@@ -309,6 +313,10 @@ def decompose(
     while remaining:
         if len(layers) == _MAX_LAYERS:
             raise DecompositionError("layer budget exhausted")
+        if len(layers) == 1:  # layer 2 opens on a drawing of layer 1 alone
+            if ring is None:
+                ring = hamiltonian_rim(sys_, g)
+            split_regions(drawing, ring)
         drawing.clear_bans()
         if planned:
             routed = _replay_layer(drawing, planned.pop(0), remaining)

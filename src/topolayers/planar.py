@@ -23,9 +23,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .cycles import Cycle, Segment, canonical_ring, ring_cycle, seg
+from .cycles import Cycle, Segment, canonical_ring, ring_cycle
 from .graphs import Graph
-from .verify import segment_table, trace_faces, verify_system
+from .verify import _ring_problems, segment_table, trace_faces, verify_system
 
 RING_SEARCH_BUDGET = 200_000  # steps of `hamiltonian_rim`'s unpinned search
 
@@ -687,10 +687,11 @@ def _insert_in_shared_face(rot: List[List[int]], u: int, v: int) -> bool:
 def hamiltonian_rim(sys_: CycleSystem, g: Graph, pin_ring: Optional[Sequence[int]] = None) -> List[int]:
     """A Hamiltonian ring of the system's edges, in canonical order.
 
-    A pinned ring must list 1..n once each, every cyclic pair an edge of
-    the system; it is returned in canonical order.  Its two sides are read
-    off the drawing afterwards (layering.split_regions): on the sphere,
-    any cycle of the system bounds the faces on either side of it.
+    `decompose` searches when a second layer opens.  A pinned ring must
+    list 1..n once each, every cyclic pair an edge of the system (the
+    verifier's `_ring_problems`); it is returned in canonical order.  Its
+    two sides are read off the drawing afterwards (layering.split_regions):
+    on the sphere, any cycle of the system bounds the faces on either side.
 
     Without a pin, a depth-first search from vertex 1 tries neighbours in
     ascending order and returns the first Hamiltonian cycle it reaches.
@@ -702,13 +703,9 @@ def hamiltonian_rim(sys_: CycleSystem, g: Graph, pin_ring: Optional[Sequence[int
     segs = sys_.segments()
     if pin_ring is not None:
         ring = list(pin_ring)
-        if len(ring) != g.n or sorted(ring) != list(range(1, g.n + 1)):
-            raise PlanarizationError(f"pinned ring does not list 1..{g.n} once each")
-        for a, b in zip(ring, ring[1:] + ring[:1]):
-            if seg(a, b) not in segs:
-                raise PlanarizationError(
-                    f"pinned ring pair ({a},{b}) is not an edge of the planar subgraph"
-                )
+        problems = _ring_problems(g.n, ring, segs)
+        if problems:
+            raise PlanarizationError(f"pinned {problems[0]}")
         return canonical_ring(ring)
     adj: List[List[int]] = [[] for _ in range(g.n + 1)]
     for a, b in segs:

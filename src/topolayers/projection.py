@@ -1,7 +1,8 @@
 """Chord positions on a coordinate basis and the crossing relation.
 
-The coordinate basis is an ordered ring of vertices (usually a
-Hamiltonian ring of the planar subgraph).  A chord is the ring positions
+The coordinate basis is an ordered ring of vertices (in `decompose`, the
+Hamiltonian ring of the first layer as it currently runs), held as the
+map from each vertex to its ring position.  A chord is the ring positions
 i < j of its ends and the length of the shorter arc between them,
 min(j - i, k - (j - i)) on a ring of k vertices.  Two chords cross
 exactly when their ends interleave strictly on the ring: one end of one
@@ -10,13 +11,11 @@ outside.  Chords that share an end never cross.
 
 `select_noncrossing` places each candidate once, builds the crossing
 neighbour sets once, and on each removal updates only the victim's
-neighbours; the ring positions of a basis are computed once per basis.
+neighbours.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 from typing import Dict, List, Sequence, Set, Tuple
 
@@ -25,25 +24,13 @@ class ProjectionError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Basis:
-    ring: Tuple[int, ...]
-
-    @cached_property
-    def pos(self) -> Dict[int, int]:
-        return {v: i for i, v in enumerate(self.ring)}
-
-    def __len__(self) -> int:
-        return len(self.ring)
+def basis_from_ring(ring: Sequence[int]) -> Dict[int, int]:
+    """The basis of a ring of distinct vertices: vertex -> ring position."""
+    return {v: i for i, v in enumerate(ring)}
 
 
-def basis_from_ring(ring: Sequence[int]) -> Basis:
-    return Basis(tuple(ring))
-
-
-def _span(basis: Basis, chord: Tuple[int, int]) -> Tuple[int, int, int]:
+def _span(pos: Dict[int, int], chord: Tuple[int, int]) -> Tuple[int, int, int]:
     """The chord's end positions i < j and its shorter arc's length."""
-    pos = basis.pos
     u, v = chord
     if u not in pos or v not in pos:
         missing = u if u not in pos else v
@@ -51,7 +38,7 @@ def _span(basis: Basis, chord: Tuple[int, int]) -> Tuple[int, int, int]:
     if u == v:
         raise ProjectionError("degenerate chord")
     i, j = sorted((pos[u], pos[v]))
-    return i, j, min(j - i, len(basis) - (j - i))
+    return i, j, min(j - i, len(pos) - (j - i))
 
 
 def _interleave(a: Tuple[int, int, int], b: Tuple[int, int, int]) -> bool:
@@ -59,14 +46,14 @@ def _interleave(a: Tuple[int, int, int], b: Tuple[int, int, int]) -> bool:
 
 
 def chords_cross(
-    basis: Basis, c1: Tuple[int, int], c2: Tuple[int, int]
+    basis: Dict[int, int], c1: Tuple[int, int], c2: Tuple[int, int]
 ) -> bool:
     """The two chords' ends interleave strictly on the ring."""
     return _interleave(_span(basis, c1), _span(basis, c2))
 
 
 def select_noncrossing(
-    basis: Basis, chords: Dict[int, Tuple[int, int]]
+    basis: Dict[int, int], chords: Dict[int, Tuple[int, int]]
 ) -> Tuple[List[int], List[int]]:
     """Iteratively drop the worst-crossing chord until none cross.
 
@@ -97,7 +84,6 @@ def select_noncrossing(
 
 
 __all__ = [
-    "Basis",
     "ProjectionError",
     "basis_from_ring",
     "chords_cross",

@@ -24,12 +24,13 @@ faces of those rotations would give back the members themselves (see
 `trace_faces`.  Each check has one implementation, and callers read it
 by name from the report's `checks`.
 
-The planar stage shares three things with this module: it traces the
+The planar stage shares four things with this module: it traces the
 faces of its final embedding with `trace_faces`, orients a pin's rings
-by a flood fill over their `segment_table`, and checks the system it
-built with `verify_system` instead of keeping its own Euler and GF(2)
-checks.  This module imports nothing from the package, so sharing them
-leaves the checkers independent of the producer.
+by a flood fill over their `segment_table`, checks the system it built
+with `verify_system` instead of keeping its own Euler and GF(2) checks,
+and checks a pinned Hamiltonian ring by `check_layer_rings`'s rule,
+`_ring_problems`.  This module imports nothing from the package, so
+sharing them leaves the checkers independent of the producer.
 
 The graph, partition and ring checks below are document checks: they
 run in `document.document_checks`, the one set of checks that both
@@ -350,6 +351,19 @@ def check_graph_edges(
     return CheckResult(not bad, bad)
 
 
+def _ring_problems(n: int, ring: Sequence[int], base_segments: Set[Tuple[int, int]]) -> List[str]:
+    """Why `ring` is not a Hamiltonian ring of the first layer, whose
+    segments are `base_segments`: it does not list 1..n once each, or else
+    each cyclic pair of it that is not a segment."""
+    if len(ring) != n or sorted(ring) != list(range(1, n + 1)):
+        return [f"ring does not list 1..{n} once each"]
+    return [
+        f"ring pair ({a},{b}) is not an edge of the first layer"
+        for a, b in zip(ring, ring[1:] + ring[:1])
+        if _seg(a, b) not in base_segments
+    ]
+
+
 def check_layer_rings(
     n: int,
     edges: Dict[int, Tuple[int, int]],
@@ -366,14 +380,8 @@ def check_layer_rings(
             continue
         if pos == 0:
             bad.append(f"layer {k}: the first layer has a ring")
-        elif len(ring) != n or sorted(ring) != list(range(1, n + 1)):
-            bad.append(f"layer {k}: ring does not list 1..{n} once each")
         else:
-            bad.extend(
-                f"layer {k}: ring pair ({a},{b}) is not an edge of the first layer"
-                for a, b in zip(ring, ring[1:] + ring[:1])
-                if _seg(a, b) not in base
-            )
+            bad.extend(f"layer {k}: {problem}" for problem in _ring_problems(n, ring, base))
     return CheckResult(not bad, bad)
 
 

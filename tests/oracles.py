@@ -90,7 +90,7 @@ from topolayers.document import _check_cycle_ids, carrier_paths
 from topolayers.graphs import Graph, edge_between, parse_graph
 from topolayers.layering import DecompositionError
 from topolayers.planar import CycleSystem, PlanarizationError
-from topolayers.projection import Basis, ProjectionError
+from topolayers.projection import ProjectionError
 from topolayers.render import RenderError
 from topolayers.routing import Carrier, InsertionRecord, RoutingError, insert_connection
 from topolayers.verify import (
@@ -142,19 +142,19 @@ def chords_cross_ref(ring: Sequence[int], c1: Tuple[int, int], c2: Tuple[int, in
 
 
 def crossing_counts(
-    basis: Basis, chords: Dict[int, Tuple[int, int]]
+    basis: Dict[int, int], chords: Dict[int, Tuple[int, int]]
 ) -> Dict[int, int]:
     """Number of crossings per chord (keyed like the input)."""
     counts = {cid: 0 for cid in chords}
     for a, b in combinations(sorted(chords), 2):
-        if chords_cross_ref(basis.ring, chords[a], chords[b]):
+        if chords_cross_ref(list(basis), chords[a], chords[b]):
             counts[a] += 1
             counts[b] += 1
     return counts
 
 
 def brute_force_max_noncrossing(
-    basis: Basis, chords: Dict[int, Tuple[int, int]]
+    basis: Dict[int, int], chords: Dict[int, Tuple[int, int]]
 ) -> List[int]:
     """Exhaustive maximum non-crossing subset (reference oracle, <= 20 chords).
 
@@ -168,7 +168,7 @@ def brute_force_max_noncrossing(
         cid: {
             oid
             for oid in ids
-            if oid != cid and chords_cross_ref(basis.ring, chords[cid], chords[oid])
+            if oid != cid and chords_cross_ref(list(basis), chords[cid], chords[oid])
         }
         for cid in ids
     }
@@ -201,7 +201,7 @@ def select_noncrossing_ref(basis, chords: Dict[int, Tuple[int, int]]) -> Tuple[L
             break
         victim = min(
             (cid for cid in alive if counts[cid] == worst),
-            key=lambda cid: (-len(project_chord_ref(basis.ring, alive[cid])), cid),
+            key=lambda cid: (-len(project_chord_ref(list(basis), alive[cid])), cid),
         )
         removed.append(victim)
         del alive[victim]

@@ -26,7 +26,10 @@ random regular graphs were recorded while the left-right planarity
 kernel still kept its per-edge state in dicts keyed by (tail, head)
 tuples.  Unpinned K18 and K20 (5 and 6 layers), past the benchmark's
 corpus, were recorded while the drawing still indexed its faces by
-segment tuple, before it moved to integer segment ids.
+segment tuple, before it moved to integer segment ids.  The Herschel and
+Tutte graphs, planar with no Hamiltonian cycle, were recorded once
+`decompose` searched for a ring only when a second layer opened; before
+that, both were refused for want of one.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import networkx as nx
 import pytest
 
 from oracles import graph_from_networkx
-from topolayers import complete_graph, decompose
+from topolayers import complete_graph, decompose, parse_graph
 from topolayers.document import decomposition_to_document, serialize_document
 from topolayers.fixtures import load_fixture
 from topolayers.planar import PlanarizationError
@@ -94,6 +97,14 @@ REFUSED = {
     "rr8_20_s0": (_regular(8, 20, 0), NO_RING),
     "rr8_20_s1": (_regular(8, 20, 1), NO_RING),
 }
+# Planar, nonseparable, and with no Hamiltonian cycle (Herschel 1882).
+HERSCHEL = "".join(
+    f"{u} {v}\n"
+    for u, v in [
+        (1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4), (2, 7), (2, 8), (3, 11),
+        (4, 10), (5, 9), (5, 10), (6, 9), (6, 11), (7, 9), (7, 10), (8, 9), (8, 11),
+    ]
+)
 # The sparse benchmark's graphs that decompose, named as the corpus names them.
 SPARSE = {
     "rr4_16_s0": (_regular(4, 16, 0), "7d0cb36120daf63c3ecd214c8ddc03c68b6f61c35ade9adbefaee2df2e07c527"),
@@ -159,6 +170,14 @@ PLANAR = {
     "c200xk2": (
         lambda: graph_from_networkx(nx.circular_ladder_graph(200)),
         "c427d17647947b9297f11a0048462a07c8c5e7f8af2bb3d04c4d8c60a650751b",
+    ),
+    "herschel": (
+        lambda: parse_graph(HERSCHEL),
+        "41c36ec1c0ad8b3a72535dad4d5384e0de1ebd3d0f039bd0640e94f10a1660b1",
+    ),
+    "tutte": (
+        lambda: graph_from_networkx(nx.tutte_graph()),
+        "7f50db95ae58f2c763660af5e13995fb228b3ee00c818af4efa088a546e6f0e2",
     ),
 }
 

@@ -7,12 +7,12 @@ import networkx as nx
 import pytest
 
 from topolayers.cycles import canonical_ring, seg
-from topolayers.document import decomposition_to_document, serialize_document
+from topolayers.document import decomposition_to_document, serialize_document, verify_document
 from topolayers.fixtures import load_fixture
 from topolayers import layering
 from topolayers.graphs import complete_graph, edge_between, parse_graph
 from topolayers.layering import DecompositionError, decompose, split_regions
-from topolayers.planar import hamiltonian_rim
+from topolayers.planar import PlanarizationError, hamiltonian_rim
 from topolayers.routing import Drawing, insert_connection, shortest_route
 from topolayers.verify import verify_system
 
@@ -119,6 +119,25 @@ def test_planar_input_single_layer():
     assert len(d.layers) == 1
     assert not d.drawing.imaginary
     assert sorted(d.layers[0].realized) == sorted(g.edges)
+
+
+def test_a_planar_input_is_one_ringless_layer_without_a_ring_search(monkeypatch):
+    from test_digests import PLANAR
+
+    def searched(*args, **kwargs):
+        raise AssertionError("a one-layer run looked for a ring")
+
+    for name in ("hamiltonian_rim", "split_regions"):
+        monkeypatch.setattr(layering, name, searched)
+    for which, (make, _) in sorted(PLANAR.items()):
+        d = decompose(make())
+        assert [layer.ring for layer in d.layers] == [None], which
+        assert verify_document(decomposition_to_document(d)).ok, which
+
+
+def test_a_pinned_ring_is_checked_on_a_planar_input():
+    with pytest.raises(PlanarizationError, match="pinned ring does not list 1..4 once each"):
+        decompose(complete_graph(4), pin={"hamiltonian": [1, 2, 3]})
 
 
 def test_unpinned_k7():

@@ -23,7 +23,14 @@ from topolayers import planar
 from topolayers.cli import main
 from topolayers.document import decomposition_to_document, verify_document
 from topolayers.cycles import ring_cycle, seg
-from topolayers.graphs import Graph, complete_graph, format_graph, parse_graph, validate_nonseparable
+from topolayers.graphs import (
+    Graph,
+    complete_graph,
+    edge_between,
+    format_graph,
+    parse_graph,
+    validate_nonseparable,
+)
 from topolayers.layering import decompose, split_regions
 from topolayers.planar import (
     PlanarizationError,
@@ -36,7 +43,7 @@ from topolayers.planar import (
 )
 from topolayers.fixtures import load_fixture
 from topolayers.routing import Drawing
-from topolayers.verify import verify_raw, verify_system
+from topolayers.verify import check_layer_rings, verify_raw, verify_system
 
 # The pinned K7 system, oriented: every edge appears once per direction.
 K7_ORIENTED = {
@@ -99,7 +106,7 @@ def test_hamiltonian_rim_search_unpinned(k7, k7_system):
     [
         ([1, 2, 3], "pinned ring does not list 1..7 once each"),
         ([1, 2, 3, 2, 5, 6, 7], "pinned ring does not list 1..7 once each"),
-        ([1, 2, 4, 3, 5, 6, 7], "pinned ring pair (2,4) is not an edge of the planar subgraph"),
+        ([1, 2, 4, 3, 5, 6, 7], "pinned ring pair (2,4) is not an edge of the first layer"),
     ],
     ids=["short", "repeated-vertex", "pair-off-the-system"],
 )
@@ -107,6 +114,21 @@ def test_hamiltonian_rim_refuses_a_bad_pinned_ring(k7, k7_system, pin_ring, mess
     with pytest.raises(PlanarizationError) as exc:
         hamiltonian_rim(k7_system, k7, pin_ring)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [[1, 2, 3], [1, 2, 3, 2, 5, 6, 7], [1, 2, 4, 3, 5, 6, 7]],
+    ids=["short", "repeated-vertex", "pair-off-the-system"],
+)
+def test_a_pinned_ring_and_a_layer_ring_fail_one_rule(k7, k7_system, ring):
+    with pytest.raises(PlanarizationError) as exc:
+        hamiltonian_rim(k7_system, k7, ring)
+    first = [edge_between(k7, *s) for s in k7_system.segments()]
+    report = check_layer_rings(7, k7.edges, [(1, None), (2, ring)], first)
+    prefix = "layer 2: "
+    assert not report.ok and report.details[0].startswith(prefix)
+    assert str(exc.value) == "pinned " + report.details[0][len(prefix):]
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
