@@ -750,12 +750,16 @@ def hamiltonian_rim(sys_: CycleSystem, g: Graph, pin_ring: Optional[Sequence[int
             continue
         path.append(w)
         used[w] = True
-        # every step from here makes w interior
+        # every step from here makes w interior; a neighbour off the path
+        # left short of free neighbours can only be the next end, so two
+        # end the branch
+        short = 0
         for x in adj[w]:
             free[x] -= 1
-        short = [x for x in adj[w] if not used[x] and free[x] < 2]
-        # a short vertex can only be the next end, so two end the branch
-        steps.append((short or adj[w]) if len(short) < 2 else ())
+            if free[x] < 2 and not used[x]:
+                short += 1
+                last = x
+        steps.append(adj[w] if short == 0 else (last,) if short == 1 else ())
         nxt.append(0)
     raise PlanarizationError("no Hamiltonian ring found in the planar subgraph")
 

@@ -9,13 +9,15 @@ rim face, each a simple oriented cycle, every edge on exactly two faces.
 A Drawing numbers each segment when it is created and keeps its face
 index in tables indexed by that id: two face slots per segment, each
 face's segment ids aligned with its arcs, and a ban flag per segment.
+It also indexes the faces at each graph vertex 1..n, not at imaginary
+vertices, since route queries start and end at graph vertices.
 `insert_connection` keeps them in step: `Drawing._split_face` splits
 each route face in place, moving each of its segment slots to the half
 that takes the segment over.  The drawing also caches each face's
 conjugate links, sorted (face, segment id) pairs, unfiltered, in
 `links`; splitting a face drops its entry and those of the faces
 sharing a segment with it, once each, so an entry always equals a fresh
-computation.  A
+computation, and the insertion's record lists the faces it dropped.  A
 route query labels faces by distance in a list indexed by face id.  It
 reads the cached lists in place, tests each link's ban flag as it
 reaches it, and stops once the search has reached the nearest face
@@ -88,9 +90,10 @@ class Drawing:
     # Indexed by face id: the face's segment ids, aligned with its arcs,
     # or None for a face no longer drawn.
     face_segs: List[Optional[List[int]]] = field(init=False, repr=False, compare=False)
-    # Face ids at each vertex.  insert_connection, the only code that
-    # changes faces, keeps this and the tables above in step through
-    # _split_face.
+    # Face ids at each graph vertex 1..n, the only vertices a route query
+    # starts or ends at; an imaginary vertex has no entry.
+    # insert_connection, the only code that changes faces, keeps this and
+    # the tables above in step through _split_face.
     vertex_faces: Dict[int, Set[int]] = field(init=False, repr=False, compare=False)
     # Indexed by face id: the face's conjugate links as sorted (face,
     # segment id) pairs, unfiltered, or None until _cached_links fills
@@ -158,6 +161,7 @@ class Drawing:
         exit_: int,
         cuts: Dict[int, Tuple[int, int, int]],
         key: Carrier,
+        dropped: Set[int],
     ) -> None:
         """Split face fid in two by a new segment from entry to exit_.
 
@@ -167,22 +171,29 @@ class Drawing:
         One pass over the face's arcs subdivides its cut segments, empties
         their slots, finds entry and exit_, and drops the cached links of
         fid and of each face sharing a segment with it, the only ones a
-        split changes.  A second moves each arc's slot and its tail's
-        `vertex_faces` entry to its half: the next face id runs from entry
-        to exit_, the one after back.  Both halves keep fid's side tag,
-        fid stops being the rim, and the new segment is carried by `key`
-        and banned.
+        split changes, adding each to `dropped`.  A second moves each
+        arc's slot, and its tail's `vertex_faces` entry when the tail is a
+        graph vertex, to its half: the next face id runs from entry to
+        exit_, the one after back.  Both halves keep fid's side tag, fid
+        stops being the rim, and the new segment is carried by `key` and
+        banned.
         """
         c = self.faces.pop(fid)
+        n = self.g.n
         sf, links, vf = self.seg_faces, self.links, self.vertex_faces
         arcs: List[Tuple[int, int]] = []
         sids: List[int] = []
         i = j = 0
         for (a, b), sid in zip(c.arcs, self.face_segs[fid]):
             k = 2 * sid
-            for other in sf[k], sf[k + 1]:
-                if other >= 0:
-                    links[other] = None
+            other = sf[k]
+            if other >= 0:
+                links[other] = None
+                dropped.add(other)
+            other = sf[k + 1]
+            if other >= 0:
+                links[other] = None
+                dropped.add(other)
             if a == entry:
                 i = len(arcs)
             elif a == exit_:
@@ -198,8 +209,6 @@ class Drawing:
                 i = len(arcs) + 1
             elif w == exit_:
                 j = len(arcs) + 1
-            if w not in vf:
-                vf[w] = set()
             arcs += (a, w), (w, b)
             sids += (lo, hi) if a < b else (hi, lo)
         self.face_segs[fid] = None
@@ -209,18 +218,22 @@ class Drawing:
         b_id = a_id + 1
         self.face_segs += None, None
         links += None, None
-        for half, part in (a_id, range(j)), (b_id, range(j, len(arcs))):
-            for x in part:
-                # a kept segment's slot holds fid; a new one fills its first free slot
-                k = 2 * sids[x]
-                if sf[k] != fid and sf[k] >= 0:
-                    k += 1
-                sf[k] = half
-                here = vf[arcs[x][0]]
+        for x, sid in enumerate(sids):
+            half = a_id if x < j else b_id
+            # a kept segment's slot holds fid; a new one fills its first free slot
+            k = 2 * sid
+            if sf[k] != fid and sf[k] >= 0:
+                k += 1
+            sf[k] = half
+            a = arcs[x][0]
+            if a <= n:
+                here = vf[a]
                 here.discard(fid)
                 here.add(half)
-        vf[entry].add(b_id)
-        vf[exit_].add(a_id)
+        if entry <= n:
+            vf[entry].add(b_id)
+        if exit_ <= n:
+            vf[exit_].add(a_id)
         conn = self._new_segment(entry, exit_)
         sf[2 * conn] = a_id
         sf[2 * conn + 1] = b_id
@@ -237,7 +250,9 @@ class Drawing:
         self.banned[conn] = 1
 
     def faces_at(self, v: int, ids: Optional[Set[int]] = None) -> Set[int]:
-        """Ids of the faces holding vertex v, only those in `ids` when given."""
+        """Ids of the faces holding graph vertex v, only those in `ids` when
+        given.  The index covers graph vertices only, since route queries
+        start and end there: for an imaginary v the set is empty."""
         here = self.vertex_faces.get(v, set())
         return set(here) if ids is None else here & ids
 
@@ -356,10 +371,9 @@ def build_mixed_cycle_graph(
         for fid in ids
     }
     vertex_faces: Dict[int, List[int]] = {}
-    for v, fids in drawing.vertex_faces.items():
-        here = sorted(f for f in fids if f in ids)
-        if here:
-            vertex_faces[v] = here
+    for fid in sorted(ids):
+        for v in drawing.faces[fid].vertices:
+            vertex_faces.setdefault(v, []).append(fid)
     return MixedCycleGraph(links=links, vertex_faces=vertex_faces)
 
 
@@ -380,12 +394,17 @@ def shortest_route(
     the search stops before it reads the links of any face at distance
     limit - 2 from t, since every face nearer has been labelled and none
     holds s.  A route it returns is the one an unbounded search returns.
-    face_ids is only read.  When given, `seen` receives the counted faces
-    holding s or t and every face whose links the search read: the answer
-    depends on these alone.
+    s and t must be graph vertices, the only ones the drawing's vertex
+    index covers; another end raises RoutingError.  face_ids is only
+    read.  When given, `seen` receives the counted faces holding s or t
+    and every face whose links the search read: the answer depends on
+    these alone.
     """
     if s == t:
         raise RoutingError("degenerate chord")
+    for v in s, t:
+        if not 1 <= v <= drawing.g.n:
+            raise RoutingError(f"route end v{v} is not a graph vertex 1..{drawing.g.n}")
     if seg(s, t) in drawing.carrier:
         raise RoutingError(f"({s},{t}) is already an edge of the drawing")
     ids = face_ids if face_ids is None or isinstance(face_ids, set) else set(face_ids)
@@ -494,6 +513,10 @@ class InsertionRecord:
     chord: Tuple[int, int]
     route: List[int]
     imaginary_ids: List[int]
+    # The faces whose cached links the splits dropped: the route faces,
+    # every face sharing a segment with one, and halves of earlier splits
+    # of the same insertion.
+    dropped: Set[int] = field(default_factory=set, compare=False, repr=False)
 
 
 def insert_connection(drawing: Drawing, s: int, t: int, route: Sequence[int]) -> InsertionRecord:
@@ -504,7 +527,8 @@ def insert_connection(drawing: Drawing, s: int, t: int, route: Sequence[int]) ->
     its entry/exit pair (`Drawing._split_face`), which also subdivides
     its crossed edges and drops each neighbour's cached links once.
     Those halves, which keep the split face's side tag, are the only
-    faces it issues ids to.
+    faces it issues ids to.  The record's `dropped` lists every face whose
+    links were dropped.
     """
     route = list(route)
     if not route:
@@ -552,13 +576,14 @@ def insert_connection(drawing: Drawing, s: int, t: int, route: Sequence[int]) ->
         drawing._carry(ends[hi], ck)
         # its two faces empty its slots as they split
         del drawing.seg_id[cs]
+    dropped: Set[int] = set()
     for k, fid in enumerate(route):
         entry = s if k == 0 else ws[k - 1]
         exit_ = ws[k] if k < len(ws) else t
         if entry == exit_:
             raise RoutingError("degenerate crossing")
-        drawing._split_face(fid, entry, exit_, cuts, ("conn", chord_key))
-    return InsertionRecord(chord=(s, t), route=route, imaginary_ids=ws)
+        drawing._split_face(fid, entry, exit_, cuts, ("conn", chord_key), dropped)
+    return InsertionRecord(chord=(s, t), route=route, imaginary_ids=ws, dropped=dropped)
 
 
 def carrier_path(

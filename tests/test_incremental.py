@@ -181,8 +181,9 @@ def test_decompose_queries_match_reference(n, monkeypatch):
 
 
 def _assert_tables_fresh(drawing):
-    """The segment-id tables and the vertex index equal ones rebuilt from
-    the faces, and `carried` equals a regrouping of the carrier table."""
+    """The segment-id tables equal ones rebuilt from the faces, and so does
+    the vertex index on the graph vertices 1..n, the only ones it covers;
+    `carried` equals a regrouping of the carrier table."""
     by_seg, by_vertex = face_indexes(drawing)
     assert set(drawing.seg_id) == set(by_seg)
     for sg, fids in by_seg.items():
@@ -201,7 +202,9 @@ def _assert_tables_fresh(drawing):
             assert [drawing.seg_ends[sid] for sid in sids] == [seg(a, b) for a, b in arcs]
         else:
             assert sids is None, fid
-    assert drawing.vertex_faces == by_vertex
+    n = drawing.g.n
+    assert drawing.vertex_faces == {v: f for v, f in by_vertex.items() if v <= n}
+    assert max(drawing.vertex_faces) <= n
     by_key = {}
     for sg, key in drawing.carrier.items():
         by_key.setdefault(key, set()).add(sg)

@@ -106,6 +106,18 @@ def test_route_rejects_degenerate(k7_drawing):
         shortest_route(d, 2, 3, _inner(d))  # edge already drawn
 
 
+def test_route_rejects_an_end_outside_the_graph(k7_drawing):
+    """The vertex index covers graph vertices only, so a query from a
+    crossing vertex is refused by name, not answered "no route"."""
+    d = k7_drawing
+    rec = insert_connection(d, 2, 4, shortest_route(d, 2, 4, _inner(d)))
+    assert rec.imaginary_ids == [8]
+    for s, t, bad in (8, 1, 8), (1, 8, 8), (0, 5, 0):
+        with pytest.raises(RoutingError, match=f"v{bad} is not a graph vertex 1..7"):
+            shortest_route(d, s, t)
+    assert 8 not in d.vertex_faces
+
+
 def test_insert_rejects_bad_route(k7_drawing):
     d = k7_drawing
     with pytest.raises(RoutingError):
