@@ -153,10 +153,7 @@ def _route_greedy(
                 continue
             u, v = pool[eid]
             if floods:
-                if faces is None:
-                    sources, targets = drawing.vertex_faces[u], drawing.vertex_faces[v]
-                else:
-                    sources, targets = drawing.faces_at(u, faces), drawing.faces_at(v, faces)
+                sources, targets = drawing.faces_at(u, faces), drawing.faces_at(v, faces)
                 if any(
                     (targets <= f and f.isdisjoint(sources))
                     or (sources <= f and f.isdisjoint(targets))
@@ -176,10 +173,11 @@ def _route_greedy(
         if best is None:
             return done
         _, eid, r = best
+        dirty = set(r)
+        for fid in r:
+            dirty.update(drawing.neighbours(fid))
         first = drawing.next_cycle_id
-        # the route faces, the faces sharing a segment with one, and new
-        # halves, which no kept answer or flood holds
-        dirty = insert_connection(drawing, *pool[eid], r).dropped
+        insert_connection(drawing, *pool[eid], r)
         if faces is not None:
             faces.difference_update(r)
             faces.update(range(first, drawing.next_cycle_id))

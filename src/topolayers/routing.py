@@ -17,7 +17,7 @@ that takes the segment over.  The drawing also caches each face's
 conjugate links, sorted (face, segment id) pairs, unfiltered, in
 `links`; splitting a face drops its entry and those of the faces
 sharing a segment with it, once each, so an entry always equals a fresh
-computation, and the insertion's record lists the faces it dropped.  A
+computation.  A
 route query labels faces by distance in a list indexed by face id.  It
 reads the cached lists in place, tests each link's ban flag as it
 reaches it, and stops once the search has reached the nearest face
@@ -161,7 +161,6 @@ class Drawing:
         exit_: int,
         cuts: Dict[int, Tuple[int, int, int]],
         key: Carrier,
-        dropped: Set[int],
     ) -> None:
         """Split face fid in two by a new segment from entry to exit_.
 
@@ -171,12 +170,11 @@ class Drawing:
         One pass over the face's arcs subdivides its cut segments, empties
         their slots, finds entry and exit_, and drops the cached links of
         fid and of each face sharing a segment with it, the only ones a
-        split changes, adding each to `dropped`.  A second moves each
-        arc's slot, and its tail's `vertex_faces` entry when the tail is a
-        graph vertex, to its half: the next face id runs from entry to
-        exit_, the one after back.  Both halves keep fid's side tag, fid
-        stops being the rim, and the new segment is carried by `key` and
-        banned.
+        split changes.  A second moves each arc's slot, and its tail's
+        `vertex_faces` entry when the tail is a graph vertex, to its half:
+        the next face id runs from entry to exit_, the one after back.
+        Both halves keep fid's side tag, fid stops being the rim, and the
+        new segment is carried by `key` and banned.
         """
         c = self.faces.pop(fid)
         n = self.g.n
@@ -189,11 +187,9 @@ class Drawing:
             other = sf[k]
             if other >= 0:
                 links[other] = None
-                dropped.add(other)
             other = sf[k + 1]
             if other >= 0:
                 links[other] = None
-                dropped.add(other)
             if a == entry:
                 i = len(arcs)
             elif a == exit_:
@@ -252,9 +248,10 @@ class Drawing:
     def faces_at(self, v: int, ids: Optional[Set[int]] = None) -> Set[int]:
         """Ids of the faces holding graph vertex v, only those in `ids` when
         given.  The index covers graph vertices only, since route queries
-        start and end there: for an imaginary v the set is empty."""
+        start and end there: for an imaginary v the set is empty.  Without
+        `ids` this is the index's own set, so callers only read it."""
         here = self.vertex_faces.get(v, set())
-        return set(here) if ids is None else here & ids
+        return here if ids is None else here & ids
 
     def neighbours(self, fid: int, cut: Set[Segment] = frozenset()) -> List[int]:
         """The faces across each segment of face fid that is not in `cut`."""
@@ -513,10 +510,6 @@ class InsertionRecord:
     chord: Tuple[int, int]
     route: List[int]
     imaginary_ids: List[int]
-    # The faces whose cached links the splits dropped: the route faces,
-    # every face sharing a segment with one, and halves of earlier splits
-    # of the same insertion.
-    dropped: Set[int] = field(default_factory=set, compare=False, repr=False)
 
 
 def insert_connection(drawing: Drawing, s: int, t: int, route: Sequence[int]) -> InsertionRecord:
@@ -527,8 +520,7 @@ def insert_connection(drawing: Drawing, s: int, t: int, route: Sequence[int]) ->
     its entry/exit pair (`Drawing._split_face`), which also subdivides
     its crossed edges and drops each neighbour's cached links once.
     Those halves, which keep the split face's side tag, are the only
-    faces it issues ids to.  The record's `dropped` lists every face whose
-    links were dropped.
+    faces it issues ids to.
     """
     route = list(route)
     if not route:
@@ -576,14 +568,13 @@ def insert_connection(drawing: Drawing, s: int, t: int, route: Sequence[int]) ->
         drawing._carry(ends[hi], ck)
         # its two faces empty its slots as they split
         del drawing.seg_id[cs]
-    dropped: Set[int] = set()
     for k, fid in enumerate(route):
         entry = s if k == 0 else ws[k - 1]
         exit_ = ws[k] if k < len(ws) else t
         if entry == exit_:
             raise RoutingError("degenerate crossing")
-        drawing._split_face(fid, entry, exit_, cuts, ("conn", chord_key), dropped)
-    return InsertionRecord(chord=(s, t), route=route, imaginary_ids=ws, dropped=dropped)
+        drawing._split_face(fid, entry, exit_, cuts, ("conn", chord_key))
+    return InsertionRecord(chord=(s, t), route=route, imaginary_ids=ws)
 
 
 def carrier_path(

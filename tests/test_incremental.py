@@ -204,7 +204,6 @@ def _assert_tables_fresh(drawing):
             assert sids is None, fid
     n = drawing.g.n
     assert drawing.vertex_faces == {v: f for v, f in by_vertex.items() if v <= n}
-    assert max(drawing.vertex_faces) <= n
     by_key = {}
     for sg, key in drawing.carrier.items():
         by_key.setdefault(key, set()).add(sg)
