@@ -106,50 +106,53 @@ def _route_greedy(
     Each pass routes in the faces tagged `side` as they are at that pass,
     or in every face when side is None.  Each round inserts the route of
     the chord with the fewest route faces, the lowest edge id on a tie:
-    what querying every pending chord afresh would pick.  Three rules
-    spare most of those queries.
+    what querying every pending chord afresh would pick.  Most of those
+    queries are spared by one lemma.  An insertion changes only its route
+    faces: each splits into two halves that keep its tag and whose ids are
+    above every older id, and only the segment between them is banned.
+    Unless one of those faces has a neighbour on two or more of its
+    segments, two faces that share a single segment afterwards have
+    parents that did, or are one face's halves, joined only by the banned
+    segment; so every later route maps face by face onto an older route
+    walk of the same length.  Then no chord's shortest route gets
+    shorter, a chord with no route still has none, and a route that
+    avoids the split faces is still the one a fresh query returns: no
+    route is shorter, and one through a new face sorts after it at the
+    first new face.  So three things are kept.
 
-    - A query's answer is kept until an insertion touches a face it saw:
-      a route face, or a face sharing a segment with one.  Faces elsewhere
-      keep their segments, neighbours and tag, and newly banned segments
-      lie only on new faces, so a kept answer is what a fresh query would
-      return.  The answer is a route, None, or, for a bounded query, that
-      no route has fewer than its `limit` faces.
-    - A round starts from the best kept route and visits the other chords
-      in edge-id order, asking each only for a route that would beat the
-      best so far: under its length, or under one more when the chord's
-      id is lower.  A chord whose kept answer already rules that out is
-      not queried.
-    - An unbounded query that finds no route has read every face its
-      target faces reach over usable links: a closed union of components.
-      That flood is kept, as one set, until an insertion touches one of
-      its faces; the rest of the drawing may change around it, but no new
-      segment lies on its faces, so it stays closed.  A chord whose
-      target faces all lie in one kept flood that holds none of its
-      source faces has no route, nor has one with the two sides swapped,
-      and is not queried.  That holds for the chord whose query made the
-      flood, too.
+    - Each chord's route, until an insertion splits one of its faces.  A
+      round starts from the best kept route and queries, without a bound,
+      each chord with none; a route longer than the best is kept but does
+      not become the best.
+    - Each route's length, as the chord's floor.  A chord is not queried
+      while its floor rules out beating the best: at least its length, or
+      one more when the chord's id is lower.
+    - The flood of each query that found no route: every face its target
+      faces reach over usable links, a closed union of components.  A
+      chord whose target faces all lie in one kept flood that holds none
+      of its source faces has no route, nor has one with the two sides
+      swapped, and is not queried.  A flood is kept until an insertion
+      splits one of its faces: no new link leaves it, since a new link
+      from one of its faces would map onto an old link to a split face,
+      which the closed flood would then hold.
+
+    An insertion whose route face has a neighbour on two segments may
+    open a link no older route walk has, so it clears all three.
     """
     done: List[int] = []
     pending = sorted(pool)
-    # edge id -> (route, no route has fewer faces than this, faces seen),
-    # for each query that found a route or was cut off at its limit
-    kept: Dict[int, Tuple[Optional[List[int]], int, Set[int]]] = {}
-    floods: List[Set[int]] = []  # the faces of each failed unbounded query
+    routes: Dict[int, List[int]] = {}  # edge id -> its kept route
+    floors: Dict[int, int] = {}  # edge id -> no route has fewer faces
+    floods: List[Set[int]] = []  # the faces of each failed query
     # an insertion replaces its route faces by halves that keep their tag
     faces = None if side is None else {fid for fid, s in drawing.side.items() if s == side}
     while True:
-        best = min(
-            ((len(r), eid, r) for eid, (r, _, _) in kept.items() if r is not None),
-            default=None,
-        )
+        best = min(((len(r), eid) for eid, r in routes.items()), default=None)
         for eid in pending:
-            # with nothing kept, all that is known is that a route has a face
-            r, floor, _ = kept.get(eid, (None, 1, None))
-            if r is not None:
+            if eid in routes:
                 continue  # the best route, or no better than it
-            limit = None if best is None else best[0] + (eid < best[1])
-            if limit is not None and floor >= limit:
+            # with no floor, all that is known is that a route has a face
+            if best is not None and floors.get(eid, 1) >= best[0] + (eid < best[1]):
                 continue
             u, v = pool[eid]
             if floods:
@@ -161,21 +164,20 @@ def _route_greedy(
                 ):
                     continue
             seen: Set[int] = set()
-            r = shortest_route(drawing, u, v, faces, seen, limit=limit)
-            if r is not None:
-                best = (len(r), eid, r)
-                kept[eid] = (r, len(r), seen)
-            elif limit is not None:
-                kept[eid] = (None, limit, seen)
-            else:
+            r = shortest_route(drawing, u, v, faces, seen)
+            if r is None:
                 # seen holds the flood and the faces at u, which it never reached
                 floods.append(seen - drawing.faces_at(u, faces))
+                continue
+            routes[eid] = r
+            floors[eid] = len(r)
+            if best is None or (len(r), eid) < best:
+                best = (len(r), eid)
         if best is None:
             return done
-        _, eid, r = best
-        dirty = set(r)
-        for fid in r:
-            dirty.update(drawing.neighbours(fid))
+        eid = best[1]
+        r = routes.pop(eid)
+        doubled = any(len(nbs) > len(set(nbs)) for nbs in map(drawing.neighbours, r))
         first = drawing.next_cycle_id
         insert_connection(drawing, *pool[eid], r)
         if faces is not None:
@@ -183,8 +185,12 @@ def _route_greedy(
             faces.update(range(first, drawing.next_cycle_id))
         done.append(eid)
         pending.remove(eid)
-        kept = {k: a for k, a in kept.items() if k != eid and a[2].isdisjoint(dirty)}
-        floods = [f for f in floods if f.isdisjoint(dirty)]
+        if doubled:
+            routes, floors, floods = {}, {}, []
+        else:
+            split = set(r)
+            routes = {k: q for k, q in routes.items() if split.isdisjoint(q)}
+            floods = [f for f in floods if f.isdisjoint(split)]
 
 
 def _replay_layer(

@@ -28,18 +28,16 @@ chord's ends: a link over such a segment could never change its answer
 through Drawing's methods.
 
 `shortest_route` can report in `seen` every face whose links it read,
-with the faces holding the chord's endpoints.  Its answer depends on
-nothing else, so a caller that routes many chords keeps a route until an
-insertion removes, or changes a neighbour of, one of those faces.  Given
-a `limit`, the search stops before it reads the links of any face at
-distance limit - 2 from the target side, and answers None when no route
-has fewer than `limit` faces; `layering._route_greedy` asks each chord
-only for a route that beats the best one of its round.  An unbounded
-search that finds no route has read a closed union of components of the
-usable links.  `_route_greedy` keeps that flood as one set and answers a
-later chord with no search when all its target faces lie in one kept
-flood that holds none of its source faces, or the same with the sides
-swapped.
+with the faces holding the chord's endpoints.  A search that finds no
+route has read a closed union of components of the usable links.
+`layering._route_greedy` keeps that flood as one set and answers a later
+chord with no search when all its target faces lie in one kept flood
+that holds none of its source faces, or the same with the sides swapped.
+It keeps each route found, and its length as a floor, across insertions
+that cannot shorten any route: an insertion splits only its route faces,
+into halves whose ids are above every older id, so unless one of them
+has a neighbour on two or more of its segments, every later route maps
+face by face onto an older route walk of the same length.
 
 Each subdivided graph edge and each realized chord is recovered from the
 segments that carry it by `carrier_path`, which walks them with
@@ -380,22 +378,18 @@ def shortest_route(
     t: int,
     face_ids: Optional[Set[int]] = None,
     seen: Optional[Set[int]] = None,
-    limit: Optional[int] = None,
 ) -> Optional[List[int]]:
     """Fewest faces from a face holding s to a face holding t.
 
     Conjugate links over banned edges or edges touching s/t are unusable.
     Ties resolve to the lexicographically smallest face-id sequence.
-    Returns None when the chord cannot be routed in the given face set,
-    or, with a `limit`, when no route has fewer than `limit` faces: then
-    the search stops before it reads the links of any face at distance
-    limit - 2 from t, since every face nearer has been labelled and none
-    holds s.  A route it returns is the one an unbounded search returns.
+    Returns None when the chord cannot be routed in the given face set.
     s and t must be graph vertices, the only ones the drawing's vertex
     index covers; another end raises RoutingError.  face_ids is only
     read.  When given, `seen` receives the counted faces holding s or t
     and every face whose links the search read: the answer depends on
-    these alone.
+    these alone.  When both ends lie on counted faces and there is no
+    route, they are the faces at s and the closed flood from those at t.
     """
     if s == t:
         raise RoutingError("degenerate chord")
@@ -411,14 +405,13 @@ def shortest_route(
         seen = set()
     seen |= sources
     seen |= targets
-    if not sources or not targets or (limit is not None and limit < 2):
+    if not sources or not targets:
         return None
     banned, cache = drawing.banned, drawing.links
 
     # Backward BFS from the target faces, then a greedy lex-smallest
     # forward walk.  The walk reads distances up to that of the nearest
-    # source face only, so the search stops once that level is complete,
-    # or at the `horizon` a bounded search may not read.
+    # source face only, so the search stops once that level is complete.
     # A link over an edge at s or t joins two faces that both hold that
     # vertex.  At t both are targets, at distance 0 from the start, so
     # neither search step crosses it.  At s both are sources: the BFS
@@ -426,14 +419,13 @@ def shortest_route(
     # source and steps only to faces nearer t, none of them a source.
     # So testing the ban flag is enough.
     level = 0 if sources & targets else None
-    horizon = None if limit is None else limit - 2
     dist = [-1] * drawing.next_cycle_id
     q = sorted(targets)
     for fid in q:
         dist[fid] = 0
     for fid in q:
         d = dist[fid]
-        if d == level or d == horizon:
+        if d == level:
             break
         links = cache[fid]
         if links is None:
@@ -445,11 +437,11 @@ def shortest_route(
                 if level is None and nb in sources:
                     level = d + 1
     # q runs in order of distance; the faces before the first one at the
-    # distance the search stopped at had their links read
-    stop = horizon if level is None else level
-    seen.update(q if stop is None else q[: bisect_left(q, stop, key=dist.__getitem__)])
+    # source level had their links read
     if level is None:
+        seen.update(q)
         return None
+    seen.update(q[: bisect_left(q, level, key=dist.__getitem__)])
     cur = min(fid for fid in sources if dist[fid] == level)
     route = [cur]
     while dist[cur] > 0:

@@ -374,8 +374,9 @@ def shortest_route_copying_ref(
 
 
 def route_greedy_ref(drawing, pool: Dict[int, Tuple[int, int]], side: Optional[str]) -> List[int]:
-    """Shortest-first routing that re-queries every pending chord per pass,
-    each query on the whole mixed cycle graph."""
+    """Shortest-first routing with no memo: every round re-queries every
+    pending chord, each query on the whole mixed cycle graph, and inserts
+    the route of the smallest (length, edge id)."""
     done: List[int] = []
     while True:
         best = None

@@ -3,17 +3,16 @@
 `select_noncrossing` and `shortest_route` reuse work across queries: each
 chord's ring positions are found once per selection, and routes read conjugate
 links from the drawing's face index and link cache, testing each link in
-place.  `_route_greedy` keeps each chord's answer until an insertion
-touches a face its query saw, bounds each query by the route it must
-beat, and answers chords from the floods of failed queries.  These tests
-require the same kept ids, removal order, routes, `seen` sets and greedy
-insertions as the loop versions in `oracles`, check the segment-id
-tables, the vertex and carrier indexes and the link cache after every
-insertion, and check that the reuse really happens.  A run also steps a
-tuple-keyed twin drawing through the same queries and insertions and
-compares them one by one; a bounded query must return the unbounded
-reference's route when it has fewer faces than the bound, else None
-having seen no face the reference did not.
+place.  `_route_greedy` keeps each chord's route until an insertion
+splits one of its faces, and its length as a floor, and answers chords
+from the floods of failed queries, all until an insertion whose route
+face has a neighbour on two segments.  These tests require the same kept
+ids, removal order, routes, `seen` sets and greedy insertions as the
+loop versions in `oracles`, check the segment-id tables, the vertex and
+carrier indexes and the link cache after every insertion, and check
+that the reuse really happens.  A run also steps a tuple-keyed twin
+drawing through the same queries and insertions and compares them one
+by one.
 """
 
 from __future__ import annotations
@@ -34,8 +33,8 @@ import topolayers.cycles as cycles
 from topolayers.cycles import seg
 from topolayers.fixtures import load_fixture
 from topolayers.graphs import complete_graph, parse_graph
-from topolayers.layering import decompose, split_regions
-from topolayers.planar import hamiltonian_rim, select_planar_cycle_system
+from topolayers.layering import DecompositionError, decompose, split_regions
+from topolayers.planar import PlanarizationError, hamiltonian_rim, select_planar_cycle_system
 from topolayers.projection import basis_from_ring, select_noncrossing
 from topolayers.routing import (
     Drawing,
@@ -45,6 +44,7 @@ from topolayers.routing import (
     shortest_route,
 )
 
+import oracles
 from oracles import (
     TupleDrawing,
     banned_segments,
@@ -59,6 +59,7 @@ from oracles import (
     shortest_route_ref,
     shortest_route_tuple_ref,
 )
+from test_planar import nonseparable_graphs
 
 
 @st.composite
@@ -144,9 +145,10 @@ def test_shortest_route_matches_reference_on_random_insertions(n, rnd):
         insert_connection(d, s, t, route)
 
 
-# Unpinned K7-K12, and two sparse benchmark graphs whose drawings have
-# faces that share more than one segment and so are not conjugate.
-RUNS = [7, 8, 9, 10, 11, 12, "rr4_16_s0", "rr6_20_s0"]
+# Unpinned K7-K12, and three sparse benchmark graphs whose drawings have
+# faces that share more than one segment and so are not conjugate; in
+# each, some route face has a neighbour on two of its segments.
+RUNS = [7, 8, 9, 10, 11, 12, "rr4_16_s0", "rr5_20_s1", "rr6_20_s0"]
 
 
 def _run_graph(which):
@@ -248,7 +250,7 @@ def test_id_tables_match_the_tuple_reference(n, monkeypatch):
     """Every query and insertion of an unpinned run, against the
     tuple-keyed search and insertion run on a twin drawing in step."""
     twins = {}
-    counts = {"queries": 0, "inserts": 0, "bounded misses": 0}
+    counts = {"queries": 0, "inserts": 0}
 
     def twin(drawing):
         if id(drawing) not in twins:
@@ -261,18 +263,12 @@ def test_id_tables_match_the_tuple_reference(n, monkeypatch):
         real_clear(drawing)
         twin(drawing).banned.clear()
 
-    def checked_route(drawing, s, t, face_ids=None, seen=None, limit=None):
+    def checked_route(drawing, s, t, face_ids=None, seen=None):
         seen_ref = None if seen is None else set(seen)
         want = shortest_route_tuple_ref(twin(drawing), s, t, face_ids, seen_ref)
-        got = shortest_route(drawing, s, t, face_ids, seen, limit)
-        if limit is None or (want is not None and len(want) < limit):
-            assert got == want, (s, t)
-            assert seen == seen_ref, (s, t)
-        else:
-            # a bounded miss reads no face the unbounded search does not
-            assert got is None, (s, t)
-            assert seen is None or seen <= seen_ref, (s, t)
-            counts["bounded misses"] += 1
+        got = shortest_route(drawing, s, t, face_ids, seen)
+        assert got == want, (s, t)
+        assert seen == seen_ref, (s, t)
         counts["queries"] += 1
         return got
 
@@ -289,7 +285,6 @@ def test_id_tables_match_the_tuple_reference(n, monkeypatch):
     monkeypatch.setattr(layering, "insert_connection", checked_insert)
     d = decompose(_run_graph(n))
     assert counts["inserts"] == len(d.chords) and counts["queries"] > counts["inserts"]
-    assert counts["bounded misses"] > 0
 
 
 def test_selection_projects_each_candidate_once(monkeypatch):
@@ -332,44 +327,144 @@ def _drawn(drawing):
     return faces, drawing.carrier, drawing.side, drawing.banned
 
 
-@pytest.mark.parametrize("n", RUNS)
-def test_route_greedy_matches_reference(n, monkeypatch):
-    """Every greedy pass of an unpinned run, against re-querying all; K_n
-    runs reach the all-faces pass."""
-    real = layering._route_greedy
-    sides = set()
+def _doubled(drawing, route):
+    """Some face of the route has a neighbour on two of its segments."""
+    return any(len(nbs) > len(set(nbs)) for nbs in map(drawing.neighbours, route))
+
+
+def _checked_greedy(real, stats):
+    """`_route_greedy` that first runs `route_greedy_ref` on a twin drawing
+    and requires the same chords, in the same order, along the same
+    routes, and the same drawing after; `stats` counts the passes by side
+    and the insertions whose route face has a two-segment neighbour."""
 
     def checked(drawing, pool, side):
         twin = copy.deepcopy(drawing)
-        want = route_greedy_ref(twin, pool, side)
-        got = real(drawing, pool, side)
+        inserted = {"ref": [], "memo": []}
+
+        def recording(log):
+            def insert(d, s, t, route):
+                log.append((s, t, list(route), _doubled(d, route)))
+                return insert_connection(d, s, t, route)
+
+            return insert
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracles, "insert_connection", recording(inserted["ref"]))
+            mp.setattr(layering, "insert_connection", recording(inserted["memo"]))
+            want = route_greedy_ref(twin, pool, side)
+            got = real(drawing, pool, side)
         assert got == want, side
+        assert inserted["memo"] == inserted["ref"], side
         assert _drawn(drawing) == _drawn(twin), side
-        sides.add(side)
+        stats[side] = stats.get(side, 0) + 1
+        stats["doubled"] += sum(doubled for *_, doubled in inserted["memo"])
         return got
 
-    monkeypatch.setattr(layering, "_route_greedy", checked)
+    return checked
+
+
+@pytest.mark.parametrize("n", RUNS)
+def test_route_greedy_matches_reference(n, monkeypatch):
+    """Every greedy pass of an unpinned run, against re-querying all; K_n
+    runs reach the all-faces pass, and each sparse run inserts some route
+    whose face has a neighbour on two segments, so the memo's clearing
+    is checked too."""
+    stats = {"doubled": 0}
+    monkeypatch.setattr(
+        layering, "_route_greedy", _checked_greedy(layering._route_greedy, stats)
+    )
     d = decompose(_run_graph(n))
+    sides = set(stats) - {"doubled"}
     assert sides == {"inner", "outer", None} if isinstance(n, int) else {"inner", "outer"} <= sides
     assert len(_routed(d.drawing)) == len(d.chords)
+    if isinstance(n, str):
+        assert stats["doubled"] > 0
 
 
-def test_route_queries_are_bounded_and_memoised(monkeypatch):
+@settings(max_examples=60, deadline=None)
+@given(
+    nonseparable_graphs(cycle=(6, 10), ears=(20, 40), inner=0),
+    st.sampled_from(["thickness", "inner-only"]),
+)
+def test_route_greedy_matches_reference_on_ear_built_graphs(g, strategy):
+    """Every greedy pass of an ear-built graph's run, a refusal ending it.
+    A Hamiltonian cycle with 20-40 chords drawn on it: most such graphs
+    open a second layer, and some route faces have a neighbour on two
+    segments."""
+    stats = {"doubled": 0}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(layering, "_route_greedy", _checked_greedy(layering._route_greedy, stats))
+        try:
+            decompose(g, strategy)
+        except (DecompositionError, PlanarizationError):
+            pass
+
+
+# Faces 1 and 2 share the segments (1,2) and (3,4), so no link joins
+# them.  Faces 3-6 fan around vertex 9 between (2,5,3) and (3,8,2), and
+# faces 7 and 8 fill the region between (4,6,1) and (1,7,4).
+TWICE_JOINED = {
+    1: ((1, 2), (2, 5), (5, 3), (3, 4), (4, 6), (6, 1)),
+    2: ((2, 1), (1, 7), (7, 4), (4, 3), (3, 8), (8, 2)),
+    3: ((2, 8), (8, 9), (9, 2)),
+    4: ((8, 3), (3, 9), (9, 8)),
+    5: ((3, 5), (5, 9), (9, 3)),
+    6: ((5, 2), (2, 9), (9, 5)),
+    7: ((1, 6), (6, 7), (7, 1)),
+    8: ((6, 4), (4, 7), (7, 6)),
+}
+
+
+@pytest.mark.parametrize(
+    "banned,pool",
+    [
+        ([(1, 6), (4, 6), (2, 8), (3, 8)], {1: (5, 7), 2: (5, 6)}),
+        ([(4, 6), (5, 9), (8, 9)], {2: (6, 9), 18: (5, 7), 24: (1, 4), 27: (1, 5)}),
+    ],
+    ids=["flood", "route-and-floor"],
+)
+def test_route_greedy_clears_its_memo_when_a_split_opens_a_link(banned, pool):
+    """A chord that splits face 1 leaves halves that each share one segment
+    with face 2, a link no older route walk has.  With the links from face
+    1 and the fan to faces 2, 7 and 8 banned, chord (5,7) first has no
+    route, then one across (3,4), which the flood of its first query would
+    deny.  With fewer bans, (5,7) first routes through the fan in three
+    faces, then in two across a split face's half: a kept route or a kept
+    floor of 3 would let (6,9) go first."""
+    segments = sorted({seg(*arc) for c in TWICE_JOINED.values() for arc in c})
+    g = parse_graph("".join(f"{a} {b}\n" for a, b in segments + sorted(pool.values())))
+    d = Drawing(g=g, faces={f: cycles.Cycle(f, arcs) for f, arcs in TWICE_JOINED.items()}, rim_id=None)
+    for sg in banned:
+        d.banned[d.seg_id[sg]] = 1
+    stats = {"doubled": 0}
+    assert sorted(_checked_greedy(layering._route_greedy, stats)(d, pool, None)) == sorted(pool)
+    assert stats["doubled"] > 0
+
+
+def test_route_queries_are_memoised(monkeypatch):
     """Unpinned K16 made 726 route queries when every round re-queried
-    each chord whose kept answer an insertion had touched, unbounded, and
-    450 when each failed flood labelled its faces, so that a newer flood
-    overlapping it took those faces over and dropped them with itself."""
+    each chord whose kept answer an insertion had touched, unbounded, 450
+    when each failed flood labelled its faces, and 402 with floods kept
+    as sets and each query bounded by the route it had to beat, dropping
+    every answer an insertion's route or a neighbour of it touched.  With
+    routes kept until a face of theirs is split, and their lengths kept
+    as floors, K16 makes 178 and K20 361 (1,520 before), and no query is
+    bounded."""
     calls = []
     real = layering.shortest_route
 
     def counted(*args, **kwargs):
-        calls.append(kwargs.get("limit"))
+        assert "limit" not in kwargs and len(args) <= 5
+        calls.append(args[1:3])
         return real(*args, **kwargs)
 
     monkeypatch.setattr(layering, "shortest_route", counted)
     decompose(complete_graph(16))
-    assert len(calls) <= 402
-    assert any(limit is not None for limit in calls)
+    assert len(calls) <= 178
+    del calls[:]
+    decompose(complete_graph(20))
+    assert len(calls) <= 361
 
 
 @settings(max_examples=25, deadline=None)

@@ -246,16 +246,19 @@ def test_cli_refuses_a_non_orientable_pin(tmp_path, command):
 
 
 @st.composite
-def nonseparable_graphs(draw):
-    """A cycle grown by open ears (each two-connected), edges in a drawn order."""
-    k = draw(st.integers(3, 6))
+def nonseparable_graphs(draw, cycle=(3, 6), ears=(0, 10), inner=2):
+    """A cycle grown by open ears (each two-connected), edges in a drawn order.
+
+    The cycle's vertex count and the number of ears lie in the given
+    ranges, and each ear has up to `inner` vertices of its own."""
+    k = draw(st.integers(*cycle))
     pairs = {tuple(sorted((i, i % k + 1))) for i in range(1, k + 1)}
     n = k
-    for _ in range(draw(st.integers(0, 10))):
+    for _ in range(draw(st.integers(*ears))):
         a, b = draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
-        inner = draw(st.integers(0, 2))
-        path = [a, *range(n + 1, n + inner + 1), b]
-        n += inner
+        size = draw(st.integers(0, inner))
+        path = [a, *range(n + 1, n + size + 1), b]
+        n += size
         pairs.update(tuple(sorted(p)) for p in zip(path, path[1:]))
     order = draw(st.permutations(sorted(pairs)))
     return parse_graph("".join(f"{u} {v}\n" for u, v in order))
