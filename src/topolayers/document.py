@@ -15,11 +15,20 @@ kind), filled with all the list's ints at once.  Each template is the
 emitter's own text for a skeleton row whose int holes it writes as a raw
 NUL, which no real str can produce; a list that does not fit its shape
 exactly, down to every cell being an int and not a bool or float, is
-written item by item instead.
+written item by item instead.  Wherever a fast path takes a list it takes
+a tuple too, as json writes both alike.
 
-`verify_document` and `render_svg` read a parsed or freshly built
-document, whose shapes `_check_schema` has proved, so the carrier keys
-("edge", ref) and ("conn", (ref[0], ref[1])) test no shape again.
+A built document (`decomposition_to_document`) shares the drawing's
+immutable tuples instead of copying them: each cycle's arcs, the same
+object in every layer that keeps the face, each imaginary entry's host,
+chord and carrier, and each carrier row are tuples, where
+`parse_document` gives lists.  Both forms write the same text and read
+alike.  To edit a built document, edit a parsed copy.
+
+`verify_document` and `render_svg` read a parsed document, whose shapes
+`_check_schema` has proved, or a freshly built one, whose shapes the
+builder fixes; so the carrier keys ("edge", ref) and ("conn", (ref[0],
+ref[1])) test no shape again.
 """
 
 from __future__ import annotations
@@ -52,36 +61,38 @@ class DocumentError(ValueError):
 
 
 def _system_json(sys_: CycleSystem) -> dict:
-    out = {
+    cycles = sys_.cycles
+    rim = sys_.rim
+    return {
         "n": sys_.n,
-        "cycles": [
-            {"id": cid, "arcs": [list(a) for a in sys_.cycles[cid].arcs]}
-            for cid in sorted(sys_.cycles)
-        ],
-        "rim": None,
+        "cycles": [{"id": cid, "arcs": cycles[cid].arcs} for cid in sorted(cycles)],
+        "rim": None if rim is None else {"id": rim.id, "arcs": rim.arcs},
     }
-    if sys_.rim is not None:
-        out["rim"] = {"id": sys_.rim.id, "arcs": [list(a) for a in sys_.rim.arcs]}
-    return out
 
 
 def decomposition_to_document(d: Decomposition) -> dict:
-    imaginary = []
-    for w in sorted(d.drawing.imaginary):
-        info = d.drawing.imaginary[w]
-        kind, ref = info["carrier"]
-        imaginary.append(
-            {
-                "id": w,
-                "host": list(info["host"]),
-                "carrier": [kind, ref if kind == "edge" else list(ref)],
-                "chord": list(info["chord"]),
-            }
-        )
-    carrier = []
-    for (a, b) in sorted(d.drawing.carrier):
-        kind, ref = d.drawing.carrier[(a, b)]
-        carrier.append([a, b, kind, ref if kind == "edge" else list(ref)])
+    """The document of a decomposition, sharing the drawing's immutable
+    tuples instead of copying them.
+
+    Each cycle row's and the rim's `arcs` is its `Cycle`'s own tuple of
+    arc tuples, so a face kept across layers is one object in every
+    layer's row; each imaginary entry holds the drawing's own `host`,
+    `chord` and `carrier` tuples, and each carrier row is the tuple
+    (a, b, kind, ref).  Row dicts are one per layer, and graph edges,
+    chords, rings, `realized` and sequences are fresh lists.
+
+    The document writes the same text, and reads alike, as
+    `parse_document` of that text, which holds lists where this holds
+    tuples; `_check_schema`'s shape proof covers that parsed form.  To
+    edit a built document, edit a parsed copy.
+    """
+    drawing = d.drawing
+    imaginary = [
+        {"id": w, "host": e["host"], "carrier": e["carrier"], "chord": e["chord"]}
+        for w, e in sorted(drawing.imaginary.items())
+    ]
+    keys = drawing.carrier
+    carrier = [s + keys[s] for s in sorted(keys)]  # (a, b) + (kind, ref)
     return {
         "format": FORMAT,
         "version": 1,
@@ -115,6 +126,9 @@ _encode_str = json.encoder.encode_basestring_ascii
 _HOLE = object()
 _CYCLE_KEYS = frozenset(("arcs", "id"))
 _IMAGINARY_KEYS = frozenset(("carrier", "chord", "host", "id"))
+# A built document holds tuples where a parsed one holds lists; both write
+# the same text, so every fast path takes either.
+_ROWS = frozenset((list, tuple))
 
 
 @lru_cache(maxsize=4096)
@@ -142,14 +156,15 @@ def _template(row: str, indent: str, shape: object) -> str:
 
 
 def _pairs(xs: list) -> bool:
-    """Every item of xs is a list of two items."""
-    return set(map(type, xs)) == {list} and set(map(len, xs)) == {2}
+    """Every item of xs is a list or tuple of two items."""
+    return set(map(type, xs)) <= _ROWS and set(map(len, xs)) == {2}
 
 
 def _carrier_shapes(kinds: list, refs: list) -> Optional[list]:
     """(kind, pair) of each carrier, pair telling a conn ref [u, v] from an
-    edge id; None unless every kind is a str and every list ref a pair."""
-    pair = [type(r) is list for r in refs]
+    edge id; None unless every kind is a str and every list or tuple ref a
+    pair."""
+    pair = [type(r) in _ROWS for r in refs]
     if set(map(type, kinds)) != {str} or set(map(len, compress(refs, pair))) - {2}:
         return None
     return list(zip(kinds, pair))
@@ -159,7 +174,7 @@ def _cycle_rows(x: list, vals: list) -> Optional[list]:
     """The shapes of a list of {"arcs", "id"} cycles, their cells added to
     vals in text order; None unless every arc list is non-empty pairs."""
     arcs = list(map(itemgetter("arcs"), x))
-    if set(map(type, arcs)) != {list} or not all(arcs):
+    if not set(map(type, arcs)) <= _ROWS or not all(arcs):
         return None
     if not _pairs(list(chain.from_iterable(arcs))):
         return None
@@ -182,19 +197,19 @@ def _imaginary_rows(x: list, vals: list) -> Optional[list]:
     if shapes is None:
         return None
     for ref, chord, host, w in zip(refs, chords, hosts, map(itemgetter("id"), x)):
-        vals += (*ref, *chord, *host, w) if type(ref) is list else (ref, *chord, *host, w)
+        vals += (*ref, *chord, *host, w) if type(ref) in _ROWS else (ref, *chord, *host, w)
     return shapes
 
 
 def _carrier_rows(x: list, vals: list) -> Optional[list]:
-    """As `_cycle_rows`, for [a, b, kind, ref] rows."""
+    """As `_cycle_rows`, for [a, b, kind, ref] rows, lists or tuples."""
     if set(map(len, x)) != {4}:
         return None
     shapes = _carrier_shapes(list(map(itemgetter(2), x)), list(map(itemgetter(3), x)))
     if shapes is None:
         return None
     for a, b, _, ref in x:
-        vals += (a, b, *ref) if type(ref) is list else (a, b, ref)
+        vals += (a, b, *ref) if type(ref) in _ROWS else (a, b, ref)
     return shapes
 
 
@@ -204,7 +219,7 @@ def _table(x: list, kinds: set, indent: str) -> Optional[str]:
     are all exactly int: one cached template per row, filled once.  None
     on any other list, which then takes the generic path."""
     vals: list = []
-    if kinds == {list}:
+    if kinds <= _ROWS:
         row, shapes = "carrier", _carrier_rows(x, vals)
     elif kinds != {dict}:
         return None
@@ -228,8 +243,8 @@ def _emit(x: object, indent: str) -> str:
     str raises TypeError.
 
     A list of ints (or of ints and strings) is one join, and a list of
-    equal-length int rows (the arcs, edges and chords) is one %-template
-    filled once.  A list of cycles ({"arcs", "id"}), of imaginary entries
+    equal-length int rows (the arcs, edges and chords), each a list or a
+    tuple, is one %-template filled once.  A list of cycles ({"arcs", "id"}), of imaginary entries
     ({"carrier", "chord", "host", "id"}) or of carrier rows
     ([a, b, kind, ref]) is joined from cached per-row templates (see
     `_template`) and filled once; any other key set, empty arcs, a row or
@@ -246,7 +261,7 @@ def _emit(x: object, indent: str) -> str:
         inner = indent + " "
         sep = ",\n" + inner
         kinds = set(map(type, x))
-        sizes = set(map(len, x)) if kinds == {list} else ()
+        sizes = set(map(len, x)) if kinds <= _ROWS else ()
         flat = list(chain.from_iterable(x)) if len(sizes) == 1 and 0 not in sizes else ()
         if kinds == {int}:
             body = sep.join(map(int.__repr__, x))

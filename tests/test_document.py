@@ -16,6 +16,7 @@ from topolayers.document import (
     serialize_document,
     verify_document,
 )
+from topolayers.render import render_svg
 
 
 @pytest.mark.parametrize("which", ["k7", "k8", "k10"])
@@ -131,11 +132,19 @@ def test_serialize_matches_json_on_drawn_values(value):
 # The three row lists the emitter writes from cached templates, plus near
 # misses that must take the generic path: bool and float cells, extra or
 # missing keys, empty arcs, rows of length 1 or 3, refs of length 3, and
-# kinds that hold %, a quote, a NUL or non-ASCII text.
+# kinds that hold %, a quote, a NUL or non-ASCII text.  Arcs, pairs,
+# carriers and rows are drawn as lists, as a parsed document holds them,
+# or as tuples, as a built one does, and a list of rows mixes the two.
 _cell = st.one_of(st.integers(-(2**70), 2**70), st.integers(0, 99), st.booleans(), st.floats(-3, 3))
 _int = st.integers(-(2**70), 2**70)
-_pair = st.lists(_int, min_size=2, max_size=2)
-_near_pair = st.lists(_cell, min_size=1, max_size=3)
+
+
+def _list_or_tuple(items):
+    return st.one_of(items, items.map(tuple))
+
+
+_pair = _list_or_tuple(st.lists(_int, min_size=2, max_size=2))
+_near_pair = _list_or_tuple(st.lists(_cell, min_size=1, max_size=3))
 _kind = st.one_of(
     st.sampled_from(["edge", "conn"]),
     st.text(alphabet=st.sampled_from('ab%d"\\\0é\U0001f600'), max_size=4),
@@ -144,19 +153,20 @@ _kind = st.one_of(
 )
 _ref = st.one_of(_int, _pair, _cell, _near_pair)
 _cycle = st.one_of(
-    st.fixed_dictionaries({"arcs": st.lists(_pair, min_size=1, max_size=4), "id": _int}),
     st.fixed_dictionaries(
-        {"arcs": st.lists(st.one_of(_pair, _near_pair), max_size=3)},
+        {"arcs": _list_or_tuple(st.lists(_pair, min_size=1, max_size=4)), "id": _int}
+    ),
+    st.fixed_dictionaries(
+        {"arcs": _list_or_tuple(st.lists(st.one_of(_pair, _near_pair), max_size=3))},
         optional={"id": _cell, "rim": _int},
     ),
 )
+_carrier_pair = _list_or_tuple(st.tuples(_kind, _ref).map(list))
 _imaginary = st.one_of(
-    st.fixed_dictionaries(
-        {"carrier": st.tuples(_kind, _ref).map(list), "chord": _pair, "host": _pair, "id": _int}
-    ),
+    st.fixed_dictionaries({"carrier": _carrier_pair, "chord": _pair, "host": _pair, "id": _int}),
     st.fixed_dictionaries(
         {
-            "carrier": st.one_of(st.tuples(_kind, _ref).map(list), _near_pair),
+            "carrier": st.one_of(_carrier_pair, _near_pair),
             "chord": st.one_of(_pair, _near_pair),
             "host": _pair,
         },
@@ -164,9 +174,8 @@ _imaginary = st.one_of(
     ),
 )
 _carrier = st.one_of(
-    st.tuples(_int, _int, _kind, _ref).map(list),
-    st.tuples(_cell, _cell, _kind, _ref).map(list),
-    st.tuples(_int, _int, _kind, _ref),
+    _list_or_tuple(st.tuples(_int, _int, _kind, _ref).map(list)),
+    _list_or_tuple(st.tuples(_cell, _cell, _kind, _ref).map(list)),
     _near_pair,
 )
 
@@ -198,6 +207,12 @@ _ROWS = {
         {"carrier": ["edge", 8], "chord": [9, 10], "host": [11, 12], "id": 13},
     ],
     "carrier": [[1, 2, "conn", [3, 4]], [5, 6, "edge", 7]],
+    "built cycles": [{"arcs": ((1, 2), (2, 3), (3, 1)), "id": 4}, {"arcs": [(5, 6), [6, 5]], "id": 7}],
+    "built imaginary": [
+        {"carrier": ("conn", (1, 2)), "chord": (3, 4), "host": (5, 6), "id": 7},
+        {"carrier": ["edge", 8], "chord": (9, 10), "host": [11, 12], "id": 13},
+    ],
+    "built carrier": [(1, 2, "conn", (3, 4)), [5, 6, "edge", 7], (8, 9, "conn", [1, 2])],
 }
 
 
@@ -244,6 +259,62 @@ def test_serialize_k16_writes_rows_from_templates(k16_unpinned_decomposition, mo
     monkeypatch.setattr(document, "_emit", counted)
     assert serialize_document(doc) == serialize_ref(doc)
     assert len(calls) < 1000
+
+
+def _readings(doc):
+    """What the readers make of a document: each check's name, verdict
+    and details in `verify_document`'s order, and every layer's SVG."""
+    checks = [(name, r.ok, r.details) for name, r in verify_document(doc).checks.items()]
+    return checks, [render_svg(doc, k) for k in range(1, len(doc["layers"]) + 1)]
+
+
+@pytest.mark.parametrize(
+    "fixture",
+    ["k7_decomposition", "k8_decomposition", "k10_decomposition", "k12_unpinned_decomposition", "q4_decomposition"],
+)
+def test_built_and_parsed_documents_read_alike(fixture, request):
+    """A built document holds the drawing's tuples and its parse holds
+    lists; the verifier and the renderer read both the same."""
+    built = decomposition_to_document(request.getfixturevalue(fixture))
+    parsed = parse_document(serialize_document(built))
+    assert _readings(built) == _readings(parsed)
+
+
+def test_built_document_shares_the_drawings_tuples(k12_unpinned_decomposition):
+    """Unpinned K12's document copies nothing the drawing holds as an
+    immutable tuple: each cycle row's arcs are its `Cycle`'s own, so a
+    face kept from one layer to the next is one arcs object in both rows,
+    and the imaginary entries and carrier rows hold the drawing's own
+    tuples.  A copy, as lists or as fresh tuples, fails here."""
+    d = k12_unpinned_decomposition
+    doc = decomposition_to_document(d)
+    rows_by_layer = []
+    for layer, row in zip(d.layers, doc["layers"]):
+        system, sj = layer.system, row["system"]
+        if system.rim is None:
+            assert sj["rim"] is None
+        else:
+            assert sj["rim"]["arcs"] is system.rim.arcs
+        for c in sj["cycles"]:
+            assert c["arcs"] is system.cycles[c["id"]].arcs
+            assert type(c["arcs"]) is tuple and set(map(type, c["arcs"])) == {tuple}
+        rows_by_layer.append({c["id"]: c for c in sj["cycles"]})
+    kept = 0
+    for k, (rows, later) in enumerate(zip(rows_by_layer, rows_by_layer[1:])):
+        for cid in rows.keys() & later.keys():
+            if d.layers[k].system.cycles[cid] is d.layers[k + 1].system.cycles[cid]:
+                kept += 1
+                assert rows[cid]["arcs"] is later[cid]["arcs"]
+                assert rows[cid] is not later[cid]
+    assert kept > 0
+    for entry in doc["imaginary"]:
+        info = d.drawing.imaginary[entry["id"]]
+        for key in ("host", "chord", "carrier"):
+            assert entry[key] is info[key] and type(entry[key]) is tuple
+        assert type(entry["carrier"][1]) in (int, tuple)
+    for row in doc["carrier"]:
+        assert type(row) is tuple and type(row[3]) in (int, tuple)
+        assert row[3] is d.drawing.carrier[row[:2]][1]
 
 
 def test_serialize_refuses_non_str_keys():
